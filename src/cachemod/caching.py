@@ -292,6 +292,22 @@ class MulticastBlockSpec:
             return self.label_len - n  # right-aligned, known bits in front
         return 0  # zero padding fills from the front
 
+    def known_shape(self, user: int) -> tuple:
+        """(prefix_known, suffix_known) label-bit counts for `user` on this block.
+
+        Raises UselessBlockError when the block carries none of the user's
+        bits; that is distinct from a useful block with nothing known, (0, 0).
+        """
+        n = self.piece_len(user)
+        if n == 0:
+            raise UselessBlockError(
+                f"block {self.block_index} of subset {sorted(self.subset)} carries no bits "
+                f"for user {user}"
+            )
+        if self.scheme == PROPOSED:
+            return (self.label_len - n, 0)
+        return (0, self.label_len - n)
+
 
 @dataclass(frozen=True)
 class SubsetSchedule:
@@ -305,24 +321,55 @@ class SubsetSchedule:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """All multicast blocks for one demand vector under one padding scheme."""
+    """Per-subset block schedules for one demand vector under one padding scheme.
+
+    Blocks are not stored: `block` builds one on demand from its schedule.
+    What the error analysis needs is each user's histogram of known-bit
+    shapes, `shape_counts`, computed in closed form when the plan is built.
+    """
 
     scheme: str
     label_len: int
     num_users: int
-    blocks: tuple
     per_subset: dict  # frozenset -> SubsetSchedule
     load: float  # transmitted bits / B
-    _index: dict = field(repr=False, default_factory=dict)
+    histograms: dict = field(repr=False, default_factory=dict)  # user -> {shape: count}
 
-    def block(self, subset: frozenset, block_index: int) -> MulticastBlockSpec:
-        key = (frozenset(subset), block_index)
-        if key not in self._index:
+    def block(self, subset, block_index: int) -> MulticastBlockSpec:
+        subset = frozenset(subset)
+        sched = self.per_subset.get(subset)
+        if sched is None or not 1 <= block_index <= sched.n_blocks:
             raise ConfigurationError(f"no block {block_index} for subset {sorted(subset)}")
-        return self._index[key]
+        if self.scheme == PROPOSED:
+            pieces = {
+                u: proposed_piece_len(n, sched.n_blocks, block_index)
+                for u, n in sched.subfile_len.items()
+            }
+        else:
+            pieces = {
+                u: zero_padding_piece_len(n, self.label_len, block_index)
+                for u, n in sched.subfile_len.items()
+            }
+        return MulticastBlockSpec(
+            subset=subset,
+            block_index=block_index,
+            per_user_piece_len=pieces,
+            label_len=self.label_len,
+            scheme=self.scheme,
+        )
+
+    def iter_blocks(self):
+        """Every block of the plan, built one at a time in message order."""
+        for subset, sched in self.per_subset.items():
+            for i in range(1, sched.n_blocks + 1):
+                yield self.block(subset, i)
 
     def useful_symbols(self, user: int) -> int:
         return sum(s.n_useful.get(user, 0) for s in self.per_subset.values())
+
+    def shape_counts(self, user: int) -> dict:
+        """{(prefix_known, suffix_known): count} over the user's useful blocks."""
+        return dict(self.histograms.get(user, {}))
 
 
 def proposed_piece_len(subfile_len: int, n_blocks: int, block_index: int) -> int:
@@ -337,6 +384,25 @@ def zero_padding_piece_len(subfile_len: int, label_len: int, block_index: int) -
     return max(0, min(label_len, remaining))
 
 
+def subset_shapes(scheme: str, subfile_len: int, n_blocks: int, label_len: int) -> list:
+    """Known-bit shapes of one user's useful blocks in a message, in block order.
+
+    Returns [(shape, count)] runs without enumerating blocks.  With q, r =
+    divmod(n, n_blocks), the even split puts q + 1 bits in the first r blocks
+    and q bits in the rest; sequential fill gives n // m full labels, then
+    one partial label.  Runs with empty pieces are dropped.
+    """
+    if scheme == PROPOSED:
+        q, r = divmod(subfile_len, n_blocks)
+        runs = ((q + 1, r), (q, n_blocks - r))
+        return [((label_len - n, 0), count) for n, count in runs if n > 0 and count > 0]
+    full, rest = divmod(subfile_len, label_len)
+    runs = [((0, 0), full)] if full else []
+    if rest:
+        runs.append(((0, label_len - rest), 1))
+    return runs
+
+
 def build_delivery_plan(
     subfiles: SubfileMap,
     demands: DemandVector,
@@ -344,11 +410,12 @@ def build_delivery_plan(
     label_len: int,
     library: Library | None = None,
 ) -> DeliveryPlan:
-    """Compile a subfile map and demand vector into labeled multicast blocks.
+    """Compile a subfile map and demand vector into per-subset block schedules.
 
     Expected maps are quantized to integers first (largest-remainder per
     file); pass the library to pin the per-file totals, otherwise they are
-    inferred from the map's own sums.
+    inferred from the map's own sums.  The cost does not depend on the
+    library size: no block is enumerated.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -365,9 +432,8 @@ def build_delivery_plan(
         subfiles = quantize_expected_map(subfiles, library)
 
     total_bits = sum(subfiles.lengths.values())
-    blocks = []
     per_subset = {}
-    index = {}
+    histograms = {u: {} for u in range(1, k + 1)}
     sent_bits = 0
     for subset in all_subsets(k):
         sub_lens = {
@@ -377,29 +443,14 @@ def build_delivery_plan(
         if ell == 0:
             continue
         n_blocks = -(-ell // label_len)  # ceil
-        n_useful = {}
-        for u in subset:
-            if scheme == PROPOSED:
-                n_useful[u] = sum(
-                    proposed_piece_len(sub_lens[u], n_blocks, i) > 0
-                    for i in range(1, n_blocks + 1)
-                )
-            else:
-                n_useful[u] = -(-sub_lens[u] // label_len)
-        for i in range(1, n_blocks + 1):
-            if scheme == PROPOSED:
-                pieces = {u: proposed_piece_len(sub_lens[u], n_blocks, i) for u in subset}
-            else:
-                pieces = {u: zero_padding_piece_len(sub_lens[u], label_len, i) for u in subset}
-            spec = MulticastBlockSpec(
-                subset=subset,
-                block_index=i,
-                per_user_piece_len=pieces,
-                label_len=label_len,
-                scheme=scheme,
-            )
-            blocks.append(spec)
-            index[(subset, i)] = spec
+        if scheme == PROPOSED:
+            n_useful = {u: min(n, n_blocks) for u, n in sub_lens.items()}
+        else:
+            n_useful = {u: -(-n // label_len) for u, n in sub_lens.items()}
+        for u, n in sub_lens.items():
+            hist = histograms[u]
+            for shape, count in subset_shapes(scheme, n, n_blocks, label_len):
+                hist[shape] = hist.get(shape, 0) + count
         per_subset[subset] = SubsetSchedule(
             ell=ell, n_blocks=n_blocks, subfile_len=sub_lens, n_useful=n_useful
         )
@@ -408,10 +459,9 @@ def build_delivery_plan(
         scheme=scheme,
         label_len=label_len,
         num_users=k,
-        blocks=tuple(blocks),
         per_subset=per_subset,
         load=sent_bits / total_bits if total_bits else 0.0,
-        _index=index,
+        histograms=histograms,
     )
 
 
@@ -463,13 +513,4 @@ def known_bit_mask(plan: DeliveryPlan, subset, block_index: int, user: int):
     Raises UselessBlockError when the block carries none of the user's bits;
     that is distinct from a useful block with nothing known, which is (0, 0).
     """
-    block = plan.block(frozenset(subset), block_index)
-    n = block.piece_len(user)
-    if n == 0:
-        raise UselessBlockError(
-            f"block {block_index} of subset {sorted(block.subset)} carries no bits "
-            f"for user {user}"
-        )
-    if plan.scheme == PROPOSED:
-        return (block.label_len - n, 0)
-    return (0, block.label_len - n)
+    return plan.block(subset, block_index).known_shape(user)

@@ -13,7 +13,7 @@ import logging
 import sys
 from dataclasses import dataclass
 
-from .analysis import SnrProfile, block_error_table, user_metrics
+from .analysis import CellBounds, SnrProfile, plan_metrics
 from .caching import (
     SCHEMES,
     CacheProfile,
@@ -199,6 +199,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     c = build_constellation(cfg.family, cfg.m)
     subfiles = quantize_expected_map(expected_subfile_lengths(library, caches), library)
     plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
+    bounds = CellBounds(c)  # shared by every scheme and sweep point
 
     rows = []
     for snr_db in cfg.sweep_db:
@@ -209,7 +210,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         snr = SnrProfile(gammas)
         for scheme in cfg.schemes:
             plan = plans[scheme]
-            analytic = user_metrics(plan, block_error_table(plan, c, snr))
+            analytic = plan_metrics(plan, c, snr, bounds)
             empirical = None
             if cfg.trials_per_cell > 0:
                 empirical = run_campaign(

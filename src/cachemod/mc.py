@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SerReport, SnrProfile
+from .analysis import SerReport, SnrProfile, ser_report
 from .bits import bits_to_int, int_to_bits
 from .caching import (
     DeliveryPlan,
@@ -24,7 +24,6 @@ from .caching import (
     PlacementRealization,
     decode_block,
     encode_block,
-    known_bit_mask,
 )
 from .errors import ConfigurationError
 from .modem import Constellation, KnownMask, demodulate, modulate
@@ -128,16 +127,7 @@ def _cell_key(c: Constellation, shape: tuple, gamma: float) -> str:
 
 def cell_shapes(plan: DeliveryPlan, user: int) -> dict:
     """Known-bit shapes of the user's useful blocks, with multiplicities."""
-    counts: dict = {}
-    for subset, sched in plan.per_subset.items():
-        if user not in subset or sched.n_useful.get(user, 0) == 0:
-            continue
-        for i in range(1, sched.n_blocks + 1):
-            if plan.block(subset, i).piece_len(user) == 0:
-                continue
-            shape = known_bit_mask(plan, subset, i, user)
-            counts[shape] = counts.get(shape, 0) + 1
-    return counts
+    return plan.shape_counts(user)
 
 
 def run_campaign(
@@ -162,7 +152,6 @@ def run_campaign(
         for shape, gamma in wanted
     }
 
-    useful = {u: plan.useful_symbols(u) for u in users}
     errors, stderr = {}, {}
     for u in users:
         s_k = 0.0
@@ -172,21 +161,9 @@ def run_campaign(
             s_k += count * est.ser
             var += (count * est.std_error) ** 2
         errors[u] = s_k
-        stderr[u] = math.sqrt(var) / useful[u] if useful[u] > 0 else 0.0
-    undefined = frozenset(u for u in users if useful[u] == 0)
-    ser = {u: errors[u] / useful[u] if useful[u] > 0 else 0.0 for u in users}
-    avg = sum(ser.values()) / len(users)
-    return SerReport(
-        kind="empirical",
-        useful_symbols=useful,
-        error_symbols=errors,
-        ser=ser,
-        average_ser=avg,
-        load=plan.load,
-        undefined_users=undefined,
-        stderr=stderr,
-        average_stderr=sum(stderr.values()) / len(users),
-    )
+        useful = plan.useful_symbols(u)
+        stderr[u] = math.sqrt(var) / useful if useful > 0 else 0.0
+    return ser_report("empirical", plan, errors, stderr)
 
 
 @dataclass(frozen=True)
@@ -253,7 +230,7 @@ def end_to_end_noiseless(
                 if n == 0:
                     continue
                 others = {v: pieces[v] for v in subset if v != u}
-                mask = _receiver_mask(plan, block, u, others)
+                mask = _receiver_mask(block, u, others)
                 got = demodulate(c, y, 1.0, mask)
                 piece = decode_block(int_to_bits(got, c.m), block, u, others)
                 base = consumed[u] - n
@@ -278,14 +255,14 @@ def end_to_end_noiseless(
     return EndToEndResult(passed=passed, first_mismatch=mismatch)
 
 
-def _receiver_mask(plan, block, user: int, other_pieces: dict) -> KnownMask:
+def _receiver_mask(block, user: int, other_pieces: dict) -> KnownMask:
     """Known label bits a user can precompute from its cached pieces.
 
     At a known position the receiver's own piece contributes nothing, so the
     label bit there equals the XOR of the other users' (zero-extended)
     pieces.
     """
-    prefix, suffix = known_bit_mask(plan, block.subset, block.block_index, user)
+    prefix, suffix = block.known_shape(user)
     xor_others = np.zeros(block.label_len, dtype=np.uint8)
     for other, piece in other_pieces.items():
         start = block.piece_start(other)

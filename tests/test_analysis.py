@@ -164,6 +164,55 @@ class TestUserMetrics:
         assert report.average_ser == pytest.approx(report.ser[1] / 2)
 
 
+
+class TestPlanMetrics:
+    def test_histogram_report_matches_block_table(self):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(k, k + 3))
+            fr = rng.random(n) + 0.1
+            lib = cm.Library(tuple(fr / fr.sum()), int(rng.integers(50, 3000)))
+            caches = cm.CacheProfile(tuple(np.sort(rng.random(k))))
+            em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+            demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
+            c = cm.build_psk(int(rng.integers(1, 6))) if trial % 2 else cm.build_qam(4)
+            snr = cm.SnrProfile(tuple(rng.uniform(0.2, 50.0, size=k)))
+            for scheme in cm.SCHEMES:
+                plan = cm.build_delivery_plan(em, demands, scheme, c.m)
+                want = user_metrics(plan, cm.block_error_table(plan, c, snr))
+                for got in (cm.plan_metrics(plan, c, snr), analytic_report(em, demands, scheme, c, snr)):
+                    assert got.useful_symbols == want.useful_symbols
+                    assert got.undefined_users == want.undefined_users
+                    assert got.average_ser == pytest.approx(want.average_ser, abs=1e-12)
+                    for u in range(1, k + 1):
+                        assert got.ser[u] == pytest.approx(want.ser[u], abs=1e-12)
+
+    def test_shared_bounds_enumerate_each_shape_once(self, monkeypatch):
+        import cachemod.analysis as an
+
+        calls = []
+        real = an.min_distance
+
+        def counting(c, *shape):
+            calls.append(shape)
+            return real(c, *shape)
+
+        monkeypatch.setattr(an, "min_distance", counting)
+        smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 7, (1, ()): 5, (2, ()): 4})
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        c = cm.build_psk(3)
+        bounds = cm.CellBounds(c)
+        for gamma in (1.0, 4.0, 16.0):
+            cm.plan_metrics(plan, c, cm.SnrProfile((gamma, gamma)), bounds)
+        assert sorted(calls) == sorted({s for u in (1, 2) for s in plan.shape_counts(u)})
+
+    def test_symbol_width_mismatch(self):
+        smap = subfile_map(2, 2, {(1, (2,)): 4, (2, (1,)): 2})
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        with pytest.raises(cm.ConfigurationError):
+            cm.plan_metrics(plan, cm.build_psk(2), cm.SnrProfile((1.0, 1.0)))
+
 class TestCompareSchemes:
     def test_symmetric_instance_has_no_gain(self):
         # equal caches and equal files with widths dividing everything: the

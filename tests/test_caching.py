@@ -195,7 +195,7 @@ class TestBuildDeliveryPlan:
     def test_empty_plan_is_not_an_error(self):
         smap = subfile_map(2, 2, {})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        assert plan.blocks == ()
+        assert list(plan.iter_blocks()) == []
         assert plan.per_subset == {}
 
     def test_load_matches_message_bits(self, two_user_pair_placement, pair_demands):
@@ -252,6 +252,63 @@ class TestBuildDeliveryPlan:
         assert sum(sizes) == w
         assert max(sizes) <= m
 
+
+
+def enumerated_histogram(plan, user):
+    """Brute-force oracle: walk every block and count the user's known-bit shapes."""
+    counts = {}
+    for subset, sched in plan.per_subset.items():
+        if user not in subset:
+            continue
+        for i in range(1, sched.n_blocks + 1):
+            block = plan.block(subset, i)
+            if block.piece_len(user) == 0:
+                continue
+            shape = block.known_shape(user)
+            counts[shape] = counts.get(shape, 0) + 1
+    return counts
+
+
+class TestShapeHistograms:
+    @given(
+        k=st.integers(1, 3),
+        m=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_enumeration(self, k, m, data):
+        entries = {}
+        for i in range(1, k + 1):
+            for subset in all_subsets(k):
+                entries[(i, tuple(sorted(subset)))] = data.draw(st.integers(0, 60))
+        smap = subfile_map(k, k, entries)
+        demands = cm.DemandVector(tuple(range(1, k + 1)))
+        for scheme in cm.SCHEMES:
+            plan = cm.build_delivery_plan(smap, demands, scheme, m)
+            for u in range(1, k + 1):
+                want = enumerated_histogram(plan, u)
+                got = plan.shape_counts(u)
+                # same insertion (block) order, so per-shape sums add up identically
+                assert list(got.items()) == list(want.items())
+                assert sum(got.values()) == plan.useful_symbols(u)
+
+    def test_hand_evaluated_runs(self):
+        # 7 bits over 3 blocks of width 3: pieces 3, 2, 2 -> shapes (0,0) and 2 x (1,0)
+        smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 7})
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        assert plan.shape_counts(2) == {(0, 0): 1, (1, 0): 2}
+        # sequential fill: two full labels, then one with 2 padded bits
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
+        assert plan.shape_counts(2) == {(0, 0): 2, (0, 2): 1}
+
+    def test_block_index_out_of_range(self):
+        smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        for i in (0, 4):
+            with pytest.raises(cm.ConfigurationError):
+                plan.block(frozenset({1, 2}), i)
+        with pytest.raises(cm.ConfigurationError):
+            plan.block(frozenset({1}), 1)
 
 class TestEncodeDecode:
     def test_pair_block_encoding(self, two_user_pair_placement, pair_demands):

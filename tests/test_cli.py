@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,11 @@ BASE = {
     "trials_per_cell": 0,
     "master_seed": 7,
 }
+
+THREE_USER_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "three_user_sweep.json"
+# md5 of the three-user sweep CSV (seed 2024, 1e5 trials per cell); refactors
+# of the plan, bound or Monte Carlo paths must reproduce these bytes
+THREE_USER_SWEEP_MD5 = "6968f02712550b04951653e3d66ea40b"
 
 
 def config(**overrides):
@@ -135,6 +142,21 @@ class TestRunScenario:
                 sum(r.analytic_ser for r in users) / len(users)
             )
 
+
+    def test_analytic_cost_independent_of_library_size(self, monkeypatch):
+        # no block object may be built on the sweep path, even for B = 1e9
+        def no_blocks(self, *args, **kwargs):
+            raise AssertionError("sweep built a MulticastBlockSpec")
+
+        monkeypatch.setattr(cm.caching.MulticastBlockSpec, "__init__", no_blocks)
+        rows = run_scenario(parse_config(config(total_bits=10**9)))
+        assert len(rows) == 3 * 2 * 4
+        assert all(r.useful > 0 for r in rows)
+
+    def test_three_user_sweep_csv_is_pinned(self):
+        cfg = parse_config(THREE_USER_SWEEP.read_text())
+        text = render_csv(run_scenario(cfg))
+        assert hashlib.md5(text.encode()).hexdigest() == THREE_USER_SWEEP_MD5
 
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):
