@@ -30,6 +30,8 @@ SCHEMES = (PROPOSED, ZERO_PADDING)
 
 # sample_placement enumerates individual bits; keep instances tractable
 MAX_ENUMERATED_BITS = 10**7
+# subfile maps hold 2**K lengths per file; keep them allocatable
+MAX_USERS = 20
 
 
 def largest_remainder(targets, total: int) -> list[int]:
@@ -87,6 +89,8 @@ class CacheProfile:
         object.__setattr__(self, "mus", mus)
         if not mus:
             raise ConfigurationError("at least one user required")
+        if len(mus) > MAX_USERS:
+            raise ConfigurationError(f"{len(mus)} users exceed the limit of {MAX_USERS}")
         if any(m < 0 or m > 1 for m in mus):
             raise ConfigurationError("cache fractions must lie in [0, 1]")
         if any(a > b for a, b in zip(mus, mus[1:])):
@@ -119,31 +123,55 @@ class DemandVector:
         return self.demands[user - 1]
 
 
-def all_subsets(num_users: int):
-    """Non-empty user subsets in canonical order (by size, then members)."""
+def subset_tuples(num_users: int):
+    """Non-empty user subsets as sorted tuples, in canonical order (by size, then members)."""
     users = range(1, num_users + 1)
     for size in range(1, num_users + 1):
-        for combo in combinations(users, size):
-            yield frozenset(combo)
+        yield from combinations(users, size)
+
+
+def all_subsets(num_users: int):
+    """Non-empty user subsets as frozensets, in canonical order."""
+    return map(frozenset, subset_tuples(num_users))
+
+
+def subset_code(subset) -> int:
+    """Bitmask of a user subset: bit u - 1 is set when user u is a member."""
+    return sum(1 << (u - 1) for u in subset)
 
 
 @dataclass(frozen=True)
 class SubfileMap:
-    """Lengths |W_{i,S}| in bits for every (file, caching-subset) pair."""
+    """Lengths |W_{i,S}| in bits for every (file, caching-subset) pair.
 
-    lengths: dict
-    kind: str  # "expected" | "realized"
-    num_users: int
-    num_files: int
+    `lengths` is a read-only array of shape (num_files, 2**num_users):
+    lengths[i - 1, subset_code(S)] is |W_{i,S}|.  An integer dtype holds
+    exact bit counts, ready for planning; a float dtype holds expected
+    lengths, which `quantize_expected_map` rounds to integers.
+    """
 
-    def length(self, file_index: int, subset: frozenset) -> float:
-        return self.lengths.get((file_index, frozenset(subset)), 0.0)
+    lengths: np.ndarray
 
-    def file_total(self, file_index: int) -> float:
-        return sum(v for (i, _), v in self.lengths.items() if i == file_index)
+    def __post_init__(self):
+        lengths = np.asarray(self.lengths).view()
+        if lengths.ndim != 2 or lengths.shape[1].bit_count() != 1:
+            raise ConfigurationError("subfile lengths must have shape (num_files, 2**num_users)")
+        lengths.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
 
-    def is_integral(self) -> bool:
-        return all(float(v).is_integer() for v in self.lengths.values())
+    @property
+    def num_files(self) -> int:
+        return self.lengths.shape[0]
+
+    @property
+    def num_users(self) -> int:
+        return self.lengths.shape[1].bit_length() - 1
+
+    def length(self, file_index: int, subset: frozenset):
+        return self.lengths[file_index - 1, subset_code(subset)].item()
+
+    def file_total(self, file_index: int):
+        return self.lengths[file_index - 1].sum().item()
 
 
 def expected_subfile_lengths(library: Library, caches: CacheProfile) -> SubfileMap:
@@ -151,42 +179,29 @@ def expected_subfile_lengths(library: Library, caches: CacheProfile) -> SubfileM
 
     lengths(i, S) = F_i * B * prod_{j in S} mu_j * prod_{k not in S} (1 - mu_k)
     """
-    mus = caches.mus
-    k = caches.num_users
-    lengths = {}
-    for i, frac in enumerate(library.file_fractions, start=1):
-        base = frac * library.total_bits
-        for code in range(2**k):
-            subset = frozenset(u for u in range(1, k + 1) if code & (1 << (u - 1)))
-            p = 1.0
-            for u in range(1, k + 1):
-                p *= mus[u - 1] if u in subset else (1.0 - mus[u - 1])
-            lengths[(i, subset)] = base * p
-    return SubfileMap(lengths=lengths, kind="expected", num_users=k, num_files=library.num_files)
+    codes = np.arange(2**caches.num_users)
+    p = np.ones(len(codes))
+    for u, mu in enumerate(caches.mus):  # user by user: the order fixes the float results
+        p *= np.where(codes >> u & 1, mu, 1.0 - mu)
+    base = np.array(library.file_fractions) * library.total_bits
+    return SubfileMap(base[:, None] * p)
 
 
 def quantize_expected_map(subfiles: SubfileMap, library: Library) -> SubfileMap:
     """Round an expected map to integer lengths, conserving per-file totals.
 
     Largest-remainder rounding within each file keeps the subset lengths
-    summing exactly to the file's integer bit count.
+    summing exactly to the file's integer bit count.  Tied remainders go to
+    the earlier subset in canonical order (the empty set, then `all_subsets`).
+    Integer maps are returned unchanged.
     """
-    if subfiles.kind != "expected":
+    if np.issubdtype(subfiles.lengths.dtype, np.integer):
         return subfiles
-    k = subfiles.num_users
-    lengths = {}
-    for i in range(1, subfiles.num_files + 1):
-        subsets = [frozenset(s) for s in _all_subsets_with_empty(k)]
-        raw = [subfiles.length(i, s) for s in subsets]
-        rounded = largest_remainder(raw, library.file_bits[i - 1])
-        for s, v in zip(subsets, rounded):
-            lengths[(i, s)] = v
-    return SubfileMap(lengths=lengths, kind="expected", num_users=k, num_files=subfiles.num_files)
-
-
-def _all_subsets_with_empty(num_users: int):
-    yield frozenset()
-    yield from all_subsets(num_users)
+    order = [0, *map(subset_code, subset_tuples(subfiles.num_users))]
+    lengths = np.empty(subfiles.lengths.shape, dtype=np.int64)
+    for row, raw, nbits in zip(lengths, subfiles.lengths, library.file_bits, strict=True):
+        row[order] = largest_remainder(raw[order].tolist(), nbits)
+    return SubfileMap(lengths)
 
 
 @dataclass(frozen=True)
@@ -220,11 +235,7 @@ class PlacementRealization:
         return self._subset_codes[file_index - 1]
 
     def subfile_positions(self, file_index: int, subset: frozenset) -> np.ndarray:
-        code = sum(1 << (u - 1) for u in subset)
-        return np.nonzero(self.subset_codes(file_index) == code)[0]
-
-    def subfile_bits(self, file_index: int, subset: frozenset) -> np.ndarray:
-        return self.bit_values[file_index - 1][self.subfile_positions(file_index, subset)]
+        return np.nonzero(self.subset_codes(file_index) == subset_code(subset))[0]
 
 
 def sample_placement(library: Library, caches: CacheProfile, seed: int) -> PlacementRealization:
@@ -252,17 +263,10 @@ def sample_placement(library: Library, caches: CacheProfile, seed: int) -> Place
 
 def realized_subfile_map(placement: PlacementRealization) -> SubfileMap:
     """Exact subfile lengths of a placement realization."""
-    k = placement.num_users
-    lengths = {}
-    for i in range(1, placement.library.num_files + 1):
-        codes = placement.subset_codes(i)
-        counts = np.bincount(codes, minlength=2**k)
-        for code in range(2**k):
-            subset = frozenset(u for u in range(1, k + 1) if code & (1 << (u - 1)))
-            lengths[(i, subset)] = int(counts[code])
-    return SubfileMap(
-        lengths=lengths, kind="realized", num_users=k, num_files=placement.library.num_files
-    )
+    width = 2**placement.num_users
+    files = range(1, placement.library.num_files + 1)
+    counts = [np.bincount(placement.subset_codes(i), minlength=width) for i in files]
+    return SubfileMap(np.stack(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +315,11 @@ class MulticastBlockSpec:
 
 @dataclass(frozen=True)
 class SubsetSchedule:
-    """Per-subset symbol counts: message length, blocks, useful blocks per user."""
+    """Per-subset symbol counts: message length, block count, subfile lengths."""
 
     ell: int
     n_blocks: int
     subfile_len: dict  # user -> |W_{d_k, S\{k}}|
-    n_useful: dict  # user -> blocks carrying at least one of its bits
 
 
 @dataclass(frozen=True)
@@ -365,7 +368,7 @@ class DeliveryPlan:
                 yield self.block(subset, i)
 
     def useful_symbols(self, user: int) -> int:
-        return sum(s.n_useful.get(user, 0) for s in self.per_subset.values())
+        return sum(self.histograms.get(user, {}).values())
 
     def shape_counts(self, user: int) -> dict:
         """{(prefix_known, suffix_known): count} over the user's useful blocks."""
@@ -408,52 +411,40 @@ def build_delivery_plan(
     demands: DemandVector,
     scheme: str,
     label_len: int,
-    library: Library | None = None,
 ) -> DeliveryPlan:
-    """Compile a subfile map and demand vector into per-subset block schedules.
+    """Compile an integer subfile map and demand vector into per-subset block schedules.
 
-    Expected maps are quantized to integers first (largest-remainder per
-    file); pass the library to pin the per-file totals, otherwise they are
-    inferred from the map's own sums.  The cost does not depend on the
-    library size: no block is enumerated.
+    Expected (float) maps are rejected: round them with
+    `quantize_expected_map` first.  The cost does not depend on the library
+    size: no block is enumerated.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if label_len < 1:
         raise ConfigurationError("bits per symbol must be >= 1")
+    if not np.issubdtype(subfiles.lengths.dtype, np.integer):
+        raise ConfigurationError("quantize an expected (float) subfile map before planning")
     k = subfiles.num_users
     demands.validate(subfiles.num_files, k)
 
-    if not subfiles.is_integral():
-        if library is None:
-            totals = [subfiles.file_total(i) for i in range(1, subfiles.num_files + 1)]
-            grand = sum(totals)
-            library = Library(tuple(t / grand for t in totals), round(grand))
-        subfiles = quantize_expected_map(subfiles, library)
-
-    total_bits = sum(subfiles.lengths.values())
+    total_bits = int(subfiles.lengths.sum())
+    rows = {u: subfiles.lengths[demands.file_for(u) - 1].tolist() for u in range(1, k + 1)}
     per_subset = {}
     histograms = {u: {} for u in range(1, k + 1)}
     sent_bits = 0
+    # canonical subset order fixes each histogram's insertion (summation) order
     for subset in all_subsets(k):
-        sub_lens = {
-            u: int(subfiles.length(demands.file_for(u), subset - {u})) for u in subset
-        }
+        code = subset_code(subset)
+        sub_lens = {u: rows[u][code & ~(1 << (u - 1))] for u in subset}
         ell = max(sub_lens.values())
         if ell == 0:
             continue
         n_blocks = -(-ell // label_len)  # ceil
-        if scheme == PROPOSED:
-            n_useful = {u: min(n, n_blocks) for u, n in sub_lens.items()}
-        else:
-            n_useful = {u: -(-n // label_len) for u, n in sub_lens.items()}
         for u, n in sub_lens.items():
             hist = histograms[u]
             for shape, count in subset_shapes(scheme, n, n_blocks, label_len):
                 hist[shape] = hist.get(shape, 0) + count
-        per_subset[subset] = SubsetSchedule(
-            ell=ell, n_blocks=n_blocks, subfile_len=sub_lens, n_useful=n_useful
-        )
+        per_subset[subset] = SubsetSchedule(ell=ell, n_blocks=n_blocks, subfile_len=sub_lens)
         sent_bits += ell
     return DeliveryPlan(
         scheme=scheme,

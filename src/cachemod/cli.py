@@ -52,9 +52,25 @@ class ScenarioConfig:
 
 
 def _require_keys(obj: dict, allowed: set, context: str):
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{context} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigurationError(f"unknown field(s) in {context}: {', '.join(sorted(unknown))}")
+
+
+def _read(convert, value, field: str):
+    """convert(value), reporting a value of the wrong type against its field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{field} has an invalid value {value!r}") from exc
+
+
+def _require_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{field} must be a list")
+    return value
 
 
 def _grid(sweep: dict) -> tuple:
@@ -73,7 +89,7 @@ def _resolve_demands(requested, fractions, num_users) -> tuple:
             raise ConfigurationError("worst_case demands need at least K files")
         order = sorted(range(len(fractions)), key=lambda i: (-fractions[i], i))
         return tuple(order[u] + 1 for u in range(num_users))
-    demands = tuple(int(d) for d in requested)
+    demands = tuple(_read(int, d, "demands") for d in _require_list(requested, "demands"))
     if len(demands) != num_users:
         raise ConfigurationError("demands must list one file per user")
     return demands
@@ -85,8 +101,6 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config must be a JSON object")
     _require_keys(
         raw,
         {
@@ -112,20 +126,18 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigurationError("users must be a non-empty list")
     mus, user_snr = [], []
     for idx, u in enumerate(users, start=1):
-        if not isinstance(u, dict):
-            raise ConfigurationError(f"user {idx} must be an object")
         _require_keys(u, {"mu", "snr_db"}, f"user {idx}")
         if "mu" not in u:
             raise ConfigurationError(f"user {idx} is missing 'mu'")
-        mus.append(float(u["mu"]))
-        user_snr.append(float(u["snr_db"]) if "snr_db" in u else None)
+        mus.append(_read(float, u["mu"], f"user {idx} mu"))
+        user_snr.append(_read(float, u["snr_db"], f"user {idx} snr_db") if "snr_db" in u else None)
     caches = CacheProfile(tuple(mus))  # validates range and ordering
 
-    fractions = tuple(float(f) for f in raw["files"])
+    fractions = tuple(_read(float, f, "files") for f in _require_list(raw["files"], "files"))
     total = sum(fractions)
     if abs(total - 1.0) > 1e-12:
         raise ConfigurationError(f"file fractions sum to {total:g}")
-    total_bits = int(raw["total_bits"])
+    total_bits = _read(int, raw["total_bits"], "total_bits")
     library = Library(fractions, total_bits)
 
     mod = raw["modulation"]
@@ -133,10 +145,10 @@ def parse_config(text: str) -> ScenarioConfig:
     family = str(mod.get("family", "")).lower()
     if family not in ("psk", "qam"):
         raise ConfigurationError("modulation family must be 'psk' or 'qam'")
-    m = int(mod.get("m", 0))
+    m = _read(int, mod.get("m", 0), "modulation m")
     build_constellation(family, m)  # validates m for the family
 
-    schemes = tuple(raw.get("schemes", list(SCHEMES)))
+    schemes = tuple(_require_list(raw.get("schemes", list(SCHEMES)), "schemes"))
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {s!r}")
@@ -149,14 +161,14 @@ def parse_config(text: str) -> ScenarioConfig:
     sweep = dict(DEFAULT_SWEEP)
     if "sweep" in raw:
         _require_keys(raw["sweep"], set(DEFAULT_SWEEP), "sweep")
-        sweep.update({k: float(v) for k, v in raw["sweep"].items()})
+        sweep.update({k: _read(float, v, f"sweep {k}") for k, v in raw["sweep"].items()})
     grid = _grid(sweep)
 
-    trials = int(raw.get("trials_per_cell", DEFAULT_TRIALS))
+    trials = _read(int, raw.get("trials_per_cell", DEFAULT_TRIALS), "trials_per_cell")
     if trials < 0:
         raise ConfigurationError("trials_per_cell must be >= 0")
     if "master_seed" in raw:
-        seed = int(raw["master_seed"])
+        seed = _read(int, raw["master_seed"], "master_seed")
         if seed < 0 or seed >= 2**64:
             raise ConfigurationError("master_seed must fit in 64 bits")
     else:

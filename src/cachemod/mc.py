@@ -33,11 +33,10 @@ _CHUNK = 1 << 15  # bound the trials x points distance matrix
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Trial budget, master seed and (optionally) the SNR grid being swept."""
+    """Trial budget and master seed of a Monte Carlo campaign."""
 
     trials_per_cell: int
     master_seed: int = 0
-    snr_grid: tuple = ()  # linear gammas; informational, cells carry their own
 
     def __post_init__(self):
         if self.trials_per_cell < 1:
@@ -197,22 +196,16 @@ def end_to_end_noiseless(
     k = placement.num_users
     demands.validate(placement.library.num_files, k)
 
-    # subfile payloads in canonical (ascending bit position) order
-    piece_cache: dict = {}
-
-    def subfile(file_index: int, subset: frozenset) -> np.ndarray:
-        key = (file_index, subset)
-        if key not in piece_cache:
-            piece_cache[key] = placement.subfile_bits(file_index, subset)
-        return piece_cache[key]
-
     recovered = {u: {} for u in range(1, k + 1)}  # user -> {(file, pos): bit}
     for subset, sched in plan.per_subset.items():
         consumed = {u: 0 for u in subset}
-        payload = {u: subfile(demands.file_for(u), subset - {u}) for u in subset}
+        # subfile payloads in canonical (ascending bit position) order
         positions = {
             u: placement.subfile_positions(demands.file_for(u), subset - {u})
             for u in subset
+        }
+        payload = {
+            u: placement.bit_values[demands.file_for(u) - 1][positions[u]] for u in subset
         }
         for i in range(1, sched.n_blocks + 1):
             block = plan.block(subset, i)

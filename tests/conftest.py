@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from cachemod import CacheProfile, DemandVector, Library
-from cachemod.caching import PlacementRealization, SubfileMap
+from cachemod.caching import PlacementRealization, SubfileMap, subset_code
 
 
-def subfile_map(num_users, num_files, entries, kind="realized"):
-    """Build a SubfileMap from {(file, tuple_subset): length} with zero fill."""
-    lengths = {}
-    for i in range(1, num_files + 1):
-        for code in range(2**num_users):
-            subset = frozenset(u for u in range(1, num_users + 1) if code & (1 << (u - 1)))
-            lengths[(i, subset)] = 0
+def subfile_map(num_users, num_files, entries):
+    """Build an integer SubfileMap from {(file, tuple_subset): length} with zero fill."""
+    lengths = np.zeros((num_files, 2**num_users), dtype=np.int64)
     for (i, subset), v in entries.items():
-        lengths[(i, frozenset(subset))] = v
-    return SubfileMap(lengths=lengths, kind=kind, num_users=num_users, num_files=num_files)
+        lengths[i - 1, subset_code(subset)] = v
+    return SubfileMap(lengths)
 
 
 @pytest.fixture

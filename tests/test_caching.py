@@ -51,7 +51,13 @@ class TestExpectedSubfileLengths:
         caches = cm.CacheProfile((1 / 3, 1 / 3))
         em = cm.expected_subfile_lengths(lib, caches)
         assert em.length(1, frozenset({2})) == pytest.approx(2.0, rel=1e-12)
-        assert em.kind == "expected"
+        assert em.lengths.dtype == np.float64
+        assert (em.num_files, em.num_users) == (2, 2)
+        assert not em.lengths.flags.writeable
+
+    def test_map_width_must_be_a_power_of_two(self):
+        with pytest.raises(cm.ConfigurationError):
+            SubfileMap(np.zeros((2, 3), dtype=np.int64))
 
     def test_no_caching(self):
         lib = cm.Library((0.6, 0.4), 15)
@@ -150,9 +156,18 @@ class TestQuantization:
         caches = cm.CacheProfile((0.21, 0.47))
         em = cm.expected_subfile_lengths(lib, caches)
         qm = quantize_expected_map(em, lib)
-        assert qm.is_integral()
+        assert np.issubdtype(qm.lengths.dtype, np.integer)
         for i, nbits in enumerate(lib.file_bits, start=1):
             assert qm.file_total(i) == nbits
+
+    def test_ties_follow_canonical_subset_order(self):
+        # 250 bits over 16 equally likely subsets: every remainder is 0.625, so
+        # the ten leftover bits go to the first ten subsets in canonical order
+        lib = cm.Library((0.25,) * 4, 1000)
+        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
+        qm = quantize_expected_map(em, lib)
+        canonical = [frozenset(), *all_subsets(4)]
+        assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
 class TestBuildDeliveryPlan:
@@ -170,7 +185,7 @@ class TestBuildDeliveryPlan:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         sched = plan.per_subset[frozenset({1, 2})]
         assert sched.n_blocks == 3
-        assert sched.n_useful == {1: 3, 2: 3}
+        assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 3]
         for i in range(1, 4):
             assert plan.block(frozenset({1, 2}), i).per_user_piece_len == {1: 3, 2: 1}
 
@@ -179,7 +194,7 @@ class TestBuildDeliveryPlan:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         sched = plan.per_subset[frozenset({1, 2})]
         assert sched.n_blocks == 3
-        assert sched.n_useful == {1: 3, 2: 1}
+        assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 1]
         assert plan.block(frozenset({1, 2}), 1).per_user_piece_len == {1: 3, 2: 3}
         assert plan.block(frozenset({1, 2}), 2).per_user_piece_len == {1: 3, 2: 0}
 
@@ -212,11 +227,15 @@ class TestBuildDeliveryPlan:
         ]
         assert loads[0] == loads[1]
 
-    def test_quantizes_fractional_maps(self):
+    def test_float_map_rejected(self):
         lib = cm.Library((0.5, 0.5), 40)
         caches = cm.CacheProfile((0.3, 0.6))
         em = cm.expected_subfile_lengths(lib, caches)
-        plan = cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 2, lib)
+        with pytest.raises(cm.ConfigurationError, match="quantize"):
+            cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 2)
+        plan = cm.build_delivery_plan(
+            quantize_expected_map(em, lib), cm.DemandVector((1, 2)), cm.PROPOSED, 2
+        )
         for sched in plan.per_subset.values():
             for v in sched.subfile_len.values():
                 assert isinstance(v, int)
@@ -416,7 +435,7 @@ class TestKnownBitMask:
         pz = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         subset = frozenset({1, 2})
         for u in (1, 2):
-            for i in range(1, pz.per_subset[subset].n_useful[u] + 1):
+            for i in range(1, pz.useful_symbols(u) + 1):
                 prop = cm.known_bit_mask(pp, subset, i, u)[0]
                 zp = cm.known_bit_mask(pz, subset, i, u)[0]
                 assert prop >= zp

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import cachemod as cm
+from cachemod.caching import MAX_USERS
 from cachemod.cli import (
     CSV_HEADER,
     emit_csv,
@@ -30,6 +31,26 @@ THREE_USER_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "three_u
 # md5 of the three-user sweep CSV (seed 2024, 1e5 trials per cell); refactors
 # of the plan, bound or Monte Carlo paths must reproduce these bytes
 THREE_USER_SWEEP_MD5 = "6968f02712550b04951653e3d66ea40b"
+
+# twelve users, 256-QAM, analytic only: exercises the 2^K subfile map and the
+# quantisation tie-breaking of every one of its 4096 subsets
+MANY_USERS = {
+    "users": [
+        {"mu": 0.05}, {"mu": 0.1318181818181818}, {"mu": 0.21363636363636362},
+        {"mu": 0.2954545454545454}, {"mu": 0.3772727272727272}, {"mu": 0.459090909090909},
+        {"mu": 0.5409090909090909}, {"mu": 0.6227272727272727}, {"mu": 0.7045454545454545},
+        {"mu": 0.7863636363636363}, {"mu": 0.868181818181818}, {"mu": 0.95},
+    ],
+    "files": [0.08333333333333333] * 12,
+    "total_bits": 100000,
+    "modulation": {"family": "qam", "m": 8},
+    "schemes": ["proposed", "zero_padding"],
+    "demands": "worst_case",
+    "sweep": {"start_db": 0, "stop_db": 20, "step_db": 10},
+    "trials_per_cell": 0,
+    "master_seed": 2024,
+}
+MANY_USERS_MD5 = "94c6c1aeec92598df85b81d09b013e07"
 
 
 def config(**overrides):
@@ -100,6 +121,11 @@ class TestParseConfig:
         )
         assert cfg.user_snr_db == (6.0, None, None)
 
+    def test_user_count_bounded_before_allocation(self):
+        users = [{"mu": 0.5}] * (MAX_USERS + 1)
+        with pytest.raises(cm.ConfigurationError, match=f"limit of {MAX_USERS}"):
+            parse_config(config(users=users, files=[1 / len(users)] * len(users)))
+
 
 class TestRunScenario:
     def test_row_grid(self):
@@ -158,6 +184,10 @@ class TestRunScenario:
         text = render_csv(run_scenario(cfg))
         assert hashlib.md5(text.encode()).hexdigest() == THREE_USER_SWEEP_MD5
 
+    def test_many_users_analytic_csv_is_pinned(self):
+        text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))
+        assert hashlib.md5(text.encode()).hexdigest() == MANY_USERS_MD5
+
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):
         rows = run_scenario(parse_config(config()))
@@ -191,6 +221,21 @@ class TestMain:
         rc = main(["validate", "--config", self.write(tmp_path, config(files=[0.5, 0.6]))])
         assert rc == 2
         assert "sum to 1.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"files": 5}, "files must be a list"),
+            ({"users": [{"mu": "abc"}, {"mu": 0.5}, {"mu": 0.6}]}, "user 1 mu"),
+            ({"total_bits": "x"}, "total_bits"),
+            ({"sweep": {"step_db": "a"}}, "sweep step_db"),
+            ({"modulation": "psk"}, "modulation must be an object"),
+        ],
+    )
+    def test_validate_wrong_types(self, tmp_path, capsys, overrides, message):
+        rc = main(["validate", "--config", self.write(tmp_path, config(**overrides))])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 2
