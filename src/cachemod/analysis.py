@@ -5,11 +5,14 @@ bound evaluated at the minimum distance of the subconstellation a user
 demodulates over; bounds are clamped to 1 since they are vacuous beyond
 that.  Per-user rates weight each useful symbol equally, so a user's
 expected error count is a sum over its histogram of known-bit shapes:
-S_k = sum over shapes of count x bound(shape, gamma_k).
+S_k = sum over shapes of count x value(shape, gamma_k), where the value of a
+cell comes from one memoised `CellTable` (union bounds here, Monte Carlo
+estimates in `mc`) and `ser_report` is the one place that sum is taken.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +60,9 @@ class SerReport:
     ser: dict  # user -> T_k = S_k / L_k
     average_ser: float
     load: float
-    undefined_users: frozenset = frozenset()
-    stderr: dict | None = None  # empirical only: per-user standard error
-    average_stderr: float | None = None
+    undefined_users: frozenset
+    stderr: dict  # user -> standard error of T_k (0 for bounds)
+    average_stderr: float
 
 
 _erfc_array = np.vectorize(math.erfc, otypes=[float])
@@ -83,42 +86,62 @@ def symbol_error_bound(family: str, gamma: float, dmin: float) -> float:
     return min(1.0, neighbors * float(q_function(math.sqrt(gamma / 2.0) * dmin)))
 
 
-class CellBounds:
-    """Union bounds per cell (shape, gamma) of one constellation.
+class CellTable:
+    """Memoised (ser, std_error) per cell (shape, gamma) of one constellation.
 
     The constellation fixes (family, m), so a cell is keyed by its known-bit
-    shape and SNR.  Each shape's minimum distance is enumerated once and each
-    cell's bound evaluated once, however many blocks, users or sweep points
-    share them.
+    shape and SNR.  `evaluate(shape, gamma)` runs once per distinct cell,
+    however many users, schemes or sweep points read it.
     """
 
-    def __init__(self, c: Constellation):
+    def __init__(self, c: Constellation, evaluate):
         self.c = c
-        self._dmin: dict = {}
-        self._bound: dict = {}
+        self._evaluate = evaluate
+        self._cells: dict = {}
 
-    def __call__(self, shape: tuple, gamma: float) -> float:
+    def __call__(self, shape: tuple, gamma: float) -> tuple:
         key = (shape, gamma)
-        if key not in self._bound:
-            if shape not in self._dmin:
-                self._dmin[shape] = min_distance(self.c, *shape)
-            self._bound[key] = symbol_error_bound(self.c.family, gamma, self._dmin[shape])
-        return self._bound[key]
+        if key not in self._cells:
+            self._cells[key] = self._evaluate(shape, gamma)
+        return self._cells[key]
 
 
-def _check_width(plan: DeliveryPlan, c: Constellation):
-    if plan.label_len != c.m:
+def bound_table(c: Constellation) -> CellTable:
+    """Union bounds per cell; each shape's minimum distance is enumerated once."""
+
+    @functools.cache
+    def dmin(shape: tuple) -> float:
+        return min_distance(c, *shape)
+
+    def bound(shape: tuple, gamma: float) -> tuple:
+        return symbol_error_bound(c.family, gamma, dmin(shape)), 0.0
+
+    return CellTable(c, bound)
+
+
+def ser_report(kind: str, plan: DeliveryPlan, snr: SnrProfile, cells: CellTable) -> SerReport:
+    """Per-user rates from the plan's shape histograms and one cell table.
+
+    S_k = sum over user k's histogram of count x cell ser, T_k = S_k / L_k;
+    cell standard errors add in quadrature, so the standard error of T_k is
+    sqrt(sum of (count x std_error)^2) / L_k.
+    """
+    if plan.label_len != cells.c.m:
         raise ConfigurationError("plan and constellation disagree on bits per symbol")
-
-
-def ser_report(
-    kind: str, plan: DeliveryPlan, errors: dict, stderr: dict | None = None
-) -> SerReport:
-    """Per-user rates T_k = S_k / L_k and their average from error counts S_k."""
     users = list(range(1, plan.num_users + 1))
     useful = {u: plan.useful_symbols(u) for u in users}
-    undefined = frozenset(u for u in users if useful[u] == 0)
-    ser = {u: errors[u] / useful[u] if useful[u] > 0 else 0.0 for u in users}
+    errors, ser, stderr = {}, {}, {}
+    for u in users:
+        gamma = snr.gamma(u)
+        s_k = 0.0
+        var = 0.0
+        for shape, count in plan.shape_counts(u).items():
+            cell_ser, std_error = cells(shape, gamma)
+            s_k += count * cell_ser
+            var += (count * std_error) ** 2
+        errors[u] = s_k
+        ser[u] = s_k / useful[u] if useful[u] > 0 else 0.0
+        stderr[u] = math.sqrt(var) / useful[u] if useful[u] > 0 else 0.0
     return SerReport(
         kind=kind,
         useful_symbols=useful,
@@ -126,56 +149,17 @@ def ser_report(
         ser=ser,
         average_ser=sum(ser.values()) / len(users),
         load=plan.load,
-        undefined_users=undefined,
+        undefined_users=frozenset(u for u in users if useful[u] == 0),
         stderr=stderr,
-        average_stderr=None if stderr is None else sum(stderr.values()) / len(users),
+        average_stderr=sum(stderr.values()) / len(users),
     )
 
 
 def plan_metrics(
-    plan: DeliveryPlan, c: Constellation, snr: SnrProfile, bounds: CellBounds | None = None
+    plan: DeliveryPlan, c: Constellation, snr: SnrProfile, bounds: CellTable | None = None
 ) -> SerReport:
-    """Analytic per-user rates from the plan's shape histograms.
-
-    Pass one CellBounds to share min distances and bounds across calls.
-    """
-    _check_width(plan, c)
-    bounds = bounds or CellBounds(c)
-    errors = {}
-    for u in range(1, plan.num_users + 1):
-        gamma = snr.gamma(u)
-        errors[u] = sum(
-            (count * bounds(shape, gamma) for shape, count in plan.shape_counts(u).items()),
-            0.0,
-        )
-    return ser_report("analytic", plan, errors)
-
-
-def block_error_table(plan: DeliveryPlan, c: Constellation, snr: SnrProfile) -> dict:
-    """Error-probability bound for every (subset, block, user) a plan serves.
-
-    A per-block view of the same cell bounds `plan_metrics` uses, built by
-    walking every block, so its size grows with the library.  Blocks that
-    carry no bits for a user are excluded.
-    """
-    _check_width(plan, c)
-    bounds = CellBounds(c)
-    table = {}
-    for block in plan.iter_blocks():
-        for user in block.subset:
-            if block.piece_len(user) == 0:
-                continue
-            shape = block.known_shape(user)
-            table[(block.subset, block.block_index, user)] = bounds(shape, snr.gamma(user))
-    return table
-
-
-def user_metrics(plan: DeliveryPlan, table: dict) -> SerReport:
-    """Aggregate a block error table into per-user and average symbol error rates."""
-    errors = {u: 0.0 for u in range(1, plan.num_users + 1)}
-    for (_, _, user), p in table.items():
-        errors[user] += p
-    return ser_report("analytic", plan, errors)
+    """Analytic per-user rates; pass one `bound_table(c)` to share it across calls."""
+    return ser_report("analytic", plan, snr, bound_table(c) if bounds is None else bounds)
 
 
 def analytic_report(

@@ -32,6 +32,7 @@ SCHEMES = (PROPOSED, ZERO_PADDING)
 MAX_ENUMERATED_BITS = 10**7
 # subfile maps hold 2**K lengths per file; keep them allocatable
 MAX_USERS = 20
+MAX_SUBFILE_ENTRIES = 2**25  # N * 2**K; 256 MiB per float64 or int64 map
 
 
 def largest_remainder(targets, total: int) -> list[int]:
@@ -497,11 +498,3 @@ def decode_block(
     start = block.piece_start(user)
     return residual[start : start + block.piece_len(user)]
 
-
-def known_bit_mask(plan: DeliveryPlan, subset, block_index: int, user: int):
-    """(prefix_known, suffix_known) label-bit counts for `user` on a block.
-
-    Raises UselessBlockError when the block carries none of the user's bits;
-    that is distinct from a useful block with nothing known, which is (0, 0).
-    """
-    return plan.block(subset, block_index).known_shape(user)

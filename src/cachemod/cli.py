@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 
-from .analysis import CellBounds, SnrProfile, plan_metrics
+from .analysis import SnrProfile, bound_table, plan_metrics
 from .caching import (
+    MAX_SUBFILE_ENTRIES,
     SCHEMES,
     CacheProfile,
     DemandVector,
@@ -24,7 +26,7 @@ from .caching import (
     quantize_expected_map,
 )
 from .errors import ConfigurationError
-from .mc import CampaignConfig, run_campaign
+from .mc import CampaignConfig, estimate_table, run_campaign
 from .modem import build_constellation
 
 log = logging.getLogger("cachemod")
@@ -60,11 +62,30 @@ def _require_keys(obj: dict, allowed: set, context: str):
 
 
 def _read(convert, value, field: str):
-    """convert(value), reporting a value of the wrong type against its field."""
+    """convert(value), reporting a wrong-typed or non-finite value against its field."""
     try:
-        return convert(value)
+        result = convert(value)
+        if isinstance(result, float) and not math.isfinite(result):
+            raise ValueError("not finite")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{field} has an invalid value {value!r}") from exc
+    return result
+
+
+def _gamma(snr_db: float) -> float:
+    """Linear SNR of a dB value, as the sweep computes it."""
+    return 10.0 ** (snr_db / 10.0)
+
+
+def _read_db(value, field: str) -> float:
+    """A dB value whose linear SNR is a finite positive float."""
+    db = _read(float, value, field)
+    try:
+        if _gamma(db) > 0.0:
+            return db
+    except OverflowError:
+        pass
+    raise ConfigurationError(f"{field} of {db!r} dB has no finite positive linear SNR")
 
 
 def _require_list(value, field: str) -> list:
@@ -130,7 +151,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if "mu" not in u:
             raise ConfigurationError(f"user {idx} is missing 'mu'")
         mus.append(_read(float, u["mu"], f"user {idx} mu"))
-        user_snr.append(_read(float, u["snr_db"], f"user {idx} snr_db") if "snr_db" in u else None)
+        user_snr.append(_read_db(u["snr_db"], f"user {idx} snr_db") if "snr_db" in u else None)
     caches = CacheProfile(tuple(mus))  # validates range and ordering
 
     fractions = tuple(_read(float, f, "files") for f in _require_list(raw["files"], "files"))
@@ -139,6 +160,11 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigurationError(f"file fractions sum to {total:g}")
     total_bits = _read(int, raw["total_bits"], "total_bits")
     library = Library(fractions, total_bits)
+    if library.num_files << caches.num_users > MAX_SUBFILE_ENTRIES:
+        raise ConfigurationError(
+            f"{library.num_files} files x 2^{caches.num_users} subsets exceed the "
+            f"subfile map limit of {MAX_SUBFILE_ENTRIES} entries"
+        )
 
     mod = raw["modulation"]
     _require_keys(mod, {"family", "m"}, "modulation")
@@ -162,6 +188,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if "sweep" in raw:
         _require_keys(raw["sweep"], set(DEFAULT_SWEEP), "sweep")
         sweep.update({k: _read(float, v, f"sweep {k}") for k, v in raw["sweep"].items()})
+    for key in ("start_db", "stop_db"):
+        _read_db(sweep[key], f"sweep {key}")
     grid = _grid(sweep)
 
     trials = _read(int, raw.get("trials_per_cell", DEFAULT_TRIALS), "trials_per_cell")
@@ -211,23 +239,25 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     c = build_constellation(cfg.family, cfg.m)
     subfiles = quantize_expected_map(expected_subfile_lengths(library, caches), library)
     plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
-    bounds = CellBounds(c)  # shared by every scheme and sweep point
+    # one table of each kind, shared by every scheme and sweep point
+    bounds = bound_table(c)
+    campaign = estimates = None
+    if cfg.trials_per_cell > 0:
+        campaign = CampaignConfig(cfg.trials_per_cell, cfg.master_seed)
+        estimates = estimate_table(c, campaign)
 
     rows = []
     for snr_db in cfg.sweep_db:
         gammas = tuple(
-            10.0 ** ((snr_db if fixed is None else fixed) / 10.0)
-            for fixed in cfg.user_snr_db
+            _gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db
         )
         snr = SnrProfile(gammas)
         for scheme in cfg.schemes:
             plan = plans[scheme]
             analytic = plan_metrics(plan, c, snr, bounds)
             empirical = None
-            if cfg.trials_per_cell > 0:
-                empirical = run_campaign(
-                    plan, c, snr, CampaignConfig(cfg.trials_per_cell, cfg.master_seed)
-                )
+            if campaign is not None:
+                empirical = run_campaign(plan, c, snr, campaign, estimates)
             for u in range(1, caches.num_users + 1):
                 rows.append(
                     ResultRow(

@@ -2,10 +2,10 @@
 
 Estimation runs per *cell*: all useful symbols sharing a known-bit shape and
 an SNR have identical error statistics (labels are i.i.d. uniform once the
-subfile bits are random), so each cell is sampled once and reused wherever
-it appears in a plan.  Every cell draws from its own RNG substream derived
-from (master seed, cell key), which keeps campaigns reproducible regardless
-of evaluation order.
+subfile bits are random), so each cell is sampled once per `estimate_table`
+and reused by every user, plan and SNR point that reads it.  Every cell
+draws from its own RNG substream derived from (master seed, cell key), which
+keeps campaigns reproducible regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SerReport, SnrProfile, ser_report
+from .analysis import CellTable, SerReport, SnrProfile, ser_report
 from .bits import bits_to_int, int_to_bits
 from .caching import (
     DeliveryPlan,
@@ -28,7 +28,7 @@ from .caching import (
 from .errors import ConfigurationError
 from .modem import Constellation, KnownMask, demodulate, modulate
 
-_CHUNK = 1 << 15  # bound the trials x points distance matrix
+_CHUNK = 1 << 18  # entries of the trials x candidates distance matrix per step
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,9 @@ def estimate_cell_ser(
             (hi << (m - p)) | (np.arange(1 << free, dtype=np.int64) << s) | lo
         )  # argmin then favors the smallest label on ties
         cand_points = c.points[c._label_to_index[cand_labels]]
-        for start in range(0, sel.size, _CHUNK):
-            rows = sel[start : start + _CHUNK]
+        step = _CHUNK >> free
+        for start in range(0, sel.size, step):
+            rows = sel[start : start + step]
             d2 = np.abs(y[rows, None] - math.sqrt(gamma) * cand_points[None, :]) ** 2
             decided[rows] = cand_labels[np.argmin(d2, axis=1)]
 
@@ -124,45 +125,31 @@ def _cell_key(c: Constellation, shape: tuple, gamma: float) -> str:
     return f"{c.family}:m{c.m}:p{shape[0]}:s{shape[1]}:g{gamma!r}"
 
 
-def cell_shapes(plan: DeliveryPlan, user: int) -> dict:
-    """Known-bit shapes of the user's useful blocks, with multiplicities."""
-    return plan.shape_counts(user)
+def estimate_table(c: Constellation, cfg: CampaignConfig) -> CellTable:
+    """Monte Carlo estimates per cell, each from its own (master seed, cell key) substream."""
+
+    def estimate(shape: tuple, gamma: float) -> tuple:
+        est = estimate_cell_ser(c, shape, gamma, cfg, _cell_key(c, shape, gamma))
+        return est.ser, est.std_error
+
+    return CellTable(c, estimate)
 
 
 def run_campaign(
-    plan: DeliveryPlan, c: Constellation, snr: SnrProfile, cfg: CampaignConfig
+    plan: DeliveryPlan,
+    c: Constellation,
+    snr: SnrProfile,
+    cfg: CampaignConfig,
+    estimates: CellTable | None = None,
 ) -> SerReport:
     """Empirical per-user symbol error rates for one delivery plan.
 
-    Cells are estimated once and shared between users/blocks with the same
-    shape and SNR; results are merged in sorted cell order so the report is
-    reproducible bit for bit.
+    Pass one `estimate_table(c, cfg)` to share cells across plans and SNR
+    points; a cell's value depends only on its key and the master seed, so
+    sharing changes no number.
     """
-    if plan.label_len != c.m:
-        raise ConfigurationError("plan and constellation disagree on bits per symbol")
-    users = list(range(1, plan.num_users + 1))
-    shapes = {u: cell_shapes(plan, u) for u in users}
-    wanted = sorted(
-        {(shape, snr.gamma(u)) for u in users for shape in shapes[u]},
-        key=lambda t: (t[0], t[1]),
-    )
-    estimates = {
-        (shape, gamma): estimate_cell_ser(c, shape, gamma, cfg, _cell_key(c, shape, gamma))
-        for shape, gamma in wanted
-    }
-
-    errors, stderr = {}, {}
-    for u in users:
-        s_k = 0.0
-        var = 0.0
-        for shape, count in shapes[u].items():
-            est = estimates[(shape, snr.gamma(u))]
-            s_k += count * est.ser
-            var += (count * est.std_error) ** 2
-        errors[u] = s_k
-        useful = plan.useful_symbols(u)
-        stderr[u] = math.sqrt(var) / useful if useful > 0 else 0.0
-    return ser_report("empirical", plan, errors, stderr)
+    cells = estimate_table(c, cfg) if estimates is None else estimates
+    return ser_report("empirical", plan, snr, cells)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def three_user_sweep():
         gamma = 10 ** (snr_db / 10)
         snr = cm.SnrProfile((gamma, gamma, gamma))
         for scheme, plan in plans.items():
-            analytic = cm.user_metrics(plan, cm.block_error_table(plan, c, snr))
+            analytic = cm.plan_metrics(plan, c, snr)
             empirical = cm.run_campaign(plan, c, snr, cfg)
             results[(scheme, snr_db)] = (analytic, empirical)
     return results, time.perf_counter() - start
@@ -89,10 +89,7 @@ def test_criterion_2_analytic_dominance():
             plans = {s: cm.build_delivery_plan(subfiles, demands, s, c.m) for s in cm.SCHEMES}
             for gamma in (1.0, 10.0):
                 snr = cm.SnrProfile((gamma,) * k)
-                reports = {
-                    s: cm.user_metrics(p, cm.block_error_table(p, c, snr))
-                    for s, p in plans.items()
-                }
+                reports = {s: cm.plan_metrics(p, c, snr) for s, p in plans.items()}
                 for u in range(1, k + 1):
                     ok &= (
                         reports[cm.PROPOSED].ser[u]

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 import cachemod as cm
-from cachemod.analysis import analytic_report, user_metrics
+from cachemod.analysis import analytic_report
 from conftest import subfile_map
 
 
@@ -65,91 +65,125 @@ class TestSymbolErrorBound:
             cm.symbol_error_bound("psk", 1.0, 0.0)
 
 
+def stub_table(c, values):
+    """A CellTable whose cells read (ser, std_error) from {shape: value} or one constant."""
+    if isinstance(values, dict):
+        return cm.CellTable(c, lambda shape, gamma: values[shape])
+    return cm.CellTable(c, lambda shape, gamma: values)
+
+
+def brute_force_metrics(plan, c, snr):
+    """Reference: walk every block and add the bound of each useful user's shape."""
+    bounds = cm.bound_table(c)
+    errors = {u: 0.0 for u in range(1, plan.num_users + 1)}
+    useful = dict.fromkeys(errors, 0)
+    for block in plan.iter_blocks():
+        for user in block.subset:
+            if block.piece_len(user) == 0:
+                continue
+            errors[user] += bounds(block.known_shape(user), snr.gamma(user))[0]
+            useful[user] += 1
+    ser = {u: errors[u] / useful[u] if useful[u] else 0.0 for u in errors}
+    return useful, ser
+
+
 class TestBlockErrorTable:
+    """Per-cell bounds as the analytic report weighs them."""
+
     def test_constant_over_block_index_when_divisible(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        table = cm.block_error_table(plan, cm.build_psk(3), cm.SnrProfile((1.0, 2.0)))
-        subset = frozenset({1, 2})
+        c, snr = cm.build_psk(3), cm.SnrProfile((1.0, 2.0))
+        report = cm.plan_metrics(plan, c, snr)
         for user in (1, 2):
-            vals = {table[(subset, i, user)] for i in range(1, 4)}
-            assert len(vals) == 1
+            # all three blocks share one cell
+            ((shape, count),) = plan.shape_counts(user).items()
+            assert count == 3
+            assert report.ser[user] == cm.bound_table(c)(shape, snr.gamma(user))[0]
 
     def test_zero_known_bits_equal_full_bound(self):
         smap = subfile_map(2, 2, {(1, (2,)): 6, (2, (1,)): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         c = cm.build_psk(3)
-        table = cm.block_error_table(plan, c, cm.SnrProfile((1.0, 1.0)))
+        report = cm.plan_metrics(plan, c, cm.SnrProfile((1.0, 1.0)))
         full = cm.symbol_error_bound("psk", 1.0, cm.min_distance(c, 0))
-        assert all(v == pytest.approx(full, rel=1e-12) for v in table.values())
+        assert all(v == pytest.approx(full, rel=1e-12) for v in report.ser.values())
 
     def test_pair_block_one_known_bit(self, two_user_pair_placement, pair_demands):
+        # user 2's two blocks (alone, then paired with user 1) both know one bit
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        table = cm.block_error_table(plan, cm.build_psk(3), cm.SnrProfile((1.0, 1.0)))
-        got = table[(frozenset({1, 2}), 1, 2)]
+        report = cm.plan_metrics(plan, cm.build_psk(3), cm.SnrProfile((1.0, 1.0)))
+        assert plan.block({1, 2}, 1).known_shape(2) == (1, 0)
+        assert plan.shape_counts(2) == {(1, 0): 2}
         want = 2 * gaussian_tail(math.sqrt(2) * math.sin(math.pi / 4))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert report.ser[2] == pytest.approx(want, rel=1e-12)
 
     def test_matches_direct_prefix_expression(self):
         # bound(psk, gamma, dmin(n)) must equal 2Q(sqrt(2 gamma sin^2(pi/2^(m-n))))
         smap = subfile_map(2, 2, {(1, (2,)): 12, (2, (1,)): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         gammas = cm.SnrProfile((1.7, 0.4))
-        table = cm.block_error_table(plan, cm.build_psk(3), gammas)
-        subset = frozenset({1, 2})
-        for (s, i, user), got in table.items():
-            n = cm.known_bit_mask(plan, s, i, user)[0]
+        report = cm.plan_metrics(plan, cm.build_psk(3), gammas)
+        for user in (1, 2):
             gamma = gammas.gamma(user)
-            direct = 2 * cm.q_function(
-                math.sqrt(2 * gamma * math.sin(math.pi / 2 ** (3 - n)) ** 2)
-            )
-            assert got == pytest.approx(min(1.0, direct), abs=1e-12)
+            want = 0.0
+            for (n, _), count in plan.shape_counts(user).items():
+                direct = 2 * cm.q_function(
+                    math.sqrt(2 * gamma * math.sin(math.pi / 2 ** (3 - n)) ** 2)
+                )
+                want += count * min(1.0, direct)
+            assert report.error_symbols[user] == pytest.approx(want, abs=1e-12)
 
     def test_useless_blocks_excluded(self):
+        # zero padding: user 2's 3 bits fill the first of three labels only
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        table = cm.block_error_table(plan, cm.build_psk(3), cm.SnrProfile((1.0, 1.0)))
-        subset = frozenset({1, 2})
-        assert (subset, 2, 2) not in table
-        assert (subset, 1, 2) in table
+        c = cm.build_psk(3)
+        cells = stub_table(c, (1.0, 0.0))
+        report = cm.ser_report("analytic", plan, cm.SnrProfile((1.0, 1.0)), cells)
+        assert report.error_symbols == {1: 3.0, 2: 1.0}
+        assert report.useful_symbols == {1: 3, 2: 1}
 
     def test_symbol_width_mismatch(self):
         smap = subfile_map(2, 2, {(1, (2,)): 4, (2, (1,)): 2})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        cells = stub_table(cm.build_psk(2), (0.5, 0.0))
         with pytest.raises(cm.ConfigurationError):
-            cm.block_error_table(plan, cm.build_psk(2), cm.SnrProfile((1.0, 1.0)))
+            cm.ser_report("analytic", plan, cm.SnrProfile((1.0, 1.0)), cells)
 
 
 class TestUserMetrics:
+    """ser_report: the one per-user sum of count x cell value."""
+
     def test_single_subset_constant_probability(self):
         smap = subfile_map(1, 1, {(1, ()): 12})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1,)), cm.PROPOSED, 3)
-        table = {(frozenset({1}), i, 1): 0.25 for i in range(1, 5)}
-        report = user_metrics(plan, table)
+        cells = stub_table(cm.build_psk(3), (0.25, 0.0))
+        report = cm.ser_report("analytic", plan, cm.SnrProfile((1.0,)), cells)
+        assert report.useful_symbols[1] == 4
         assert report.ser[1] == pytest.approx(0.25)
 
     def test_weighted_mean_over_subsets(self):
-        # two subsets with 2 symbols each at P=0.1 and P=0.3 average to 0.2
-        smap = subfile_map(2, 2, {(1, ()): 6, (1, (2,)): 6, (2, (1,)): 6})
+        # user 1: two symbols alone knowing nothing at P=0.1, two paired with
+        # user 2 knowing one bit at P=0.3; the rates average to 0.2 and the
+        # standard errors add in quadrature
+        smap = subfile_map(2, 2, {(1, ()): 6, (1, (2,)): 4, (2, (1,)): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        table = {}
-        for i in (1, 2):
-            table[(frozenset({1}), i, 1)] = 0.1
-            table[(frozenset({1, 2}), i, 1)] = 0.3
-            table[(frozenset({1, 2}), i, 2)] = 0.5
-        report = user_metrics(plan, table)
+        assert plan.shape_counts(1) == {(0, 0): 2, (1, 0): 2}
+        cells = stub_table(cm.build_psk(3), {(0, 0): (0.1, 0.01), (1, 0): (0.3, 0.03)})
+        report = cm.ser_report("empirical", plan, cm.SnrProfile((1.0, 1.0)), cells)
         assert report.useful_symbols[1] == 4
         assert report.ser[1] == pytest.approx(0.2)
+        assert report.stderr[1] == pytest.approx(math.hypot(2 * 0.01, 2 * 0.03) / 4)
 
     def test_uniform_users_average(self):
         smap = subfile_map(2, 2, {(1, ()): 6, (2, ()): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        table = {
-            (frozenset({u}), i, u): 0.4 for u in (1, 2) for i in (1, 2)
-        }
-        report = user_metrics(plan, table)
+        cells = stub_table(cm.build_psk(3), (0.4, 0.0))
+        report = cm.ser_report("analytic", plan, cm.SnrProfile((1.0, 3.0)), cells)
         assert report.average_ser == pytest.approx(0.4)
+        assert report.average_stderr == 0.0
 
     def test_user_without_useful_symbols_is_flagged(self):
         # user 2 caches everything, so only user 1 receives symbols
@@ -162,7 +196,6 @@ class TestUserMetrics:
         assert report.undefined_users == frozenset({2})
         assert report.ser[2] == 0.0
         assert report.average_ser == pytest.approx(report.ser[1] / 2)
-
 
 
 class TestPlanMetrics:
@@ -180,13 +213,17 @@ class TestPlanMetrics:
             snr = cm.SnrProfile(tuple(rng.uniform(0.2, 50.0, size=k)))
             for scheme in cm.SCHEMES:
                 plan = cm.build_delivery_plan(em, demands, scheme, c.m)
-                want = user_metrics(plan, cm.block_error_table(plan, c, snr))
-                for got in (cm.plan_metrics(plan, c, snr), analytic_report(em, demands, scheme, c, snr)):
-                    assert got.useful_symbols == want.useful_symbols
-                    assert got.undefined_users == want.undefined_users
-                    assert got.average_ser == pytest.approx(want.average_ser, abs=1e-12)
+                useful, ser = brute_force_metrics(plan, c, snr)
+                reports = (
+                    cm.plan_metrics(plan, c, snr),
+                    analytic_report(em, demands, scheme, c, snr),
+                )
+                for got in reports:
+                    assert got.useful_symbols == useful
+                    assert got.undefined_users == {u for u in useful if useful[u] == 0}
+                    assert got.average_ser == pytest.approx(sum(ser.values()) / k, abs=1e-12)
                     for u in range(1, k + 1):
-                        assert got.ser[u] == pytest.approx(want.ser[u], abs=1e-12)
+                        assert got.ser[u] == pytest.approx(ser[u], abs=1e-12)
 
     def test_shared_bounds_enumerate_each_shape_once(self, monkeypatch):
         import cachemod.analysis as an
@@ -202,7 +239,7 @@ class TestPlanMetrics:
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 7, (1, ()): 5, (2, ()): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         c = cm.build_psk(3)
-        bounds = cm.CellBounds(c)
+        bounds = cm.bound_table(c)
         for gamma in (1.0, 4.0, 16.0):
             cm.plan_metrics(plan, c, cm.SnrProfile((gamma, gamma)), bounds)
         assert sorted(calls) == sorted({s for u in (1, 2) for s in plan.shape_counts(u)})
@@ -212,6 +249,7 @@ class TestPlanMetrics:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         with pytest.raises(cm.ConfigurationError):
             cm.plan_metrics(plan, cm.build_psk(2), cm.SnrProfile((1.0, 1.0)))
+
 
 class TestCompareSchemes:
     def test_symmetric_instance_has_no_gain(self):

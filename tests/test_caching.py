@@ -406,26 +406,26 @@ class TestKnownBitMask:
     def test_pair_block_masks(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        assert cm.known_bit_mask(plan, {1, 2}, 1, 2) == (1, 0)
-        assert cm.known_bit_mask(plan, {1, 2}, 1, 1) == (0, 0)
+        assert plan.block({1, 2}, 1).known_shape(2) == (1, 0)
+        assert plan.block({1, 2}, 1).known_shape(1) == (0, 0)
 
     def test_uneven_split_prefixes(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         for i in range(1, 4):
-            assert cm.known_bit_mask(plan, {1, 2}, i, 2) == (2, 0)
+            assert plan.block({1, 2}, i).known_shape(2) == (2, 0)
 
     def test_zero_padding_suffix(self):
         smap = subfile_map(2, 2, {(1, (2,)): 6, (2, (1,)): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        assert cm.known_bit_mask(plan, {1, 2}, 1, 2) == (0, 0)
-        assert cm.known_bit_mask(plan, {1, 2}, 2, 2) == (0, 2)
+        assert plan.block({1, 2}, 1).known_shape(2) == (0, 0)
+        assert plan.block({1, 2}, 2).known_shape(2) == (0, 2)
 
     def test_useless_block_raises(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         with pytest.raises(cm.UselessBlockError):
-            cm.known_bit_mask(plan, {1, 2}, 2, 2)
+            plan.block({1, 2}, 2).known_shape(2)
 
     def test_divisible_lengths_dominate_zero_padding(self):
         # when the symbol width divides everything, the even split never knows
@@ -436,6 +436,6 @@ class TestKnownBitMask:
         subset = frozenset({1, 2})
         for u in (1, 2):
             for i in range(1, pz.useful_symbols(u) + 1):
-                prop = cm.known_bit_mask(pp, subset, i, u)[0]
-                zp = cm.known_bit_mask(pz, subset, i, u)[0]
+                prop = pp.block(subset, i).known_shape(u)[0]
+                zp = pz.block(subset, i).known_shape(u)[0]
                 assert prop >= zp

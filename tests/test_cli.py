@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cachemod as cm
-from cachemod.caching import MAX_USERS
+from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_USERS
 from cachemod.cli import (
     CSV_HEADER,
     emit_csv,
@@ -184,6 +186,30 @@ class TestRunScenario:
         text = render_csv(run_scenario(cfg))
         assert hashlib.md5(text.encode()).hexdigest() == THREE_USER_SWEEP_MD5
 
+    def test_each_cell_evaluated_once_per_run(self, monkeypatch):
+        # both schemes and all eleven SNR points share one bound table and one
+        # estimate table: 33 distinct (shape, gamma) cells, 3 distinct shapes
+        import cachemod.analysis as an
+        import cachemod.mc as mc
+
+        calls = {"cells": [], "shapes": []}
+        real_cell, real_dmin = mc.estimate_cell_ser, an.min_distance
+
+        def cell(c, shape, gamma, cfg, cell_id):
+            calls["cells"].append((shape, gamma))
+            return real_cell(c, shape, gamma, cfg, cell_id)
+
+        def dmin(c, *shape):
+            calls["shapes"].append(shape)
+            return real_dmin(c, *shape)
+
+        monkeypatch.setattr(mc, "estimate_cell_ser", cell)
+        monkeypatch.setattr(an, "min_distance", dmin)
+        cfg = replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10)
+        run_scenario(cfg)
+        assert len(calls["cells"]) == len(set(calls["cells"])) == 33
+        assert len(calls["shapes"]) == len(set(calls["shapes"])) == 3
+
     def test_many_users_analytic_csv_is_pinned(self):
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))
         assert hashlib.md5(text.encode()).hexdigest() == MANY_USERS_MD5
@@ -236,6 +262,33 @@ class TestMain:
         rc = main(["validate", "--config", self.write(tmp_path, config(**overrides))])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"users": [{"mu": math.nan}, {"mu": 0.5}, {"mu": 0.6}]}, "user 1 mu"),
+            ({"users": [{"mu": 0.2, "snr_db": math.nan}, {"mu": 0.5}, {"mu": 0.6}]},
+             "user 1 snr_db"),
+            ({"sweep": {"stop_db": math.inf}}, "sweep stop_db"),
+            ({"users": [{"mu": 0.2, "snr_db": 1e6}, {"mu": 0.5}, {"mu": 0.6}]},
+             "user 1 snr_db"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, overrides, message, command):
+        rc = main([command, "--config", self.write(tmp_path, config(**overrides))])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_files, rc", [(32, 0), (33, 2), (1024, 2)])
+    def test_subfile_map_size_bounded(self, tmp_path, capsys, num_files, rc):
+        # 20 users: 32 files make exactly MAX_SUBFILE_ENTRIES map entries
+        assert 32 << MAX_USERS == MAX_SUBFILE_ENTRIES
+        users = [{"mu": i / 40} for i in range(MAX_USERS)]
+        doc = config(users=users, files=[1 / num_files] * num_files)
+        assert main(["validate", "--config", self.write(tmp_path, doc)]) == rc
+        if rc:
+            assert "subfile map limit" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 import cachemod as cm
 from cachemod.bits import int_to_bits
-from cachemod.mc import _cell_key, _cell_rng, cell_shapes
+from cachemod.mc import _cell_key, _cell_rng
 from cachemod.modem import KnownMask
 from conftest import subfile_map
 
@@ -91,6 +91,15 @@ class TestEstimateCellSer:
             math.sqrt(est.ser * (1 - est.ser) / est.trials)
         )
 
+    def test_chunk_size_does_not_change_decisions(self, monkeypatch):
+        import cachemod.mc as mc_mod
+
+        cfg = cm.CampaignConfig(trials_per_cell=3000, master_seed=8)
+        cases = [(cm.build_qam(8), (0, 0)), (cm.build_qam(8), (1, 2)), (cm.build_psk(3), (0, 1))]
+        default = [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases]
+        monkeypatch.setattr(mc_mod, "_CHUNK", 1 << 9)  # 2 rows per step at 256 candidates
+        assert [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases] == default
+
     def test_high_snr_error_free(self):
         c = cm.build_psk(3)
         cfg = cm.CampaignConfig(trials_per_cell=100_000, master_seed=3)
@@ -127,7 +136,7 @@ class TestRunCampaign:
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(em, demands, scheme, 3)
             snr = cm.SnrProfile((2.0, 2.0))
-            analytic = cm.user_metrics(plan, cm.block_error_table(plan, c, snr))
+            analytic = cm.plan_metrics(plan, c, snr)
             empirical = cm.run_campaign(plan, c, snr, cm.CampaignConfig(50_000, 9))
             for u in (1, 2):
                 assert empirical.ser[u] <= analytic.ser[u] + 3 * empirical.stderr[u]
@@ -140,8 +149,38 @@ class TestRunCampaign:
         )
         for u in (1, 2):
             assert report.useful_symbols[u] == plan.useful_symbols(u)
-            total = sum(cell_shapes(plan, u).values())
-            assert total == report.useful_symbols[u]
+            assert sum(plan.shape_counts(u).values()) == report.useful_symbols[u]
+
+    def test_shared_estimates_match_fresh_campaigns(self, small_instance, monkeypatch):
+        # one table across both schemes and two SNR points: every distinct
+        # (shape, gamma) cell is simulated once and no number changes
+        import cachemod.mc as mc_mod
+
+        em, demands = small_instance
+        c, cfg = cm.build_psk(3), cm.CampaignConfig(2000, 4)
+        plans = [cm.build_delivery_plan(em, demands, s, 3) for s in cm.SCHEMES]
+        snrs = [cm.SnrProfile((2.0, 5.0)), cm.SnrProfile((2.0, 2.0))]
+        fresh = [cm.run_campaign(p, c, snr, cfg) for snr in snrs for p in plans]
+
+        calls = []
+        real = mc_mod.estimate_cell_ser
+
+        def counting(c, shape, gamma, cfg, cell_id):
+            calls.append((shape, gamma))
+            return real(c, shape, gamma, cfg, cell_id)
+
+        monkeypatch.setattr(mc_mod, "estimate_cell_ser", counting)
+        table = cm.estimate_table(c, cfg)
+        shared = [cm.run_campaign(p, c, snr, cfg, table) for snr in snrs for p in plans]
+        assert shared == fresh
+        cells = {
+            (shape, snr.gamma(u))
+            for snr in snrs
+            for p in plans
+            for u in (1, 2)
+            for shape in p.shape_counts(u)
+        }
+        assert sorted(calls) == sorted(cells)
 
     def test_cell_keys_stable(self):
         c = cm.build_psk(3)
