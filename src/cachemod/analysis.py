@@ -39,8 +39,8 @@ class SnrProfile:
     def __post_init__(self):
         gammas = tuple(float(g) for g in self.gammas)
         object.__setattr__(self, "gammas", gammas)
-        if any(g <= 0 for g in gammas):
-            raise ConfigurationError("SNRs must be positive")
+        if not all(0 < g < math.inf for g in gammas):
+            raise ConfigurationError("SNRs must be positive and finite")
 
     def gamma(self, user: int) -> float:
         return self.gammas[user - 1]
@@ -80,8 +80,8 @@ def symbol_error_bound(family: str, gamma: float, dmin: float) -> float:
 
     PSK has two nearest neighbors, QAM up to four; both clamp at 1.
     """
-    if gamma <= 0 or dmin <= 0:
-        raise ConfigurationError("gamma and dmin must be positive")
+    if not 0 < gamma < math.inf or dmin <= 0:
+        raise ConfigurationError("gamma must be positive and finite and dmin positive")
     neighbors = 2.0 if family == PSK else 4.0
     return min(1.0, neighbors * float(q_function(math.sqrt(gamma / 2.0) * dmin)))
 

@@ -362,6 +362,28 @@ class DeliveryPlan:
             scheme=self.scheme,
         )
 
+    def block_runs(self, subset) -> list:
+        """The subset's message as [(first block, count)] runs of consecutive blocks.
+
+        Every block of a run has the first block's piece lengths, so one
+        `MulticastBlockSpec` describes it; a run ends where any user's
+        `subset_shapes` run does, giving at most 2|S| + 1 runs.
+        """
+        subset = frozenset(subset)
+        sched = self.per_subset.get(subset)
+        if sched is None:
+            raise ConfigurationError(f"no message for subset {sorted(subset)}")
+        # a user's blocks with empty pieces all come last, so the ends of its
+        # useful runs and the message end are all of its breakpoints
+        starts = {1, sched.n_blocks + 1}
+        for n in sched.subfile_len.values():
+            start = 1
+            for _, count in subset_shapes(self.scheme, n, sched.n_blocks, self.label_len):
+                start += count
+                starts.add(start)
+        bounds = sorted(starts)
+        return [(self.block(subset, a), b - a) for a, b in zip(bounds, bounds[1:])]
+
     def iter_blocks(self):
         """Every block of the plan, built one at a time in message order."""
         for subset, sched in self.per_subset.items():
@@ -457,44 +479,71 @@ def build_delivery_plan(
     )
 
 
-def encode_block(block: MulticastBlockSpec, piece_bits: dict) -> np.ndarray:
-    """XOR the (zero-extended) per-user pieces into an m-bit label."""
-    label = np.zeros(block.label_len, dtype=np.uint8)
-    for user in block.subset:
-        if user not in piece_bits:
+def _bit_array(bits) -> np.ndarray:
+    """One bit string, or a (count, n) run of them with one row per block, as uint8."""
+    if isinstance(bits, str) or np.ndim(bits) < 2:
+        return as_bits(bits)
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 2 or np.any(arr > 1):
+        raise ValueError("a run of bit strings must be two-dimensional and contain only 0/1")
+    return arr
+
+
+def _checked_pieces(block: MulticastBlockSpec, pieces: dict, users) -> dict:
+    """`users`' pieces as bit arrays whose last axis matches the block's piece lengths."""
+    out = {}
+    for user in users:
+        if user not in pieces:
             raise ConfigurationError(f"missing piece for user {user}")
-        piece = as_bits(piece_bits[user])
+        piece = _bit_array(pieces[user])
         want = block.piece_len(user)
-        if len(piece) != want:
+        if piece.shape[-1] != want:
             raise ConfigurationError(
-                f"user {user} piece has {len(piece)} bits, block expects {want}"
+                f"user {user} piece has {piece.shape[-1]} bits, block expects {want}"
             )
+        out[user] = piece
+    return out
+
+
+def _run_shape(arrays) -> tuple:
+    """The common leading shape of bit strings, () or (count,); they must agree."""
+    shapes = {a.shape[:-1] for a in arrays}
+    if len(shapes) > 1:
+        raise ConfigurationError("pieces and labels disagree on the number of blocks")
+    return shapes.pop()
+
+
+def encode_block(block: MulticastBlockSpec, piece_bits: dict) -> np.ndarray:
+    """XOR the (zero-extended) per-user pieces into an m-bit label.
+
+    Pieces of shape (count, n_u), one row per block of a run sharing this
+    block's piece lengths (`DeliveryPlan.block_runs`), give (count, m) labels.
+    """
+    pieces = _checked_pieces(block, piece_bits, block.subset)
+    label = np.zeros((*_run_shape(pieces.values()), block.label_len), dtype=np.uint8)
+    for user, piece in pieces.items():
         start = block.piece_start(user)
-        label[start : start + want] ^= piece
+        label[..., start : start + piece.shape[-1]] ^= piece
     return label
 
 
 def decode_block(
     label, block: MulticastBlockSpec, user: int, cached_pieces: dict
 ) -> np.ndarray:
-    """Strip the other users' pieces off a label and return `user`'s piece."""
-    label = as_bits(label)
-    if len(label) != block.label_len:
-        raise ConfigurationError("label width mismatch")
-    residual = label.copy()
-    for other in block.subset:
-        if other == user:
-            continue
-        if other not in cached_pieces:
-            raise ConfigurationError(f"missing cached piece for user {other}")
-        piece = as_bits(cached_pieces[other])
-        want = block.piece_len(other)
-        if len(piece) != want:
-            raise ConfigurationError(
-                f"user {other} piece has {len(piece)} bits, block expects {want}"
-            )
-        start = block.piece_start(other)
-        residual[start : start + want] ^= piece
-    start = block.piece_start(user)
-    return residual[start : start + block.piece_len(user)]
+    """Strip the other users' pieces off a label and return `user`'s piece.
 
+    A (count, m) run of labels with (count, n_v) cached pieces gives the
+    (count, n_u) run of `user`'s pieces.
+    """
+    label = _bit_array(label)
+    if label.shape[-1] != block.label_len:
+        raise ConfigurationError("label width mismatch")
+    others = [v for v in block.subset if v != user]
+    pieces = _checked_pieces(block, cached_pieces, others)
+    _run_shape([label, *pieces.values()])
+    residual = label.copy()
+    for other, piece in pieces.items():
+        start = block.piece_start(other)
+        residual[..., start : start + piece.shape[-1]] ^= piece
+    start = block.piece_start(user)
+    return residual[..., start : start + block.piece_len(user)]

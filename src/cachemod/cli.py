@@ -33,6 +33,7 @@ log = logging.getLogger("cachemod")
 
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 20.0, "step_db": 2.0}
 DEFAULT_TRIALS = 100_000
+MAX_SWEEP_POINTS = 10_000  # each point plans and evaluates every scheme
 
 CSV_HEADER = "snr_db,scheme,user,L_k,analytic_T,mc_T,mc_stderr,load_R"
 
@@ -100,8 +101,12 @@ def _grid(sweep: dict) -> tuple:
         raise ConfigurationError("sweep step_db must be positive")
     if stop < start:
         raise ConfigurationError("sweep stop_db must be >= start_db")
-    n = int((stop - start) / step + 1e-9) + 1
-    return tuple(start + i * step for i in range(n))
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also catches an infinite span from a tiny step
+        raise ConfigurationError(
+            f"sweep step_db {step!r} gives more than {MAX_SWEEP_POINTS} SNR points"
+        )
+    return tuple(start + i * step for i in range(int(span) + 1))
 
 
 def _resolve_demands(requested, fractions, num_users) -> tuple:

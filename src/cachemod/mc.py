@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CellTable, SerReport, SnrProfile, ser_report
-from .bits import bits_to_int, int_to_bits
+from .bits import ints_to_rows, rows_to_ints
 from .caching import (
     DeliveryPlan,
     DemandVector,
@@ -26,9 +26,7 @@ from .caching import (
     encode_block,
 )
 from .errors import ConfigurationError
-from .modem import Constellation, KnownMask, demodulate, modulate
-
-_CHUNK = 1 << 18  # entries of the trials x candidates distance matrix per step
+from .modem import Constellation, detect
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,8 @@ class CellEstimate:
 
 def awgn_channel(x: complex, gamma: float, noise_draw: complex) -> complex:
     """Receive y = sqrt(gamma) * x + noise for unit-total-power complex noise."""
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ConfigurationError("gamma must be positive and finite")
     return math.sqrt(gamma) * x + noise_draw
 
 
@@ -81,44 +79,28 @@ def estimate_cell_ser(
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
         raise ConfigurationError("invalid mask shape")
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ConfigurationError("gamma must be positive and finite")
     rng = _cell_rng(cfg.master_seed, cell_id)
     trials = cfg.trials_per_cell
-    m = c.m
+    sqrt_gamma = math.sqrt(gamma)
 
-    labels = rng.integers(0, 1 << m, size=trials, dtype=np.int64)
+    labels = rng.integers(0, 1 << c.m, size=trials, dtype=np.int64)
     noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
-    y = math.sqrt(gamma) * c.points[c._label_to_index[labels]] + (
-        noise[:, 0] + 1j * noise[:, 1]
-    )
-
-    # group trials by the value of their known bits; each group shares one
-    # compatible subconstellation
-    free = m - p - s
-    lo_mask = (1 << s) - 1
-    known = ((labels >> (m - p)) << s) | (labels & lo_mask) if (p or s) else np.zeros_like(labels)
-    decided = np.empty(trials, dtype=np.int64)
-    for value in range(1 << (p + s)):
-        sel = np.nonzero(known == value)[0]
-        if sel.size == 0:
-            continue
-        hi, lo = value >> s, value & lo_mask
-        cand_labels = np.sort(
-            (hi << (m - p)) | (np.arange(1 << free, dtype=np.int64) << s) | lo
-        )  # argmin then favors the smallest label on ties
-        cand_points = c.points[c._label_to_index[cand_labels]]
-        step = _CHUNK >> free
-        for start in range(0, sel.size, step):
-            rows = sel[start : start + step]
-            d2 = np.abs(y[rows, None] - math.sqrt(gamma) * cand_points[None, :]) ** 2
-            decided[rows] = cand_labels[np.argmin(d2, axis=1)]
+    y = sqrt_gamma * c.points[c._label_to_index[labels]] + (noise[:, 0] + 1j * noise[:, 1])
+    decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
 
     errors = int(np.count_nonzero(decided != labels))
     ser = errors / trials
     return CellEstimate(
         ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials
     )
+
+
+def _known_value(labels: np.ndarray, m: int, shape: tuple) -> np.ndarray:
+    """The `shape` known bits of each m-bit label, packed as `detect` reads them."""
+    p, s = shape
+    return ((labels >> (m - p)) << s) | (labels & ((1 << s) - 1))
 
 
 def _cell_key(c: Constellation, shape: tuple, gamma: float) -> str:
@@ -168,11 +150,12 @@ def end_to_end_noiseless(
     demands: DemandVector,
     c: Constellation | None = None,
 ) -> EndToEndResult:
-    """Encode, modulate, demodulate with side information and reassemble.
+    """Encode, modulate, detect with side information and reassemble.
 
     Runs the whole pipeline over an identity channel and checks that every
-    user recovers its demanded file bit-exactly.  Defaults to PSK of the
-    plan's label width when no constellation is given.
+    user recovers its demanded file bit-exactly.  Works on the plan's block
+    runs, so each step handles a whole run of blocks as arrays.  Defaults to
+    PSK of the plan's label width when no constellation is given.
     """
     if c is None:
         from .modem import build_psk
@@ -182,70 +165,43 @@ def end_to_end_noiseless(
         raise ConfigurationError("plan and constellation disagree on bits per symbol")
     k = placement.num_users
     demands.validate(placement.library.num_files, k)
+    files = {u: demands.file_for(u) for u in range(1, k + 1)}
 
-    recovered = {u: {} for u in range(1, k + 1)}  # user -> {(file, pos): bit}
-    for subset, sched in plan.per_subset.items():
-        consumed = {u: 0 for u in subset}
+    # each user's demanded file as recovered; 2 marks a bit never recovered
+    recovered = {
+        u: np.full(len(placement.bit_values[d - 1]), 2, np.uint8) for u, d in files.items()
+    }
+    for subset in plan.per_subset:
         # subfile payloads in canonical (ascending bit position) order
-        positions = {
-            u: placement.subfile_positions(demands.file_for(u), subset - {u})
-            for u in subset
-        }
-        payload = {
-            u: placement.bit_values[demands.file_for(u) - 1][positions[u]] for u in subset
-        }
-        for i in range(1, sched.n_blocks + 1):
-            block = plan.block(subset, i)
-            pieces = {}
+        positions = {u: placement.subfile_positions(files[u], subset - {u}) for u in subset}
+        payload = {u: placement.bit_values[files[u] - 1][positions[u]] for u in subset}
+        taken = dict.fromkeys(subset, 0)
+        for block, count in plan.block_runs(subset):
+            pieces, spans = {}, {}
             for u in subset:
-                n = block.piece_len(u)
-                pieces[u] = payload[u][consumed[u] : consumed[u] + n]
-                consumed[u] += n
-            label_bits = encode_block(block, pieces)
-            x = modulate(c, bits_to_int(label_bits))
-            y = x  # identity channel
+                spans[u] = slice(taken[u], taken[u] + count * block.piece_len(u))
+                taken[u] = spans[u].stop
+                pieces[u] = payload[u][spans[u]].reshape(count, block.piece_len(u))
+            labels = rows_to_ints(encode_block(block, pieces))
+            y = c.points[c._label_to_index[labels]]  # modulated; the channel is the identity
 
             for u in subset:
-                n = block.piece_len(u)
-                if n == 0:
+                if block.piece_len(u) == 0:
                     continue
+                # at a known position the receiver's own piece contributes
+                # nothing, so the label bit there is the XOR of the others'
                 others = {v: pieces[v] for v in subset if v != u}
-                mask = _receiver_mask(block, u, others)
-                got = demodulate(c, y, 1.0, mask)
-                piece = decode_block(int_to_bits(got, c.m), block, u, others)
-                base = consumed[u] - n
-                for j, bit in enumerate(piece):
-                    recovered[u][(demands.file_for(u), int(positions[u][base + j]))] = int(bit)
+                xor_others = encode_block(block, {**others, u: np.zeros_like(pieces[u])})
+                shape = block.known_shape(u)
+                got = detect(c, y, 1.0, shape, _known_value(rows_to_ints(xor_others), c.m, shape))
+                piece = decode_block(ints_to_rows(got, c.m), block, u, others)
+                recovered[u][positions[u][spans[u]]] = piece.reshape(-1)
 
     passed, mismatch = {}, {}
-    for u in range(1, k + 1):
-        d = demands.file_for(u)
-        truth = placement.bit_values[d - 1]
-        cached = placement.cached_by[d - 1][u - 1]
-        ok = True
-        for pos in range(len(truth)):
-            if cached[pos]:
-                continue  # served straight from the cache
-            got = recovered[u].get((d, pos))
-            if got != int(truth[pos]):
-                ok = False
-                mismatch[u] = (d, pos)
-                break
-        passed[u] = ok
+    for u, d in files.items():
+        uncached = ~placement.cached_by[d - 1][u - 1]
+        wrong = np.flatnonzero(uncached & (recovered[u] != placement.bit_values[d - 1]))
+        passed[u] = wrong.size == 0
+        if wrong.size:
+            mismatch[u] = (d, int(wrong[0]))
     return EndToEndResult(passed=passed, first_mismatch=mismatch)
-
-
-def _receiver_mask(block, user: int, other_pieces: dict) -> KnownMask:
-    """Known label bits a user can precompute from its cached pieces.
-
-    At a known position the receiver's own piece contributes nothing, so the
-    label bit there equals the XOR of the other users' (zero-extended)
-    pieces.
-    """
-    prefix, suffix = block.known_shape(user)
-    xor_others = np.zeros(block.label_len, dtype=np.uint8)
-    for other, piece in other_pieces.items():
-        start = block.piece_start(other)
-        xor_others[start : start + len(piece)] ^= piece
-    tail = xor_others[block.label_len - suffix :] if suffix else np.zeros(0, dtype=np.uint8)
-    return KnownMask(prefix, suffix, np.concatenate([xor_others[:prefix], tail]))

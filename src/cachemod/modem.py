@@ -21,6 +21,8 @@ from .errors import ConfigurationError
 PSK = "psk"
 QAM = "qam"
 
+_CHUNK = 1 << 18  # entries of the symbols x candidates distance matrix per step
+
 
 @dataclass(frozen=True)
 class KnownMask:
@@ -184,11 +186,50 @@ def modulate(c: Constellation, label) -> complex:
     return c.point_of_label(int(label))
 
 
+def detect(
+    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
+) -> np.ndarray:
+    """Batched ML detection of labels with known-bit `shape` = (prefix, suffix).
+
+    `known[i]` holds received symbol `y[i]`'s known label bits packed MSB-first,
+    prefix bits then suffix bits.  Each symbol is decided over its compatible
+    subconstellation by minimizing |y - sqrt(gamma) x|; exact ties resolve to
+    the numerically smallest label, as in `demodulate`, the scalar oracle.
+    """
+    p, s = shape
+    if p < 0 or s < 0 or p + s > c.m:
+        raise ConfigurationError("invalid mask shape")
+    if not 0 < sqrt_snr < math.inf:
+        raise ConfigurationError("sqrt_snr must be positive and finite")
+    y, known = np.asarray(y), np.asarray(known, dtype=np.int64)
+    if y.ndim != 1 or known.shape != y.shape:
+        raise ConfigurationError("y and known must be 1-D with one entry per symbol")
+    if known.size and (known.min() < 0 or known.max() >= 1 << (p + s)):
+        raise ConfigurationError("known values exceed the mask width")
+    m, free = c.m, c.m - p - s
+    step = _CHUNK >> free
+    decided = np.empty(len(y), dtype=np.int64)
+    # group symbols by the value of their known bits; each group shares one
+    # compatible subconstellation
+    for value in np.flatnonzero(np.bincount(known)).tolist():
+        sel = np.nonzero(known == value)[0]
+        hi, lo = value >> s, value & ((1 << s) - 1)
+        # ascending labels, so argmin favors the smallest label on ties
+        cand_labels = (hi << (m - p)) | (np.arange(1 << free, dtype=np.int64) << s) | lo
+        cand_points = c.points[c._label_to_index[cand_labels]]
+        for start in range(0, sel.size, step):
+            rows = sel[start : start + step]
+            d2 = np.abs(y[rows, None] - sqrt_snr * cand_points[None, :]) ** 2
+            decided[rows] = cand_labels[np.argmin(d2, axis=1)]
+    return decided
+
+
 def demodulate(c: Constellation, y: complex, sqrt_snr: float, mask: KnownMask) -> int:
     """ML detection of the label over the mask-compatible subconstellation.
 
     Minimizes |y - sqrt(gamma) x| over compatible points; exact ties resolve
-    to the numerically smallest label.
+    to the numerically smallest label.  Brute force, one symbol at a time: the
+    oracle `detect` is tested against.
     """
     if sqrt_snr <= 0:
         raise ConfigurationError("sqrt_snr must be positive")

@@ -65,6 +65,22 @@ class TestSymbolErrorBound:
             cm.symbol_error_bound("psk", 1.0, 0.0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: cm.SnrProfile((1.0, g)),
+        lambda g: cm.symbol_error_bound("psk", g, 0.7),
+        lambda g: cm.estimate_cell_ser(cm.build_psk(3), (0, 0), g, cm.CampaignConfig(10), "x"),
+        lambda g: cm.awgn_channel(1 + 0j, g, 0j),
+    ],
+    ids=["SnrProfile", "symbol_error_bound", "estimate_cell_ser", "awgn_channel"],
+)
+def test_non_finite_snr_rejected(call, gamma):
+    with pytest.raises(cm.ConfigurationError):
+        call(gamma)
+
+
 def stub_table(c, values):
     """A CellTable whose cells read (ser, std_error) from {shape: value} or one constant."""
     if isinstance(values, dict):

@@ -310,6 +310,15 @@ class TestShapeHistograms:
                 # same insertion (block) order, so per-shape sums add up identically
                 assert list(got.items()) == list(want.items())
                 assert sum(got.values()) == plan.useful_symbols(u)
+            for subset, sched in plan.per_subset.items():
+                runs = plan.block_runs(subset)
+                lengths = [block.per_user_piece_len for block, _ in runs]
+                expanded = [lens for lens, (_, count) in zip(lengths, runs) for _ in range(count)]
+                assert expanded == [
+                    plan.block(subset, i).per_user_piece_len for i in range(1, sched.n_blocks + 1)
+                ]
+                assert all(a != b for a, b in zip(lengths, lengths[1:]))  # maximal runs
+                assert len(runs) <= 2 * len(subset) + 1
 
     def test_hand_evaluated_runs(self):
         # 7 bits over 3 blocks of width 3: pieces 3, 2, 2 -> shapes (0,0) and 2 x (1,0)
@@ -400,6 +409,50 @@ class TestEncodeDecode:
                 got[u].extend(out.tolist())
         assert got[1] == bits1.tolist()
         assert got[2] == bits2.tolist()
+
+
+    @given(
+        w1=st.integers(0, 30),
+        w2=st.integers(1, 30),
+        m=st.integers(1, 5),
+        scheme=st.sampled_from(cm.SCHEMES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_run_matches_single_blocks(self, w1, w2, m, scheme, seed):
+        # a (count, n_u) run encodes and decodes exactly like its blocks one by one
+        smap = subfile_map(2, 2, {(1, (2,)): w1, (2, (1,)): w2})
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), scheme, m)
+        rng = np.random.default_rng(seed)
+        subset = frozenset({1, 2})
+        first = 1
+        for block, count in plan.block_runs(subset):
+            pieces = {
+                u: rng.integers(0, 2, size=(count, block.piece_len(u)), dtype=np.uint8)
+                for u in (1, 2)
+            }
+            labels = cm.encode_block(block, pieces)
+            singles = [plan.block(subset, first + i) for i in range(count)]
+            assert labels.tolist() == [
+                cm.encode_block(b, {u: pieces[u][i] for u in (1, 2)}).tolist()
+                for i, b in enumerate(singles)
+            ]
+            for u, other in ((1, 2), (2, 1)):
+                got = cm.decode_block(labels, block, u, {other: pieces[other]})
+                assert got.tolist() == pieces[u].tolist()
+            first += count
+
+    def test_run_counts_must_agree(self, two_user_pair_placement, pair_demands):
+        rm = cm.realized_subfile_map(two_user_pair_placement)
+        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
+        block = plan.block(frozenset({1, 2}), 1)
+        two, three = np.zeros((2, 3), np.uint8), np.zeros((3, 2), np.uint8)
+        with pytest.raises(cm.ConfigurationError):
+            cm.encode_block(block, {1: two, 2: three})
+        with pytest.raises(cm.ConfigurationError):
+            cm.encode_block(block, {1: "010", 2: three})
+        with pytest.raises(cm.ConfigurationError):
+            cm.decode_block(np.zeros((2, 3), np.uint8), block, 2, {1: np.zeros((3, 3), np.uint8)})
 
 
 class TestKnownBitMask:

@@ -10,6 +10,7 @@ import cachemod as cm
 from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_USERS
 from cachemod.cli import (
     CSV_HEADER,
+    MAX_SWEEP_POINTS,
     emit_csv,
     main,
     parse_config,
@@ -53,6 +54,9 @@ MANY_USERS = {
     "master_seed": 2024,
 }
 MANY_USERS_MD5 = "94c6c1aeec92598df85b81d09b013e07"
+# the same scenario with 1e4 Monte Carlo trials per cell: pins every draw and
+# every 256-QAM detector decision behind the mc_T column
+MANY_USERS_MC_MD5 = "f7208f3c8b6143adcc0dbaa3ed4806bc"
 
 
 def config(**overrides):
@@ -214,6 +218,11 @@ class TestRunScenario:
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))
         assert hashlib.md5(text.encode()).hexdigest() == MANY_USERS_MD5
 
+    def test_many_users_monte_carlo_csv_is_pinned(self):
+        doc = dict(MANY_USERS, trials_per_cell=10_000)
+        text = render_csv(run_scenario(parse_config(json.dumps(doc))))
+        assert hashlib.md5(text.encode()).hexdigest() == MANY_USERS_MC_MD5
+
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):
         rows = run_scenario(parse_config(config()))
@@ -289,6 +298,22 @@ class TestMain:
         assert main(["validate", "--config", self.write(tmp_path, doc)]) == rc
         if rc:
             assert "subfile map limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, step_db, rc",
+        [
+            ("validate", 1e-9, 2),  # 0..20 dB in 2e10 points
+            ("run", 1e-9, 2),
+            ("validate", 20 / MAX_SWEEP_POINTS, 2),  # one point over the limit
+            ("run", 20 / MAX_SWEEP_POINTS, 2),
+            ("validate", 20 / (MAX_SWEEP_POINTS - 1), 0),  # exactly the limit
+        ],
+    )
+    def test_sweep_point_count_bounded(self, tmp_path, capsys, command, step_db, rc):
+        doc = config(sweep={"start_db": 0, "stop_db": 20, "step_db": step_db})
+        assert main([command, "--config", self.write(tmp_path, doc)]) == rc
+        if rc:
+            assert "sweep step_db" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 2

@@ -92,12 +92,12 @@ class TestEstimateCellSer:
         )
 
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
-        import cachemod.mc as mc_mod
+        import cachemod.modem as modem_mod
 
         cfg = cm.CampaignConfig(trials_per_cell=3000, master_seed=8)
         cases = [(cm.build_qam(8), (0, 0)), (cm.build_qam(8), (1, 2)), (cm.build_psk(3), (0, 1))]
         default = [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases]
-        monkeypatch.setattr(mc_mod, "_CHUNK", 1 << 9)  # 2 rows per step at 256 candidates
+        monkeypatch.setattr(modem_mod, "_CHUNK", 1 << 9)  # 2 rows per step at 256 candidates
         assert [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases] == default
 
     def test_high_snr_error_free(self):
@@ -233,7 +233,9 @@ class TestEndToEnd:
 
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        monkeypatch.setattr(mc_mod, "demodulate", lambda c, y, s, mask: 0b111)
+        monkeypatch.setattr(
+            mc_mod, "detect", lambda c, y, s, shape, known: np.full(len(y), 0b111)
+        )
         result = cm.end_to_end_noiseless(two_user_pair_placement, plan, pair_demands)
         assert not result.all_passed
         for user, ok in result.passed.items():
@@ -241,3 +243,57 @@ class TestEndToEnd:
                 fidx, pos = result.first_mismatch[user]
                 assert fidx == pair_demands.file_for(user)
                 assert 0 <= pos < two_user_pair_placement.library.file_bits[fidx - 1]
+
+    @staticmethod
+    def three_users(total_bits, seed):
+        lib = cm.Library((0.4, 0.35, 0.25), total_bits)
+        pl = cm.sample_placement(lib, cm.CacheProfile((0.2, 1 / 3, 0.5)), seed=seed)
+        return pl, cm.realized_subfile_map(pl), cm.DemandVector((1, 2, 3))
+
+    @pytest.mark.parametrize("scheme", cm.SCHEMES)
+    def test_one_block_spec_per_run(self, scheme, monkeypatch):
+        # a block spec per run of equal piece lengths, not per m-bit block
+        pl, rm, demands = self.three_users(200_000, seed=6)
+        plan = cm.build_delivery_plan(rm, demands, scheme, 3)
+        built = []
+        real_init = cm.caching.MulticastBlockSpec.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cm.caching.MulticastBlockSpec, "__init__", counting_init)
+        assert cm.end_to_end_noiseless(pl, plan, demands).all_passed
+        assert len(built) <= sum(2 * len(subset) + 1 for subset in plan.per_subset)
+
+    def test_paper_scale_library(self):
+        pl, rm, demands = self.three_users(1_000_000, seed=3)
+        for scheme in cm.SCHEMES:
+            plan = cm.build_delivery_plan(rm, demands, scheme, 3)
+            assert cm.end_to_end_noiseless(pl, plan, demands).all_passed, scheme
+
+    @pytest.mark.parametrize("scheme", cm.SCHEMES)
+    def test_flipped_decoded_bit_is_first_mismatch(self, scheme, monkeypatch):
+        import cachemod.mc as mc_mod
+
+        pl, rm, demands = self.three_users(3000, seed=2)
+        plan = cm.build_delivery_plan(rm, demands, scheme, 3)
+        real_decode, flipped = mc_mod.decode_block, []
+
+        def decode_and_flip(label, block, user, cached_pieces):
+            piece = real_decode(label, block, user, cached_pieces)
+            if not flipped:
+                # the first bit of the first decoded run starts the user's subfile
+                assert block.block_index == 1
+                file = demands.file_for(user)
+                pos = pl.subfile_positions(file, block.subset - {user})[0]
+                flipped.append((user, (file, int(pos))))
+                piece = piece.copy()
+                piece[0, 0] ^= 1
+            return piece
+
+        monkeypatch.setattr(mc_mod, "decode_block", decode_and_flip)
+        result = cm.end_to_end_noiseless(pl, plan, demands)
+        [(user, bit)] = flipped
+        assert result.first_mismatch == {user: bit}
+        assert [u for u, ok in result.passed.items() if not ok] == [user]

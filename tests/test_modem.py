@@ -13,6 +13,7 @@ from cachemod.modem import KnownMask, empty_mask
 
 PSK_WIDTHS = list(range(1, 9))
 QAM_WIDTHS = [2, 4, 6, 8]
+CONSTELLATIONS = [cm.build_psk(m) for m in PSK_WIDTHS] + [cm.build_qam(m) for m in QAM_WIDTHS]
 
 
 def brute_force_masked_dmin(c, prefix, suffix):
@@ -213,3 +214,49 @@ class TestModulateDemodulate:
                 mask = KnownMask(p, s, values)
                 y = cm.modulate(c, label)
                 assert cm.demodulate(c, y, 1.0, mask) == label
+
+
+class TestDetect:
+    @given(
+        c=st.sampled_from(CONSTELLATIONS),
+        prefix=st.integers(0, 8),
+        suffix=st.integers(0, 8),
+        # per symbol: sent label, known value, noise offset (reduced mod range below)
+        symbols=st.lists(
+            st.tuples(st.integers(0, 255), st.integers(0, 255), st.floats(-2, 2), st.floats(-2, 2)),
+            min_size=1,
+            max_size=8,
+        ),
+        gamma=st.floats(0.5, 9.0),
+    )
+    # 8PSK label 5 with offset (0.5, 0.5) at gamma 0.5 lands on the origin,
+    # equidistant from every compatible point: the tie case
+    @example(c=cm.build_psk(3), prefix=1, suffix=0, symbols=[(5, 1, 0.5, 0.5)], gamma=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_demodulate(self, c, prefix, suffix, symbols, gamma):
+        p = prefix % (c.m + 1)
+        s = suffix % (c.m - p + 1)
+        sqrt_snr = math.sqrt(gamma)
+        y = np.array([sqrt_snr * cm.modulate(c, lab % c.size) + complex(dx, dy)
+                      for lab, _, dx, dy in symbols])
+        known = np.array([value % (1 << (p + s)) for _, value, _, _ in symbols])
+        got = cm.detect(c, y, sqrt_snr, (p, s), known)
+        want = [
+            cm.demodulate(c, y[i], sqrt_snr, KnownMask(p, s, int_to_bits(int(known[i]), p + s)))
+            for i in range(len(y))
+        ]
+        assert got.tolist() == want
+
+    def test_rejects_bad_arguments(self):
+        c = cm.build_psk(3)
+        y, known = np.zeros(2, dtype=complex), np.array([0, 1])
+        for shape, sqrt_snr, values in [
+            ((2, 2), 1.0, known),  # four known bits of three
+            ((1, 0), 0.0, known),
+            ((1, 0), math.nan, known),
+            ((1, 0), 1.0, np.array([0, 2])),  # a value wider than the one known bit
+            ((1, 0), 1.0, np.array([0, -1])),
+            ((1, 0), 1.0, np.array([0])),  # one known value for two symbols
+        ]:
+            with pytest.raises(cm.ConfigurationError):
+                cm.detect(c, y, sqrt_snr, shape, values)
