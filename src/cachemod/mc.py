@@ -86,8 +86,12 @@ def estimate_cell_ser(
     sqrt_gamma = math.sqrt(gamma)
 
     labels = rng.integers(0, 1 << c.m, size=trials, dtype=np.int64)
-    noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
-    y = sqrt_gamma * c.points[c._label_to_index[labels]] + (noise[:, 0] + 1j * noise[:, 1])
+    # the same draws as rng.normal(0, sqrt(1/2), (trials, 2)) read as
+    # (real, imag) pairs, built in place
+    noise = rng.standard_normal((trials, 2))
+    noise *= math.sqrt(0.5)
+    y = noise.view(np.complex128)[:, 0]
+    y += sqrt_gamma * c.points[c._label_to_index[labels]]
     decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
 
     errors = int(np.count_nonzero(decided != labels))

@@ -195,6 +195,12 @@ def detect(
     prefix bits then suffix bits.  Each symbol is decided over its compatible
     subconstellation by minimizing |y - sqrt(gamma) x|; exact ties resolve to
     the numerically smallest label, as in `demodulate`, the scalar oracle.
+
+    PSK subconstellations (every shape) and square-QAM cosets of an even
+    prefix (no suffix) are regular, so their decision is a rounding.  Symbols
+    near a decision boundary or with |y| / sqrt(gamma) outside a fixed window,
+    and every other shape, are decided by brute force over the compatible
+    points, so the result is the brute-force decision for every symbol.
     """
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
@@ -206,21 +212,157 @@ def detect(
         raise ConfigurationError("y and known must be 1-D with one entry per symbol")
     if known.size and (known.min() < 0 or known.max() >= 1 << (p + s)):
         raise ConfigurationError("known values exceed the mask width")
-    m, free = c.m, c.m - p - s
-    step = _CHUNK >> free
+    if not np.isfinite(y).all():
+        raise ConfigurationError("received points must be finite")
+    structured = _psk_round if c.family == PSK else _qam_slice if p % 2 == 0 and s == 0 else None
+    if structured is None:
+        return _brute_force(c, y, sqrt_snr, shape, known)
+    radius = np.abs(y)
+    far = radius > _RHO_MAX * sqrt_snr
+    unsure = far | (radius < _RHO_MIN * sqrt_snr)
+    # far symbols go to brute force; zeroing them keeps the rounding finite
+    decided, near_edge = structured(
+        c, np.where(far, 0, y) if far.any() else y, sqrt_snr, shape, known
+    )
+    rows = np.flatnonzero(unsure | near_edge)
+    if rows.size:
+        decided[rows] = _brute_force(c, y[rows], sqrt_snr, shape, known[rows])
+    return decided
+
+
+# The structured decision is the brute-force one away from cell edges.  Brute
+# force computes each |y - sqrt(gamma) x| within E = 32 eps (|y| + 2 sqrt(gamma))
+# of the exact distance (|x| < 2; the points carry under 16 eps of error, the
+# scaling, difference and hypot a few eps each), so it picks the exact ML
+# decision whenever every other candidate is farther by more than 2E.  With
+# rho = |y| / sqrt(gamma) in [_RHO_MIN, _RHO_MAX] and y at least _MARGIN
+# candidate steps inside its cell, the runner-up is farther:
+# - PSK, step D >= 2 pi / 256: by at least
+#   2 |y| sqrt(gamma) sin(D/2) sin(_MARGIN D) / (|y| + sqrt(gamma)), also for
+#   the two arc ends across the gap; this exceeds 2E once
+#   _MARGIN > 16 eps (rho + 2)^2 / rho * (pi / D)^2, i.e. 2.4e-8 at _RHO_MIN;
+# - QAM, step g = sqrt(gamma) 2^(p/2) d with d >= 2 / sqrt(170): by at least
+#   2 g^2 _MARGIN in squared distance; this exceeds 2E once
+#   _MARGIN > 64 eps (rho + 2)^2 / d^2, i.e. 6.3e-9 at _RHO_MAX.
+# The cell coordinates carry under 1e-12 steps of error, so _MARGIN = 1e-6
+# leaves a factor of 40 spare.
+_MARGIN = 1e-6
+_RHO_MIN, _RHO_MAX = 1e-2, 1e2
+
+
+def _candidate_labels(m: int, shape: tuple, values) -> np.ndarray:
+    """Compatible labels of each known value, one ascending row per value."""
+    p, s = shape
+    values = np.asarray(values, dtype=np.int64)[:, None]
+    free = np.arange(1 << (m - p - s), dtype=np.int64)
+    return ((values >> s) << (m - p)) | (free << s) | (values & ((1 << s) - 1))
+
+
+def _first_points(c: Constellation, shape: tuple) -> np.ndarray:
+    """Smallest point index of each known value's subconstellation."""
+    p, s = shape
+    labels = _candidate_labels(c.m, shape, np.arange(1 << (p + s)))
+    return c._label_to_index[labels].min(axis=1)
+
+
+def _split(v: np.ndarray) -> tuple:
+    """Cells floor(v), and which `v` lie within _MARGIN of a cell edge; overwrites `v`."""
+    cell = np.floor(v)
+    v -= cell
+    return cell, (v < _MARGIN) | (v > 1 - _MARGIN)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _psk_cells(m: int, p: int, s: int) -> tuple:
+    """Per known value: its arc's labels in angular order, and the arc's angle offset.
+
+    Point k carries label bitrev(k): a known prefix keeps k = r (mod 2^p) and
+    a known suffix one arc of 2^(m-s) consecutive points, so the candidates
+    are first + 2^p j for j < 2^free, on a turn of 2^(m-p) such steps.  In
+    steps past the middle of the gap before the arc (half a step before the
+    first point on a full circle), candidate j owns the cell
+    [j + gap, j + gap + 1) and the gap after the arc the rest of the turn.
+    """
+    count, turn = 1 << (m - p - s), 1 << (m - p)
+    c = build_psk(m)
+    first = _first_points(c, (p, s))
+    arc = c.labels[first[:, None] + (np.arange(count) << p)]
+    return _read_only(arc, (turn - count) // 2 + 0.5 - first / (1 << p))
+
+
+def _psk_round(
+    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
+) -> tuple:
+    arc, offset = _psk_cells(c.m, *shape)
+    count, turn = arc.shape[1], 1 << (c.m - shape[0])
+    v = np.angle(y)
+    v *= turn / (2 * math.pi)
+    v += offset[known]
+    cell, unsure = _split(v)
+    j = cell.astype(np.int64)
+    j &= turn - 1
+    j -= (turn - count) // 2
+    return arc[known, np.clip(j, 0, count - 1, out=j)], unsure
+
+
+@lru_cache(maxsize=None)
+def _qam_cells(m: int, p: int) -> tuple:
+    """Per known prefix value: its coset's labels as a grid, and the axis offsets.
+
+    An even prefix keeps the square grid of stride 2^(p/2) through the
+    coset's first point (a0, b0).  Point a * side + b sits at
+    (a - centre, b - centre) times the spacing, so on the axes shifted by the
+    offsets and scaled by 1 / (sqrt(gamma) spacing stride) candidate (i, j)
+    owns the cell [i, i + 1) x [j, j + 1).
+    """
+    c = build_qam(m)
+    side, stride = 1 << (m // 2), 1 << (p // 2)
+    a0, b0 = np.divmod(_first_points(c, (p, 0)), side)
+    steps = stride * np.arange(side // stride)
+    grid = c.labels[(a0[:, None, None] + steps[:, None]) * side + b0[:, None, None] + steps]
+    centre = (side - 1) / 2
+    return _read_only(grid, (centre - a0) / stride + 0.5, (centre - b0) / stride + 0.5)
+
+
+def _qam_slice(
+    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
+) -> tuple:
+    grid, offset_a, offset_b = _qam_cells(c.m, shape[0])
+    count = grid.shape[1]
+    scale = 1 / (sqrt_snr * c.spacing * (1 << (shape[0] // 2)))
+    i, unsure_i = _split(y.real * scale + offset_a[known])
+    j, unsure_j = _split(y.imag * scale + offset_b[known])
+    i = np.clip(i, 0, count - 1).astype(np.int64)
+    j = np.clip(j, 0, count - 1).astype(np.int64)
+    return grid[known, i, j], unsure_i | unsure_j
+
+
+def _brute_force(
+    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
+) -> np.ndarray:
+    """ML decisions by distance to every compatible point, `_CHUNK` entries a step."""
+    step = _CHUNK >> (c.m - shape[0] - shape[1])
     decided = np.empty(len(y), dtype=np.int64)
-    # group symbols by the value of their known bits; each group shares one
-    # compatible subconstellation
-    for value in np.flatnonzero(np.bincount(known)).tolist():
-        sel = np.nonzero(known == value)[0]
-        hi, lo = value >> s, value & ((1 << s) - 1)
+    # one stable sort groups the symbols by known value, keeping each group
+    # in symbol order; a group shares one compatible subconstellation
+    counts = np.bincount(known)
+    order = np.argsort(known, kind="stable")
+    ends = np.cumsum(counts)
+    for value in np.flatnonzero(counts).tolist():
+        sel = order[ends[value] - counts[value] : ends[value]]
         # ascending labels, so argmin favors the smallest label on ties
-        cand_labels = (hi << (m - p)) | (np.arange(1 << free, dtype=np.int64) << s) | lo
+        cand_labels = _candidate_labels(c.m, shape, [value])[0]
         cand_points = c.points[c._label_to_index[cand_labels]]
         for start in range(0, sel.size, step):
             rows = sel[start : start + step]
-            d2 = np.abs(y[rows, None] - sqrt_snr * cand_points[None, :]) ** 2
-            decided[rows] = cand_labels[np.argmin(d2, axis=1)]
+            dist = np.abs(y[rows, None] - sqrt_snr * cand_points[None, :])
+            decided[rows] = cand_labels[np.argmin(dist, axis=1)]
     return decided
 
 
@@ -234,5 +376,5 @@ def demodulate(c: Constellation, y: complex, sqrt_snr: float, mask: KnownMask) -
     if sqrt_snr <= 0:
         raise ConfigurationError("sqrt_snr must be positive")
     idx = subconstellation(c, mask)  # label-sorted, so argmin favors small labels
-    d2 = np.abs(y - sqrt_snr * c.points[idx]) ** 2
-    return int(c.labels[idx[int(np.argmin(d2))]])
+    dist = np.abs(y - sqrt_snr * c.points[idx])
+    return int(c.labels[idx[int(np.argmin(dist))]])

@@ -214,6 +214,38 @@ class TestRunScenario:
         assert len(calls["cells"]) == len(set(calls["cells"])) == 33
         assert len(calls["shapes"]) == len(set(calls["shapes"])) == 3
 
+    def test_detector_rarely_falls_back_to_brute_force(self, monkeypatch):
+        # the paper sweep's 8PSK cells and the 256-QAM even-prefix cells have
+        # structured detectors; brute force is only for the rows next to a
+        # decision boundary or outside the radius window
+        import cachemod.mc as mc
+        import cachemod.modem as modem
+
+        rows = {"all": 0, "brute": 0}
+        real_detect, real_brute = mc.detect, modem._brute_force
+
+        def detect(c, y, *args):
+            rows["all"] += len(y)
+            return real_detect(c, y, *args)
+
+        def brute(c, y, *args):
+            rows["brute"] += len(y)
+            return real_brute(c, y, *args)
+
+        monkeypatch.setattr(mc, "detect", detect)
+        monkeypatch.setattr(modem, "_brute_force", brute)
+        run_scenario(replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10_000))
+        assert rows["all"] == 33 * 10_000
+        assert rows["brute"] < 1e-3 * rows["all"]
+
+        rows.update(all=0, brute=0)
+        c, cfg = cm.build_qam(8), cm.CampaignConfig(trials_per_cell=10_000, master_seed=3)
+        for p in (0, 2, 4, 6):
+            for gamma in (1.0, 10.0, 100.0):
+                cm.estimate_cell_ser(c, (p, 0), gamma, cfg, "fallback")
+        assert rows["all"] == 12 * 10_000
+        assert rows["brute"] < 1e-3 * rows["all"]
+
     def test_many_users_analytic_csv_is_pinned(self):
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))
         assert hashlib.md5(text.encode()).hexdigest() == MANY_USERS_MD5

@@ -91,6 +91,30 @@ class TestEstimateCellSer:
             math.sqrt(est.ser * (1 - est.ser) / est.trials)
         )
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_received_points_are_the_normal_pairs(self, seed, monkeypatch):
+        # the cell builds y in place from standard normals; bit for bit it must
+        # be sqrt(gamma) x plus rng.normal(0, sqrt(1/2)) pairs read as complex
+        import cachemod.mc as mc_mod
+
+        seen = {}
+
+        def capture(c, y, sqrt_snr, shape, known):
+            seen["y"], seen["known"] = y.copy(), known.copy()
+            return cm.detect(c, y, sqrt_snr, shape, known)
+
+        monkeypatch.setattr(mc_mod, "detect", capture)
+        c, shape, gamma, trials = cm.build_qam(4), (2, 0), 3.7, 5000
+        cm.estimate_cell_ser(c, shape, gamma, cm.CampaignConfig(trials, seed), "draws")
+        rng = _cell_rng(seed, "draws")
+        labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+        noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
+        want = math.sqrt(gamma) * c.points[c._label_to_index[labels]] + (
+            noise[:, 0] + 1j * noise[:, 1]
+        )
+        assert seen["y"].tobytes() == want.tobytes()
+        assert seen["known"].tolist() == (labels >> 2).tolist()
+
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
         import cachemod.modem as modem_mod
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cachemod as cm
 from cachemod.bits import int_to_bits
+import cachemod.modem as modem_mod
 from cachemod.modem import KnownMask, empty_mask
 
 PSK_WIDTHS = list(range(1, 9))
@@ -190,15 +191,15 @@ class TestModulateDemodulate:
         y = math.sqrt(gamma) * cm.modulate(c, label) + complex(dx, dy)
         got = cm.demodulate(c, y, math.sqrt(gamma), mask)
         # the detector's distance expression, scanned point by point
-        dist2 = np.abs(y - math.sqrt(gamma) * c.points) ** 2
+        dist = np.abs(y - math.sqrt(gamma) * c.points)
         best = None
         for idx in range(8):
             lab = int(c.labels[idx])
             if int_to_bits(lab, 3)[:prefix].tolist() != bits[:prefix].tolist():
                 continue
-            d2 = float(dist2[idx])
-            if best is None or d2 < best[0] or (d2 == best[0] and lab < best[1]):
-                best = (d2, lab)
+            d = float(dist[idx])
+            if best is None or d < best[0] or (d == best[0] and lab < best[1]):
+                best = (d, lab)
         assert got == best[1]
 
     def test_compatible_labels_survive_zero_noise(self):
@@ -260,3 +261,89 @@ class TestDetect:
         ]:
             with pytest.raises(cm.ConfigurationError):
                 cm.detect(c, y, sqrt_snr, shape, values)
+        for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)):
+            with pytest.raises(cm.ConfigurationError):
+                cm.detect(c, np.array([0.5, bad]), 1.0, (1, 0), known)
+
+    @given(
+        c=st.sampled_from(CONSTELLATIONS),
+        prefix=st.integers(0, 8),
+        suffix=st.integers(0, 8),
+        # per symbol: known value, phase, log10 of |y| / sqrt(gamma); radii run
+        # from deep inside to beyond the window the rounding paths accept
+        symbols=st.lists(
+            st.tuples(st.integers(0, 255), st.floats(-4, 4), st.floats(-3, 3)),
+            min_size=1,
+            max_size=16,
+        ),
+        log_gamma=st.floats(-2, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_structured_paths_match_demodulate(self, c, prefix, suffix, symbols, log_gamma):
+        p = prefix % (c.m + 1)
+        s = suffix % (c.m - p + 1)
+        sqrt_snr = 10 ** (log_gamma / 2)
+        y = np.array([sqrt_snr * 10**r * cmath.exp(1j * phase) for _, phase, r in symbols])
+        known = np.array([value % (1 << (p + s)) for value, _, _ in symbols])
+        got = cm.detect(c, y, sqrt_snr, (p, s), known)
+        want = [
+            cm.demodulate(c, y[i], sqrt_snr, KnownMask(p, s, int_to_bits(int(known[i]), p + s)))
+            for i in range(len(y))
+        ]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("m", PSK_WIDTHS)
+    def test_psk_neighbour_midpoints_match_demodulate(self, m):
+        # midpoints of angular neighbours sit on decision boundaries, and their
+        # antipodes include the tie across the gap between an arc's two ends
+        c = cm.build_psk(m)
+        for p, s in itertools.product(range(m + 1), repeat=2):
+            if p + s > m:
+                continue
+            for value in range(1 << (p + s)):
+                mask = KnownMask(p, s, int_to_bits(value, p + s))
+                points = c.points[np.sort(cm.subconstellation(c, mask))]  # by angle
+                mid = 3 * (points + np.roll(points, -1)) / 2
+                y = np.concatenate([mid, -mid])
+                got = cm.detect(c, y, 1.0, (p, s), np.full(len(y), value))
+                assert got.tolist() == [cm.demodulate(c, v, 1.0, mask) for v in y]
+
+    @pytest.mark.parametrize("m", QAM_WIDTHS)
+    def test_qam_grid_midpoints_match_brute_force(self, m):
+        # every point, every midpoint of two neighbours on the full grid, each at
+        # 1x and 3x: ties of every coset and beyond its edges, for every shape
+        c = cm.build_qam(m)
+        side = 1 << (m // 2)
+        grid = c.points.reshape(side, side)
+        between = [(grid[1:] + grid[:-1]) / 2, (grid[:, 1:] + grid[:, :-1]) / 2]
+        y = np.concatenate([grid.ravel(), *(b.ravel() for b in between)])
+        y = np.concatenate([y, 3 * y])
+        for p, s in itertools.product(range(m + 1), repeat=2):
+            if p + s > m:
+                continue
+            for value in range(1 << (p + s)):
+                known = np.full(len(y), value)
+                got = cm.detect(c, y, 1.0, (p, s), known)
+                assert np.array_equal(got, modem_mod._brute_force(c, y, 1.0, (p, s), known))
+
+    def test_extreme_radii_match_demodulate(self):
+        y = np.array([0, 1e-300, -1e-300j, 1e300, 1e300j, -1e200, complex(-1e250, 1e250)])
+        for c in CONSTELLATIONS:
+            for p, s in itertools.product(range(c.m + 1), repeat=2):
+                if p + s > c.m:
+                    continue
+                known = np.arange(len(y)) % (1 << (p + s))
+                masks = [KnownMask(p, s, int_to_bits(int(v), p + s)) for v in known]
+                with np.errstate(all="raise"):
+                    got = cm.detect(c, y, 1.0, (p, s), known)
+                    want = [cm.demodulate(c, v, 1.0, mask) for v, mask in zip(y, masks)]
+                assert got.tolist() == want
+
+    def test_huge_distances_do_not_overflow(self):
+        # |y - sqrt(gamma) x|^2 overflowed to inf for every 8PSK point here, and
+        # the all-way tie went to label 0; the point at pi (label 1) is nearest
+        c, y, sqrt_snr = cm.build_psk(3), np.array([-1e200 + 0j]), 1e200
+        with np.errstate(all="raise"):
+            assert cm.detect(c, y, sqrt_snr, (0, 0), np.array([0])).tolist() == [1]
+            assert modem_mod._brute_force(c, y, sqrt_snr, (0, 0), np.array([0])).tolist() == [1]
+            assert cm.demodulate(c, y[0], sqrt_snr, empty_mask()) == 1
