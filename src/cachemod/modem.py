@@ -169,14 +169,11 @@ def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> 
         raise ConfigurationError("invalid mask counts")
     if p + s > c.m - 1:
         raise ConfigurationError("subconstellation has fewer than 2 points")
-    best = math.inf
-    for value in range(1 << (p + s)):
-        mask = KnownMask(p, s, [int(b) for b in format(value, f"0{p + s}b")] if p + s else [])
-        pts = c.points[_compatible(c, mask)]
-        diff = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(diff, np.inf)
-        best = min(best, float(diff.min()))
-    return best
+    points = _candidates(c.family, c.m, p, s)[1]
+    diff = np.abs(points[:, :, None] - points[:, None, :])
+    own = np.arange(points.shape[1])
+    diff[:, own, own] = np.inf
+    return float(diff.min())
 
 
 def modulate(c: Constellation, label) -> complex:
@@ -196,11 +193,19 @@ def detect(
     subconstellation by minimizing |y - sqrt(gamma) x|; exact ties resolve to
     the numerically smallest label, as in `demodulate`, the scalar oracle.
 
-    PSK subconstellations (every shape) and square-QAM cosets of an even
-    prefix (no suffix) are regular, so their decision is a rounding.  Symbols
-    near a decision boundary or with |y| / sqrt(gamma) outside a fixed window,
-    and every other shape, are decided by brute force over the compatible
-    points, so the result is the brute-force decision for every symbol.
+    Set partitioning makes most subconstellations regular, so their decision
+    is a rounding, not a search:
+    - PSK, every shape: the phase is rounded to the arc of candidates;
+    - square QAM, even prefix: each axis is sliced on the coset's grid;
+    - square QAM, odd prefix: the checkerboard coset is two even-prefix
+      grids, and the nearer of their two slice decisions wins;
+    - square QAM, suffix shapes (0, s) with s <= m - 5: the full grid is
+      sliced, and the decision stands when it carries the known suffix.
+    Symbols near a decision boundary, near a tie of the two checkerboard
+    grids, with |y| / sqrt(gamma) outside a fixed window or whose full-grid
+    decision misses the suffix, and every other shape, are decided by brute
+    force over the compatible points, so the result is the brute-force
+    decision for every symbol.
     """
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
@@ -214,7 +219,7 @@ def detect(
         raise ConfigurationError("known values exceed the mask width")
     if not np.isfinite(y).all():
         raise ConfigurationError("received points must be finite")
-    structured = _psk_round if c.family == PSK else _qam_slice if p % 2 == 0 and s == 0 else None
+    structured = _structured(c, shape)
     if structured is None:
         return _brute_force(c, y, sqrt_snr, shape, known)
     radius = np.abs(y)
@@ -248,21 +253,42 @@ def detect(
 # leaves a factor of 40 spare.
 _MARGIN = 1e-6
 _RHO_MIN, _RHO_MAX = 1e-2, 1e2
+# A checkerboard coset's two grid decisions are compared by their distances,
+# computed as brute force computes them, each within E of the exact one.  When
+# the computed gap exceeds 4E = 128 eps (|y| + 2 sqrt(gamma)), the exact gap
+# exceeds 2E, so brute force orders the two the same way; every other point of
+# either grid is farther than its grid's decision by more than 2E (above), so
+# brute force picks the nearer decision.  Gaps up to _TIE (|y| + 2 sqrt(gamma))
+# go to brute force; _TIE = 1e-13 exceeds 128 eps = 2.8e-14 by a factor of 3.
+_TIE = 1e-13
+_GATHER_MAX = 16  # candidates per value up to which brute force is one gather
 
 
-def _candidate_labels(m: int, shape: tuple, values) -> np.ndarray:
-    """Compatible labels of each known value, one ascending row per value."""
+def _structured(c: Constellation, shape: tuple):
+    """The rounding decision for `shape`, or None where only brute force applies."""
     p, s = shape
-    values = np.asarray(values, dtype=np.int64)[:, None]
+    if c.family == PSK:
+        return _psk_round
+    if s == 0:
+        return _qam_slice if p % 2 == 0 else _qam_checkerboard
+    if p == 0 and s <= c.m - 5:
+        return _qam_suffix
+    return None
+
+
+@lru_cache(maxsize=None)
+def _candidates(family: str, m: int, p: int, s: int) -> tuple:
+    """Per known value of shape (p, s): its compatible labels, ascending, and their points."""
+    c = {PSK: build_psk, QAM: build_qam}[family](m)
+    values = np.arange(1 << (p + s), dtype=np.int64)[:, None]
     free = np.arange(1 << (m - p - s), dtype=np.int64)
-    return ((values >> s) << (m - p)) | (free << s) | (values & ((1 << s) - 1))
+    labels = ((values >> s) << (m - p)) | (free << s) | (values & ((1 << s) - 1))
+    return _read_only(labels, c.points[c._label_to_index[labels]])
 
 
 def _first_points(c: Constellation, shape: tuple) -> np.ndarray:
     """Smallest point index of each known value's subconstellation."""
-    p, s = shape
-    labels = _candidate_labels(c.m, shape, np.arange(1 << (p + s)))
-    return c._label_to_index[labels].min(axis=1)
+    return c._label_to_index[_candidates(c.family, c.m, *shape)[0]].min(axis=1)
 
 
 def _split(v: np.ndarray) -> tuple:
@@ -343,12 +369,50 @@ def _qam_slice(
     return grid[known, i, j], unsure_i | unsure_j
 
 
+def _qam_checkerboard(
+    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
+) -> tuple:
+    # the coset of odd prefix v is the union of the even-prefix cosets 2v and
+    # 2v + 1, and each grid's slice decision is exact up to the square's edge
+    finer = (shape[0] + 1, 0)
+    even, unsure_even = _qam_slice(c, y, sqrt_snr, finer, 2 * known)
+    odd, unsure_odd = _qam_slice(c, y, sqrt_snr, finer, 2 * known + 1)
+    to_index = c._label_to_index
+    gap = np.abs(y - sqrt_snr * c.points[to_index[even]])
+    gap -= np.abs(y - sqrt_snr * c.points[to_index[odd]])
+    tie = np.abs(gap) <= _TIE * (np.abs(y) + 2 * sqrt_snr)
+    # exact ties keep the even grid's decision, the smaller label
+    return np.where(gap > 0, odd, even), unsure_even | unsure_odd | tie
+
+
+def _qam_suffix(
+    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
+) -> tuple:
+    # the full grid's ML decision is also the subset's when it carries the
+    # known suffix; the other symbols go to brute force
+    decided, unsure = _qam_slice(c, y, sqrt_snr, (0, 0), 0)
+    return decided, unsure | ((decided & ((1 << shape[1]) - 1)) != known)
+
+
 def _brute_force(
     c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
 ) -> np.ndarray:
     """ML decisions by distance to every compatible point, `_CHUNK` entries a step."""
-    step = _CHUNK >> (c.m - shape[0] - shape[1])
+    labels, points = _candidates(c.family, c.m, *shape)
+    count = labels.shape[1]
+    step = _CHUNK // count
+    scaled = sqrt_snr * points
     decided = np.empty(len(y), dtype=np.int64)
+    # ascending labels in each row, so argmin favors the smallest label on ties
+    if count <= _GATHER_MAX:
+        # each symbol gathers its own candidate row; subtracting in place
+        # saves allocating a second matrix
+        for start in range(0, len(y), step):
+            rows = slice(start, start + step)
+            diff = scaled[known[rows]]
+            np.subtract(y[rows, None], diff, out=diff)
+            decided[rows] = labels[known[rows], np.argmin(np.abs(diff), axis=1)]
+        return decided
     # one stable sort groups the symbols by known value, keeping each group
     # in symbol order; a group shares one compatible subconstellation
     counts = np.bincount(known)
@@ -356,13 +420,10 @@ def _brute_force(
     ends = np.cumsum(counts)
     for value in np.flatnonzero(counts).tolist():
         sel = order[ends[value] - counts[value] : ends[value]]
-        # ascending labels, so argmin favors the smallest label on ties
-        cand_labels = _candidate_labels(c.m, shape, [value])[0]
-        cand_points = c.points[c._label_to_index[cand_labels]]
         for start in range(0, sel.size, step):
             rows = sel[start : start + step]
-            dist = np.abs(y[rows, None] - sqrt_snr * cand_points[None, :])
-            decided[rows] = cand_labels[np.argmin(dist, axis=1)]
+            dist = np.abs(y[rows, None] - scaled[value])
+            decided[rows] = labels[value, np.argmin(dist, axis=1)]
     return decided
 
 
@@ -373,8 +434,10 @@ def demodulate(c: Constellation, y: complex, sqrt_snr: float, mask: KnownMask) -
     to the numerically smallest label.  Brute force, one symbol at a time: the
     oracle `detect` is tested against.
     """
-    if sqrt_snr <= 0:
-        raise ConfigurationError("sqrt_snr must be positive")
+    if not 0 < sqrt_snr < math.inf:
+        raise ConfigurationError("sqrt_snr must be positive and finite")
+    if not np.isfinite(y):
+        raise ConfigurationError("received point must be finite")
     idx = subconstellation(c, mask)  # label-sorted, so argmin favors small labels
     dist = np.abs(y - sqrt_snr * c.points[idx])
     return int(c.labels[idx[int(np.argmin(dist))]])

@@ -215,9 +215,9 @@ class TestRunScenario:
         assert len(calls["shapes"]) == len(set(calls["shapes"])) == 3
 
     def test_detector_rarely_falls_back_to_brute_force(self, monkeypatch):
-        # the paper sweep's 8PSK cells and the 256-QAM even-prefix cells have
+        # the paper sweep's 8PSK cells and the 256-QAM prefix cells have
         # structured detectors; brute force is only for the rows next to a
-        # decision boundary or outside the radius window
+        # decision boundary or a checkerboard tie, or outside the radius window
         import cachemod.mc as mc
         import cachemod.modem as modem
 
@@ -238,13 +238,22 @@ class TestRunScenario:
         assert rows["all"] == 33 * 10_000
         assert rows["brute"] < 1e-3 * rows["all"]
 
-        rows.update(all=0, brute=0)
         c, cfg = cm.build_qam(8), cm.CampaignConfig(trials_per_cell=10_000, master_seed=3)
-        for p in (0, 2, 4, 6):
-            for gamma in (1.0, 10.0, 100.0):
-                cm.estimate_cell_ser(c, (p, 0), gamma, cfg, "fallback")
-        assert rows["all"] == 12 * 10_000
-        assert rows["brute"] < 1e-3 * rows["all"]
+        for prefixes in ((0, 2, 4, 6), (1, 3, 5, 7)):
+            rows.update(all=0, brute=0)
+            for p in prefixes:
+                for gamma in (1.0, 10.0, 100.0):
+                    cm.estimate_cell_ser(c, (p, 0), gamma, cfg, "fallback")
+            assert rows["all"] == 12 * 10_000
+            assert rows["brute"] < 1e-3 * rows["all"]
+
+        # the pinned K=12 scenario: suffix-shape rows reach brute force when
+        # their full-grid decision misses the suffix, and shapes of at most 16
+        # candidates entirely
+        rows.update(all=0, brute=0)
+        run_scenario(parse_config(json.dumps(dict(MANY_USERS, trials_per_cell=10_000))))
+        assert rows["all"] == 45 * 10_000
+        assert rows["brute"] < 0.4 * rows["all"]
 
     def test_many_users_analytic_csv_is_pinned(self):
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))

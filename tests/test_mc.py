@@ -118,11 +118,26 @@ class TestEstimateCellSer:
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
         import cachemod.modem as modem_mod
 
+        # 256-QAM (2, 2) has 16 candidates per value (one gather over every
+        # row) and (1, 2) has 32 (a loop over the known values); both go to
+        # brute force entirely
         cfg = cm.CampaignConfig(trials_per_cell=3000, master_seed=8)
-        cases = [(cm.build_qam(8), (0, 0)), (cm.build_qam(8), (1, 2)), (cm.build_psk(3), (0, 1))]
+        cases = [(cm.build_qam(8), (2, 2)), (cm.build_qam(8), (1, 2))]
         default = [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases]
-        monkeypatch.setattr(modem_mod, "_CHUNK", 1 << 9)  # 2 rows per step at 256 candidates
+        chunks = {}
+        real_brute = modem_mod._brute_force
+
+        def brute(c, y, sqrt_snr, shape, known):
+            # the steps each kernel takes: over all rows, or over each value's rows
+            step = modem_mod._CHUNK >> (c.m - shape[0] - shape[1])
+            rows = len(y) if shape == (2, 2) else np.bincount(known).max()
+            chunks[shape] = -(-rows // step)
+            return real_brute(c, y, sqrt_snr, shape, known)
+
+        monkeypatch.setattr(modem_mod, "_brute_force", brute)
+        monkeypatch.setattr(modem_mod, "_CHUNK", 1 << 9)  # 32 rows per step at 16 candidates
         assert [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases] == default
+        assert chunks[(2, 2)] > 1 and chunks[(1, 2)] > 1
 
     def test_high_snr_error_free(self):
         c = cm.build_psk(3)

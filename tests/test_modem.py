@@ -34,6 +34,18 @@ def brute_force_masked_dmin(c, prefix, suffix):
     return best
 
 
+def enumerated_min_distance(c, prefix, suffix):
+    """Oracle: pairwise distances within each known value's subconstellation, one mask at a time."""
+    best = math.inf
+    for value in range(1 << (prefix + suffix)):
+        mask = KnownMask(prefix, suffix, int_to_bits(value, prefix + suffix))
+        pts = c.points[np.sort(cm.subconstellation(c, mask))]
+        diff = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(diff, np.inf)
+        best = min(best, float(diff.min()))
+    return best
+
+
 class TestBuildPsk:
     def test_unit_energy_and_bijective_labels(self):
         for m in PSK_WIDTHS:
@@ -117,6 +129,12 @@ class TestDistanceLaw:
         for c in (cm.build_psk(4), cm.build_qam(4)):
             dists = [cm.min_distance(c, n) for n in range(c.m)]
             assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize("c", CONSTELLATIONS, ids=lambda c: f"{c.family}{c.m}")
+    def test_equals_enumeration_for_every_shape(self, c):
+        for p, s in itertools.product(range(c.m), repeat=2):
+            if p + s < c.m:
+                assert cm.min_distance(c, p, s) == enumerated_min_distance(c, p, s)
 
     def test_single_point_mask_rejected(self):
         c = cm.build_psk(3)
@@ -264,6 +282,11 @@ class TestDetect:
         for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)):
             with pytest.raises(cm.ConfigurationError):
                 cm.detect(c, np.array([0.5, bad]), 1.0, (1, 0), known)
+            with pytest.raises(cm.ConfigurationError):
+                cm.demodulate(c, bad, 1.0, empty_mask())
+        for sqrt_snr in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(cm.ConfigurationError):
+                cm.demodulate(c, 0.5, sqrt_snr, empty_mask())
 
     @given(
         c=st.sampled_from(CONSTELLATIONS),
@@ -310,21 +333,29 @@ class TestDetect:
 
     @pytest.mark.parametrize("m", QAM_WIDTHS)
     def test_qam_grid_midpoints_match_brute_force(self, m):
-        # every point, every midpoint of two neighbours on the full grid, each at
-        # 1x and 3x: ties of every coset and beyond its edges, for every shape
+        # every point, every midpoint of two axis neighbours and every square's
+        # centre on the full grid, each at 1x and 3x: ties within every coset
+        # (a checkerboard's two grids tie at square centres) and beyond its
+        # edges, for every shape
         c = cm.build_qam(m)
         side = 1 << (m // 2)
         grid = c.points.reshape(side, side)
-        between = [(grid[1:] + grid[:-1]) / 2, (grid[:, 1:] + grid[:, :-1]) / 2]
+        between = [
+            (grid[1:] + grid[:-1]) / 2,
+            (grid[:, 1:] + grid[:, :-1]) / 2,
+            (grid[1:, 1:] + grid[:-1, :-1]) / 2,
+        ]
         y = np.concatenate([grid.ravel(), *(b.ravel() for b in between)])
         y = np.concatenate([y, 3 * y])
         for p, s in itertools.product(range(m + 1), repeat=2):
             if p + s > m:
                 continue
             for value in range(1 << (p + s)):
-                known = np.full(len(y), value)
-                got = cm.detect(c, y, 1.0, (p, s), known)
-                assert np.array_equal(got, modem_mod._brute_force(c, y, 1.0, (p, s), known))
+                # oracle: one argmin over the label-sorted compatible points
+                idx = cm.subconstellation(c, KnownMask(p, s, int_to_bits(value, p + s)))
+                want = c.labels[idx[np.argmin(np.abs(y[:, None] - c.points[idx]), axis=1)]]
+                got = cm.detect(c, y, 1.0, (p, s), np.full(len(y), value))
+                assert np.array_equal(got, want)
 
     def test_extreme_radii_match_demodulate(self):
         y = np.array([0, 1e-300, -1e-300j, 1e300, 1e300j, -1e200, complex(-1e250, 1e250)])
