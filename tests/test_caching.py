@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,14 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cachemod as cm
+from cachemod import caching
 from cachemod.caching import (
+    MAX_TOTAL_BITS,
     SubfileMap,
-    all_subsets,
+    canonical_codes,
     largest_remainder,
     proposed_piece_len,
     quantize_expected_map,
+    subset_code,
+    zero_padding_piece_len,
 )
-from conftest import subfile_map
+from conftest import (
+    all_subsets,
+    loop_delivery_plan,
+    loop_largest_remainder,
+    loop_quantized_lengths,
+    subfile_map,
+    subset_tuples,
+)
 
 
 class TestLibrary:
@@ -29,6 +41,13 @@ class TestLibrary:
         lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 100)
         assert sum(lib.file_bits) == 100
         assert sorted(lib.file_bits) == [33, 33, 34]
+        assert all(type(n) is int for n in lib.file_bits)
+
+    def test_total_bits_bounded(self):
+        assert cm.Library((0.5, 0.5), MAX_TOTAL_BITS).file_bits == (2**61, 2**61)
+        for too_many in (MAX_TOTAL_BITS + 1, 10**20):
+            with pytest.raises(cm.ConfigurationError, match="total_bits"):
+                cm.Library((0.5, 0.5), too_many)
 
 
 class TestCacheProfile:
@@ -58,6 +77,16 @@ class TestExpectedSubfileLengths:
     def test_map_width_must_be_a_power_of_two(self):
         with pytest.raises(cm.ConfigurationError):
             SubfileMap(np.zeros((2, 3), dtype=np.int64))
+
+
+    @pytest.mark.parametrize("index", [0, -1, 3, 10])
+    def test_file_index_outside_library_rejected(self, index):
+        # a 2-file map: index 0 used to read the last file's row
+        em = cm.expected_subfile_lengths(cm.Library((0.6, 0.4), 15), cm.CacheProfile((0.5,)))
+        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
+            em.length(index, frozenset({1}))
+        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
+            em.file_total(index)
 
     def test_no_caching(self):
         lib = cm.Library((0.6, 0.4), 15)
@@ -122,6 +151,14 @@ class TestSamplePlacement:
 
 
 class TestRealizedSubfileMap:
+    @pytest.mark.parametrize("index", [0, -1, 3])
+    def test_file_index_outside_library_rejected(self, two_user_pair_placement, index):
+        placement = two_user_pair_placement
+        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
+            placement.subset_codes(index)
+        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
+            placement.subfile_positions(index, frozenset({1}))
+
     def test_pair_fixture_lengths(self, two_user_pair_placement):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         assert rm.length(1, frozenset({2})) == 3
@@ -148,8 +185,37 @@ class TestRealizedSubfileMap:
 
 class TestQuantization:
     def test_largest_remainder(self):
-        assert largest_remainder([1.4, 1.4, 1.2], 4) == [2, 1, 1]
-        assert largest_remainder([2.0, 2.0], 4) == [2, 2]
+        assert largest_remainder([1.4, 1.4, 1.2], 4).tolist() == [2, 1, 1]
+        assert largest_remainder([2.0, 2.0], 4).tolist() == [2, 2]
+        assert largest_remainder([0.5, 0.5], 5).tolist() == [1, 1]  # deficit beyond the length
+        with pytest.raises(ValueError):
+            largest_remainder([2.0, 2.5], 3)
+
+    @given(
+        targets=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.5, 2.5, 3.0]) | st.floats(0, 50),
+            min_size=1,
+            max_size=40,
+        ),
+        extra=st.integers(0, 45),
+    )
+    def test_largest_remainder_matches_loop(self, targets, extra):
+        # repeated remainders exercise the ties at the cut; _LOOP_MAX = 0
+        # sends short lists through the partition too
+        total = sum(math.floor(t) for t in targets) + extra
+        want = loop_largest_remainder(targets, total)
+        for loop_max in (caching._LOOP_MAX, 0):
+            with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+                assert largest_remainder(targets, total).tolist() == want
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
+    def test_canonical_codes(self, k, loop_max):
+        with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+            codes = canonical_codes.__wrapped__(k)  # not the cached array
+        assert codes.tolist() == [0, *(subset_code(s) for s in subset_tuples(k))]
+        assert codes.dtype == np.int64
+        assert not codes.flags.writeable
 
     def test_conserves_file_totals(self):
         lib = cm.Library((1 / 3, 2 / 3), 100)
@@ -168,6 +234,89 @@ class TestQuantization:
         qm = quantize_expected_map(em, lib)
         canonical = [frozenset(), *all_subsets(4)]
         assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
+
+
+def oracle_runs(scheme, label_len, sched):
+    """A subset's maximal runs [(first block, count, pieces)] from its blocks one by one."""
+    runs = []
+    for i in range(1, sched.n_blocks + 1):
+        if scheme == cm.PROPOSED:
+            pieces = {u: proposed_piece_len(n, sched.n_blocks, i) for u, n in sched.subfile_len.items()}
+        else:
+            pieces = {u: zero_padding_piece_len(n, label_len, i) for u, n in sched.subfile_len.items()}
+        if runs and runs[-1][2] == pieces:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1, pieces])
+    return [tuple(run) for run in runs]
+
+
+@st.composite
+def planning_instances(draw):
+    """(map, library or None, demands) over every kind of map the planner meets."""
+    k = draw(st.integers(1, 8))
+    num_files = k + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["expected", "placement", "sparse"]))
+    demands = cm.DemandVector(tuple(draw(st.permutations(range(1, num_files + 1)))[:k]))
+    if kind == "sparse":  # arbitrary lengths, mostly zero, and empty plans
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([0, 1, 5, 60]))
+        lengths = rng.integers(0, scale + 1, (num_files, 2**k))
+        lengths[rng.random(lengths.shape) < draw(st.floats(0, 1))] = 0
+        return SubfileMap(lengths), None, demands
+    # equal cache sizes and equal files tie many remainders
+    mu = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
+    mus = tuple(sorted(draw(st.lists(mu, min_size=k, max_size=k))))
+    if draw(st.booleans()):
+        fractions = (1 / num_files,) * num_files
+    else:
+        weights = draw(st.lists(st.integers(1, 9), min_size=num_files, max_size=num_files))
+        fractions = tuple(w / sum(weights) for w in weights)
+    lib = cm.Library(fractions, draw(st.integers(1, 3000)))
+    caches = cm.CacheProfile(mus)
+    if kind == "placement":
+        placement = cm.sample_placement(lib, caches, draw(st.integers(0, 2**32 - 1)))
+        return cm.realized_subfile_map(placement), None, demands
+    return cm.expected_subfile_lengths(lib, caches), lib, demands
+
+
+class TestPlannerMatchesLoop:
+    @given(
+        instance=planning_instances(),
+        m=st.integers(1, 8),
+        loop_max=st.sampled_from([caching._LOOP_MAX, 0]),  # 0: arrays at every K
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_quantise_and_plan_equal_the_loop(self, instance, m, loop_max):
+        with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+            self.check(*instance, m)
+
+    def check(self, smap, lib, demands, m):
+        if lib is not None:
+            quantised = quantize_expected_map(smap, lib)
+            assert np.array_equal(quantised.lengths, loop_quantized_lengths(smap, lib))
+            smap = quantised
+        for scheme in cm.SCHEMES:
+            plan = cm.build_delivery_plan(smap, demands, scheme, m)
+            per_subset, histograms, load = loop_delivery_plan(smap, demands, scheme, m)
+            for u in range(1, smap.num_users + 1):
+                # ordered items: the insertion order fixes ser_report's float sums
+                assert list(plan.shape_counts(u).items()) == list(histograms[u].items())
+            assert plan.load == load
+            assert list(plan.per_subset.items()) == list(per_subset.items())
+            for subset, sched in per_subset.items():
+                got = [(b.block_index, count, b.per_user_piece_len) for b, count in plan.block_runs(subset)]
+                assert got == oracle_runs(scheme, m, sched)
+
+    def test_scenario_never_builds_schedules(self):
+        lib = cm.Library((0.25,) * 4, 1000)
+        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.1, 0.2, 0.3, 0.4)))
+        plan = cm.build_delivery_plan(
+            quantize_expected_map(em, lib), cm.DemandVector((1, 2, 3, 4)), cm.PROPOSED, 3
+        )
+        cm.plan_metrics(plan, cm.build_psk(3), cm.SnrProfile((10.0,) * 4))
+        assert "per_subset" not in vars(plan)
+        assert len(plan.per_subset) == 15
 
 
 class TestBuildDeliveryPlan:
@@ -201,6 +350,12 @@ class TestBuildDeliveryPlan:
     def test_duplicate_demands_rejected(self):
         with pytest.raises(cm.ConfigurationError):
             cm.DemandVector((1, 1))
+
+    @pytest.mark.parametrize("k", [2, 5])  # the loop and the array planner
+    def test_negative_lengths_rejected(self, k):
+        smap = subfile_map(k, k, {(1, (2,)): 4, (2, (1,)): -1})
+        with pytest.raises(cm.ConfigurationError, match="non-negative"):
+            cm.build_delivery_plan(smap, cm.DemandVector(tuple(range(1, k + 1))), cm.PROPOSED, 3)
 
     def test_bad_symbol_width(self):
         smap = subfile_map(2, 2, {(1, (2,)): 4})

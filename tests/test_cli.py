@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cachemod as cm
-from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_USERS
+from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_TOTAL_BITS, MAX_USERS
 from cachemod.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
@@ -57,6 +57,11 @@ MANY_USERS_MD5 = "94c6c1aeec92598df85b81d09b013e07"
 # the same scenario with 1e4 Monte Carlo trials per cell: pins every draw and
 # every 256-QAM detector decision behind the mc_T column
 MANY_USERS_MC_MD5 = "f7208f3c8b6143adcc0dbaa3ed4806bc"
+
+# sixteen users, 256-QAM, B=1e6, 11 SNR points, analytic only; the CI smoke
+# step runs it under a timeout, and these bytes are the per-subset loop's
+SIXTEEN_USERS = THREE_USER_SWEEP.parent / "sixteen_user_sweep.json"
+SIXTEEN_USERS_MD5 = "ba7505305a6a52ad8d28c76da070d3a9"
 
 
 def config(**overrides):
@@ -355,6 +360,40 @@ class TestMain:
         assert main([command, "--config", self.write(tmp_path, doc)]) == rc
         if rc:
             assert "sweep step_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("total_bits", [MAX_TOTAL_BITS + 1, 10**20])
+    def test_total_bits_bounded(self, tmp_path, capsys, command, total_bits):
+        rc = main([command, "--config", self.write(tmp_path, config(total_bits=total_bits))])
+        assert rc == 2
+        assert f"total_bits {total_bits} exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, md5",
+        [
+            # above 2**53, where float shares are no longer exact integers
+            (config(total_bits=2**53 + 1), "d68bc2d6465ee26b2c833644c6423769"),
+            # at the limit; power-of-two fractions keep every share exact
+            (
+                config(
+                    users=[{"mu": 0.5}, {"mu": 0.5}],
+                    files=[0.5, 0.5],
+                    total_bits=MAX_TOTAL_BITS,
+                ),
+                "b2060250ab24aa0ac2bc952670de56c8",
+            ),
+        ],
+    )
+    def test_large_libraries_run(self, tmp_path, capsys, doc, md5):
+        assert main(["run", "--config", self.write(tmp_path, doc)]) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+    def test_sixteen_user_script_is_pinned(self, tmp_path):
+        cfg = parse_config(SIXTEEN_USERS.read_text())
+        assert (len(cfg.mus), cfg.m, len(cfg.sweep_db), cfg.total_bits) == (16, 8, 11, 10**6)
+        out = tmp_path / "sixteen.csv"
+        assert main(["run", "--config", str(SIXTEEN_USERS), "--analytic-only", "--out", str(out)]) == 0
+        assert hashlib.md5(out.read_bytes()).hexdigest() == SIXTEEN_USERS_MD5
 
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 2
