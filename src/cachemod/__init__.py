@@ -43,7 +43,6 @@ from .mc import (
     CampaignConfig,
     CellEstimate,
     EndToEndResult,
-    awgn_channel,
     end_to_end_noiseless,
     estimate_cell_ser,
     estimate_table,
@@ -51,16 +50,11 @@ from .mc import (
 )
 from .modem import (
     Constellation,
-    KnownMask,
     build_constellation,
     build_psk,
     build_qam,
-    demodulate,
     detect,
-    empty_mask,
     min_distance,
-    modulate,
-    subconstellation,
 )
 
 __all__ = [
@@ -73,7 +67,6 @@ __all__ = [
     "DeliveryPlan",
     "DemandVector",
     "EndToEndResult",
-    "KnownMask",
     "Library",
     "MulticastBlockSpec",
     "PROPOSED",
@@ -86,7 +79,6 @@ __all__ = [
     "UselessBlockError",
     "ZERO_PADDING",
     "analytic_report",
-    "awgn_channel",
     "bound_table",
     "build_constellation",
     "build_delivery_plan",
@@ -94,16 +86,13 @@ __all__ = [
     "build_qam",
     "compare_schemes",
     "decode_block",
-    "demodulate",
     "detect",
-    "empty_mask",
     "encode_block",
     "end_to_end_noiseless",
     "estimate_cell_ser",
     "estimate_table",
     "expected_subfile_lengths",
     "min_distance",
-    "modulate",
     "plan_metrics",
     "q_function",
     "quantize_expected_map",
@@ -111,7 +100,6 @@ __all__ = [
     "run_campaign",
     "sample_placement",
     "ser_report",
-    "subconstellation",
     "symbol_error_bound",
 ]
 

@@ -3,21 +3,6 @@
 import numpy as np
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """MSB-first bit array of `value`, `width` bits wide."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - j)) & 1 for j in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    """Integer value of an MSB-first bit array."""
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
 def rows_to_ints(bits: np.ndarray) -> np.ndarray:
     """Integer value of each MSB-first row of a (count, width) bit array."""
     shifts = np.arange(bits.shape[-1] - 1, -1, -1)

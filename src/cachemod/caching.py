@@ -58,17 +58,18 @@ def largest_remainder(targets, total: int) -> np.ndarray:
 
     Floors every share and hands the leftover units to the largest fractional
     remainders, ties going to the earlier position.  Preserves the exact
-    total.  Up to `_LOOP_MAX` targets a sort ranks the remainders.  Beyond,
-    one partition finds the cut, the deficit-th largest remainder: every
-    remainder above it gets a unit, the earliest ones equal to it share the
-    rest.  That is the sort's choice in linear time.
+    total, or raises ValueError when that takes more than one unit per share
+    or fewer than none.  Up to `_LOOP_MAX` targets a sort ranks the
+    remainders.  Beyond, one partition finds the cut, the deficit-th largest
+    remainder: every remainder above it gets a unit, the earliest ones equal
+    to it share the rest.  That is the sort's choice in linear time.
     """
     if len(targets) <= _LOOP_MAX:
         targets = [float(t) for t in targets]
         floors = [math.floor(t) for t in targets]
         deficit = total - sum(floors)
-        if deficit < 0:
-            raise ValueError("targets exceed total")
+        if not 0 <= deficit <= len(targets):
+            raise ValueError(f"total less floored shares is {deficit}, not in 0..{len(targets)}")
         order = sorted(range(len(targets)), key=lambda i: (-(targets[i] - floors[i]), i))
         for i in order[:deficit]:
             floors[i] += 1
@@ -77,11 +78,11 @@ def largest_remainder(targets, total: int) -> np.ndarray:
     floors = np.floor(targets)
     shares = floors.astype(np.int64)
     deficit = total - int(shares.sum())
-    if deficit < 0:
-        raise ValueError("targets exceed total")
+    if not 0 <= deficit <= targets.size:
+        raise ValueError(f"total less floored shares is {deficit}, not in 0..{targets.size}")
     if deficit:
         remainders = targets - floors
-        kth = max(remainders.size - deficit, 0)
+        kth = remainders.size - deficit
         cut = np.partition(remainders, kth)[kth]
         above = remainders > cut
         shares += above
@@ -110,6 +111,12 @@ class Library:
             raise ConfigurationError(
                 f"total_bits {self.total_bits} exceeds the limit of 2**62 ({MAX_TOTAL_BITS})"
             )
+        try:
+            self.file_bits  # apportioned here, so an inexact split fails at construction
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"total_bits {self.total_bits} has no exact split over the file fractions: {exc}"
+            ) from exc
 
     @property
     def num_files(self) -> int:
@@ -269,7 +276,12 @@ def quantize_expected_map(subfiles: SubfileMap, library: Library) -> SubfileMap:
     order = canonical_codes(subfiles.num_users)
     lengths = np.empty(subfiles.lengths.shape, dtype=np.int64)
     for row, raw, nbits in zip(lengths, subfiles.lengths, library.file_bits, strict=True):
-        row[order] = largest_remainder(raw[order], nbits)
+        try:
+            row[order] = largest_remainder(raw[order], nbits)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"expected subfile lengths do not round to a {nbits}-bit file: {exc}"
+            ) from exc
     return SubfileMap(lengths)
 
 

@@ -63,11 +63,19 @@ def _require_keys(obj: dict, allowed: set, context: str):
 
 
 def _read(convert, value, field: str):
-    """convert(value), reporting a wrong-typed or non-finite value against its field."""
+    """A JSON number as `convert` (int or float), reporting any other value against its field.
+
+    Bools and strings are not numbers, floats must be finite, and an int field
+    takes integral values only (27000 or 27000.0, not 27000.7).
+    """
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("not a number")
         result = convert(value)
         if isinstance(result, float) and not math.isfinite(result):
             raise ValueError("not finite")
+        if convert is int and result != value:
+            raise ValueError("not an integer")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{field} has an invalid value {value!r}") from exc
     return result

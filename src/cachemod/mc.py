@@ -26,7 +26,7 @@ from .caching import (
     encode_block,
 )
 from .errors import ConfigurationError
-from .modem import Constellation, detect
+from .modem import Constellation, _known_value, detect
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ class CellEstimate:
     ser: float
     std_error: float
     trials: int
-
-
-def awgn_channel(x: complex, gamma: float, noise_draw: complex) -> complex:
-    """Receive y = sqrt(gamma) * x + noise for unit-total-power complex noise."""
-    if not 0 < gamma < math.inf:
-        raise ConfigurationError("gamma must be positive and finite")
-    return math.sqrt(gamma) * x + noise_draw
 
 
 def _cell_rng(master_seed: int, cell_id: str) -> np.random.Generator:
@@ -99,12 +92,6 @@ def estimate_cell_ser(
     return CellEstimate(
         ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials
     )
-
-
-def _known_value(labels: np.ndarray, m: int, shape: tuple) -> np.ndarray:
-    """The `shape` known bits of each m-bit label, packed as `detect` reads them."""
-    p, s = shape
-    return ((labels >> (m - p)) << s) | (labels & ((1 << s) - 1))
 
 
 def _cell_key(c: Constellation, shape: tuple, gamma: float) -> str:

@@ -15,37 +15,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bits import as_bits, bits_to_int
 from .errors import ConfigurationError
 
 PSK = "psk"
 QAM = "qam"
 
 _CHUNK = 1 << 18  # entries of the symbols x candidates distance matrix per step
-
-
-@dataclass(frozen=True)
-class KnownMask:
-    """Label positions (a prefix and/or a suffix) whose values a receiver knows."""
-
-    prefix_known: int
-    suffix_known: int
-    known_values: np.ndarray  # prefix bits then suffix bits, MSB-first
-
-    def __post_init__(self):
-        object.__setattr__(self, "known_values", as_bits(self.known_values))
-        if self.prefix_known < 0 or self.suffix_known < 0:
-            raise ConfigurationError("known-bit counts must be non-negative")
-        if len(self.known_values) != self.prefix_known + self.suffix_known:
-            raise ConfigurationError("known_values length must equal prefix + suffix counts")
-
-    @property
-    def known_count(self) -> int:
-        return self.prefix_known + self.suffix_known
-
-
-def empty_mask() -> KnownMask:
-    return KnownMask(0, 0, np.zeros(0, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -65,11 +40,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return 1 << self.m
-
-    def point_of_label(self, label: int) -> complex:
-        if label < 0 or label >= self.size:
-            raise ConfigurationError(f"label {label} out of range for m={self.m}")
-        return complex(self.points[self._label_to_index[label]])
 
     @cached_property
     def _label_to_index(self) -> np.ndarray:
@@ -137,27 +107,6 @@ def build_constellation(family: str, m: int) -> Constellation:
     raise ConfigurationError(f"unknown constellation family {family!r}")
 
 
-def _compatible(c: Constellation, mask: KnownMask) -> np.ndarray:
-    p, s = mask.prefix_known, mask.suffix_known
-    if p + s > c.m:
-        raise ConfigurationError("mask cannot cover more than m bits")
-    prefix = bits_to_int(mask.known_values[:p]) if p else 0
-    suffix = bits_to_int(mask.known_values[p:]) if s else 0
-    lab = c.labels
-    ok = np.ones(c.size, dtype=bool)
-    if p:
-        ok &= (lab >> (c.m - p)) == prefix
-    if s:
-        ok &= (lab & ((1 << s) - 1)) == suffix
-    return np.nonzero(ok)[0]
-
-
-def subconstellation(c: Constellation, mask: KnownMask) -> np.ndarray:
-    """Point indices compatible with the mask, sorted by label value."""
-    idx = _compatible(c, mask)
-    return idx[np.argsort(c.labels[idx])]
-
-
 def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> float:
     """Minimum pairwise distance of the masked subconstellation, by enumeration.
 
@@ -176,22 +125,15 @@ def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> 
     return float(diff.min())
 
 
-def modulate(c: Constellation, label) -> complex:
-    """Constellation point carrying the given label (int or bit string)."""
-    if not isinstance(label, (int, np.integer)):
-        label = bits_to_int(as_bits(label))
-    return c.point_of_label(int(label))
-
-
 def detect(
     c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
 ) -> np.ndarray:
     """Batched ML detection of labels with known-bit `shape` = (prefix, suffix).
 
-    `known[i]` holds received symbol `y[i]`'s known label bits packed MSB-first,
-    prefix bits then suffix bits.  Each symbol is decided over its compatible
+    `known[i]` holds received symbol `y[i]`'s known label bits packed as
+    `_known_value` packs them.  Each symbol is decided over its compatible
     subconstellation by minimizing |y - sqrt(gamma) x|; exact ties resolve to
-    the numerically smallest label, as in `demodulate`, the scalar oracle.
+    the numerically smallest label.
 
     Set partitioning makes most subconstellations regular, so their decision
     is a rounding, not a search:
@@ -276,9 +218,15 @@ def _structured(c: Constellation, shape: tuple):
     return None
 
 
+def _known_value(labels: np.ndarray, m: int, shape: tuple) -> np.ndarray:
+    """The `shape` = (p, s) known bits of each m-bit label, prefix then suffix bits, MSB-first."""
+    p, s = shape
+    return ((labels >> (m - p)) << s) | (labels & ((1 << s) - 1))
+
+
 @lru_cache(maxsize=None)
 def _candidates(family: str, m: int, p: int, s: int) -> tuple:
-    """Per known value of shape (p, s): its compatible labels, ascending, and their points."""
+    """Per value of shape (p, s): the labels `_known_value` packs to it, ascending; their points."""
     c = {PSK: build_psk, QAM: build_qam}[family](m)
     values = np.arange(1 << (p + s), dtype=np.int64)[:, None]
     free = np.arange(1 << (m - p - s), dtype=np.int64)
@@ -425,19 +373,3 @@ def _brute_force(
             dist = np.abs(y[rows, None] - scaled[value])
             decided[rows] = labels[value, np.argmin(dist, axis=1)]
     return decided
-
-
-def demodulate(c: Constellation, y: complex, sqrt_snr: float, mask: KnownMask) -> int:
-    """ML detection of the label over the mask-compatible subconstellation.
-
-    Minimizes |y - sqrt(gamma) x| over compatible points; exact ties resolve
-    to the numerically smallest label.  Brute force, one symbol at a time: the
-    oracle `detect` is tested against.
-    """
-    if not 0 < sqrt_snr < math.inf:
-        raise ConfigurationError("sqrt_snr must be positive and finite")
-    if not np.isfinite(y):
-        raise ConfigurationError("received point must be finite")
-    idx = subconstellation(c, mask)  # label-sorted, so argmin favors small labels
-    dist = np.abs(y - sqrt_snr * c.points[idx])
-    return int(c.labels[idx[int(np.argmin(dist))]])

@@ -30,8 +30,8 @@ def loop_largest_remainder(targets, total):
     """Scalar oracle of `largest_remainder`: sort the remainders, ties by position."""
     floors = [math.floor(t) for t in targets]
     deficit = total - sum(floors)
-    if deficit < 0:
-        raise ValueError("targets exceed total")
+    if not 0 <= deficit <= len(targets):
+        raise ValueError("no exact apportionment")
     order = sorted(range(len(targets)), key=lambda i: (-(targets[i] - floors[i]), i))
     for i in order[:deficit]:
         floors[i] += 1
@@ -73,6 +73,28 @@ def loop_delivery_plan(subfiles, demands, scheme, label_len):
         sent_bits += ell
     load = sent_bits / total_bits if total_bits else 0.0
     return per_subset, histograms, load
+
+
+def compatible_labels(c, shape, value):
+    """Ascending labels whose `shape` = (p, s) known bits, prefix then suffix MSB-first, are `value`."""
+    p, s = shape
+    low = (1 << s) - 1
+    return [
+        label
+        for label in range(c.size)
+        if label >> (c.m - p) == value >> s and label & low == value & low
+    ]
+
+
+def demodulate(c, y, sqrt_snr, shape, value):
+    """Brute-force ML oracle of `modem.detect` for one symbol y with known bits `value`.
+
+    Scans every point: the compatible label whose point minimises
+    |y - sqrt(gamma) x| wins, exact ties going to the smallest label.
+    """
+    allowed = set(compatible_labels(c, shape, value))
+    dist = np.abs(y - sqrt_snr * c.points)
+    return min((float(d), int(label)) for d, label in zip(dist, c.labels) if label in allowed)[1]
 
 
 def subfile_map(num_users, num_files, entries):

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import cachemod as cm
-from cachemod.bits import int_to_bits
 from cachemod.cli import main, parse_config
-from cachemod.modem import KnownMask
+from conftest import compatible_labels
 
 
 def _verdict(num, name, ok, elapsed, limit):
@@ -141,11 +140,10 @@ def test_criterion_4_mc_vs_exact_two_point_oracle():
                 exact = 0.0
                 count = 1 << (c.m - 1)
                 for value in range(count):
-                    bits = int_to_bits(value, c.m - 1)
-                    mask = KnownMask(shape[0], shape[1], bits)
-                    idx = cm.subconstellation(c, mask)
-                    assert len(idx) == 2
-                    d_sub = abs(complex(c.points[idx[0]]) - complex(c.points[idx[1]]))
+                    pair = compatible_labels(c, shape, value)
+                    assert len(pair) == 2
+                    a, b = c.points[c._label_to_index[pair]]
+                    d_sub = abs(complex(a) - complex(b))
                     exact += float(cm.q_function(math.sqrt(gamma / 2) * d_sub)) / count
                 est = cm.estimate_cell_ser(
                     c, shape, gamma, cfg, f"oracle:{c.family}{c.m}:{shape}:{gamma}"

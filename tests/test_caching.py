@@ -49,6 +49,27 @@ class TestLibrary:
             with pytest.raises(cm.ConfigurationError, match="total_bits"):
                 cm.Library((0.5, 0.5), too_many)
 
+    @pytest.mark.parametrize(
+        "fractions, total_bits",
+        [
+            # float shares floor 10 bits short of the total: more than one per file
+            ((0.3, 0.6999999999999), 10**14),
+            # float shares floor 10 bits above it
+            ((0.3, 0.7000000000001), 10**14),
+            # thirds floor 4 bits short at 2**56 and 256 at 2**62
+            ((1 / 3, 1 / 3, 1 / 3), 2**56),
+            ((1 / 3, 1 / 3, 1 / 3), MAX_TOTAL_BITS),
+        ],
+    )
+    def test_inexact_split_rejected_at_construction(self, fractions, total_bits):
+        with pytest.raises(cm.ConfigurationError, match=f"total_bits {total_bits} has no exact split"):
+            cm.Library(fractions, total_bits)
+
+    def test_exact_split_above_float_precision(self):
+        # thirds of 2**53 + 1 floor 3 bits short, one per file
+        lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 2**53 + 1)
+        assert sum(lib.file_bits) == 2**53 + 1
+
 
 class TestCacheProfile:
     def test_requires_sorted(self):
@@ -187,7 +208,8 @@ class TestQuantization:
     def test_largest_remainder(self):
         assert largest_remainder([1.4, 1.4, 1.2], 4).tolist() == [2, 1, 1]
         assert largest_remainder([2.0, 2.0], 4).tolist() == [2, 2]
-        assert largest_remainder([0.5, 0.5], 5).tolist() == [1, 1]  # deficit beyond the length
+        with pytest.raises(ValueError):
+            largest_remainder([0.5, 0.5], 5)  # deficit beyond the length
         with pytest.raises(ValueError):
             largest_remainder([2.0, 2.5], 3)
 
@@ -203,10 +225,36 @@ class TestQuantization:
         # repeated remainders exercise the ties at the cut; _LOOP_MAX = 0
         # sends short lists through the partition too
         total = sum(math.floor(t) for t in targets) + extra
-        want = loop_largest_remainder(targets, total)
+
+        def outcome(apportion):
+            # an extra beyond the length raises: no unit may go twice to one share
+            try:
+                return [int(n) for n in apportion(targets, total)]
+            except ValueError:
+                return ValueError
+
+        want = outcome(loop_largest_remainder)
+        assert (want is ValueError) == (extra > len(targets))
         for loop_max in (caching._LOOP_MAX, 0):
             with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-                assert largest_remainder(targets, total).tolist() == want
+                assert outcome(largest_remainder) == want
+
+    @given(
+        # magnitudes past 2**53, where the float shares round; the sum stays
+        # within MAX_TOTAL_BITS, as every caller's does
+        targets=st.lists(st.floats(0, 2.0**57), min_size=1, max_size=32),
+        offset=st.integers(-50, 50),
+    )
+    def test_returned_shares_sum_to_total(self, targets, offset):
+        total = int(sum(targets)) + offset
+        for loop_max in (caching._LOOP_MAX, 0):
+            with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+                try:
+                    shares = largest_remainder(targets, total).tolist()
+                except ValueError:
+                    continue
+            assert sum(shares) == total
+            assert all(0 <= n - math.floor(t) <= 1 for n, t in zip(shares, targets))
 
     @pytest.mark.parametrize("k", range(1, 13))
     @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
@@ -225,6 +273,16 @@ class TestQuantization:
         assert np.issubdtype(qm.lengths.dtype, np.integer)
         for i, nbits in enumerate(lib.file_bits, start=1):
             assert qm.file_total(i) == nbits
+
+    @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
+    def test_inexact_rounding_rejected(self, loop_max):
+        # each file of thirds of 3 * 2**55 is exactly 2**55 bits, but the
+        # float subset lengths of each floor 4 bits above it
+        lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 3 * 2**55)
+        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.2, 1 / 3, 0.5)))
+        with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+            with pytest.raises(cm.ConfigurationError, match="do not round"):
+                quantize_expected_map(em, lib)
 
     def test_ties_follow_canonical_subset_order(self):
         # 250 bits over 16 equally likely subsets: every remainder is 0.625, so

@@ -361,6 +361,61 @@ class TestMain:
         if rc:
             assert "sweep step_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"total_bits": 27000.7},
+            {"modulation": {"family": "psk", "m": 3.9}},
+            {"master_seed": 1.9},
+            {"demands": [1.5, 2.2, 3]},
+            {"trials_per_cell": 10.5},
+            {"total_bits": True},
+            {"total_bits": "27000"},
+            {"users": [{"mu": 0.2}, {"mu": 1 / 3}, {"mu": True}]},
+            {"sweep": {"step_db": "2"}},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_numbers_are_not_coerced(self, tmp_path, capsys, overrides, command):
+        # int() and float() used to truncate 27000.7 and read true or "27000"
+        rc = main([command, "--config", self.write(tmp_path, config(**overrides))])
+        assert rc == 2
+        [(key, value)] = overrides.items()
+        field = {"modulation": "modulation m", "users": "user 3 mu", "sweep": "sweep step_db"}
+        assert f"{field.get(key, key)} has an invalid value" in capsys.readouterr().err
+
+    def test_integral_floats_are_integers(self):
+        cfg = parse_config(config(total_bits=2.7e4, master_seed=1e6, demands=[1.0, 2, 3]))
+        assert (cfg.total_bits, cfg.master_seed, cfg.demands) == (27000, 10**6, (1, 2, 3))
+        assert all(type(v) is int for v in (cfg.total_bits, cfg.master_seed, *cfg.demands))
+
+    @pytest.mark.parametrize(
+        "overrides, validate_rc, message",
+        [
+            # float shares of the files floor 10 bits short of, or above, total_bits
+            (
+                {"users": [{"mu": 0.2}, {"mu": 0.5}], "files": [0.3, 0.6999999999999],
+                 "total_bits": 10**14},
+                2,
+                "total_bits 100000000000000 has no exact split",
+            ),
+            (
+                {"users": [{"mu": 0.2}, {"mu": 0.5}], "files": [0.3, 0.7000000000001],
+                 "total_bits": 10**14},
+                2,
+                "total_bits 100000000000000 has no exact split",
+            ),
+            ({"total_bits": 2**56}, 2, f"total_bits {2**56} has no exact split"),
+            # the files split exactly, the expected subfile lengths do not
+            ({"total_bits": 3 * 2**55}, 0, "expected subfile lengths do not round"),
+        ],
+    )
+    def test_inexact_apportionment_rejected(self, tmp_path, capsys, overrides, validate_rc, message):
+        path = self.write(tmp_path, config(**overrides))
+        assert main(["validate", "--config", path]) == validate_rc
+        assert main(["run", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("total_bits", [MAX_TOTAL_BITS + 1, 10**20])
     def test_total_bits_bounded(self, tmp_path, capsys, command, total_bits):

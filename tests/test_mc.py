@@ -4,32 +4,8 @@ import numpy as np
 import pytest
 
 import cachemod as cm
-from cachemod.bits import int_to_bits
 from cachemod.mc import _cell_key, _cell_rng
-from cachemod.modem import KnownMask
-from conftest import subfile_map
-
-
-class TestAwgnChannel:
-    def test_zero_noise_scales_by_sqrt_gamma(self):
-        y = cm.awgn_channel(1 + 1j, 4.0, 0j)
-        assert y == pytest.approx(2 + 2j)
-
-    def test_unit_gamma_keeps_scale(self):
-        assert cm.awgn_channel(0.5 - 0.25j, 1.0, 0j) == pytest.approx(0.5 - 0.25j)
-
-    def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(cm.ConfigurationError):
-            cm.awgn_channel(1 + 0j, 0.0, 0j)
-
-    def test_noise_convention_has_unit_power(self):
-        # the per-component sigma^2 = 1/2 convention gives total power 1
-        rng = np.random.default_rng(0)
-        draws = rng.normal(0, math.sqrt(0.5), size=(10**6, 2))
-        noise = draws[:, 0] + 1j * draws[:, 1]
-        ys = np.array([cm.awgn_channel(0j, 1.0, n) for n in noise[:100]])
-        assert np.all(ys == noise[:100])
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, abs=0.01)
+from conftest import demodulate, subfile_map
 
 
 class TestEstimateCellSer:
@@ -52,7 +28,7 @@ class TestEstimateCellSer:
 
     def test_matches_scalar_demodulator(self):
         # replay the cell's RNG stream and decide every trial one symbol at a
-        # time with the public demodulator; counts must agree exactly
+        # time with the brute-force oracle; counts must agree exactly
         c = cm.build_psk(3)
         shape, gamma = (1, 1), 1.5
         cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
@@ -65,12 +41,12 @@ class TestEstimateCellSer:
         errors = 0
         for t in range(cfg.trials_per_cell):
             label = int(labels[t])
-            bits = int_to_bits(label, c.m)
+            bits = format(label, f"0{c.m}b")
             p, s = shape
-            values = np.concatenate([bits[:p], bits[c.m - s :] if s else bits[:0]])
-            y = math.sqrt(gamma) * cm.modulate(c, label) + complex(noise[t, 0], noise[t, 1])
-            got = cm.demodulate(c, y, math.sqrt(gamma), KnownMask(p, s, values))
-            errors += got != label
+            known = int(bits[:p] + bits[c.m - s :], 2)
+            x = c.points[c._label_to_index[label]]
+            y = math.sqrt(gamma) * x + complex(noise[t, 0], noise[t, 1])
+            errors += demodulate(c, y, math.sqrt(gamma), shape, known) != label
         assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
 
     def test_antipodal_matches_exact_binary_error(self):

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cachemod as cm
-from cachemod.bits import int_to_bits
 import cachemod.modem as modem_mod
-from cachemod.modem import KnownMask, empty_mask
+from conftest import compatible_labels, demodulate
 
 PSK_WIDTHS = list(range(1, 9))
 QAM_WIDTHS = [2, 4, 6, 8]
@@ -23,7 +22,7 @@ def brute_force_masked_dmin(c, prefix, suffix):
     for fixed in itertools.product((0, 1), repeat=prefix + suffix):
         pts = []
         for idx in range(c.size):
-            bits = int_to_bits(int(c.labels[idx]), c.m).tolist()
+            bits = [int(b) for b in format(int(c.labels[idx]), f"0{c.m}b")]
             if tuple(bits[:prefix]) != fixed[:prefix]:
                 continue
             if suffix and tuple(bits[c.m - suffix :]) != fixed[prefix:]:
@@ -35,11 +34,10 @@ def brute_force_masked_dmin(c, prefix, suffix):
 
 
 def enumerated_min_distance(c, prefix, suffix):
-    """Oracle: pairwise distances within each known value's subconstellation, one mask at a time."""
+    """Oracle: pairwise distances within each known value's subconstellation, one value at a time."""
     best = math.inf
     for value in range(1 << (prefix + suffix)):
-        mask = KnownMask(prefix, suffix, int_to_bits(value, prefix + suffix))
-        pts = c.points[np.sort(cm.subconstellation(c, mask))]
+        pts = c.points[np.isin(c.labels, compatible_labels(c, (prefix, suffix), value))]
         diff = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(diff, np.inf)
         best = min(best, float(diff.min()))
@@ -59,14 +57,13 @@ class TestBuildPsk:
 
     def test_label_100_sits_at_45_degrees(self):
         c = cm.build_psk(3)
-        point = cm.modulate(c, 0b100)
+        point = c.points[c._label_to_index[0b100]]
         assert cmath.phase(point) == pytest.approx(math.pi / 4)
 
     def test_prefix_selects_alternating_points(self):
         # fixing the first label bit keeps a QPSK at distance 2 sin(pi/4)
         c = cm.build_psk(3)
-        idx = cm.subconstellation(c, KnownMask(1, 0, [0]))
-        assert len(idx) == 4
+        assert len(compatible_labels(c, (1, 0), 0)) == 4
         assert cm.min_distance(c, 1) == pytest.approx(2 * math.sin(math.pi / 4))
 
     def test_width_range(self):
@@ -90,8 +87,7 @@ class TestBuildQam:
 
     def test_three_fixed_bits_leave_a_distant_pair(self):
         c = cm.build_qam(4)
-        idx = cm.subconstellation(c, KnownMask(3, 0, [0, 1, 1]))
-        assert len(idx) == 2
+        assert len(compatible_labels(c, (3, 0), 0b011)) == 2
         assert cm.min_distance(c, 3) == pytest.approx(2 ** 1.5 * c.spacing, rel=1e-12)
 
     def test_4qam_min_distance_is_spacing(self):
@@ -145,51 +141,42 @@ class TestDistanceLaw:
 class TestSubconstellation:
     def test_empty_mask_keeps_everything(self):
         c = cm.build_psk(3)
-        assert len(cm.subconstellation(c, empty_mask())) == 8
+        assert len(compatible_labels(c, (0, 0), 0)) == 8
 
     def test_full_mask_single_point(self):
         c = cm.build_psk(3)
-        idx = cm.subconstellation(c, KnownMask(3, 0, [1, 0, 1]))
-        assert len(idx) == 1
-        assert c.labels[idx[0]] == 0b101
+        assert compatible_labels(c, (3, 0), 0b101) == [0b101]
 
     def test_prefix_zero_selects_even_positions(self):
         c = cm.build_psk(3)
-        idx = cm.subconstellation(c, KnownMask(1, 0, [0]))
-        assert sorted(idx.tolist()) == [0, 2, 4, 6]
-
-    def test_mask_value_length_checked(self):
-        with pytest.raises(cm.ConfigurationError):
-            KnownMask(2, 0, [0])
+        idx = np.flatnonzero(np.isin(c.labels, compatible_labels(c, (1, 0), 0)))
+        assert idx.tolist() == [0, 2, 4, 6]
 
 
 class TestModulateDemodulate:
-    def test_bpsk_zero_label(self):
-        assert cm.modulate(cm.build_psk(1), 0) == pytest.approx(1.0 + 0j)
+    """Modulation as the label-to-point lookup, with `detect` as its demodulator."""
 
-    def test_out_of_range_label(self):
-        with pytest.raises(cm.ConfigurationError):
-            cm.modulate(cm.build_psk(2), 4)
+    def test_bpsk_zero_label(self):
+        c = cm.build_psk(1)
+        assert c.points[c._label_to_index[0]] == pytest.approx(1.0 + 0j)
 
     @pytest.mark.parametrize("build,m", [(cm.build_psk, 3), (cm.build_qam, 4)])
     def test_noiseless_roundtrip_all_labels(self, build, m):
         c = build(m)
-        for label in range(c.size):
-            y = cm.modulate(c, label)
-            assert cm.demodulate(c, y, 1.0, empty_mask()) == label
+        labels = np.arange(c.size)
+        y = c.points[c._label_to_index[labels]]
+        assert cm.detect(c, y, 1.0, (0, 0), np.zeros(c.size, dtype=int)).tolist() == labels.tolist()
 
     def test_mask_overrides_nearest_point(self):
         # receive exactly on an excluded point; decision must stay compatible
         c = cm.build_psk(3)
-        mask = KnownMask(1, 0, [0])
-        allowed = {int(c.labels[i]) for i in cm.subconstellation(c, mask)}
-        for idx in range(8):
-            got = cm.demodulate(c, complex(c.points[idx]), 1.0, mask)
-            assert got in allowed
+        allowed = set(compatible_labels(c, (1, 0), 0))
+        got = cm.detect(c, c.points, 1.0, (1, 0), np.zeros(8, dtype=int))
+        assert set(got.tolist()) <= allowed
 
     def test_tie_breaks_to_smallest_label(self):
         c = cm.build_psk(1)  # points +1 and -1, labels 0 and 1
-        assert cm.demodulate(c, 0.0 + 0j, 1.0, empty_mask()) == 0
+        assert cm.detect(c, np.array([0j]), 1.0, (0, 0), np.array([0])).tolist() == [0]
 
     @given(
         st.integers(0, 7),
@@ -204,35 +191,38 @@ class TestModulateDemodulate:
     @settings(max_examples=300)
     def test_matches_brute_force_ml(self, label, dx, dy, prefix, gamma):
         c = cm.build_psk(3)
-        bits = int_to_bits(label, 3)
-        mask = KnownMask(prefix, 0, bits[:prefix])
-        y = math.sqrt(gamma) * cm.modulate(c, label) + complex(dx, dy)
-        got = cm.demodulate(c, y, math.sqrt(gamma), mask)
+        bits = format(label, "03b")
+        y = math.sqrt(gamma) * c.points[c._label_to_index[label]] + complex(dx, dy)
+        value = int(bits[:prefix], 2) if prefix else 0
+        got = cm.detect(c, np.array([y]), math.sqrt(gamma), (prefix, 0), np.array([value]))
         # the detector's distance expression, scanned point by point
         dist = np.abs(y - math.sqrt(gamma) * c.points)
         best = None
         for idx in range(8):
             lab = int(c.labels[idx])
-            if int_to_bits(lab, 3)[:prefix].tolist() != bits[:prefix].tolist():
+            if format(lab, "03b")[:prefix] != bits[:prefix]:
                 continue
             d = float(dist[idx])
             if best is None or d < best[0] or (d == best[0] and lab < best[1]):
                 best = (d, lab)
-        assert got == best[1]
+        assert got.tolist() == [best[1]]
 
     def test_compatible_labels_survive_zero_noise(self):
         # transmitted labels always demodulate exactly when the mask matches
         rng = np.random.default_rng(11)
         for c in (cm.build_psk(3), cm.build_qam(4)):
+            sent = {}
             for _ in range(5000):
                 label = int(rng.integers(0, c.size))
                 p = int(rng.integers(0, c.m + 1))
                 s = int(rng.integers(0, c.m - p + 1))
-                bits = int_to_bits(label, c.m)
-                values = np.concatenate([bits[:p], bits[c.m - s :] if s else bits[:0]])
-                mask = KnownMask(p, s, values)
-                y = cm.modulate(c, label)
-                assert cm.demodulate(c, y, 1.0, mask) == label
+                bits = format(label, f"0{c.m}b")
+                known = bits[:p] + bits[c.m - s :]
+                sent.setdefault((p, s), []).append((label, int(known, 2) if known else 0))
+            for shape, pairs in sent.items():
+                labels, known = np.array(pairs).T
+                y = c.points[c._label_to_index[labels]]
+                assert cm.detect(c, y, 1.0, shape, known).tolist() == labels.tolist()
 
 
 class TestDetect:
@@ -256,14 +246,12 @@ class TestDetect:
         p = prefix % (c.m + 1)
         s = suffix % (c.m - p + 1)
         sqrt_snr = math.sqrt(gamma)
-        y = np.array([sqrt_snr * cm.modulate(c, lab % c.size) + complex(dx, dy)
-                      for lab, _, dx, dy in symbols])
+        labels = np.array([lab % c.size for lab, _, _, _ in symbols])
+        y = sqrt_snr * c.points[c._label_to_index[labels]]
+        y += np.array([complex(dx, dy) for _, _, dx, dy in symbols])
         known = np.array([value % (1 << (p + s)) for _, value, _, _ in symbols])
         got = cm.detect(c, y, sqrt_snr, (p, s), known)
-        want = [
-            cm.demodulate(c, y[i], sqrt_snr, KnownMask(p, s, int_to_bits(int(known[i]), p + s)))
-            for i in range(len(y))
-        ]
+        want = [demodulate(c, y[i], sqrt_snr, (p, s), int(known[i])) for i in range(len(y))]
         assert got.tolist() == want
 
     def test_rejects_bad_arguments(self):
@@ -282,11 +270,6 @@ class TestDetect:
         for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)):
             with pytest.raises(cm.ConfigurationError):
                 cm.detect(c, np.array([0.5, bad]), 1.0, (1, 0), known)
-            with pytest.raises(cm.ConfigurationError):
-                cm.demodulate(c, bad, 1.0, empty_mask())
-        for sqrt_snr in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(cm.ConfigurationError):
-                cm.demodulate(c, 0.5, sqrt_snr, empty_mask())
 
     @given(
         c=st.sampled_from(CONSTELLATIONS),
@@ -309,10 +292,7 @@ class TestDetect:
         y = np.array([sqrt_snr * 10**r * cmath.exp(1j * phase) for _, phase, r in symbols])
         known = np.array([value % (1 << (p + s)) for value, _, _ in symbols])
         got = cm.detect(c, y, sqrt_snr, (p, s), known)
-        want = [
-            cm.demodulate(c, y[i], sqrt_snr, KnownMask(p, s, int_to_bits(int(known[i]), p + s)))
-            for i in range(len(y))
-        ]
+        want = [demodulate(c, y[i], sqrt_snr, (p, s), int(known[i])) for i in range(len(y))]
         assert got.tolist() == want
 
     @pytest.mark.parametrize("m", PSK_WIDTHS)
@@ -324,12 +304,12 @@ class TestDetect:
             if p + s > m:
                 continue
             for value in range(1 << (p + s)):
-                mask = KnownMask(p, s, int_to_bits(value, p + s))
-                points = c.points[np.sort(cm.subconstellation(c, mask))]  # by angle
+                # by point index, which is by angle
+                points = c.points[np.isin(c.labels, compatible_labels(c, (p, s), value))]
                 mid = 3 * (points + np.roll(points, -1)) / 2
                 y = np.concatenate([mid, -mid])
                 got = cm.detect(c, y, 1.0, (p, s), np.full(len(y), value))
-                assert got.tolist() == [cm.demodulate(c, v, 1.0, mask) for v in y]
+                assert got.tolist() == [demodulate(c, v, 1.0, (p, s), value) for v in y]
 
     @pytest.mark.parametrize("m", QAM_WIDTHS)
     def test_qam_grid_midpoints_match_brute_force(self, m):
@@ -352,8 +332,9 @@ class TestDetect:
                 continue
             for value in range(1 << (p + s)):
                 # oracle: one argmin over the label-sorted compatible points
-                idx = cm.subconstellation(c, KnownMask(p, s, int_to_bits(value, p + s)))
-                want = c.labels[idx[np.argmin(np.abs(y[:, None] - c.points[idx]), axis=1)]]
+                labels = np.array(compatible_labels(c, (p, s), value))
+                points = c.points[c._label_to_index[labels]]
+                want = labels[np.argmin(np.abs(y[:, None] - points), axis=1)]
                 got = cm.detect(c, y, 1.0, (p, s), np.full(len(y), value))
                 assert np.array_equal(got, want)
 
@@ -364,10 +345,9 @@ class TestDetect:
                 if p + s > c.m:
                     continue
                 known = np.arange(len(y)) % (1 << (p + s))
-                masks = [KnownMask(p, s, int_to_bits(int(v), p + s)) for v in known]
                 with np.errstate(all="raise"):
                     got = cm.detect(c, y, 1.0, (p, s), known)
-                    want = [cm.demodulate(c, v, 1.0, mask) for v, mask in zip(y, masks)]
+                    want = [demodulate(c, v, 1.0, (p, s), int(k)) for v, k in zip(y, known)]
                 assert got.tolist() == want
 
     def test_huge_distances_do_not_overflow(self):
@@ -377,4 +357,4 @@ class TestDetect:
         with np.errstate(all="raise"):
             assert cm.detect(c, y, sqrt_snr, (0, 0), np.array([0])).tolist() == [1]
             assert modem_mod._brute_force(c, y, sqrt_snr, (0, 0), np.array([0])).tolist() == [1]
-            assert cm.demodulate(c, y[0], sqrt_snr, empty_mask()) == 1
+            assert demodulate(c, y[0], sqrt_snr, (0, 0), 0) == 1
