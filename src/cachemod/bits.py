@@ -14,12 +14,3 @@ def ints_to_rows(values: np.ndarray, width: int) -> np.ndarray:
     shifts = np.arange(width - 1, -1, -1)
     return ((np.asarray(values)[:, None] >> shifts) & 1).astype(np.uint8)
 
-
-def as_bits(bits) -> np.ndarray:
-    """Coerce a 0/1 sequence (list, string, array) to a uint8 bit array."""
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or np.any(arr > 1):
-        raise ValueError("bit strings must be one-dimensional and contain only 0/1")
-    return arr

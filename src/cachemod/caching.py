@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from bisect import bisect_right
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .bits import as_bits
 from .errors import ConfigurationError, UselessBlockError
 
 PROPOSED = "proposed"
@@ -355,13 +355,42 @@ def realized_subfile_map(placement: PlacementRealization) -> SubfileMap:
 # ---------------------------------------------------------------------------
 
 
+def piece_runs(scheme: str, subfile_len: int, n_blocks: int, label_len: int) -> list:
+    """One subfile's piece lengths over its message's blocks, as [(piece_len, count)] runs.
+
+    The runs cover all n_blocks blocks in order, empty pieces last.  With
+    q, r = divmod(n, n_blocks) the even split puts q + 1 bits in the first r
+    blocks and q in the rest; sequential fill gives n // m full labels, then
+    one partial label, then empty ones.  Runs of no blocks are dropped.
+    """
+    if scheme == PROPOSED:
+        q, r = divmod(subfile_len, n_blocks)
+        runs = ((q + 1, r), (q, n_blocks - r))
+    else:
+        full, rest = divmod(subfile_len, label_len)
+        partial = int(rest > 0)
+        runs = ((label_len, full), (rest, partial), (0, n_blocks - full - partial))
+    return [(n, count) for n, count in runs if count > 0]
+
+
+def piece_start(scheme: str, piece_len: int, label_len: int) -> int:
+    """Label position where a piece begins: right-aligned, or from the front."""
+    return label_len - piece_len if scheme == PROPOSED else 0
+
+
+def known_shape(scheme: str, piece_len: int, label_len: int) -> tuple:
+    """(prefix_known, suffix_known): the label bits before and after a piece."""
+    start = piece_start(scheme, piece_len, label_len)
+    return (start, label_len - start - piece_len)
+
+
 @dataclass(frozen=True)
 class MulticastBlockSpec:
-    """One m-bit XOR block of the multicast message for a user subset."""
+    """A run of m-bit XOR blocks of one subset's message with equal piece lengths."""
 
     subset: frozenset
-    block_index: int  # 1-based within the subset's message
-    per_user_piece_len: dict  # user -> bits of its subfile in this block
+    block_index: int  # 1-based first block of the run within the subset's message
+    per_user_piece_len: dict  # user -> bits of its subfile in each block
     label_len: int
     scheme: str
 
@@ -372,15 +401,12 @@ class MulticastBlockSpec:
 
     def piece_start(self, user: int) -> int:
         """Label position where the user's piece begins."""
-        n = self.piece_len(user)
-        if self.scheme == PROPOSED:
-            return self.label_len - n  # right-aligned, known bits in front
-        return 0  # zero padding fills from the front
+        return piece_start(self.scheme, self.piece_len(user), self.label_len)
 
     def known_shape(self, user: int) -> tuple:
-        """(prefix_known, suffix_known) label-bit counts for `user` on this block.
+        """(prefix_known, suffix_known) label-bit counts for `user` on these blocks.
 
-        Raises UselessBlockError when the block carries none of the user's
+        Raises UselessBlockError when the blocks carry none of the user's
         bits; that is distinct from a useful block with nothing known, (0, 0).
         """
         n = self.piece_len(user)
@@ -389,9 +415,7 @@ class MulticastBlockSpec:
                 f"block {self.block_index} of subset {sorted(self.subset)} carries no bits "
                 f"for user {user}"
             )
-        if self.scheme == PROPOSED:
-            return (self.label_len - n, 0)
-        return (0, self.label_len - n)
+        return known_shape(self.scheme, n, self.label_len)
 
 
 @dataclass(frozen=True)
@@ -411,7 +435,7 @@ class DeliveryPlan:
     shapes, `shape_counts`, computed in closed form when the plan is built.
     The plan keeps each subset's message length, indexed by subset code;
     `per_subset` builds the schedules of the subsets that send a message from
-    the map on first access, and `block` builds one block from a schedule.
+    the map on first access, and `block_runs` a message's blocks from one.
     """
 
     scheme: str
@@ -442,56 +466,30 @@ class DeliveryPlan:
             out[subset] = SubsetSchedule(ell, -(-ell // self.label_len), sub_lens)
         return out
 
-    def block(self, subset, block_index: int) -> MulticastBlockSpec:
-        subset = frozenset(subset)
-        sched = self.per_subset.get(subset)
-        if sched is None or not 1 <= block_index <= sched.n_blocks:
-            raise ConfigurationError(f"no block {block_index} for subset {sorted(subset)}")
-        if self.scheme == PROPOSED:
-            pieces = {
-                u: proposed_piece_len(n, sched.n_blocks, block_index)
-                for u, n in sched.subfile_len.items()
-            }
-        else:
-            pieces = {
-                u: zero_padding_piece_len(n, self.label_len, block_index)
-                for u, n in sched.subfile_len.items()
-            }
-        return MulticastBlockSpec(
-            subset=subset,
-            block_index=block_index,
-            per_user_piece_len=pieces,
-            label_len=self.label_len,
-            scheme=self.scheme,
-        )
-
     def block_runs(self, subset) -> list:
-        """The subset's message as [(first block, count)] runs of consecutive blocks.
+        """The subset's message as [(spec, count)] runs of consecutive blocks.
 
-        Every block of a run has the first block's piece lengths, so one
-        `MulticastBlockSpec` describes it; a run ends where any user's
-        `subset_shapes` run does, giving at most 2|S| + 1 runs.
+        Each user's `piece_runs` are merged: a run ends wherever any user's
+        does, so all its blocks share their piece lengths and one
+        `MulticastBlockSpec`, indexed by the run's first block, describes
+        them.  That gives at most 2|S| + 1 runs.
         """
         subset = frozenset(subset)
         sched = self.per_subset.get(subset)
         if sched is None:
             raise ConfigurationError(f"no message for subset {sorted(subset)}")
-        # a user's blocks with empty pieces all come last, so the ends of its
-        # useful runs and the message end are all of its breakpoints
-        starts = {1, sched.n_blocks + 1}
-        for n in sched.subfile_len.values():
-            start = 1
-            for _, count in subset_shapes(self.scheme, n, sched.n_blocks, self.label_len):
-                start += count
-                starts.add(start)
-        bounds = sorted(starts)
-        return [(self.block(subset, a), b - a) for a, b in zip(bounds, bounds[1:])]
-
-    def iter_blocks(self):
-        """Every block of the plan, built one at a time in message order."""
-        for subset, sched in self.per_subset.items():
-            for i in range(1, sched.n_blocks + 1):
-                yield self.block(subset, i)
+        runs, ends = {}, {}
+        for u, n in sched.subfile_len.items():
+            runs[u] = piece_runs(self.scheme, n, sched.n_blocks, self.label_len)
+            ends[u] = list(accumulate(count for _, count in runs[u]))
+        bounds = sorted({0}.union(*ends.values()))
+        out = []
+        for a, b in zip(bounds, bounds[1:]):
+            # blocks a + 1..b lie in each user's run that ends after block a
+            pieces = {u: runs[u][bisect_right(ends[u], a)][0] for u in runs}
+            spec = MulticastBlockSpec(subset, a + 1, pieces, self.label_len, self.scheme)
+            out.append((spec, b - a))
+        return out
 
     def useful_symbols(self, user: int) -> int:
         return sum(self.histograms.get(user, {}).values())
@@ -499,37 +497,6 @@ class DeliveryPlan:
     def shape_counts(self, user: int) -> dict:
         """{(prefix_known, suffix_known): count} over the user's useful blocks."""
         return dict(self.histograms.get(user, {}))
-
-
-def proposed_piece_len(subfile_len: int, n_blocks: int, block_index: int) -> int:
-    """Even split of a subfile over the blocks; earlier blocks get the extras."""
-    q, r = divmod(subfile_len, n_blocks)
-    return q + 1 if block_index <= r else q
-
-
-def zero_padding_piece_len(subfile_len: int, label_len: int, block_index: int) -> int:
-    """Sequential fill: full labels, then one partial, then nothing."""
-    remaining = subfile_len - (block_index - 1) * label_len
-    return max(0, min(label_len, remaining))
-
-
-def subset_shapes(scheme: str, subfile_len: int, n_blocks: int, label_len: int) -> list:
-    """Known-bit shapes of one user's useful blocks in a message, in block order.
-
-    Returns [(shape, count)] runs without enumerating blocks.  With q, r =
-    divmod(n, n_blocks), the even split puts q + 1 bits in the first r blocks
-    and q bits in the rest; sequential fill gives n // m full labels, then
-    one partial label.  Runs with empty pieces are dropped.
-    """
-    if scheme == PROPOSED:
-        q, r = divmod(subfile_len, n_blocks)
-        runs = ((q + 1, r), (q, n_blocks - r))
-        return [((label_len - n, 0), count) for n, count in runs if n > 0 and count > 0]
-    full, rest = divmod(subfile_len, label_len)
-    runs = [((0, 0), full)] if full else []
-    if rest:
-        runs.append(((0, label_len - rest), 1))
-    return runs
 
 
 def build_delivery_plan(
@@ -543,11 +510,12 @@ def build_delivery_plan(
     Expected (float) maps are rejected: round them with
     `quantize_expected_map` first.  No block is enumerated.  For user u in
     subset S, n_u = |W_{d_u, S minus u}|; the message has ell = max n_u bits
-    in ceil(ell / m) blocks, and each (user, subset) pair adds the runs of
-    `subset_shapes` to the user's histogram.  A histogram lists its shapes in
-    order of first appearance over the subsets in canonical order, which
-    fixes `ser_report`'s float sums.  Up to `_LOOP_MAX` subsets a loop visits
-    them one by one; beyond, `_plan_arrays` handles them as arrays of codes.
+    in ceil(ell / m) blocks, and each (user, subset) pair adds its non-empty
+    `piece_runs`, keyed by `known_shape`, to the user's histogram.  A
+    histogram lists its shapes in order of first appearance over the subsets
+    in canonical order, which fixes `ser_report`'s float sums.  Up to
+    `_LOOP_MAX` subsets a loop visits them one by one; beyond, `_plan_arrays`
+    handles them as arrays of codes.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -580,6 +548,7 @@ def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int)
     rows = [subfiles.lengths[d - 1].tolist() for d in demands.demands]
     ell = [0] * (1 << k)
     histograms = {u: {} for u in range(1, k + 1)}
+    shapes = [known_shape(scheme, n, m) for n in range(m + 1)]  # by piece length
     for code in canonical_codes(k)[1:].tolist():
         sub_lens = {u: rows[u][code & ~(1 << u)] for u in range(k) if code >> u & 1}
         ell[code] = max(sub_lens.values())
@@ -588,16 +557,18 @@ def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int)
         n_blocks = -(-ell[code] // m)
         for u, n in sub_lens.items():
             hist = histograms[u + 1]
-            for shape, count in subset_shapes(scheme, n, n_blocks, m):
-                hist[shape] = hist.get(shape, 0) + count
+            for piece, count in piece_runs(scheme, n, n_blocks, m):
+                if piece:
+                    shape = shapes[piece]
+                    hist[shape] = hist.get(shape, 0) + count
     return np.array(ell, dtype=np.int64), histograms
 
 
 def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:
     """(ell by code, histograms) from arrays over subset codes, `_PLAN_CHUNK` at a time.
 
-    Each (user, subset) pair's two runs of blocks follow from `divmod` in
-    the closed form of `subset_shapes`.  Block counts are summed per (user,
+    Each (user, subset) pair's useful runs of blocks follow from `divmod`,
+    the vector form of `piece_runs`.  Block counts are summed per (user,
     shape) and each shape's first (canonical subset, run) position is kept,
     which orders the histogram as the loop would.
     """
@@ -641,75 +612,68 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
     histograms = {}
     for u, (row, seen) in enumerate(zip(counts.tolist(), first.tolist()), start=1):
         order = sorted((j for j in range(m) if row[j]), key=seen.__getitem__)
-        histograms[u] = {((j, 0) if scheme == PROPOSED else (0, j)): row[j] for j in order}
+        histograms[u] = {known_shape(scheme, m - j, m): row[j] for j in order}
     return ell, histograms
 
 
-def _bit_array(bits) -> np.ndarray:
-    """One bit string, or a (count, n) run of them with one row per block, as uint8."""
-    if isinstance(bits, str) or np.ndim(bits) < 2:
-        return as_bits(bits)
+def _bit_run(bits, width: int, what: str) -> np.ndarray:
+    """A (count, width) run of 0/1 bit rows, one row per block, as uint8."""
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 2 or np.any(arr > 1):
-        raise ValueError("a run of bit strings must be two-dimensional and contain only 0/1")
+        raise ValueError(f"{what} must be a two-dimensional run of 0/1 bits")
+    if arr.shape[1] != width:
+        raise ConfigurationError(f"{what} has {arr.shape[1]} bits, block expects {width}")
     return arr
 
 
 def _checked_pieces(block: MulticastBlockSpec, pieces: dict, users) -> dict:
-    """`users`' pieces as bit arrays whose last axis matches the block's piece lengths."""
+    """`users`' pieces as (count, n_u) bit runs matching the block's piece lengths."""
     out = {}
     for user in users:
         if user not in pieces:
             raise ConfigurationError(f"missing piece for user {user}")
-        piece = _bit_array(pieces[user])
-        want = block.piece_len(user)
-        if piece.shape[-1] != want:
-            raise ConfigurationError(
-                f"user {user} piece has {piece.shape[-1]} bits, block expects {want}"
-            )
-        out[user] = piece
+        out[user] = _bit_run(pieces[user], block.piece_len(user), f"user {user} piece")
     return out
 
 
-def _run_shape(arrays) -> tuple:
-    """The common leading shape of bit strings, () or (count,); they must agree."""
-    shapes = {a.shape[:-1] for a in arrays}
-    if len(shapes) > 1:
+def _run_count(arrays) -> int:
+    """The common number of blocks of bit runs; they must agree."""
+    counts = {len(a) for a in arrays}
+    if len(counts) > 1:
         raise ConfigurationError("pieces and labels disagree on the number of blocks")
-    return shapes.pop()
+    return counts.pop()
 
 
 def encode_block(block: MulticastBlockSpec, piece_bits: dict) -> np.ndarray:
-    """XOR the (zero-extended) per-user pieces into an m-bit label.
+    """XOR the (zero-extended) per-user pieces of a run of blocks into m-bit labels.
 
-    Pieces of shape (count, n_u), one row per block of a run sharing this
-    block's piece lengths (`DeliveryPlan.block_runs`), give (count, m) labels.
+    Pieces of shape (count, n_u), one row per block of a run sharing the
+    spec's piece lengths (`DeliveryPlan.block_runs`), give (count, m) labels;
+    a single block is a run of one.
     """
     pieces = _checked_pieces(block, piece_bits, block.subset)
-    label = np.zeros((*_run_shape(pieces.values()), block.label_len), dtype=np.uint8)
+    label = np.zeros((_run_count(pieces.values()), block.label_len), dtype=np.uint8)
     for user, piece in pieces.items():
         start = block.piece_start(user)
-        label[..., start : start + piece.shape[-1]] ^= piece
+        label[:, start : start + piece.shape[1]] ^= piece
     return label
 
 
 def decode_block(
     label, block: MulticastBlockSpec, user: int, cached_pieces: dict
 ) -> np.ndarray:
-    """Strip the other users' pieces off a label and return `user`'s piece.
+    """Strip the other users' pieces off a run of labels and return `user`'s pieces.
 
     A (count, m) run of labels with (count, n_v) cached pieces gives the
     (count, n_u) run of `user`'s pieces.
     """
-    label = _bit_array(label)
-    if label.shape[-1] != block.label_len:
-        raise ConfigurationError("label width mismatch")
+    label = _bit_run(label, block.label_len, "label")
     others = [v for v in block.subset if v != user]
     pieces = _checked_pieces(block, cached_pieces, others)
-    _run_shape([label, *pieces.values()])
+    _run_count([label, *pieces.values()])
     residual = label.copy()
     for other, piece in pieces.items():
         start = block.piece_start(other)
-        residual[..., start : start + piece.shape[-1]] ^= piece
+        residual[:, start : start + piece.shape[1]] ^= piece
     start = block.piece_start(user)
-    return residual[..., start : start + block.piece_len(user)]
+    return residual[:, start : start + block.piece_len(user)]

@@ -97,6 +97,20 @@ def _read_db(value, field: str) -> float:
     raise ConfigurationError(f"{field} of {db!r} dB has no finite positive linear SNR")
 
 
+def _read_trials(value) -> int:
+    trials = _read(int, value, "trials_per_cell")
+    if trials < 0:
+        raise ConfigurationError("trials_per_cell must be >= 0")
+    return trials
+
+
+def _read_seed(value) -> int:
+    seed = _read(int, value, "master_seed")
+    if seed < 0 or seed >= 2**64:
+        raise ConfigurationError("master_seed must fit in 64 bits")
+    return seed
+
+
 def _require_list(value, field: str) -> list:
     if not isinstance(value, list):
         raise ConfigurationError(f"{field} must be a list")
@@ -168,9 +182,6 @@ def parse_config(text: str) -> ScenarioConfig:
     caches = CacheProfile(tuple(mus))  # validates range and ordering
 
     fractions = tuple(_read(float, f, "files") for f in _require_list(raw["files"], "files"))
-    total = sum(fractions)
-    if abs(total - 1.0) > 1e-12:
-        raise ConfigurationError(f"file fractions sum to {total:g}")
     total_bits = _read(int, raw["total_bits"], "total_bits")
     library = Library(fractions, total_bits)
     if library.num_files << caches.num_users > MAX_SUBFILE_ENTRIES:
@@ -205,13 +216,9 @@ def parse_config(text: str) -> ScenarioConfig:
         _read_db(sweep[key], f"sweep {key}")
     grid = _grid(sweep)
 
-    trials = _read(int, raw.get("trials_per_cell", DEFAULT_TRIALS), "trials_per_cell")
-    if trials < 0:
-        raise ConfigurationError("trials_per_cell must be >= 0")
+    trials = _read_trials(raw.get("trials_per_cell", DEFAULT_TRIALS))
     if "master_seed" in raw:
-        seed = _read(int, raw["master_seed"], "master_seed")
-        if seed < 0 or seed >= 2**64:
-            raise ConfigurationError("master_seed must fit in 64 bits")
+        seed = _read_seed(raw["master_seed"])
     else:
         seed = 0
         log.info("no master_seed in config; defaulting to 0")
@@ -350,21 +357,22 @@ def _load_config(path: str) -> ScenarioConfig:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s", level=logging.INFO)
     args = _build_parser().parse_args(argv)
+    overrides = {}
     try:
         cfg = _load_config(args.config)
+        if args.command == "validate":
+            return 0
+        # flag values pass the checks their config fields do
+        if args.seed is not None:
+            overrides["master_seed"] = _read_seed(args.seed)
+        if args.analytic_only:
+            overrides["trials_per_cell"] = 0
+        elif args.trials is not None:
+            overrides["trials_per_cell"] = _read_trials(args.trials)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "validate":
-        return 0
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.analytic_only:
-        overrides["trials_per_cell"] = 0
-    elif args.trials is not None:
-        overrides["trials_per_cell"] = args.trials
     if args.out is not None:
         overrides["output"] = args.out
     if overrides:

@@ -146,7 +146,9 @@ def end_to_end_noiseless(
     Runs the whole pipeline over an identity channel and checks that every
     user recovers its demanded file bit-exactly.  Works on the plan's block
     runs, so each step handles a whole run of blocks as arrays.  Defaults to
-    PSK of the plan's label width when no constellation is given.
+    PSK of the plan's label width when no constellation is given.  Raises
+    ConfigurationError when the demands are not the plan's, or when the
+    placement's subfiles are not the lengths the plan was built for.
     """
     if c is None:
         from .modem import build_psk
@@ -154,6 +156,10 @@ def end_to_end_noiseless(
         c = build_psk(plan.label_len)
     if c.m != plan.label_len:
         raise ConfigurationError("plan and constellation disagree on bits per symbol")
+    if demands != plan.demands:
+        raise ConfigurationError(
+            f"demands {demands.demands} differ from the plan's {plan.demands.demands}"
+        )
     k = placement.num_users
     demands.validate(placement.library.num_files, k)
     files = {u: demands.file_for(u) for u in range(1, k + 1)}
@@ -162,9 +168,15 @@ def end_to_end_noiseless(
     recovered = {
         u: np.full(len(placement.bit_values[d - 1]), 2, np.uint8) for u, d in files.items()
     }
-    for subset in plan.per_subset:
+    for subset, sched in plan.per_subset.items():
         # subfile payloads in canonical (ascending bit position) order
         positions = {u: placement.subfile_positions(files[u], subset - {u}) for u in subset}
+        for u in subset:
+            if len(positions[u]) != sched.subfile_len[u]:
+                raise ConfigurationError(
+                    f"user {u}'s subfile for subset {sorted(subset)} has {len(positions[u])} "
+                    f"bits in the placement but {sched.subfile_len[u]} in the plan"
+                )
         payload = {u: placement.bit_values[files[u] - 1][positions[u]] for u in subset}
         taken = dict.fromkeys(subset, 0)
         for block, count in plan.block_runs(subset):

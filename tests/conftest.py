@@ -3,15 +3,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from cachemod import CacheProfile, DemandVector, Library
+from cachemod import PROPOSED, CacheProfile, DemandVector, Library
 from cachemod.caching import (
+    MulticastBlockSpec,
     PlacementRealization,
     SubfileMap,
     SubsetSchedule,
     subset_code,
-    subset_shapes,
 )
+
+# examples that build plans or scan constellations can take longer than
+# hypothesis' 200 ms default on a slow machine; max_examples stays per test
+settings.register_profile("cachemod", deadline=None)
+settings.load_profile("cachemod")
 
 
 def subset_tuples(num_users):
@@ -47,8 +53,42 @@ def loop_quantized_lengths(subfiles, library):
     return lengths
 
 
+def oracle_pieces(scheme, subfile_len, n_blocks, label_len):
+    """One subfile's piece length in each block of its message, by dealing out its bits.
+
+    The even split deals bit j to block j mod n_blocks, so the first blocks
+    take the extra bits; sequential fill puts m bits in each label in turn.
+    """
+    bits = range(subfile_len)
+    if scheme == PROPOSED:
+        return [len(bits[i::n_blocks]) for i in range(n_blocks)]
+    return [len(bits[i * label_len : (i + 1) * label_len]) for i in range(n_blocks)]
+
+
+def oracle_shape(scheme, piece_len, label_len):
+    """Known label bits around a piece: in front of a right-aligned one, behind a front-filled one."""
+    known = label_len - piece_len
+    return (known, 0) if scheme == PROPOSED else (0, known)
+
+
+def oracle_blocks(plan, subset):
+    """Every block of a subset's message as its own spec, in message order: `block_runs`' oracle."""
+    subset = frozenset(subset)
+    sched = plan.per_subset[subset]
+    pieces = {
+        u: oracle_pieces(plan.scheme, n, sched.n_blocks, plan.label_len)
+        for u, n in sched.subfile_len.items()
+    }
+    return [
+        MulticastBlockSpec(
+            subset, i, {u: p[i - 1] for u, p in pieces.items()}, plan.label_len, plan.scheme
+        )
+        for i in range(1, sched.n_blocks + 1)
+    ]
+
+
 def loop_delivery_plan(subfiles, demands, scheme, label_len):
-    """Oracle of `build_delivery_plan`: one Python step per subset.
+    """Oracle of `build_delivery_plan`: one Python step per subset, one per block.
 
     Returns (per_subset, histograms, load) with the plan's meanings.
     """
@@ -67,8 +107,10 @@ def loop_delivery_plan(subfiles, demands, scheme, label_len):
         n_blocks = -(-ell // label_len)  # ceil
         for u, n in sub_lens.items():
             hist = histograms[u]
-            for shape, count in subset_shapes(scheme, n, n_blocks, label_len):
-                hist[shape] = hist.get(shape, 0) + count
+            for piece in oracle_pieces(scheme, n, n_blocks, label_len):
+                if piece:
+                    shape = oracle_shape(scheme, piece, label_len)
+                    hist[shape] = hist.get(shape, 0) + 1
         per_subset[subset] = SubsetSchedule(ell=ell, n_blocks=n_blocks, subfile_len=sub_lens)
         sent_bits += ell
     load = sent_bits / total_bits if total_bits else 0.0

@@ -6,7 +6,7 @@ from scipy import integrate
 
 import cachemod as cm
 from cachemod.analysis import analytic_report
-from conftest import subfile_map
+from conftest import oracle_blocks, oracle_shape, subfile_map
 
 
 def gaussian_tail(x):
@@ -92,11 +92,13 @@ def brute_force_metrics(plan, c, snr):
     bounds = cm.bound_table(c)
     errors = {u: 0.0 for u in range(1, plan.num_users + 1)}
     useful = dict.fromkeys(errors, 0)
-    for block in plan.iter_blocks():
+    for block in (b for subset in plan.per_subset for b in oracle_blocks(plan, subset)):
         for user in block.subset:
-            if block.piece_len(user) == 0:
+            n = block.piece_len(user)
+            if n == 0:
                 continue
-            errors[user] += bounds(block.known_shape(user), snr.gamma(user))[0]
+            shape = oracle_shape(plan.scheme, n, plan.label_len)
+            errors[user] += bounds(shape, snr.gamma(user))[0]
             useful[user] += 1
     ser = {u: errors[u] / useful[u] if useful[u] else 0.0 for u in errors}
     return useful, ser
@@ -129,7 +131,7 @@ class TestBlockErrorTable:
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         report = cm.plan_metrics(plan, cm.build_psk(3), cm.SnrProfile((1.0, 1.0)))
-        assert plan.block({1, 2}, 1).known_shape(2) == (1, 0)
+        assert plan.block_runs({1, 2})[0][0].known_shape(2) == (1, 0)
         assert plan.shape_counts(2) == {(1, 0): 2}
         want = 2 * gaussian_tail(math.sqrt(2) * math.sin(math.pi / 4))
         assert report.ser[2] == pytest.approx(want, rel=1e-12)

@@ -4,8 +4,8 @@ import pytest
 
 import cachemod as cm
 
-# the scalar per-symbol API that `detect`, `min_distance` and the tests' own
-# brute-force oracle replaced; none of it may come back
+# the scalar per-symbol and per-block APIs that `detect`, `min_distance`,
+# block runs and the tests' own brute-force oracles replaced; none may come back
 REMOVED = {
     "cachemod": [
         "KnownMask", "empty_mask", "subconstellation", "modulate", "demodulate", "awgn_channel",
@@ -15,7 +15,12 @@ REMOVED = {
         "bits_to_int", "as_bits",
     ],
     "cachemod.mc": ["awgn_channel", "modulate", "demodulate"],
-    "cachemod.bits": ["int_to_bits", "bits_to_int"],
+    "cachemod.bits": ["int_to_bits", "bits_to_int", "as_bits"],
+    # the per-block split laws and the codec's bit-string path, replaced by
+    # `piece_runs` and runs-only `encode_block`/`decode_block`
+    "cachemod.caching": [
+        "proposed_piece_len", "zero_padding_piece_len", "subset_shapes", "_bit_array",
+    ],
 }
 
 
@@ -35,3 +40,8 @@ def test_removed_names_stay_removed(module_name):
 
 def test_constellation_has_no_label_lookup_method():
     assert not hasattr(cm.Constellation, "point_of_label")
+
+
+def test_delivery_plan_builds_blocks_only_as_runs():
+    assert not hasattr(cm.DeliveryPlan, "block")
+    assert not hasattr(cm.DeliveryPlan, "iter_blocks")

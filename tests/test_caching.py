@@ -13,16 +13,18 @@ from cachemod.caching import (
     SubfileMap,
     canonical_codes,
     largest_remainder,
-    proposed_piece_len,
+    piece_runs,
     quantize_expected_map,
     subset_code,
-    zero_padding_piece_len,
 )
 from conftest import (
     all_subsets,
     loop_delivery_plan,
     loop_largest_remainder,
     loop_quantized_lengths,
+    oracle_blocks,
+    oracle_pieces,
+    oracle_shape,
     subfile_map,
     subset_tuples,
 )
@@ -195,7 +197,7 @@ class TestRealizedSubfileMap:
         assert rm.length(2, frozenset()) == 20
 
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_partition_property(self, seed):
         lib = cm.Library((0.35, 0.65), 400)
         caches = cm.CacheProfile((0.25, 0.5))
@@ -294,19 +296,25 @@ class TestQuantization:
         assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
-def oracle_runs(scheme, label_len, sched):
+def oracle_runs(plan, subset):
     """A subset's maximal runs [(first block, count, pieces)] from its blocks one by one."""
     runs = []
-    for i in range(1, sched.n_blocks + 1):
-        if scheme == cm.PROPOSED:
-            pieces = {u: proposed_piece_len(n, sched.n_blocks, i) for u, n in sched.subfile_len.items()}
-        else:
-            pieces = {u: zero_padding_piece_len(n, label_len, i) for u, n in sched.subfile_len.items()}
-        if runs and runs[-1][2] == pieces:
+    for block in oracle_blocks(plan, subset):
+        if runs and runs[-1][2] == block.per_user_piece_len:
             runs[-1][1] += 1
         else:
-            runs.append([i, 1, pieces])
+            runs.append([block.block_index, 1, block.per_user_piece_len])
     return [tuple(run) for run in runs]
+
+
+def expand(runs):
+    """Each block's spec of [(spec, count)] runs, in message order."""
+    return [block for block, count in runs for _ in range(count)]
+
+
+def piece_table(runs):
+    """[(pieces, count)] of [(spec, count)] runs."""
+    return [(block.per_user_piece_len, count) for block, count in runs]
 
 
 @st.composite
@@ -344,7 +352,7 @@ class TestPlannerMatchesLoop:
         m=st.integers(1, 8),
         loop_max=st.sampled_from([caching._LOOP_MAX, 0]),  # 0: arrays at every K
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_quantise_and_plan_equal_the_loop(self, instance, m, loop_max):
         with mock.patch.object(caching, "_LOOP_MAX", loop_max):
             self.check(*instance, m)
@@ -362,9 +370,9 @@ class TestPlannerMatchesLoop:
                 assert list(plan.shape_counts(u).items()) == list(histograms[u].items())
             assert plan.load == load
             assert list(plan.per_subset.items()) == list(per_subset.items())
-            for subset, sched in per_subset.items():
+            for subset in per_subset:
                 got = [(b.block_index, count, b.per_user_piece_len) for b, count in plan.block_runs(subset)]
-                assert got == oracle_runs(scheme, m, sched)
+                assert got == oracle_runs(plan, subset)
 
     def test_scenario_never_builds_schedules(self):
         lib = cm.Library((0.25,) * 4, 1000)
@@ -383,8 +391,7 @@ class TestBuildDeliveryPlan:
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         sched = plan.per_subset[frozenset({1, 2})]
         assert sched.n_blocks == 1
-        block = plan.block(frozenset({1, 2}), 1)
-        assert block.per_user_piece_len == {1: 3, 2: 2}
+        assert piece_table(plan.block_runs(frozenset({1, 2}))) == [({1: 3, 2: 2}, 1)]
 
     def test_three_to_one_split_proposed(self):
         # 9-bit vs 3-bit subfiles at 3 bits/symbol: 3 blocks, pieces 3 and 1
@@ -393,8 +400,7 @@ class TestBuildDeliveryPlan:
         sched = plan.per_subset[frozenset({1, 2})]
         assert sched.n_blocks == 3
         assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 3]
-        for i in range(1, 4):
-            assert plan.block(frozenset({1, 2}), i).per_user_piece_len == {1: 3, 2: 1}
+        assert piece_table(plan.block_runs(frozenset({1, 2}))) == [({1: 3, 2: 1}, 3)]
 
     def test_three_to_one_split_zero_padding(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
@@ -402,8 +408,10 @@ class TestBuildDeliveryPlan:
         sched = plan.per_subset[frozenset({1, 2})]
         assert sched.n_blocks == 3
         assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 1]
-        assert plan.block(frozenset({1, 2}), 1).per_user_piece_len == {1: 3, 2: 3}
-        assert plan.block(frozenset({1, 2}), 2).per_user_piece_len == {1: 3, 2: 0}
+        assert piece_table(plan.block_runs(frozenset({1, 2}))) == [
+            ({1: 3, 2: 3}, 1),
+            ({1: 3, 2: 0}, 2),
+        ]
 
     def test_duplicate_demands_rejected(self):
         with pytest.raises(cm.ConfigurationError):
@@ -423,8 +431,9 @@ class TestBuildDeliveryPlan:
     def test_empty_plan_is_not_an_error(self):
         smap = subfile_map(2, 2, {})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        assert list(plan.iter_blocks()) == []
         assert plan.per_subset == {}
+        with pytest.raises(cm.ConfigurationError, match="no message"):
+            plan.block_runs({1, 2})
 
     def test_load_matches_message_bits(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
@@ -466,11 +475,10 @@ class TestBuildDeliveryPlan:
         if max(w1, w2) == 0:
             assert subset not in plan.per_subset
             return
-        sched = plan.per_subset[subset]
+        blocks = expand(plan.block_runs(subset))
+        assert len(blocks) == plan.per_subset[subset].n_blocks
         for user, w in ((1, w1), (2, w2)):
-            pieces = [
-                plan.block(subset, i).piece_len(user) for i in range(1, sched.n_blocks + 1)
-            ]
+            pieces = [block.piece_len(user) for block in blocks]
             assert sum(pieces) == w
             assert all(0 <= x <= m for x in pieces)
             if scheme == cm.PROPOSED:
@@ -480,23 +488,39 @@ class TestBuildDeliveryPlan:
     @given(w=st.integers(1, 40), m=st.integers(1, 6))
     def test_proposed_split_sizes(self, w, m):
         n = -(-w // m)
-        sizes = [proposed_piece_len(w, n, i) for i in range(1, n + 1)]
+        sizes = [piece for piece, count in piece_runs(cm.PROPOSED, w, n, m) for _ in range(count)]
+        assert len(sizes) == n
         assert sum(sizes) == w
         assert max(sizes) <= m
+
+    @given(
+        n=st.integers(0, 60),
+        m=st.integers(1, 8),
+        spare=st.integers(0, 3),  # blocks beyond the subfile's own
+        scheme=st.sampled_from(cm.SCHEMES),
+    )
+    def test_piece_runs_match_dealt_bits(self, n, m, spare, scheme):
+        n_blocks = max(1, -(-n // m)) + spare
+        runs = piece_runs(scheme, n, n_blocks, m)
+        assert [piece for piece, count in runs for _ in range(count)] == oracle_pieces(
+            scheme, n, n_blocks, m
+        )
+        assert all(count > 0 for _, count in runs)
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))  # maximal runs
 
 
 
 def enumerated_histogram(plan, user):
     """Brute-force oracle: walk every block and count the user's known-bit shapes."""
     counts = {}
-    for subset, sched in plan.per_subset.items():
+    for subset in plan.per_subset:
         if user not in subset:
             continue
-        for i in range(1, sched.n_blocks + 1):
-            block = plan.block(subset, i)
-            if block.piece_len(user) == 0:
+        for block in oracle_blocks(plan, subset):
+            n = block.piece_len(user)
+            if n == 0:
                 continue
-            shape = block.known_shape(user)
+            shape = oracle_shape(plan.scheme, n, plan.label_len)
             counts[shape] = counts.get(shape, 0) + 1
     return counts
 
@@ -507,7 +531,7 @@ class TestShapeHistograms:
         m=st.integers(1, 8),
         data=st.data(),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_closed_form_matches_enumeration(self, k, m, data):
         entries = {}
         for i in range(1, k + 1):
@@ -523,12 +547,12 @@ class TestShapeHistograms:
                 # same insertion (block) order, so per-shape sums add up identically
                 assert list(got.items()) == list(want.items())
                 assert sum(got.values()) == plan.useful_symbols(u)
-            for subset, sched in plan.per_subset.items():
+            for subset in plan.per_subset:
                 runs = plan.block_runs(subset)
                 lengths = [block.per_user_piece_len for block, _ in runs]
-                expanded = [lens for lens, (_, count) in zip(lengths, runs) for _ in range(count)]
+                expanded = [block.per_user_piece_len for block in expand(runs)]
                 assert expanded == [
-                    plan.block(subset, i).per_user_piece_len for i in range(1, sched.n_blocks + 1)
+                    block.per_user_piece_len for block in oracle_blocks(plan, subset)
                 ]
                 assert all(a != b for a, b in zip(lengths, lengths[1:]))  # maximal runs
                 assert len(runs) <= 2 * len(subset) + 1
@@ -542,55 +566,69 @@ class TestShapeHistograms:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         assert plan.shape_counts(2) == {(0, 0): 2, (0, 2): 1}
 
-    def test_block_index_out_of_range(self):
+    def test_block_runs_need_a_message(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        for i in (0, 4):
-            with pytest.raises(cm.ConfigurationError):
-                plan.block(frozenset({1, 2}), i)
-        with pytest.raises(cm.ConfigurationError):
-            plan.block(frozenset({1}), 1)
+        for subset in ({1}, {3}, ()):
+            with pytest.raises(cm.ConfigurationError, match="no message"):
+                plan.block_runs(subset)
+
+
+def pair_block(plan):
+    """The spec of the pair subset's first run of blocks."""
+    return plan.block_runs(frozenset({1, 2}))[0][0]
+
 
 class TestEncodeDecode:
     def test_pair_block_encoding(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = plan.block(frozenset({1, 2}), 1)
-        label = cm.encode_block(block, {1: "010", 2: "10"})
-        assert label.tolist() == [0, 0, 0]
+        label = cm.encode_block(pair_block(plan), {1: [[0, 1, 0]], 2: [[1, 0]]})
+        assert label.tolist() == [[0, 0, 0]]
 
     def test_single_piece_identity(self):
         smap = subfile_map(1, 1, {(1, ()): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1,)), cm.PROPOSED, 3)
-        block = plan.block(frozenset({1}), 1)
-        assert cm.encode_block(block, {1: "101"}).tolist() == [1, 0, 1]
+        [(block, count)] = plan.block_runs(frozenset({1}))
+        assert count == 1
+        assert cm.encode_block(block, {1: [[1, 0, 1]]}).tolist() == [[1, 0, 1]]
 
     def test_all_zero_pieces(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = plan.block(frozenset({1, 2}), 1)
-        assert cm.encode_block(block, {1: "000", 2: "00"}).tolist() == [0, 0, 0]
+        label = cm.encode_block(pair_block(plan), {1: [[0, 0, 0]], 2: [[0, 0]]})
+        assert label.tolist() == [[0, 0, 0]]
 
     def test_piece_length_mismatch_rejected(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = plan.block(frozenset({1, 2}), 1)
         with pytest.raises(cm.ConfigurationError):
-            cm.encode_block(block, {1: "0100", 2: "10"})
+            cm.encode_block(pair_block(plan), {1: [[0, 1, 0, 0]], 2: [[1, 0]]})
 
     def test_decode_recovers_piece(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = plan.block(frozenset({1, 2}), 1)
-        piece = cm.decode_block("000", block, 2, {1: "010"})
-        assert piece.tolist() == [1, 0]
+        piece = cm.decode_block([[0, 0, 0]], pair_block(plan), 2, {1: [[0, 1, 0]]})
+        assert piece.tolist() == [[1, 0]]
 
     def test_decode_missing_piece(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = plan.block(frozenset({1, 2}), 1)
         with pytest.raises(cm.ConfigurationError):
-            cm.decode_block("000", block, 2, {})
+            cm.decode_block([[0, 0, 0]], pair_block(plan), 2, {})
+
+    def test_bits_must_be_runs_of_0_1(self, two_user_pair_placement, pair_demands):
+        # a single block is a run of one: bare bit strings are not accepted
+        rm = cm.realized_subfile_map(two_user_pair_placement)
+        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
+        block = pair_block(plan)
+        for bad in ("010", [0, 1, 0], [[0, 2, 0]], np.zeros((1, 1, 3), np.uint8)):
+            with pytest.raises(ValueError, match="two-dimensional run of 0/1"):
+                cm.encode_block(block, {1: bad, 2: [[1, 0]]})
+            with pytest.raises(ValueError, match="two-dimensional run of 0/1"):
+                cm.decode_block(bad, block, 2, {1: [[0, 1, 0]]})
+        with pytest.raises(cm.ConfigurationError, match="label has 4 bits"):
+            cm.decode_block([[0, 0, 0, 0]], block, 2, {1: [[0, 1, 0]]})
 
     @given(
         w1=st.integers(1, 30),
@@ -609,17 +647,16 @@ class TestEncodeDecode:
         payload = {1: bits1, 2: bits2}
         taken = {1: 0, 2: 0}
         got = {1: [], 2: []}
-        for i in range(1, plan.per_subset[subset].n_blocks + 1):
-            block = plan.block(subset, i)
+        for block in oracle_blocks(plan, subset):  # each block a run of one
             pieces = {}
             for u in (1, 2):
                 n = block.piece_len(u)
-                pieces[u] = payload[u][taken[u] : taken[u] + n]
+                pieces[u] = payload[u][None, taken[u] : taken[u] + n]
                 taken[u] += n
             label = cm.encode_block(block, pieces)
             for u, other in ((1, 2), (2, 1)):
                 out = cm.decode_block(label, block, u, {other: pieces[other]})
-                got[u].extend(out.tolist())
+                got[u].extend(out[0].tolist())
         assert got[1] == bits1.tolist()
         assert got[2] == bits2.tolist()
 
@@ -638,32 +675,31 @@ class TestEncodeDecode:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), scheme, m)
         rng = np.random.default_rng(seed)
         subset = frozenset({1, 2})
-        first = 1
+        singles = iter(oracle_blocks(plan, subset))
         for block, count in plan.block_runs(subset):
             pieces = {
                 u: rng.integers(0, 2, size=(count, block.piece_len(u)), dtype=np.uint8)
                 for u in (1, 2)
             }
             labels = cm.encode_block(block, pieces)
-            singles = [plan.block(subset, first + i) for i in range(count)]
             assert labels.tolist() == [
-                cm.encode_block(b, {u: pieces[u][i] for u in (1, 2)}).tolist()
-                for i, b in enumerate(singles)
+                cm.encode_block(b, {u: pieces[u][i : i + 1] for u in (1, 2)})[0].tolist()
+                for i, b in zip(range(count), singles)
             ]
             for u, other in ((1, 2), (2, 1)):
                 got = cm.decode_block(labels, block, u, {other: pieces[other]})
                 assert got.tolist() == pieces[u].tolist()
-            first += count
+        assert next(singles, None) is None  # the runs cover every block
 
     def test_run_counts_must_agree(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = plan.block(frozenset({1, 2}), 1)
+        block = pair_block(plan)
         two, three = np.zeros((2, 3), np.uint8), np.zeros((3, 2), np.uint8)
         with pytest.raises(cm.ConfigurationError):
             cm.encode_block(block, {1: two, 2: three})
         with pytest.raises(cm.ConfigurationError):
-            cm.encode_block(block, {1: "010", 2: three})
+            cm.encode_block(block, {1: [[0, 1, 0]], 2: three})
         with pytest.raises(cm.ConfigurationError):
             cm.decode_block(np.zeros((2, 3), np.uint8), block, 2, {1: np.zeros((3, 3), np.uint8)})
 
@@ -672,26 +708,31 @@ class TestKnownBitMask:
     def test_pair_block_masks(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        assert plan.block({1, 2}, 1).known_shape(2) == (1, 0)
-        assert plan.block({1, 2}, 1).known_shape(1) == (0, 0)
+        assert pair_block(plan).known_shape(2) == (1, 0)
+        assert pair_block(plan).known_shape(1) == (0, 0)
 
     def test_uneven_split_prefixes(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        for i in range(1, 4):
-            assert plan.block({1, 2}, i).known_shape(2) == (2, 0)
+        [(block, count)] = plan.block_runs({1, 2})
+        assert count == 3
+        assert block.known_shape(2) == (2, 0)
 
     def test_zero_padding_suffix(self):
         smap = subfile_map(2, 2, {(1, (2,)): 6, (2, (1,)): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        assert plan.block({1, 2}, 1).known_shape(2) == (0, 0)
-        assert plan.block({1, 2}, 2).known_shape(2) == (0, 2)
+        (first, one), (second, also_one) = plan.block_runs({1, 2})
+        assert one == also_one == 1
+        assert first.known_shape(2) == (0, 0)
+        assert second.known_shape(2) == (0, 2)
 
     def test_useless_block_raises(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        with pytest.raises(cm.UselessBlockError):
-            plan.block({1, 2}, 2).known_shape(2)
+        _, (tail, count) = plan.block_runs({1, 2})
+        assert count == 2
+        with pytest.raises(cm.UselessBlockError, match="block 2 "):
+            tail.known_shape(2)
 
     def test_divisible_lengths_dominate_zero_padding(self):
         # when the symbol width divides everything, the even split never knows
@@ -700,8 +741,10 @@ class TestKnownBitMask:
         pp = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         pz = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         subset = frozenset({1, 2})
+        prop_blocks = expand(pp.block_runs(subset))
+        zp_blocks = expand(pz.block_runs(subset))
         for u in (1, 2):
-            for i in range(1, pz.useful_symbols(u) + 1):
-                prop = pp.block(subset, i).known_shape(u)[0]
-                zp = pz.block(subset, i).known_shape(u)[0]
+            for i in range(pz.useful_symbols(u)):
+                prop = prop_blocks[i].known_shape(u)[0]
+                zp = zp_blocks[i].known_shape(u)[0]
                 assert prop >= zp

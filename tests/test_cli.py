@@ -482,6 +482,31 @@ class TestMain:
         row = out.read_text().splitlines()[1].split(",")
         assert row[5] == "" and row[6] == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--trials", "-5", "trials_per_cell"),
+            ("--seed", "-1", "master_seed"),
+            ("--seed", str(2**64), "master_seed"),
+            ("--seed", "99999999999999999999999", "master_seed"),
+        ],
+    )
+    def test_flag_overrides_are_checked(self, tmp_path, capsys, flag, value, field):
+        # the values the config file rejects are rejected as flags too
+        cfg = self.write(tmp_path, config(trials_per_cell=2000))
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", cfg, "--out", str(out), flag, value]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_trials_flag_is_analytic_only(self, tmp_path):
+        cfg = self.write(tmp_path, config(trials_per_cell=2000))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", "--config", cfg, "--out", str(a), "--trials", "0"]) == 0
+        assert main(["run", "--config", cfg, "--out", str(b), "--analytic-only", "--seed", "0"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[1].split(",")[5:7] == ["", ""]
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         cfg = self.write(tmp_path, config())
         rc = main(["run", "--config", cfg, "--out", "/nonexistent-dir/x.csv"])

@@ -265,6 +265,22 @@ class TestEndToEnd:
         pl = cm.sample_placement(lib, cm.CacheProfile((0.2, 1 / 3, 0.5)), seed=seed)
         return pl, cm.realized_subfile_map(pl), cm.DemandVector((1, 2, 3))
 
+    def test_demands_must_be_the_plans(self):
+        pl, rm, demands = self.three_users(3000, seed=1)
+        plan = cm.build_delivery_plan(rm, demands, cm.PROPOSED, 3)
+        with pytest.raises(cm.ConfigurationError, match="demands"):
+            cm.end_to_end_noiseless(pl, plan, cm.DemandVector((2, 1, 3)))
+
+    @pytest.mark.parametrize("scheme", cm.SCHEMES)
+    def test_plan_map_must_be_the_placements(self, scheme):
+        # a plan built from the expected map does not fit a sampled placement
+        pl, _, demands = self.three_users(3000, seed=1)
+        lib, caches = pl.library, pl.caches
+        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        plan = cm.build_delivery_plan(em, demands, scheme, 3)
+        with pytest.raises(cm.ConfigurationError, match="bits in the placement"):
+            cm.end_to_end_noiseless(pl, plan, demands)
+
     @pytest.mark.parametrize("scheme", cm.SCHEMES)
     def test_one_block_spec_per_run(self, scheme, monkeypatch):
         # a block spec per run of equal piece lengths, not per m-bit block

@@ -241,7 +241,7 @@ class TestDetect:
     # 8PSK label 5 with offset (0.5, 0.5) at gamma 0.5 lands on the origin,
     # equidistant from every compatible point: the tie case
     @example(c=cm.build_psk(3), prefix=1, suffix=0, symbols=[(5, 1, 0.5, 0.5)], gamma=0.5)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_brute_force_demodulate(self, c, prefix, suffix, symbols, gamma):
         p = prefix % (c.m + 1)
         s = suffix % (c.m - p + 1)
@@ -284,7 +284,7 @@ class TestDetect:
         ),
         log_gamma=st.floats(-2, 4),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_structured_paths_match_demodulate(self, c, prefix, suffix, symbols, log_gamma):
         p = prefix % (c.m + 1)
         s = suffix % (c.m - p + 1)

@@ -1,0 +1,31 @@
+import importlib.util
+import re
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from cachemod.cli import parse_config, render_csv, run_scenario
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_three_user_sweep_script(tmp_path, monkeypatch, capsys):
+    script = load_script("run_three_user_sweep")
+    out = tmp_path / "sweep.csv"
+    argv = ["run_three_user_sweep.py", "--trials", "0", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    script.main()
+
+    cfg = replace(parse_config(script.CONFIG.read_text()), trials_per_cell=0)
+    assert out.read_text() == render_csv(run_scenario(cfg))
+    printed = capsys.readouterr().out
+    table = [line for line in printed.splitlines() if re.match(r"\s*\d+ \| ", line)]
+    assert len(table) == len(cfg.sweep_db) == 11
+    assert printed.rstrip().endswith(f"wrote {out}")
