@@ -8,10 +8,12 @@ blocks are padded per symbol instead of per subfile.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
-from cachemod.cli import emit_csv, parse_config, run_scenario
+from cachemod import ConfigurationError
+from cachemod.cli import _read_seed, _read_trials, emit_csv, parse_config, run_scenario
 
 CONFIG = Path(__file__).parent / "three_user_sweep.json"
 
@@ -24,10 +26,14 @@ def main():
     args = parser.parse_args()
 
     cfg = parse_config(CONFIG.read_text())
-    if args.trials is not None:
-        cfg = replace(cfg, trials_per_cell=args.trials)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+    try:  # the flags pass the checks their config fields do
+        if args.trials is not None:
+            cfg = replace(cfg, trials_per_cell=_read_trials(args.trials))
+        if args.seed is not None:
+            cfg = replace(cfg, master_seed=_read_seed(args.seed))
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out = args.out or Path(__file__).parent / cfg.output
 
     rows = run_scenario(cfg)
@@ -49,7 +55,8 @@ def main():
             cells.append(f"{zp:.3e} {prop:.3e} {zp - prop:.2e}")
         print(f"{snr_db:>6.0f} | " + " | ".join(cells))
     print(f"\nwrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,13 +8,9 @@ form and by seeded Monte Carlo.
 
 from .analysis import (
     CellTable,
-    SchemeComparison,
     SerReport,
     SnrProfile,
-    analytic_report,
     bound_table,
-    compare_schemes,
-    plan_metrics,
     q_function,
     ser_report,
     symbol_error_bound,
@@ -72,19 +68,16 @@ __all__ = [
     "PROPOSED",
     "PlacementRealization",
     "SCHEMES",
-    "SchemeComparison",
     "SerReport",
     "SnrProfile",
     "SubfileMap",
     "UselessBlockError",
     "ZERO_PADDING",
-    "analytic_report",
     "bound_table",
     "build_constellation",
     "build_delivery_plan",
     "build_psk",
     "build_qam",
-    "compare_schemes",
     "decode_block",
     "detect",
     "encode_block",
@@ -93,7 +86,6 @@ __all__ = [
     "estimate_table",
     "expected_subfile_lengths",
     "min_distance",
-    "plan_metrics",
     "q_function",
     "quantize_expected_map",
     "realized_subfile_map",

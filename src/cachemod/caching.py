@@ -431,18 +431,20 @@ class SubsetSchedule:
 class DeliveryPlan:
     """Per-subset block schedules for one demand vector under one padding scheme.
 
-    What the error analysis needs is each user's histogram of known-bit
-    shapes, `shape_counts`, computed in closed form when the plan is built.
-    The plan keeps each subset's message length, indexed by subset code;
-    `per_subset` builds the schedules of the subsets that send a message from
-    the map on first access, and `block_runs` a message's blocks from one.
+    What the error analysis needs is `known_counts`, a read-only (K, m)
+    table computed in closed form when the plan is built: row u - 1, column
+    j counts user u's useful blocks with j known label bits, whose shape is
+    `known_shape(scheme, m - j, m)`.  The plan keeps each subset's message
+    length, indexed by subset code; `per_subset` builds the schedules of the
+    subsets that send a message from the map on first access, and
+    `block_runs` a message's blocks from one.
     """
 
     scheme: str
     label_len: int
     num_users: int
     load: float  # transmitted bits / B
-    histograms: dict = field(repr=False)  # user -> {shape: count}
+    known_counts: np.ndarray = field(repr=False)  # (user - 1, known bits) -> blocks
     subfiles: SubfileMap = field(repr=False)
     demands: DemandVector = field(repr=False)
     ell: np.ndarray = field(repr=False)  # message bits per subset code
@@ -491,12 +493,23 @@ class DeliveryPlan:
             out.append((spec, b - a))
         return out
 
+    def _counts(self, user: int) -> list:
+        if not 1 <= user <= self.num_users:
+            raise ConfigurationError(f"user {user} outside 1..{self.num_users}")
+        return self.known_counts[user - 1].tolist()
+
     def useful_symbols(self, user: int) -> int:
-        return sum(self.histograms.get(user, {}).values())
+        return sum(self._counts(user))
 
     def shape_counts(self, user: int) -> dict:
-        """{(prefix_known, suffix_known): count} over the user's useful blocks."""
-        return dict(self.histograms.get(user, {}))
+        """{(prefix_known, suffix_known): count} over the user's useful blocks.
+
+        Shapes are listed by ascending known bits, and only those with blocks.
+        """
+        m = self.label_len
+        return {
+            known_shape(self.scheme, m - j, m): n for j, n in enumerate(self._counts(user)) if n
+        }
 
 
 def build_delivery_plan(
@@ -510,12 +523,11 @@ def build_delivery_plan(
     Expected (float) maps are rejected: round them with
     `quantize_expected_map` first.  No block is enumerated.  For user u in
     subset S, n_u = |W_{d_u, S minus u}|; the message has ell = max n_u bits
-    in ceil(ell / m) blocks, and each (user, subset) pair adds its non-empty
-    `piece_runs`, keyed by `known_shape`, to the user's histogram.  A
-    histogram lists its shapes in order of first appearance over the subsets
-    in canonical order, which fixes `ser_report`'s float sums.  Up to
-    `_LOOP_MAX` subsets a loop visits them one by one; beyond, `_plan_arrays`
-    handles them as arrays of codes.
+    in ceil(ell / m) blocks, and each (user, subset) pair adds the blocks of
+    its non-empty `piece_runs` to the user's `known_counts`, in the column of
+    the m - piece_len label bits it knows.  Up to `_LOOP_MAX` subsets a loop
+    visits them one by one; beyond, `_plan_arrays` handles them as arrays of
+    codes.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -528,14 +540,15 @@ def build_delivery_plan(
     demands.validate(subfiles.num_files, subfiles.num_users)
 
     plan_subsets = _plan_loop if subfiles.lengths.shape[1] <= _LOOP_MAX else _plan_arrays
-    ell, histograms = plan_subsets(subfiles, demands, scheme, label_len)
+    ell, known_counts = plan_subsets(subfiles, demands, scheme, label_len)
+    known_counts.flags.writeable = False
     total_bits = int(subfiles.lengths.sum())
     return DeliveryPlan(
         scheme=scheme,
         label_len=label_len,
         num_users=subfiles.num_users,
         load=int(ell.sum()) / total_bits if total_bits else 0.0,
-        histograms=histograms,
+        known_counts=known_counts,
         subfiles=subfiles,
         demands=demands,
         ell=ell,
@@ -543,47 +556,38 @@ def build_delivery_plan(
 
 
 def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:
-    """(ell by code, histograms), one subset at a time in canonical order."""
+    """(ell by code, known_counts), one subset at a time."""
     k = subfiles.num_users
     rows = [subfiles.lengths[d - 1].tolist() for d in demands.demands]
     ell = [0] * (1 << k)
-    histograms = {u: {} for u in range(1, k + 1)}
-    shapes = [known_shape(scheme, n, m) for n in range(m + 1)]  # by piece length
-    for code in canonical_codes(k)[1:].tolist():
+    counts = [[0] * m for _ in range(k)]
+    for code in range(1, 1 << k):
         sub_lens = {u: rows[u][code & ~(1 << u)] for u in range(k) if code >> u & 1}
         ell[code] = max(sub_lens.values())
         if ell[code] == 0:
             continue
         n_blocks = -(-ell[code] // m)
         for u, n in sub_lens.items():
-            hist = histograms[u + 1]
             for piece, count in piece_runs(scheme, n, n_blocks, m):
                 if piece:
-                    shape = shapes[piece]
-                    hist[shape] = hist.get(shape, 0) + count
-    return np.array(ell, dtype=np.int64), histograms
+                    counts[u][m - piece] += count
+    return np.array(ell, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:
-    """(ell by code, histograms) from arrays over subset codes, `_PLAN_CHUNK` at a time.
+    """(ell by code, known_counts) from arrays over subset codes, `_PLAN_CHUNK` at a time.
 
     Each (user, subset) pair's useful runs of blocks follow from `divmod`,
-    the vector form of `piece_runs`.  Block counts are summed per (user,
-    shape) and each shape's first (canonical subset, run) position is kept,
-    which orders the histogram as the loop would.
+    the vector form of `piece_runs`, and their block counts are summed per
+    (user, known bits).
     """
     k = subfiles.num_users
     lengths = subfiles.lengths.astype(np.int64, copy=False)
     files = np.array(demands.demands)[:, None] - 1
     bits = np.int64(1) << np.arange(k)[:, None]
-    order = canonical_codes(k)
-    rank = np.empty_like(order)  # each code's position in canonical order
-    rank[order] = np.arange(order.size)
     ell = np.empty(1 << k, dtype=np.int64)  # by code
-    # per (user, known bits j): blocks, and the first (canonical subset, run)
-    # position where the shape appears; j = m collects the dropped runs
+    # blocks per (user, known bits j); j = m collects the dropped runs
     counts = np.zeros((k, m + 1), dtype=np.int64)
-    first = np.full((k, m + 1), 2 * ell.size, dtype=np.int64)
     slot_base = np.arange(k)[:, None, None] * (m + 1)  # flat index of (user, 0)
     # codes in natural order, so each user's gather walks its file's row forward
     for start in range(0, ell.size, _PLAN_CHUNK):
@@ -605,15 +609,7 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
             known[..., 1], blocks[..., 1] = m - rest, 1  # then one partial label
         slot = (np.where(blocks > 0, known, m) + slot_base).ravel()
         np.add.at(counts.reshape(-1), slot, blocks.ravel())
-        known[..., 0] = 2 * rank[start:stop]
-        known[..., 1] = known[..., 0] + 1
-        np.minimum.at(first.reshape(-1), slot, known.ravel())
-
-    histograms = {}
-    for u, (row, seen) in enumerate(zip(counts.tolist(), first.tolist()), start=1):
-        order = sorted((j for j in range(m) if row[j]), key=seen.__getitem__)
-        histograms[u] = {known_shape(scheme, m - j, m): row[j] for j in order}
-    return ell, histograms
+    return ell, counts[:, :m].copy()
 
 
 def _bit_run(bits, width: int, what: str) -> np.ndarray:

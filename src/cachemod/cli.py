@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analysis import SnrProfile, bound_table, plan_metrics
+from .analysis import SnrProfile, bound_table, ser_report
 from .caching import (
     MAX_SUBFILE_ENTRIES,
     SCHEMES,
@@ -204,6 +204,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigurationError(f"unknown scheme {s!r}")
     if not schemes:
         raise ConfigurationError("at least one scheme required")
+    if len(set(schemes)) != len(schemes):
+        raise ConfigurationError("duplicate schemes are not supported")
 
     demands = _resolve_demands(raw.get("demands", "worst_case"), fractions, len(mus))
     DemandVector(demands).validate(library.num_files, caches.num_users)
@@ -274,7 +276,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         snr = SnrProfile(gammas)
         for scheme in cfg.schemes:
             plan = plans[scheme]
-            analytic = plan_metrics(plan, c, snr, bounds)
+            analytic = ser_report(plan, snr, bounds)
             empirical = None
             if campaign is not None:
                 empirical = run_campaign(plan, c, snr, campaign, estimates)

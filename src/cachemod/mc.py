@@ -122,7 +122,7 @@ def run_campaign(
     sharing changes no number.
     """
     cells = estimate_table(c, cfg) if estimates is None else estimates
-    return ser_report("empirical", plan, snr, cells)
+    return ser_report(plan, snr, cells)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def three_user_sweep():
         gamma = 10 ** (snr_db / 10)
         snr = cm.SnrProfile((gamma, gamma, gamma))
         for scheme, plan in plans.items():
-            analytic = cm.plan_metrics(plan, c, snr)
+            analytic = cm.ser_report(plan, snr, cm.bound_table(c))
             empirical = cm.run_campaign(plan, c, snr, cfg)
             results[(scheme, snr_db)] = (analytic, empirical)
     return results, time.perf_counter() - start
@@ -88,7 +88,7 @@ def test_criterion_2_analytic_dominance():
             plans = {s: cm.build_delivery_plan(subfiles, demands, s, c.m) for s in cm.SCHEMES}
             for gamma in (1.0, 10.0):
                 snr = cm.SnrProfile((gamma,) * k)
-                reports = {s: cm.plan_metrics(p, c, snr) for s, p in plans.items()}
+                reports = {s: cm.ser_report(p, snr, cm.bound_table(c)) for s, p in plans.items()}
                 for u in range(1, k + 1):
                     ok &= (
                         reports[cm.PROPOSED].ser[u]

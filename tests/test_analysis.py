@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import cachemod as cm
-from cachemod.analysis import analytic_report
 from conftest import oracle_blocks, oracle_shape, subfile_map
 
 
@@ -31,12 +33,6 @@ class TestQFunction:
     @pytest.mark.parametrize("x", [0.0, 0.3, 1.7, 4.2])
     def test_reflection_identity(self, x):
         assert cm.q_function(-x) == pytest.approx(1 - cm.q_function(x), abs=1e-12)
-
-    def test_vectorized(self):
-        xs = np.array([0.0, 1.0])
-        out = cm.q_function(xs)
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(0.5)
 
 
 class TestSymbolErrorBound:
@@ -111,7 +107,7 @@ class TestBlockErrorTable:
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         c, snr = cm.build_psk(3), cm.SnrProfile((1.0, 2.0))
-        report = cm.plan_metrics(plan, c, snr)
+        report = cm.ser_report(plan, snr, cm.bound_table(c))
         for user in (1, 2):
             # all three blocks share one cell
             ((shape, count),) = plan.shape_counts(user).items()
@@ -122,7 +118,7 @@ class TestBlockErrorTable:
         smap = subfile_map(2, 2, {(1, (2,)): 6, (2, (1,)): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         c = cm.build_psk(3)
-        report = cm.plan_metrics(plan, c, cm.SnrProfile((1.0, 1.0)))
+        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(c))
         full = cm.symbol_error_bound("psk", 1.0, cm.min_distance(c, 0))
         assert all(v == pytest.approx(full, rel=1e-12) for v in report.ser.values())
 
@@ -130,7 +126,7 @@ class TestBlockErrorTable:
         # user 2's two blocks (alone, then paired with user 1) both know one bit
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        report = cm.plan_metrics(plan, cm.build_psk(3), cm.SnrProfile((1.0, 1.0)))
+        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(3)))
         assert plan.block_runs({1, 2})[0][0].known_shape(2) == (1, 0)
         assert plan.shape_counts(2) == {(1, 0): 2}
         want = 2 * gaussian_tail(math.sqrt(2) * math.sin(math.pi / 4))
@@ -141,7 +137,7 @@ class TestBlockErrorTable:
         smap = subfile_map(2, 2, {(1, (2,)): 12, (2, (1,)): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         gammas = cm.SnrProfile((1.7, 0.4))
-        report = cm.plan_metrics(plan, cm.build_psk(3), gammas)
+        report = cm.ser_report(plan, gammas, cm.bound_table(cm.build_psk(3)))
         for user in (1, 2):
             gamma = gammas.gamma(user)
             want = 0.0
@@ -158,7 +154,7 @@ class TestBlockErrorTable:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         c = cm.build_psk(3)
         cells = stub_table(c, (1.0, 0.0))
-        report = cm.ser_report("analytic", plan, cm.SnrProfile((1.0, 1.0)), cells)
+        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cells)
         assert report.error_symbols == {1: 3.0, 2: 1.0}
         assert report.useful_symbols == {1: 3, 2: 1}
 
@@ -167,7 +163,7 @@ class TestBlockErrorTable:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(2), (0.5, 0.0))
         with pytest.raises(cm.ConfigurationError):
-            cm.ser_report("analytic", plan, cm.SnrProfile((1.0, 1.0)), cells)
+            cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cells)
 
 
 class TestUserMetrics:
@@ -177,7 +173,7 @@ class TestUserMetrics:
         smap = subfile_map(1, 1, {(1, ()): 12})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1,)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(3), (0.25, 0.0))
-        report = cm.ser_report("analytic", plan, cm.SnrProfile((1.0,)), cells)
+        report = cm.ser_report(plan, cm.SnrProfile((1.0,)), cells)
         assert report.useful_symbols[1] == 4
         assert report.ser[1] == pytest.approx(0.25)
 
@@ -189,7 +185,7 @@ class TestUserMetrics:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         assert plan.shape_counts(1) == {(0, 0): 2, (1, 0): 2}
         cells = stub_table(cm.build_psk(3), {(0, 0): (0.1, 0.01), (1, 0): (0.3, 0.03)})
-        report = cm.ser_report("empirical", plan, cm.SnrProfile((1.0, 1.0)), cells)
+        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cells)
         assert report.useful_symbols[1] == 4
         assert report.ser[1] == pytest.approx(0.2)
         assert report.stderr[1] == pytest.approx(math.hypot(2 * 0.01, 2 * 0.03) / 4)
@@ -198,7 +194,7 @@ class TestUserMetrics:
         smap = subfile_map(2, 2, {(1, ()): 6, (2, ()): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(3), (0.4, 0.0))
-        report = cm.ser_report("analytic", plan, cm.SnrProfile((1.0, 3.0)), cells)
+        report = cm.ser_report(plan, cm.SnrProfile((1.0, 3.0)), cells)
         assert report.average_ser == pytest.approx(0.4)
         assert report.average_stderr == 0.0
 
@@ -207,12 +203,44 @@ class TestUserMetrics:
         lib = cm.Library((0.5, 0.5), 20)
         caches = cm.CacheProfile((0.0, 1.0))
         em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
-        report = analytic_report(
-            em, cm.DemandVector((1, 2)), cm.PROPOSED, cm.build_psk(2), cm.SnrProfile((1.0, 1.0))
-        )
+        plan = cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 2)
+        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(2)))
         assert report.undefined_users == frozenset({2})
         assert report.ser[2] == 0.0
         assert report.average_ser == pytest.approx(report.ser[1] / 2)
+
+    @pytest.mark.parametrize("num_snrs", [2, 5])
+    def test_one_snr_per_user(self, num_snrs):
+        smap = subfile_map(3, 3, {(1, ()): 6, (2, ()): 6, (3, ()): 6})
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2, 3)), cm.PROPOSED, 3)
+        cells = stub_table(cm.build_psk(3), (0.4, 0.0))
+        with pytest.raises(cm.ConfigurationError, match=f"{num_snrs} SNRs for a plan of 3 users"):
+            cm.ser_report(plan, cm.SnrProfile((1.0,) * num_snrs), cells)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_sums_do_not_depend_on_shape_order(self, data):
+        # cell values spread over twelve decades, so a running float sum
+        # would depend on the order of the terms; the report must not
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        smap = cm.SubfileMap(rng.integers(0, 400, (3, 8)))
+        scheme = data.draw(st.sampled_from(cm.SCHEMES))
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2, 3)), scheme, 8)
+        c = cm.build_qam(8)
+        values = {
+            (p, s): (10.0 ** rng.uniform(-12, 0), 10.0 ** rng.uniform(-12, -1))
+            for p in range(9) for s in range(9 - p)
+        }
+        snr = cm.SnrProfile((1.0, 2.0, 3.0))
+        want = cm.ser_report(plan, snr, stub_table(c, values))
+        shuffled = {
+            u: dict(data.draw(st.permutations(list(plan.shape_counts(u).items()))))
+            for u in (1, 2, 3)
+        }
+        with mock.patch.object(cm.DeliveryPlan, "shape_counts", lambda self, u: shuffled[u]):
+            got = cm.ser_report(plan, snr, stub_table(c, values))
+        for field in ("ser", "stderr", "error_symbols"):
+            assert getattr(got, field) == getattr(want, field)  # bit for bit
 
 
 class TestPlanMetrics:
@@ -231,16 +259,12 @@ class TestPlanMetrics:
             for scheme in cm.SCHEMES:
                 plan = cm.build_delivery_plan(em, demands, scheme, c.m)
                 useful, ser = brute_force_metrics(plan, c, snr)
-                reports = (
-                    cm.plan_metrics(plan, c, snr),
-                    analytic_report(em, demands, scheme, c, snr),
-                )
-                for got in reports:
-                    assert got.useful_symbols == useful
-                    assert got.undefined_users == {u for u in useful if useful[u] == 0}
-                    assert got.average_ser == pytest.approx(sum(ser.values()) / k, abs=1e-12)
-                    for u in range(1, k + 1):
-                        assert got.ser[u] == pytest.approx(ser[u], abs=1e-12)
+                got = cm.ser_report(plan, snr, cm.bound_table(c))
+                assert got.useful_symbols == useful
+                assert got.undefined_users == {u for u in useful if useful[u] == 0}
+                assert got.average_ser == pytest.approx(sum(ser.values()) / k, abs=1e-12)
+                for u in range(1, k + 1):
+                    assert got.ser[u] == pytest.approx(ser[u], abs=1e-12)
 
     def test_shared_bounds_enumerate_each_shape_once(self, monkeypatch):
         import cachemod.analysis as an
@@ -258,28 +282,39 @@ class TestPlanMetrics:
         c = cm.build_psk(3)
         bounds = cm.bound_table(c)
         for gamma in (1.0, 4.0, 16.0):
-            cm.plan_metrics(plan, c, cm.SnrProfile((gamma, gamma)), bounds)
+            cm.ser_report(plan, cm.SnrProfile((gamma, gamma)), bounds)
         assert sorted(calls) == sorted({s for u in (1, 2) for s in plan.shape_counts(u)})
 
     def test_symbol_width_mismatch(self):
         smap = subfile_map(2, 2, {(1, (2,)): 4, (2, (1,)): 2})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         with pytest.raises(cm.ConfigurationError):
-            cm.plan_metrics(plan, cm.build_psk(2), cm.SnrProfile((1.0, 1.0)))
+            cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(2)))
+
+
+def scheme_reports(subfiles, demands, c, snr):
+    """(proposed, zero padding) analytic reports of one instance, sharing one bound table."""
+    bounds = cm.bound_table(c)
+    return tuple(
+        cm.ser_report(cm.build_delivery_plan(subfiles, demands, scheme, c.m), snr, bounds)
+        for scheme in (cm.PROPOSED, cm.ZERO_PADDING)
+    )
 
 
 class TestCompareSchemes:
+    """Per-user gain delta_k = T_k(zero padding) - T_k(proposed); it is never negative."""
+
     def test_symmetric_instance_has_no_gain(self):
         # equal caches and equal files with widths dividing everything: the
         # two schemes produce identical masks everywhere
         lib = cm.Library((0.5, 0.5), 48)
         caches = cm.CacheProfile((0.5, 0.5))
         em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
-        cmp = cm.compare_schemes(
+        rp, rz = scheme_reports(
             em, cm.DemandVector((1, 2)), cm.build_psk(3), cm.SnrProfile((2.0, 2.0))
         )
-        for _, _, delta in cmp.per_user.values():
-            assert delta == pytest.approx(0.0, abs=1e-15)
+        for u in (1, 2):
+            assert rz.ser[u] - rp.ser[u] == pytest.approx(0.0, abs=1e-15)
 
     def test_heterogeneous_three_user_ordering(self):
         # mu = (1/5, 1/3, 1/2) with equal files: the smallest cache gains
@@ -288,17 +323,17 @@ class TestCompareSchemes:
         caches = cm.CacheProfile((1 / 5, 1 / 3, 1 / 2))
         em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
         for gamma in (1.0, 10.0):
-            cmp = cm.compare_schemes(
+            rp, rz = scheme_reports(
                 em,
                 cm.DemandVector((1, 2, 3)),
                 cm.build_psk(3),
                 cm.SnrProfile((gamma,) * 3),
             )
-            d1, d2, d3 = (cmp.per_user[u][2] for u in (1, 2, 3))
+            d1, d2, d3 = (rz.ser[u] - rp.ser[u] for u in (1, 2, 3))
             assert d1 == pytest.approx(0.0, abs=1e-15)
             assert d3 >= d2 >= 0.0
             assert d3 > 1e-3  # the big cache sees a real gain
-        assert cmp.load_proposed == cmp.load_zero_padding
+        assert rp.load == rz.load
 
     def test_random_instances_never_lose(self):
         rng = np.random.default_rng(5)
@@ -312,19 +347,19 @@ class TestCompareSchemes:
             demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
             c = cm.build_psk(3) if trial % 2 else cm.build_qam(4)
             snr = cm.SnrProfile(tuple(rng.uniform(0.5, 20.0, size=k)))
-            cmp = cm.compare_schemes(em, demands, c, snr)
-            for _, _, delta in cmp.per_user.values():
-                assert delta >= -1e-12
+            rp, rz = scheme_reports(em, demands, c, snr)
+            for u in range(1, k + 1):
+                assert rz.ser[u] - rp.ser[u] >= -1e-12
 
     def test_rate_decreases_with_snr(self):
         lib = cm.Library((0.5, 0.5), 600)
         caches = cm.CacheProfile((0.2, 0.6))
         em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
-        demands = cm.DemandVector((1, 2))
-        c = cm.build_psk(3)
+        plan = cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        bounds = cm.bound_table(cm.build_psk(3))
         prev = None
         for gamma in (0.5, 2.0, 8.0, 32.0):
-            rep = analytic_report(em, demands, cm.PROPOSED, c, cm.SnrProfile((gamma, gamma)))
+            rep = cm.ser_report(plan, cm.SnrProfile((gamma, gamma)), bounds)
             if prev is not None:
                 for u in (1, 2):
                     assert rep.ser[u] <= prev.ser[u] + 1e-15

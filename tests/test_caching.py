@@ -366,8 +366,7 @@ class TestPlannerMatchesLoop:
             plan = cm.build_delivery_plan(smap, demands, scheme, m)
             per_subset, histograms, load = loop_delivery_plan(smap, demands, scheme, m)
             for u in range(1, smap.num_users + 1):
-                # ordered items: the insertion order fixes ser_report's float sums
-                assert list(plan.shape_counts(u).items()) == list(histograms[u].items())
+                assert plan.shape_counts(u) == histograms[u]
             assert plan.load == load
             assert list(plan.per_subset.items()) == list(per_subset.items())
             for subset in per_subset:
@@ -380,7 +379,7 @@ class TestPlannerMatchesLoop:
         plan = cm.build_delivery_plan(
             quantize_expected_map(em, lib), cm.DemandVector((1, 2, 3, 4)), cm.PROPOSED, 3
         )
-        cm.plan_metrics(plan, cm.build_psk(3), cm.SnrProfile((10.0,) * 4))
+        cm.ser_report(plan, cm.SnrProfile((10.0,) * 4), cm.bound_table(cm.build_psk(3)))
         assert "per_subset" not in vars(plan)
         assert len(plan.per_subset) == 15
 
@@ -544,8 +543,7 @@ class TestShapeHistograms:
             for u in range(1, k + 1):
                 want = enumerated_histogram(plan, u)
                 got = plan.shape_counts(u)
-                # same insertion (block) order, so per-shape sums add up identically
-                assert list(got.items()) == list(want.items())
+                assert got == want
                 assert sum(got.values()) == plan.useful_symbols(u)
             for subset in plan.per_subset:
                 runs = plan.block_runs(subset)
@@ -565,6 +563,25 @@ class TestShapeHistograms:
         # sequential fill: two full labels, then one with 2 padded bits
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         assert plan.shape_counts(2) == {(0, 0): 2, (0, 2): 1}
+
+    def test_known_counts_table(self):
+        # one read-only row per user, one column per number of known label bits
+        # user 1: 4 bits alone in 2 blocks, then 9 bits over the pair's 3 blocks;
+        # user 2: 7 bits over the pair's 3 blocks
+        smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 7, (1, ()): 4})
+        cases = (
+            (cm.PROPOSED, [[3, 2, 0], [1, 2, 0]], [(0, 0), (1, 0)]),
+            (cm.ZERO_PADDING, [[4, 0, 1], [2, 0, 1]], [(0, 0), (0, 2)]),
+        )
+        for scheme, table, user_1_shapes in cases:
+            plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), scheme, 3)
+            assert plan.known_counts.dtype == np.int64
+            assert plan.known_counts.tolist() == table
+            assert not plan.known_counts.flags.writeable
+            assert list(plan.shape_counts(1)) == user_1_shapes  # by ascending known bits
+            for user in (0, 3):
+                with pytest.raises(cm.ConfigurationError, match="outside 1..2"):
+                    plan.useful_symbols(user)
 
     def test_block_runs_need_a_message(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})

@@ -298,6 +298,17 @@ class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--config", self.write(tmp_path, config())]) == 0
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_duplicate_schemes_exit_2(self, tmp_path, capsys, command):
+        # each scheme once: a repeated one would write its rows twice
+        out = tmp_path / "r.csv"
+        args = [command, "--config", self.write(tmp_path, config(schemes=["proposed", "proposed"]))]
+        if command == "run":
+            args += ["--out", str(out)]
+        assert main(args) == 2
+        assert "duplicate schemes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_bad_config(self, tmp_path, capsys):
         rc = main(["validate", "--config", self.write(tmp_path, config(files=[0.5, 0.6]))])
         assert rc == 2

@@ -151,7 +151,7 @@ class TestRunCampaign:
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(em, demands, scheme, 3)
             snr = cm.SnrProfile((2.0, 2.0))
-            analytic = cm.plan_metrics(plan, c, snr)
+            analytic = cm.ser_report(plan, snr, cm.bound_table(c))
             empirical = cm.run_campaign(plan, c, snr, cm.CampaignConfig(50_000, 9))
             for u in (1, 2):
                 assert empirical.ser[u] <= analytic.ser[u] + 3 * empirical.stderr[u]

@@ -4,6 +4,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from cachemod.cli import parse_config, render_csv, run_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -29,3 +31,22 @@ def test_three_user_sweep_script(tmp_path, monkeypatch, capsys):
     table = [line for line in printed.splitlines() if re.match(r"\s*\d+ \| ", line)]
     assert len(table) == len(cfg.sweep_db) == 11
     assert printed.rstrip().endswith(f"wrote {out}")
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--trials", "-5", "--seed", "-1"], "trials_per_cell"),
+        (["--seed", "-1"], "master_seed"),
+        (["--seed", str(2**64)], "master_seed"),
+    ],
+)
+def test_three_user_sweep_script_checks_its_flags(tmp_path, monkeypatch, capsys, flags, field):
+    # the flags pass the checks `cachemod run` makes: no silent analytic-only
+    # run and no seed reduced mod 2^64
+    script = load_script("run_three_user_sweep")
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", ["run_three_user_sweep.py", *flags, "--out", str(out)])
+    assert script.main() == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+    assert not out.exists()
