@@ -9,11 +9,9 @@ blocks are padded per symbol instead of per subfile.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from cachemod import ConfigurationError
-from cachemod.cli import _read_seed, _read_trials, emit_csv, parse_config, run_scenario
+from cachemod.cli import execute_run, parse_config
 
 CONFIG = Path(__file__).parent / "three_user_sweep.json"
 
@@ -26,18 +24,11 @@ def main():
     args = parser.parse_args()
 
     cfg = parse_config(CONFIG.read_text())
-    try:  # the flags pass the checks their config fields do
-        if args.trials is not None:
-            cfg = replace(cfg, trials_per_cell=_read_trials(args.trials))
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=_read_seed(args.seed))
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     out = args.out or Path(__file__).parent / cfg.output
-
-    rows = run_scenario(cfg)
-    emit_csv(rows, str(out))
+    # the flags and every failure take `cachemod run`'s checks and exit statuses
+    status, rows = execute_run(cfg, out=str(out), seed=args.seed, trials=args.trials)
+    if status:
+        return status
 
     by_key = {(r.snr_db, r.scheme, r.user): r for r in rows}
     users = sorted({r.user for r in rows if r.user != "avg"}, key=int)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from bisect import bisect_right
-from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,24 +53,27 @@ _PLAN_CHUNK = 2**13
 _LOOP_MAX = 2**4
 
 
-def largest_remainder(targets, total: int) -> np.ndarray:
+def largest_remainder(targets, total: int, tie_key=None) -> np.ndarray:
     """Integer apportionment of `total` proportional to `targets`, as int64.
 
     Floors every share and hands the leftover units to the largest fractional
-    remainders, ties going to the earlier position.  Preserves the exact
-    total, or raises ValueError when that takes more than one unit per share
-    or fewer than none.  Up to `_LOOP_MAX` targets a sort ranks the
-    remainders.  Beyond, one partition finds the cut, the deficit-th largest
-    remainder: every remainder above it gets a unit, the earliest ones equal
-    to it share the rest.  That is the sort's choice in linear time.
+    remainders, equal ones going to the smallest `tie_key(position)` (by
+    default the position itself).  Preserves the exact total, or raises
+    ValueError when that takes more than one unit per share or fewer than
+    none.  Up to `_LOOP_MAX` targets a sort ranks the remainders.  Beyond,
+    one partition finds the cut, the deficit-th largest remainder: every
+    remainder above it gets a unit, and the ties at it share the units left,
+    ranked by `tie_key` (called on an int64 array of positions) only when
+    they outnumber them.  That is the sort's choice in linear time.
     """
+    tie_key = tie_key or (lambda i: i)
     if len(targets) <= _LOOP_MAX:
         targets = [float(t) for t in targets]
         floors = [math.floor(t) for t in targets]
         deficit = total - sum(floors)
         if not 0 <= deficit <= len(targets):
             raise ValueError(f"total less floored shares is {deficit}, not in 0..{len(targets)}")
-        order = sorted(range(len(targets)), key=lambda i: (-(targets[i] - floors[i]), i))
+        order = sorted(range(len(targets)), key=lambda i: (-(targets[i] - floors[i]), tie_key(i)))
         for i in order[:deficit]:
             floors[i] += 1
         return np.array(floors, dtype=np.int64)
@@ -87,7 +90,10 @@ def largest_remainder(targets, total: int) -> np.ndarray:
         above = remainders > cut
         shares += above
         ties = np.flatnonzero(remainders == cut)
-        shares[ties[: deficit - np.count_nonzero(above)]] += 1
+        left = deficit - np.count_nonzero(above)
+        if ties.size > left:
+            ties = ties[np.argsort(tie_key(ties))[:left]]
+        shares[ties] += 1
     return shares
 
 
@@ -179,34 +185,19 @@ def subset_code(subset) -> int:
     return sum(1 << (u - 1) for u in subset)
 
 
-@lru_cache(maxsize=None)
-def canonical_codes(num_users: int) -> np.ndarray:
-    """Every subset's code in canonical order: by size, then members lexicographically.
+def _canonical_key(codes, num_users: int):
+    """Sort key of subset codes (an int or an int64 array) for canonical order.
 
-    The empty set comes first.  Up to `_LOOP_MAX` subsets `combinations`
-    lists them.  Beyond, the array code uses that among subsets of one size,
-    sorted member tuples compare like the codes with their bits reversed
-    (user 1 highest), in descending order: it lists the codes by descending
-    reversed code and splits them by size, a sort without sorting.
-    Read-only, built once per K.
+    Canonical order is by size, then members lexicographically, the empty
+    set first.  Among subsets of one size, sorted member tuples compare like
+    the codes with their bits reversed (user 1 highest), in descending order.
     """
-    if 1 << num_users <= _LOOP_MAX:
-        users = range(1, num_users + 1)
-        order = np.array(
-            [subset_code(s) for size in range(num_users + 1) for s in combinations(users, size)],
-            dtype=np.int64,
-        )
-    else:
-        reversed_codes = np.arange((1 << num_users) - 1, -1, -1)
-        codes = np.zeros_like(reversed_codes)
-        size = np.zeros_like(reversed_codes)
-        for u in range(num_users):
-            bit = reversed_codes >> (num_users - 1 - u) & 1
-            codes |= bit << u
-            size += bit
-        order = np.concatenate([codes[size == s] for s in range(num_users + 1)])
-    order.flags.writeable = False
-    return order
+    size = reversed_code = 0
+    for u in range(num_users):
+        bit = codes >> u & 1
+        size = size + bit
+        reversed_code = reversed_code | bit << (num_users - 1 - u)
+    return size << num_users | reversed_code ^ ((1 << num_users) - 1)
 
 
 def _file_row(file_index: int, num_files: int) -> int:
@@ -268,16 +259,14 @@ def quantize_expected_map(subfiles: SubfileMap, library: Library) -> SubfileMap:
 
     Largest-remainder rounding within each file keeps the subset lengths
     summing exactly to the file's integer bit count.  Tied remainders go to
-    the earlier subset in canonical order (`canonical_codes`: the empty set,
-    then by size and members).  Integer maps are returned unchanged.
+    the earlier subset in canonical order (`_canonical_key`: the empty set,
+    then by size and members).
     """
-    if np.issubdtype(subfiles.lengths.dtype, np.integer):
-        return subfiles
-    order = canonical_codes(subfiles.num_users)
+    tie_key = partial(_canonical_key, num_users=subfiles.num_users)
     lengths = np.empty(subfiles.lengths.shape, dtype=np.int64)
     for row, raw, nbits in zip(lengths, subfiles.lengths, library.file_bits, strict=True):
         try:
-            row[order] = largest_remainder(raw[order], nbits)
+            row[:] = largest_remainder(raw, nbits, tie_key)
         except ValueError as exc:
             raise ConfigurationError(
                 f"expected subfile lengths do not round to a {nbits}-bit file: {exc}"
@@ -451,15 +440,12 @@ class DeliveryPlan:
 
     @cached_property
     def per_subset(self) -> dict:
-        """{frozenset: SubsetSchedule} for every subset with a message, in canonical order."""
+        """{frozenset: SubsetSchedule} for every subset with a message, in code order."""
         lengths = self.subfiles.lengths
         users = range(1, self.num_users + 1)
-        message_bits = self.ell.tolist()
         out = {}
-        for code in canonical_codes(self.num_users).tolist():
-            ell = message_bits[code]
-            if ell == 0:
-                continue
+        codes = np.flatnonzero(self.ell)
+        for code, ell in zip(codes.tolist(), self.ell[codes].tolist()):
             subset = frozenset(u for u in users if code >> (u - 1) & 1)
             sub_lens = {
                 u: lengths[self.demands.file_for(u) - 1, code & ~(1 << (u - 1))].item()

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import SnrProfile, bound_table, ser_report
 from .caching import (
@@ -168,6 +168,9 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in ("users", "files", "total_bits", "modulation"):
         if key not in raw:
             raise ConfigurationError(f"missing required field {key!r}")
+    output = raw.get("output")
+    if "output" in raw and not (isinstance(output, str) and output):
+        raise ConfigurationError(f"output must be a non-empty file path, not {output!r}")
 
     users = raw["users"]
     if not isinstance(users, list) or not users:
@@ -237,7 +240,7 @@ def parse_config(text: str) -> ScenarioConfig:
         sweep_db=grid,
         trials_per_cell=trials,
         master_seed=seed,
-        output=str(raw["output"]) if "output" in raw else None,
+        output=output,
     )
 
 
@@ -356,33 +359,21 @@ def _load_config(path: str) -> ScenarioConfig:
     return parse_config(text)
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s", level=logging.INFO)
-    args = _build_parser().parse_args(argv)
-    overrides = {}
+def execute_run(cfg: ScenarioConfig, *, out=None, seed=None, trials=None) -> tuple:
+    """`cachemod run` on a parsed config: apply the flag overrides, sweep, write the CSV.
+
+    Returns (exit status, rows).  A `ConfigurationError` prints a `config
+    error:` line and gives status 2, any other failure a `runtime error:`
+    line and status 3, both with no rows.
+    """
     try:
-        cfg = _load_config(args.config)
-        if args.command == "validate":
-            return 0
         # flag values pass the checks their config fields do
-        if args.seed is not None:
-            overrides["master_seed"] = _read_seed(args.seed)
-        if args.analytic_only:
-            overrides["trials_per_cell"] = 0
-        elif args.trials is not None:
-            overrides["trials_per_cell"] = _read_trials(args.trials)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.out is not None:
-        overrides["output"] = args.out
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-
-    try:
+        if trials is not None:
+            cfg = replace(cfg, trials_per_cell=_read_trials(trials))
+        if seed is not None:
+            cfg = replace(cfg, master_seed=_read_seed(seed))
+        if out is not None:
+            cfg = replace(cfg, output=out)
         rows = run_scenario(cfg)
         if cfg.output is None:
             sys.stdout.write(render_csv(rows))
@@ -390,14 +381,25 @@ def main(argv=None) -> int:
             emit_csv(rows, cfg.output)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2, []
+    except Exception as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3, []
+    return 0, rows
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s", level=logging.INFO)
+    args = _build_parser().parse_args(argv)
+    try:
+        cfg = _load_config(args.config)
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    if args.command == "validate":
+        return 0
+    trials = 0 if args.analytic_only else args.trials
+    return execute_run(cfg, out=args.out, seed=args.seed, trials=trials)[0]
 
 
 if __name__ == "__main__":

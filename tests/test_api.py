@@ -19,9 +19,11 @@ REMOVED = {
     "cachemod.mc": ["awgn_channel", "modulate", "demodulate"],
     "cachemod.bits": ["int_to_bits", "bits_to_int", "as_bits"],
     # the per-block split laws and the codec's bit-string path, replaced by
-    # `piece_runs` and runs-only `encode_block`/`decode_block`
+    # `piece_runs` and runs-only `encode_block`/`decode_block`; the canonical
+    # subset order as an array, replaced by the tie key `_canonical_key`
     "cachemod.caching": [
         "proposed_piece_len", "zero_padding_piece_len", "subset_shapes", "_bit_array",
+        "canonical_codes",
     ],
     # thin wrappers around `ser_report`, and `q_function`'s array path
     "cachemod.analysis": [

@@ -11,7 +11,7 @@ from cachemod import caching
 from cachemod.caching import (
     MAX_TOTAL_BITS,
     SubfileMap,
-    canonical_codes,
+    _canonical_key,
     largest_remainder,
     piece_runs,
     quantize_expected_map,
@@ -261,11 +261,17 @@ class TestQuantization:
     @pytest.mark.parametrize("k", range(1, 13))
     @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
     def test_canonical_codes(self, k, loop_max):
+        # the tie key sorts the codes canonically, on ints and on arrays ...
+        canonical = [0, *(subset_code(s) for s in subset_tuples(k))]
+        assert sorted(range(1 << k), key=lambda c: _canonical_key(c, k)) == canonical
+        keys = _canonical_key(np.arange(1 << k, dtype=np.int64), k)
+        assert keys.dtype == np.int64
+        assert np.argsort(keys).tolist() == canonical
+        # ... and equal remainders take their units in that order on either path
         with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-            codes = canonical_codes.__wrapped__(k)  # not the cached array
-        assert codes.tolist() == [0, *(subset_code(s) for s in subset_tuples(k))]
-        assert codes.dtype == np.int64
-        assert not codes.flags.writeable
+            for units in {1, (1 << k) // 3, (1 << k) - 1}:
+                shares = largest_remainder([0.5] * (1 << k), units, lambda c: _canonical_key(c, k))
+                assert sorted(np.flatnonzero(shares).tolist()) == sorted(canonical[:units])
 
     def test_conserves_file_totals(self):
         lib = cm.Library((1 / 3, 2 / 3), 100)
@@ -291,9 +297,11 @@ class TestQuantization:
         # the ten leftover bits go to the first ten subsets in canonical order
         lib = cm.Library((0.25,) * 4, 1000)
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
-        qm = quantize_expected_map(em, lib)
         canonical = [frozenset(), *all_subsets(4)]
-        assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
+        for loop_max in (caching._LOOP_MAX, 0):  # 0: the array path ranks the ties
+            with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+                qm = quantize_expected_map(em, lib)
+            assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
 def oracle_runs(plan, subset):
@@ -368,7 +376,7 @@ class TestPlannerMatchesLoop:
             for u in range(1, smap.num_users + 1):
                 assert plan.shape_counts(u) == histograms[u]
             assert plan.load == load
-            assert list(plan.per_subset.items()) == list(per_subset.items())
+            assert plan.per_subset == per_subset
             for subset in per_subset:
                 got = [(b.block_index, count, b.per_user_piece_len) for b, count in plan.block_runs(subset)]
                 assert got == oracle_runs(plan, subset)
@@ -381,7 +389,7 @@ class TestPlannerMatchesLoop:
         )
         cm.ser_report(plan, cm.SnrProfile((10.0,) * 4), cm.bound_table(cm.build_psk(3)))
         assert "per_subset" not in vars(plan)
-        assert len(plan.per_subset) == 15
+        assert [subset_code(s) for s in plan.per_subset] == list(range(1, 16))  # code order
 
 
 class TestBuildDeliveryPlan:

@@ -309,6 +309,15 @@ class TestMain:
         assert "duplicate schemes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("output", [None, 5, ""])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_must_be_a_path(self, tmp_path, monkeypatch, capsys, command, output):
+        # neither null, a number nor "" names a file: no CSV called "None" or "5"
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", self.write(tmp_path, config(output=output))]) == 2
+        assert "output must be a non-empty file path" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_validate_bad_config(self, tmp_path, capsys):
         rc = main(["validate", "--config", self.write(tmp_path, config(files=[0.5, 0.6]))])
         assert rc == 2

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cachemod import ConfigurationError, cli
 from cachemod.cli import parse_config, render_csv, run_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -49,4 +50,29 @@ def test_three_user_sweep_script_checks_its_flags(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(sys, "argv", ["run_three_user_sweep.py", *flags, "--out", str(out)])
     assert script.main() == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}")
+    assert not out.exists()
+
+
+def run_script_into(monkeypatch, out):
+    script = load_script("run_three_user_sweep")
+    argv = ["run_three_user_sweep.py", "--trials", "0", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    return script.main()
+
+
+def test_three_user_sweep_script_unwritable_output(tmp_path, monkeypatch, capsys):
+    # exit 3 with a `runtime error:` line, as `cachemod run` gives, not a traceback
+    out = tmp_path / "missing" / "sweep.csv"
+    assert run_script_into(monkeypatch, out) == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
+def test_three_user_sweep_script_config_error_from_the_run(tmp_path, monkeypatch, capsys):
+    def no_plan(cfg):
+        raise ConfigurationError("no plan")
+
+    monkeypatch.setattr(cli, "run_scenario", no_plan)
+    out = tmp_path / "sweep.csv"
+    assert run_script_into(monkeypatch, out) == 2
+    assert capsys.readouterr().err.startswith("config error: no plan")
     assert not out.exists()
