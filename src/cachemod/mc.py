@@ -37,8 +37,11 @@ class CampaignConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.trials_per_cell < 1:
-            raise ConfigurationError("trials_per_cell must be >= 1")
+        # exact ints only: bools, floats and strings are rejected, not coerced
+        if type(self.trials_per_cell) is not int or self.trials_per_cell < 1:
+            raise ConfigurationError("trials_per_cell must be an integer >= 1")
+        if type(self.master_seed) is not int or not 0 <= self.master_seed < 2**64:
+            raise ConfigurationError("master_seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,19 @@ class CellEstimate:
     trials: int
 
 
-def _cell_rng(master_seed: int, cell_id: str) -> np.random.Generator:
+def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
     digest = hashlib.sha256(cell_id.encode()).digest()
     words = [int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16, 24)]
-    return np.random.default_rng(np.random.SeedSequence([master_seed & (2**64 - 1), *words]))
+    return np.random.SeedSequence([master_seed, *words])
+
+
+# A cell's stream is its labels, integers(0, 2^m, N), then its noise,
+# standard_normal((N, 2)), from one PCG64 on `_cell_seed`.  For m <= 8 a label
+# is one 32-bit Lemire draw without rejection, so the labels take ceil(N/2)
+# 64-bit words (an odd half-word stays in the bit generator's state), and a
+# second PCG64 on the same seed advanced by ceil(N/2) yields the noise.  Both
+# are drawn in chunks of this many trials, with the one-shot bytes.
+_TRIALS_PER_CHUNK = 1 << 14
 
 
 def estimate_cell_ser(
@@ -74,20 +86,23 @@ def estimate_cell_ser(
         raise ConfigurationError("invalid mask shape")
     if not 0 < gamma < math.inf:
         raise ConfigurationError("gamma must be positive and finite")
-    rng = _cell_rng(cfg.master_seed, cell_id)
     trials = cfg.trials_per_cell
+    seed = _cell_seed(cfg.master_seed, cell_id)
+    label_rng = np.random.default_rng(seed)
+    noise_rng = np.random.Generator(np.random.PCG64(seed).advance(-(-trials // 2)))
     sqrt_gamma = math.sqrt(gamma)
 
-    labels = rng.integers(0, 1 << c.m, size=trials, dtype=np.int64)
-    # the same draws as rng.normal(0, sqrt(1/2), (trials, 2)) read as
-    # (real, imag) pairs, built in place
-    noise = rng.standard_normal((trials, 2))
-    noise *= math.sqrt(0.5)
-    y = noise.view(np.complex128)[:, 0]
-    y += sqrt_gamma * c.points[c._label_to_index[labels]]
-    decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
-
-    errors = int(np.count_nonzero(decided != labels))
+    errors = 0
+    for start in range(0, trials, _TRIALS_PER_CHUNK):
+        n = min(_TRIALS_PER_CHUNK, trials - start)
+        labels = label_rng.integers(0, 1 << c.m, size=n, dtype=np.int64)
+        # the draws of normal(0, sqrt(1/2), (n, 2)) as (real, imag) pairs, built in place
+        noise = noise_rng.standard_normal((n, 2))
+        noise *= math.sqrt(0.5)
+        y = noise.view(np.complex128)[:, 0]
+        y += sqrt_gamma * c.points[c._label_to_index[labels]]
+        decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
+        errors += int(np.count_nonzero(decided != labels))
     ser = errors / trials
     return CellEstimate(
         ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials

@@ -730,6 +730,14 @@ class TestEncodeDecode:
 
 
 class TestKnownBitMask:
+    @given(scheme=st.sampled_from(cm.SCHEMES), m=st.integers(1, 8), data=st.data())
+    def test_plans_yield_no_mixed_shapes(self, scheme, m, data):
+        # a piece is right-aligned or starts the label, so one known run is
+        # empty: no plan reaches a mixed QAM shape (p > 0, s > 0)
+        n = data.draw(st.integers(1, m))
+        shape = caching.known_shape(scheme, n, m)
+        assert shape in {(m - n, 0), (0, m - n)}
+
     def test_pair_block_masks(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)

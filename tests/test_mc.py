@@ -1,11 +1,71 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cachemod as cm
-from cachemod.mc import _cell_key, _cell_rng
+import cachemod.mc as mc_mod
+from cachemod.mc import _cell_key, _cell_seed
 from conftest import demodulate, subfile_map
+
+
+def _cell_rng(master_seed, cell_id):
+    """The cell's one-shot generator: labels, then noise, from one stream."""
+    return np.random.default_rng(_cell_seed(master_seed, cell_id))
+
+
+class TestCampaignConfig:
+    @pytest.mark.parametrize("trials", [1.5, 2.0, True, "3", None])
+    def test_trials_must_be_an_int(self, trials):
+        with pytest.raises(cm.ConfigurationError, match="trials_per_cell"):
+            cm.CampaignConfig(trials, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, True, "5", None])
+    def test_seed_must_be_an_int_in_64_bits(self, seed):
+        # a masked seed aliased -1 to 2**64 - 1 and 2**64 + 5 to 5
+        with pytest.raises(cm.ConfigurationError, match="master_seed"):
+            cm.CampaignConfig(10, seed)
+
+    def test_seed_range_ends_accepted(self):
+        c = cm.build_psk(2)
+        lo, hi = (
+            cm.estimate_cell_ser(c, (0, 0), 1.0, cm.CampaignConfig(1000, seed), "ends")
+            for seed in (0, 2**64 - 1)
+        )
+        assert lo != hi
+
+
+class TestCellStream:
+    @given(
+        m=st.integers(1, 8),
+        trials=st.one_of(st.sampled_from([1, 2, 7, 4095, 16385]), st.integers(1, 5000)),
+        data=st.data(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=80)
+    def test_chunked_draws_are_the_one_shot_draws(self, m, trials, data, seed):
+        # the stream contract `estimate_cell_ser` chunks on: labels drawn chunk
+        # by chunk from the cell's generator, and normals chunk by chunk from a
+        # second one on the same seed advanced by ceil(N/2) words, are the
+        # one-shot integers + standard_normal arrays byte for byte
+        chunk = data.draw(
+            st.one_of(st.sampled_from([1, 2, 3, 999, 4096]), st.integers(1, trials + 10))
+        )
+        rng = _cell_rng(seed, "stream")
+        want_labels = rng.integers(0, 1 << m, size=trials, dtype=np.int64)
+        want_noise = rng.standard_normal((trials, 2))
+
+        cell_seed = _cell_seed(seed, "stream")
+        label_rng = np.random.default_rng(cell_seed)
+        noise_rng = np.random.Generator(np.random.PCG64(cell_seed).advance(-(-trials // 2)))
+        sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
+        labels = [label_rng.integers(0, 1 << m, size=n, dtype=np.int64) for n in sizes]
+        noise = [noise_rng.standard_normal((n, 2)) for n in sizes]
+        assert np.concatenate(labels).tobytes() == want_labels.tobytes()
+        assert np.concatenate(noise).tobytes() == want_noise.tobytes()
 
 
 class TestEstimateCellSer:
@@ -69,18 +129,19 @@ class TestEstimateCellSer:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_received_points_are_the_normal_pairs(self, seed, monkeypatch):
-        # the cell builds y in place from standard normals; bit for bit it must
-        # be sqrt(gamma) x plus rng.normal(0, sqrt(1/2)) pairs read as complex
-        import cachemod.mc as mc_mod
-
-        seen = {}
+        # the cell builds y in place from standard normals, here for an odd N
+        # in odd chunks of 999 trials; bit for bit the chunks must be
+        # sqrt(gamma) x plus the one-shot rng.normal(0, sqrt(1/2)) pairs read
+        # as complex
+        seen = []
 
         def capture(c, y, sqrt_snr, shape, known):
-            seen["y"], seen["known"] = y.copy(), known.copy()
+            seen.append((y.copy(), known.copy()))
             return cm.detect(c, y, sqrt_snr, shape, known)
 
         monkeypatch.setattr(mc_mod, "detect", capture)
-        c, shape, gamma, trials = cm.build_qam(4), (2, 0), 3.7, 5000
+        monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", 999)
+        c, shape, gamma, trials = cm.build_qam(4), (2, 0), 3.7, 4999
         cm.estimate_cell_ser(c, shape, gamma, cm.CampaignConfig(trials, seed), "draws")
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
@@ -88,8 +149,42 @@ class TestEstimateCellSer:
         want = math.sqrt(gamma) * c.points[c._label_to_index[labels]] + (
             noise[:, 0] + 1j * noise[:, 1]
         )
-        assert seen["y"].tobytes() == want.tobytes()
-        assert seen["known"].tolist() == (labels >> 2).tolist()
+        assert [len(y) for y, _ in seen] == [999] * 5 + [4]
+        assert np.concatenate([y for y, _ in seen]).tobytes() == want.tobytes()
+        assert np.concatenate([k for _, k in seen]).tolist() == (labels >> 2).tolist()
+
+    @pytest.mark.parametrize(
+        "family, m, shape, gamma",
+        [
+            ("psk", 3, (0, 0), 30.0),
+            ("qam", 8, (0, 0), 300.0),
+            ("qam", 8, (0, 3), 300.0),
+            ("qam", 8, (1, 2), 300.0),
+        ],
+    )
+    def test_trials_per_chunk_does_not_change_estimates(
+        self, family, m, shape, gamma, monkeypatch
+    ):
+        # 20,001 trials: two default chunks, 21 odd chunks, or one chunk
+        c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 6)
+        estimates = []
+        for chunk in (mc_mod._TRIALS_PER_CHUNK, 999, 1 << 15):
+            monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", chunk)
+            estimates.append(cm.estimate_cell_ser(c, shape, gamma, cfg, "chunks"))
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert 0 < estimates[0].ser < 1
+
+    def test_memory_flat_in_trials(self):
+        # one-shot draws held every trial's arrays at once, 72.5 MiB at 1e6
+        # trials of this cell; chunks keep it near 1.3 MiB
+        c = cm.build_qam(8)
+        tracemalloc.start()
+        try:
+            cm.estimate_cell_ser(c, (0, 0), 300.0, cm.CampaignConfig(1_000_000, 2), "memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
         import cachemod.modem as modem_mod
@@ -169,8 +264,6 @@ class TestRunCampaign:
     def test_shared_estimates_match_fresh_campaigns(self, small_instance, monkeypatch):
         # one table across both schemes and two SNR points: every distinct
         # (shape, gamma) cell is simulated once and no number changes
-        import cachemod.mc as mc_mod
-
         em, demands = small_instance
         c, cfg = cm.build_psk(3), cm.CampaignConfig(2000, 4)
         plans = [cm.build_delivery_plan(em, demands, s, 3) for s in cm.SCHEMES]
@@ -244,8 +337,6 @@ class TestEndToEnd:
     def test_reports_first_mismatch_when_demodulation_breaks(
         self, two_user_pair_placement, pair_demands, monkeypatch
     ):
-        import cachemod.mc as mc_mod
-
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         monkeypatch.setattr(
@@ -305,8 +396,6 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("scheme", cm.SCHEMES)
     def test_flipped_decoded_bit_is_first_mismatch(self, scheme, monkeypatch):
-        import cachemod.mc as mc_mod
-
         pl, rm, demands = self.three_users(3000, seed=2)
         plan = cm.build_delivery_plan(rm, demands, scheme, 3)
         real_decode, flipped = mc_mod.decode_block, []
