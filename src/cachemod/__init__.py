@@ -23,7 +23,6 @@ from .caching import (
     DeliveryPlan,
     DemandVector,
     Library,
-    MulticastBlockSpec,
     PlacementRealization,
     SubfileMap,
     build_delivery_plan,
@@ -34,7 +33,7 @@ from .caching import (
     realized_subfile_map,
     sample_placement,
 )
-from .errors import ConfigurationError, UselessBlockError
+from .errors import ConfigurationError
 from .mc import (
     CampaignConfig,
     CellEstimate,
@@ -64,14 +63,12 @@ __all__ = [
     "DemandVector",
     "EndToEndResult",
     "Library",
-    "MulticastBlockSpec",
     "PROPOSED",
     "PlacementRealization",
     "SCHEMES",
     "SerReport",
     "SnrProfile",
     "SubfileMap",
-    "UselessBlockError",
     "ZERO_PADDING",
     "bound_table",
     "build_constellation",

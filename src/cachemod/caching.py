@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from bisect import bisect_right
 from functools import cached_property, partial
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigurationError, UselessBlockError
+from .errors import ConfigurationError
 
 PROPOSED = "proposed"
 ZERO_PADDING = "zero_padding"
@@ -111,8 +109,9 @@ class Library:
             raise ConfigurationError("file fractions must be positive")
         if abs(sum(fractions) - 1.0) > 1e-12:
             raise ConfigurationError(f"file fractions sum to {sum(fractions):g}")
-        if self.total_bits < 1:
-            raise ConfigurationError("total_bits must be >= 1")
+        # exact ints only: bools, floats and strings are rejected, not coerced
+        if type(self.total_bits) is not int or self.total_bits < 1:
+            raise ConfigurationError(f"total_bits must be an integer >= 1, not {self.total_bits!r}")
         if self.total_bits > MAX_TOTAL_BITS:
             raise ConfigurationError(
                 f"total_bits {self.total_bits} exceeds the limit of 2**62 ({MAX_TOTAL_BITS})"
@@ -148,7 +147,7 @@ class CacheProfile:
             raise ConfigurationError("at least one user required")
         if len(mus) > MAX_USERS:
             raise ConfigurationError(f"{len(mus)} users exceed the limit of {MAX_USERS}")
-        if any(m < 0 or m > 1 for m in mus):
+        if any(not 0 <= m <= 1 for m in mus):  # NaN fails too
             raise ConfigurationError("cache fractions must lie in [0, 1]")
         if any(a > b for a, b in zip(mus, mus[1:])):
             raise ConfigurationError("cache fractions must be sorted non-decreasing")
@@ -165,8 +164,10 @@ class DemandVector:
     demands: tuple
 
     def __post_init__(self):
-        demands = tuple(int(d) for d in self.demands)
+        demands = tuple(self.demands)
         object.__setattr__(self, "demands", demands)
+        if any(type(d) is not int for d in demands):
+            raise ConfigurationError(f"demands must be integer file indices, not {demands!r}")
         if len(set(demands)) != len(demands):
             raise ConfigurationError("duplicate demands are not supported")
 
@@ -241,11 +242,21 @@ class SubfileMap:
         return self.lengths[_file_row(file_index, self.num_files)].sum().item()
 
 
+def check_subfile_map_size(num_files: int, num_users: int):
+    """Raise ConfigurationError when an (N, 2**K) subfile map exceeds MAX_SUBFILE_ENTRIES."""
+    if num_files << num_users > MAX_SUBFILE_ENTRIES:
+        raise ConfigurationError(
+            f"{num_files} files x 2^{num_users} subsets exceed the "
+            f"subfile map limit of {MAX_SUBFILE_ENTRIES} entries"
+        )
+
+
 def expected_subfile_lengths(library: Library, caches: CacheProfile) -> SubfileMap:
     """Law-of-large-numbers subfile lengths for independent random caching.
 
     lengths(i, S) = F_i * B * prod_{j in S} mu_j * prod_{k not in S} (1 - mu_k)
     """
+    check_subfile_map_size(library.num_files, caches.num_users)
     codes = np.arange(2**caches.num_users)
     p = np.ones(len(codes))
     for u, mu in enumerate(caches.mus):  # user by user: the order fixes the float results
@@ -316,12 +327,14 @@ def sample_placement(library: Library, caches: CacheProfile, seed: int) -> Place
             f"({MAX_ENUMERATED_BITS})"
         )
     rng = np.random.default_rng(seed)
-    mus = np.array(caches.mus)
     values, masks = [], []
     for nbits in library.file_bits:
         values.append(rng.integers(0, 2, size=nbits, dtype=np.uint8))
-        u = rng.random(size=(caches.num_users, nbits))
-        masks.append(u < mus[:, None])
+        # row by row: the draws of random((K, nbits)) with one row of floats at a time
+        mask = np.empty((caches.num_users, nbits), dtype=bool)
+        for row, mu in zip(mask, caches.mus):
+            np.less(rng.random(nbits), mu, out=row)
+        masks.append(mask)
     return PlacementRealization(
         library=library,
         caches=caches,
@@ -333,6 +346,7 @@ def sample_placement(library: Library, caches: CacheProfile, seed: int) -> Place
 
 def realized_subfile_map(placement: PlacementRealization) -> SubfileMap:
     """Exact subfile lengths of a placement realization."""
+    check_subfile_map_size(placement.library.num_files, placement.num_users)
     width = 2**placement.num_users
     files = range(1, placement.library.num_files + 1)
     counts = [np.bincount(placement.subset_codes(i), minlength=width) for i in files]
@@ -373,60 +387,17 @@ def known_shape(scheme: str, piece_len: int, label_len: int) -> tuple:
     return (start, label_len - start - piece_len)
 
 
-@dataclass(frozen=True)
-class MulticastBlockSpec:
-    """A run of m-bit XOR blocks of one subset's message with equal piece lengths."""
-
-    subset: frozenset
-    block_index: int  # 1-based first block of the run within the subset's message
-    per_user_piece_len: dict  # user -> bits of its subfile in each block
-    label_len: int
-    scheme: str
-
-    def piece_len(self, user: int) -> int:
-        if user not in self.subset:
-            raise ConfigurationError(f"user {user} not in subset {sorted(self.subset)}")
-        return self.per_user_piece_len[user]
-
-    def piece_start(self, user: int) -> int:
-        """Label position where the user's piece begins."""
-        return piece_start(self.scheme, self.piece_len(user), self.label_len)
-
-    def known_shape(self, user: int) -> tuple:
-        """(prefix_known, suffix_known) label-bit counts for `user` on these blocks.
-
-        Raises UselessBlockError when the blocks carry none of the user's
-        bits; that is distinct from a useful block with nothing known, (0, 0).
-        """
-        n = self.piece_len(user)
-        if n == 0:
-            raise UselessBlockError(
-                f"block {self.block_index} of subset {sorted(self.subset)} carries no bits "
-                f"for user {user}"
-            )
-        return known_shape(self.scheme, n, self.label_len)
-
-
-@dataclass(frozen=True)
-class SubsetSchedule:
-    """Per-subset symbol counts: message length, block count, subfile lengths."""
-
-    ell: int
-    n_blocks: int
-    subfile_len: dict  # user -> |W_{d_k, S\{k}}|
-
-
 @dataclass(frozen=True, eq=False)
 class DeliveryPlan:
-    """Per-subset block schedules for one demand vector under one padding scheme.
+    """Per-subset message lengths for one demand vector under one padding scheme.
 
     What the error analysis needs is `known_counts`, a read-only (K, m)
     table computed in closed form when the plan is built: row u - 1, column
     j counts user u's useful blocks with j known label bits, whose shape is
     `known_shape(scheme, m - j, m)`.  The plan keeps each subset's message
-    length, indexed by subset code; `per_subset` builds the schedules of the
-    subsets that send a message from the map on first access, and
-    `block_runs` a message's blocks from one.
+    length `ell`, indexed by subset code, and the map it was built from; a
+    message's ceil(ell / m) labels hold each member's subfile as laid out
+    by `piece_runs` and `piece_start` (`encode_block`).
     """
 
     scheme: str
@@ -437,47 +408,6 @@ class DeliveryPlan:
     subfiles: SubfileMap = field(repr=False)
     demands: DemandVector = field(repr=False)
     ell: np.ndarray = field(repr=False)  # message bits per subset code
-
-    @cached_property
-    def per_subset(self) -> dict:
-        """{frozenset: SubsetSchedule} for every subset with a message, in code order."""
-        lengths = self.subfiles.lengths
-        users = range(1, self.num_users + 1)
-        out = {}
-        codes = np.flatnonzero(self.ell)
-        for code, ell in zip(codes.tolist(), self.ell[codes].tolist()):
-            subset = frozenset(u for u in users if code >> (u - 1) & 1)
-            sub_lens = {
-                u: lengths[self.demands.file_for(u) - 1, code & ~(1 << (u - 1))].item()
-                for u in subset
-            }
-            out[subset] = SubsetSchedule(ell, -(-ell // self.label_len), sub_lens)
-        return out
-
-    def block_runs(self, subset) -> list:
-        """The subset's message as [(spec, count)] runs of consecutive blocks.
-
-        Each user's `piece_runs` are merged: a run ends wherever any user's
-        does, so all its blocks share their piece lengths and one
-        `MulticastBlockSpec`, indexed by the run's first block, describes
-        them.  That gives at most 2|S| + 1 runs.
-        """
-        subset = frozenset(subset)
-        sched = self.per_subset.get(subset)
-        if sched is None:
-            raise ConfigurationError(f"no message for subset {sorted(subset)}")
-        runs, ends = {}, {}
-        for u, n in sched.subfile_len.items():
-            runs[u] = piece_runs(self.scheme, n, sched.n_blocks, self.label_len)
-            ends[u] = list(accumulate(count for _, count in runs[u]))
-        bounds = sorted({0}.union(*ends.values()))
-        out = []
-        for a, b in zip(bounds, bounds[1:]):
-            # blocks a + 1..b lie in each user's run that ends after block a
-            pieces = {u: runs[u][bisect_right(ends[u], a)][0] for u in runs}
-            spec = MulticastBlockSpec(subset, a + 1, pieces, self.label_len, self.scheme)
-            out.append((spec, b - a))
-        return out
 
     def _counts(self, user: int) -> list:
         if not 1 <= user <= self.num_users:
@@ -598,64 +528,53 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
     return ell, counts[:, :m].copy()
 
 
-def _bit_run(bits, width: int, what: str) -> np.ndarray:
-    """A (count, width) run of 0/1 bit rows, one row per block, as uint8."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 2 or np.any(arr > 1):
-        raise ValueError(f"{what} must be a two-dimensional run of 0/1 bits")
-    if arr.shape[1] != width:
-        raise ConfigurationError(f"{what} has {arr.shape[1]} bits, block expects {width}")
-    return arr
+def piece_spans(scheme: str, subfile_len: int, n_blocks: int, label_len: int) -> list:
+    """[(blocks, bits, positions)] of each non-empty run of a subfile's pieces over its message.
 
-
-def _checked_pieces(block: MulticastBlockSpec, pieces: dict, users) -> dict:
-    """`users`' pieces as (count, n_u) bit runs matching the block's piece lengths."""
-    out = {}
-    for user in users:
-        if user not in pieces:
-            raise ConfigurationError(f"missing piece for user {user}")
-        out[user] = _bit_run(pieces[user], block.piece_len(user), f"user {user} piece")
-    return out
-
-
-def _run_count(arrays) -> int:
-    """The common number of blocks of bit runs; they must agree."""
-    counts = {len(a) for a in arrays}
-    if len(counts) > 1:
-        raise ConfigurationError("pieces and labels disagree on the number of blocks")
-    return counts.pop()
-
-
-def encode_block(block: MulticastBlockSpec, piece_bits: dict) -> np.ndarray:
-    """XOR the (zero-extended) per-user pieces of a run of blocks into m-bit labels.
-
-    Pieces of shape (count, n_u), one row per block of a run sharing the
-    spec's piece lengths (`DeliveryPlan.block_runs`), give (count, m) labels;
-    a single block is a run of one.
+    `blocks` and `bits` slice the message's labels and the subfile; each of
+    the run's pieces fills label bits `positions`, most significant first,
+    bit 0 being the label's least significant.  At most two runs.
     """
-    pieces = _checked_pieces(block, piece_bits, block.subset)
-    label = np.zeros((_run_count(pieces.values()), block.label_len), dtype=np.uint8)
-    for user, piece in pieces.items():
-        start = block.piece_start(user)
-        label[:, start : start + piece.shape[1]] ^= piece
-    return label
+    if n_blocks < 1 or not 0 <= subfile_len <= n_blocks * label_len:
+        raise ConfigurationError(
+            f"a {subfile_len}-bit subfile does not fit {n_blocks} labels of {label_len} bits"
+        )
+    spans, block, bit = [], 0, 0
+    for piece, count in piece_runs(scheme, subfile_len, n_blocks, label_len):
+        if piece:
+            end = label_len - piece_start(scheme, piece, label_len)
+            positions = np.arange(end - 1, end - 1 - piece, -1)
+            spans.append((slice(block, block + count), slice(bit, bit + piece * count), positions))
+        block += count
+        bit += piece * count
+    return spans
 
 
-def decode_block(
-    label, block: MulticastBlockSpec, user: int, cached_pieces: dict
-) -> np.ndarray:
-    """Strip the other users' pieces off a run of labels and return `user`'s pieces.
+def encode_block(scheme: str, bits, n_blocks: int, label_len: int) -> np.ndarray:
+    """One member's share of a message: its subfile's pieces in n_blocks m-bit labels.
 
-    A (count, m) run of labels with (count, n_v) cached pieces gives the
-    (count, n_u) run of `user`'s pieces.
+    Returns (n_blocks,) int64 labels holding each piece at its label
+    position and 0 elsewhere, so the XOR of the members' shares is the
+    message.  `bits` is the subfile as a one-dimensional array of 0/1.
     """
-    label = _bit_run(label, block.label_len, "label")
-    others = [v for v in block.subset if v != user]
-    pieces = _checked_pieces(block, cached_pieces, others)
-    _run_count([label, *pieces.values()])
-    residual = label.copy()
-    for other, piece in pieces.items():
-        start = block.piece_start(other)
-        residual[:, start : start + piece.shape[1]] ^= piece
-    start = block.piece_start(user)
-    return residual[:, start : start + block.piece_len(user)]
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 1 or np.any(bits > 1):
+        raise ValueError("subfile bits must be a one-dimensional array of 0/1")
+    labels = np.zeros(n_blocks, dtype=np.int64)
+    for blocks, span, positions in piece_spans(scheme, bits.size, n_blocks, label_len):
+        pieces = bits[span].reshape(-1, positions.size).astype(np.int64)
+        labels[blocks] = (pieces << positions).sum(axis=1)
+    return labels
+
+
+def decode_block(scheme: str, labels, subfile_len: int, label_len: int) -> np.ndarray:
+    """The (subfile_len,) uint8 subfile whose pieces `labels` hold: `encode_block` inverted.
+
+    Reads only the subfile's piece positions, so the other members' shares
+    must have been XORed off those positions first.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    bits = np.empty(subfile_len, dtype=np.uint8)
+    for blocks, span, positions in piece_spans(scheme, subfile_len, labels.size, label_len):
+        bits[span] = (labels[blocks, None] >> positions & 1).ravel()
+    return bits

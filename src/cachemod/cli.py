@@ -16,12 +16,12 @@ from dataclasses import dataclass, replace
 
 from .analysis import SnrProfile, bound_table, ser_report
 from .caching import (
-    MAX_SUBFILE_ENTRIES,
     SCHEMES,
     CacheProfile,
     DemandVector,
     Library,
     build_delivery_plan,
+    check_subfile_map_size,
     expected_subfile_lengths,
     quantize_expected_map,
 )
@@ -187,11 +187,7 @@ def parse_config(text: str) -> ScenarioConfig:
     fractions = tuple(_read(float, f, "files") for f in _require_list(raw["files"], "files"))
     total_bits = _read(int, raw["total_bits"], "total_bits")
     library = Library(fractions, total_bits)
-    if library.num_files << caches.num_users > MAX_SUBFILE_ENTRIES:
-        raise ConfigurationError(
-            f"{library.num_files} files x 2^{caches.num_users} subsets exceed the "
-            f"subfile map limit of {MAX_SUBFILE_ENTRIES} entries"
-        )
+    check_subfile_map_size(library.num_files, caches.num_users)
 
     mod = raw["modulation"]
     _require_keys(mod, {"family", "m"}, "modulation")

@@ -3,7 +3,3 @@
 
 class ConfigurationError(ValueError):
     """Invalid scenario or operation inputs (bad sizes, duplicate demands, ...)."""
-
-
-class UselessBlockError(LookupError):
-    """A block that carries no bits for the queried user was addressed."""

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CellTable, SerReport, SnrProfile, ser_report
-from .bits import ints_to_rows, rows_to_ints
 from .caching import (
     DeliveryPlan,
     DemandVector,
     PlacementRealization,
     decode_block,
     encode_block,
+    known_shape,
+    piece_spans,
 )
 from .errors import ConfigurationError
 from .modem import Constellation, _known_value, detect
@@ -159,17 +160,22 @@ def end_to_end_noiseless(
     """Encode, modulate, detect with side information and reassemble.
 
     Runs the whole pipeline over an identity channel and checks that every
-    user recovers its demanded file bit-exactly.  Works on the plan's block
-    runs, so each step handles a whole run of blocks as arrays.  Defaults to
-    PSK of the plan's label width when no constellation is given.  Raises
-    ConfigurationError when the demands are not the plan's, or when the
-    placement's subfiles are not the lengths the plan was built for.
+    user recovers its demanded file bit-exactly.  Subsets go in code order,
+    members in ascending order.  A message is one (n_blocks,) int64 label
+    array, the XOR of its members' `encode_block` shares; member u knows
+    `labels ^ share[u]`, detects each non-empty run of its own pieces with
+    that run's known-bit shape, and decodes its whole subfile in one call.
+    Defaults to PSK of the plan's label width when no constellation is
+    given.  Raises ConfigurationError when the demands are not the plan's,
+    or when the placement's subfiles are not the lengths the plan was built
+    for.
     """
     if c is None:
         from .modem import build_psk
 
         c = build_psk(plan.label_len)
-    if c.m != plan.label_len:
+    m = c.m
+    if m != plan.label_len:
         raise ConfigurationError("plan and constellation disagree on bits per symbol")
     if demands != plan.demands:
         raise ConfigurationError(
@@ -183,37 +189,33 @@ def end_to_end_noiseless(
     recovered = {
         u: np.full(len(placement.bit_values[d - 1]), 2, np.uint8) for u, d in files.items()
     }
-    for subset, sched in plan.per_subset.items():
+    codes = np.flatnonzero(plan.ell)
+    for code, ell in zip(codes.tolist(), plan.ell[codes].tolist()):
+        subset = frozenset(u for u in files if code >> (u - 1) & 1)
+        n_blocks = -(-ell // m)
         # subfile payloads in canonical (ascending bit position) order
-        positions = {u: placement.subfile_positions(files[u], subset - {u}) for u in subset}
-        for u in subset:
-            if len(positions[u]) != sched.subfile_len[u]:
+        positions, shares = {}, {}
+        for u in sorted(subset):
+            positions[u] = placement.subfile_positions(files[u], subset - {u})
+            planned = plan.subfiles.lengths[files[u] - 1, code & ~(1 << (u - 1))]
+            if len(positions[u]) != planned:
                 raise ConfigurationError(
                     f"user {u}'s subfile for subset {sorted(subset)} has {len(positions[u])} "
-                    f"bits in the placement but {sched.subfile_len[u]} in the plan"
+                    f"bits in the placement but {planned} in the plan"
                 )
-        payload = {u: placement.bit_values[files[u] - 1][positions[u]] for u in subset}
-        taken = dict.fromkeys(subset, 0)
-        for block, count in plan.block_runs(subset):
-            pieces, spans = {}, {}
-            for u in subset:
-                spans[u] = slice(taken[u], taken[u] + count * block.piece_len(u))
-                taken[u] = spans[u].stop
-                pieces[u] = payload[u][spans[u]].reshape(count, block.piece_len(u))
-            labels = rows_to_ints(encode_block(block, pieces))
-            y = c.points[c._label_to_index[labels]]  # modulated; the channel is the identity
+            payload = placement.bit_values[files[u] - 1][positions[u]]
+            shares[u] = encode_block(plan.scheme, payload, n_blocks, m)
+        labels = np.bitwise_xor.reduce(list(shares.values()))
+        y = c.points[c._label_to_index[labels]]  # modulated; the channel is the identity
 
-            for u in subset:
-                if block.piece_len(u) == 0:
-                    continue
-                # at a known position the receiver's own piece contributes
-                # nothing, so the label bit there is the XOR of the others'
-                others = {v: pieces[v] for v in subset if v != u}
-                xor_others = encode_block(block, {**others, u: np.zeros_like(pieces[u])})
-                shape = block.known_shape(u)
-                got = detect(c, y, 1.0, shape, _known_value(rows_to_ints(xor_others), c.m, shape))
-                piece = decode_block(ints_to_rows(got, c.m), block, u, others)
-                recovered[u][positions[u][spans[u]]] = piece.reshape(-1)
+        for u, share in shares.items():
+            known = labels ^ share  # the others' shares, which u has cached
+            own = np.zeros(n_blocks, dtype=np.int64)  # u's share as detected
+            for run, _, bit_positions in piece_spans(plan.scheme, len(positions[u]), n_blocks, m):
+                shape = known_shape(plan.scheme, bit_positions.size, m)
+                got = detect(c, y[run], 1.0, shape, _known_value(known[run], m, shape))
+                own[run] = got ^ known[run]
+            recovered[u][positions[u]] = decode_block(plan.scheme, own, len(positions[u]), m)
 
     passed, mismatch = {}, {}
     for u, d in files.items():

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import settings
 
 from cachemod import PROPOSED, CacheProfile, DemandVector, Library
-from cachemod.caching import (
-    MulticastBlockSpec,
-    PlacementRealization,
-    SubfileMap,
-    SubsetSchedule,
-    subset_code,
-)
+from cachemod.caching import PlacementRealization, SubfileMap, subset_code
 
 # examples that build plans or scan constellations can take longer than
 # hypothesis' 200 ms default on a slow machine; max_examples stays per test
@@ -71,31 +65,43 @@ def oracle_shape(scheme, piece_len, label_len):
     return (known, 0) if scheme == PROPOSED else (0, known)
 
 
+def oracle_subfile_lens(plan, subset):
+    """{user: |W_{d_u, S minus u}|} of a subset's members, read from the plan's map."""
+    code = subset_code(subset)
+    lengths = plan.subfiles.lengths
+    return {u: int(lengths[plan.demands.file_for(u) - 1, code & ~(1 << (u - 1))]) for u in subset}
+
+
 def oracle_blocks(plan, subset):
-    """Every block of a subset's message as its own spec, in message order: `block_runs`' oracle."""
-    subset = frozenset(subset)
-    sched = plan.per_subset[subset]
+    """Each block of a subset's message as {user: piece length}, in message order.
+
+    The pieces are dealt out by `oracle_pieces` over the ceil(ell / m)
+    blocks of the plan's message length ell.
+    """
+    ell = int(plan.ell[subset_code(subset)])
+    n_blocks = -(-ell // plan.label_len)
     pieces = {
-        u: oracle_pieces(plan.scheme, n, sched.n_blocks, plan.label_len)
-        for u, n in sched.subfile_len.items()
+        u: oracle_pieces(plan.scheme, n, n_blocks, plan.label_len)
+        for u, n in oracle_subfile_lens(plan, subset).items()
     }
-    return [
-        MulticastBlockSpec(
-            subset, i, {u: p[i - 1] for u, p in pieces.items()}, plan.label_len, plan.scheme
-        )
-        for i in range(1, sched.n_blocks + 1)
-    ]
+    return [{u: p[i] for u, p in pieces.items()} for i in range(n_blocks)]
+
+
+def message_subsets(plan):
+    """The subsets that send a message, as frozensets in canonical order."""
+    return [s for s in all_subsets(plan.num_users) if plan.ell[subset_code(s)]]
 
 
 def loop_delivery_plan(subfiles, demands, scheme, label_len):
     """Oracle of `build_delivery_plan`: one Python step per subset, one per block.
 
-    Returns (per_subset, histograms, load) with the plan's meanings.
+    Returns (ell, histograms, load) with the plan's meanings; ell is a list
+    indexed by subset code.
     """
     k = subfiles.num_users
     total_bits = int(subfiles.lengths.sum())
     rows = {u: subfiles.lengths[demands.file_for(u) - 1].tolist() for u in range(1, k + 1)}
-    per_subset = {}
+    ell_by_code = [0] * (1 << k)
     histograms = {u: {} for u in range(1, k + 1)}
     sent_bits = 0
     for subset in all_subsets(k):
@@ -111,10 +117,10 @@ def loop_delivery_plan(subfiles, demands, scheme, label_len):
                 if piece:
                     shape = oracle_shape(scheme, piece, label_len)
                     hist[shape] = hist.get(shape, 0) + 1
-        per_subset[subset] = SubsetSchedule(ell=ell, n_blocks=n_blocks, subfile_len=sub_lens)
+        ell_by_code[code] = ell
         sent_bits += ell
     load = sent_bits / total_bits if total_bits else 0.0
-    return per_subset, histograms, load
+    return ell_by_code, histograms, load
 
 
 def compatible_labels(c, shape, value):

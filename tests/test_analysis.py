@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import cachemod as cm
-from conftest import oracle_blocks, oracle_shape, subfile_map
+from conftest import message_subsets, oracle_blocks, oracle_shape, subfile_map
 
 
 def gaussian_tail(x):
@@ -88,9 +88,8 @@ def brute_force_metrics(plan, c, snr):
     bounds = cm.bound_table(c)
     errors = {u: 0.0 for u in range(1, plan.num_users + 1)}
     useful = dict.fromkeys(errors, 0)
-    for block in (b for subset in plan.per_subset for b in oracle_blocks(plan, subset)):
-        for user in block.subset:
-            n = block.piece_len(user)
+    for block in (b for subset in message_subsets(plan) for b in oracle_blocks(plan, subset)):
+        for user, n in block.items():
             if n == 0:
                 continue
             shape = oracle_shape(plan.scheme, n, plan.label_len)
@@ -127,7 +126,7 @@ class TestBlockErrorTable:
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(3)))
-        assert plan.block_runs({1, 2})[0][0].known_shape(2) == (1, 0)
+        assert oracle_blocks(plan, {1, 2}) == [{1: 3, 2: 2}]  # user 2 knows one bit
         assert plan.shape_counts(2) == {(1, 0): 2}
         want = 2 * gaussian_tail(math.sqrt(2) * math.sin(math.pi / 4))
         assert report.ser[2] == pytest.approx(want, rel=1e-12)

@@ -6,32 +6,39 @@ import pytest
 import cachemod as cm
 
 # the scalar per-symbol and per-block APIs that `detect`, `min_distance`,
-# block runs and the tests' own brute-force oracles replaced; none may come back
+# the one-array codec and the tests' own brute-force oracles replaced; none may
+# come back.  A module mapped to None is gone as a whole.
 REMOVED = {
     "cachemod": [
         "KnownMask", "empty_mask", "subconstellation", "modulate", "demodulate", "awgn_channel",
         "plan_metrics", "analytic_report", "compare_schemes", "SchemeComparison",
+        "MulticastBlockSpec", "UselessBlockError",
     ],
     "cachemod.modem": [
         "KnownMask", "empty_mask", "_compatible", "subconstellation", "modulate", "demodulate",
         "bits_to_int", "as_bits",
     ],
     "cachemod.mc": ["awgn_channel", "modulate", "demodulate"],
-    "cachemod.bits": ["int_to_bits", "bits_to_int", "as_bits"],
-    # the per-block split laws and the codec's bit-string path, replaced by
-    # `piece_runs` and runs-only `encode_block`/`decode_block`; the canonical
-    # subset order as an array, replaced by the tie key `_canonical_key`
+    # the bit-row helpers, now the codec's own shifts and masks
+    "cachemod.bits": None,
+    "cachemod.errors": ["UselessBlockError"],
+    # the per-block split laws and the codec's bit-string and bit-row paths,
+    # replaced by `piece_runs` and the one-array `encode_block`/`decode_block`;
+    # the canonical subset order as an array, replaced by the tie key
+    # `_canonical_key`
     "cachemod.caching": [
         "proposed_piece_len", "zero_padding_piece_len", "subset_shapes", "_bit_array",
-        "canonical_codes",
+        "canonical_codes", "MulticastBlockSpec", "UselessBlockError", "SubsetSchedule",
+        "_bit_run", "_checked_pieces", "_run_count",
     ],
     # thin wrappers around `ser_report`, and `q_function`'s array path
     "cachemod.analysis": [
         "plan_metrics", "analytic_report", "compare_schemes", "SchemeComparison", "_erfc_array",
     ],
-    # fields: per-user shape dicts, replaced by the `known_counts` table, and
-    # a report tag nothing read
-    "cachemod.caching.DeliveryPlan": ["histograms"],
+    # per-user shape dicts, replaced by the `known_counts` table; per-subset
+    # schedules and merged block runs, which the one-array codec needs no
+    # more; and a report tag nothing read
+    "cachemod.caching.DeliveryPlan": ["histograms", "per_subset", "block_runs"],
     "cachemod.analysis.SerReport": ["kind"],
 }
 
@@ -53,6 +60,10 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize("module_name", sorted(REMOVED))
 def test_removed_names_stay_removed(module_name):
+    if REMOVED[module_name] is None:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
+        return
     owner = resolve(module_name)
     fields = set()
     if dataclasses.is_dataclass(owner):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,9 @@ from cachemod.caching import (
     MAX_TOTAL_BITS,
     SubfileMap,
     _canonical_key,
+    decode_block,
+    encode_block,
+    known_shape,
     largest_remainder,
     piece_runs,
     quantize_expected_map,
@@ -22,9 +26,11 @@ from conftest import (
     loop_delivery_plan,
     loop_largest_remainder,
     loop_quantized_lengths,
+    message_subsets,
     oracle_blocks,
     oracle_pieces,
     oracle_shape,
+    oracle_subfile_lens,
     subfile_map,
     subset_tuples,
 )
@@ -67,6 +73,12 @@ class TestLibrary:
         with pytest.raises(cm.ConfigurationError, match=f"total_bits {total_bits} has no exact split"):
             cm.Library(fractions, total_bits)
 
+    @pytest.mark.parametrize("total_bits", [100.5, 100.0, True, "100", None])
+    def test_total_bits_must_be_an_exact_int(self, total_bits):
+        # no float is truncated or reaches a slice, and True is not a 1-bit library
+        with pytest.raises(cm.ConfigurationError, match="total_bits must be an integer"):
+            cm.Library((1.0,), total_bits)
+
     def test_exact_split_above_float_precision(self):
         # thirds of 2**53 + 1 floor 3 bits short, one per file
         lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 2**53 + 1)
@@ -83,6 +95,40 @@ class TestCacheProfile:
             cm.CacheProfile((-0.1, 0.5))
         with pytest.raises(cm.ConfigurationError):
             cm.CacheProfile((0.5, 1.1))
+
+    def test_rejects_nan(self):
+        # NaN fails every comparison: only a check written as `not 0 <= mu <= 1` rejects it
+        for mus in ((math.nan,), (0.2, math.nan)):
+            with pytest.raises(cm.ConfigurationError, match=r"\[0, 1\]"):
+                cm.CacheProfile(mus)
+
+
+class TestDemandVector:
+    @pytest.mark.parametrize("demands", [(1.5, 2), (1.0, 2), ("1", 2), (True, 2), (None,)])
+    def test_entries_must_be_exact_ints(self, demands):
+        # 1.5 is not truncated to file 1, nor "1" taken for a file index
+        with pytest.raises(cm.ConfigurationError, match="integer file indices"):
+            cm.DemandVector(demands)
+
+
+class TestSubfileMapSize:
+    """N * 2**K map entries are bounded before a map is allocated."""
+
+    def test_expected_map_checks_size(self):
+        lib, caches = cm.Library((0.2,) * 5, 100), cm.CacheProfile((0.5,) * 3)
+        with mock.patch.object(caching, "MAX_SUBFILE_ENTRIES", 5 << 3):
+            assert cm.expected_subfile_lengths(lib, caches).lengths.shape == (5, 8)
+        with mock.patch.object(caching, "MAX_SUBFILE_ENTRIES", (5 << 3) - 1):
+            with pytest.raises(cm.ConfigurationError, match="5 files x 2\\^3 subsets exceed"):
+                cm.expected_subfile_lengths(lib, caches)
+
+    def test_realized_map_checks_size(self):
+        placement = cm.sample_placement(
+            cm.Library((0.2,) * 5, 100), cm.CacheProfile((0.5,) * 3), seed=0
+        )
+        with mock.patch.object(caching, "MAX_SUBFILE_ENTRIES", (5 << 3) - 1):
+            with pytest.raises(cm.ConfigurationError, match="subfile map limit of 39 entries"):
+                cm.realized_subfile_map(placement)
 
 
 class TestExpectedSubfileLengths:
@@ -150,6 +196,29 @@ class TestSamplePlacement:
             assert np.array_equal(fa, fb)
         for ma, mb in zip(a.cached_by, b.cached_by):
             assert np.array_equal(ma, mb)
+
+    @pytest.mark.parametrize("k, nbits", [(3, 15000), (20, 1001), (1, 7)])
+    def test_rows_are_the_one_shot_draws(self, k, nbits):
+        # per file: bit values, then random((K, nbits)) < mu_k, row by row
+        caches = cm.CacheProfile(tuple(np.linspace(0.05, 0.95, k)))
+        placement = cm.sample_placement(cm.Library((0.5, 0.5), 2 * nbits), caches, seed=k)
+        rng = np.random.default_rng(k)
+        for values, mask in zip(placement.bit_values, placement.cached_by, strict=True):
+            assert np.array_equal(values, rng.integers(0, 2, size=nbits, dtype=np.uint8))
+            want = rng.random(size=(k, nbits)) < np.array(caches.mus)[:, None]
+            assert mask.dtype == bool and np.array_equal(mask, want)
+
+    def test_float_draws_take_one_row(self):
+        # 20 users, 2e5 bits: a (K, nbits) float array would take 32 MB
+        lib, caches = cm.Library((1.0,), 200_000), cm.CacheProfile((0.5,) * 20)
+        tracemalloc.start()
+        try:
+            cm.sample_placement(lib, caches, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # bool masks 4 MB, bit values 0.2 MB, one row of floats 1.6 MB
+        assert peak < 8 * 2**20
 
     def test_full_cache_user(self):
         lib = cm.Library((0.6, 0.4), 200)
@@ -304,25 +373,18 @@ class TestQuantization:
             assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
-def oracle_runs(plan, subset):
-    """A subset's maximal runs [(first block, count, pieces)] from its blocks one by one."""
-    runs = []
-    for block in oracle_blocks(plan, subset):
-        if runs and runs[-1][2] == block.per_user_piece_len:
-            runs[-1][1] += 1
-        else:
-            runs.append([block.block_index, 1, block.per_user_piece_len])
-    return [tuple(run) for run in runs]
+def message_runs(plan, subset):
+    """{user: its `piece_runs`} over the blocks of a subset's message in the plan."""
+    n_blocks = -(-int(plan.ell[subset_code(subset)]) // plan.label_len)
+    return {
+        u: piece_runs(plan.scheme, n, n_blocks, plan.label_len)
+        for u, n in oracle_subfile_lens(plan, subset).items()
+    }
 
 
 def expand(runs):
-    """Each block's spec of [(spec, count)] runs, in message order."""
-    return [block for block, count in runs for _ in range(count)]
-
-
-def piece_table(runs):
-    """[(pieces, count)] of [(spec, count)] runs."""
-    return [(block.per_user_piece_len, count) for block, count in runs]
+    """Each block's piece length of [(piece_len, count)] runs, in message order."""
+    return [piece for piece, count in runs for _ in range(count)]
 
 
 @st.composite
@@ -372,53 +434,34 @@ class TestPlannerMatchesLoop:
             smap = quantised
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(smap, demands, scheme, m)
-            per_subset, histograms, load = loop_delivery_plan(smap, demands, scheme, m)
+            ell, histograms, load = loop_delivery_plan(smap, demands, scheme, m)
             for u in range(1, smap.num_users + 1):
                 assert plan.shape_counts(u) == histograms[u]
             assert plan.load == load
-            assert plan.per_subset == per_subset
-            for subset in per_subset:
-                got = [(b.block_index, count, b.per_user_piece_len) for b, count in plan.block_runs(subset)]
-                assert got == oracle_runs(plan, subset)
-
-    def test_scenario_never_builds_schedules(self):
-        lib = cm.Library((0.25,) * 4, 1000)
-        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.1, 0.2, 0.3, 0.4)))
-        plan = cm.build_delivery_plan(
-            quantize_expected_map(em, lib), cm.DemandVector((1, 2, 3, 4)), cm.PROPOSED, 3
-        )
-        cm.ser_report(plan, cm.SnrProfile((10.0,) * 4), cm.bound_table(cm.build_psk(3)))
-        assert "per_subset" not in vars(plan)
-        assert [subset_code(s) for s in plan.per_subset] == list(range(1, 16))  # code order
+            assert plan.ell.tolist() == ell  # by subset code
 
 
 class TestBuildDeliveryPlan:
     def test_pair_message_single_block(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        sched = plan.per_subset[frozenset({1, 2})]
-        assert sched.n_blocks == 1
-        assert piece_table(plan.block_runs(frozenset({1, 2}))) == [({1: 3, 2: 2}, 1)]
+        assert plan.ell[subset_code({1, 2})] == 3  # one block
+        assert message_runs(plan, {1, 2}) == {1: [(3, 1)], 2: [(2, 1)]}
 
     def test_three_to_one_split_proposed(self):
         # 9-bit vs 3-bit subfiles at 3 bits/symbol: 3 blocks, pieces 3 and 1
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        sched = plan.per_subset[frozenset({1, 2})]
-        assert sched.n_blocks == 3
+        assert plan.ell[subset_code({1, 2})] == 9  # three blocks
         assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 3]
-        assert piece_table(plan.block_runs(frozenset({1, 2}))) == [({1: 3, 2: 1}, 3)]
+        assert message_runs(plan, {1, 2}) == {1: [(3, 3)], 2: [(1, 3)]}
 
     def test_three_to_one_split_zero_padding(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        sched = plan.per_subset[frozenset({1, 2})]
-        assert sched.n_blocks == 3
+        assert plan.ell[subset_code({1, 2})] == 9  # three blocks
         assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 1]
-        assert piece_table(plan.block_runs(frozenset({1, 2}))) == [
-            ({1: 3, 2: 3}, 1),
-            ({1: 3, 2: 0}, 2),
-        ]
+        assert message_runs(plan, {1, 2}) == {1: [(3, 3)], 2: [(3, 1), (0, 2)]}
 
     def test_duplicate_demands_rejected(self):
         with pytest.raises(cm.ConfigurationError):
@@ -438,9 +481,8 @@ class TestBuildDeliveryPlan:
     def test_empty_plan_is_not_an_error(self):
         smap = subfile_map(2, 2, {})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        assert plan.per_subset == {}
-        with pytest.raises(cm.ConfigurationError, match="no message"):
-            plan.block_runs({1, 2})
+        assert not plan.ell.any()
+        assert [plan.useful_symbols(u) for u in (1, 2)] == [0, 0]
 
     def test_load_matches_message_bits(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
@@ -465,9 +507,7 @@ class TestBuildDeliveryPlan:
         plan = cm.build_delivery_plan(
             quantize_expected_map(em, lib), cm.DemandVector((1, 2)), cm.PROPOSED, 2
         )
-        for sched in plan.per_subset.values():
-            for v in sched.subfile_len.values():
-                assert isinstance(v, int)
+        assert plan.subfiles.lengths.dtype == plan.ell.dtype == np.int64
 
     @given(
         w1=st.integers(0, 40),
@@ -480,12 +520,12 @@ class TestBuildDeliveryPlan:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), scheme, m)
         subset = frozenset({1, 2})
         if max(w1, w2) == 0:
-            assert subset not in plan.per_subset
+            assert plan.ell[subset_code(subset)] == 0
             return
-        blocks = expand(plan.block_runs(subset))
-        assert len(blocks) == plan.per_subset[subset].n_blocks
+        runs = message_runs(plan, subset)
         for user, w in ((1, w1), (2, w2)):
-            pieces = [block.piece_len(user) for block in blocks]
+            pieces = expand(runs[user])
+            assert len(pieces) == -(-max(w1, w2) // m)
             assert sum(pieces) == w
             assert all(0 <= x <= m for x in pieces)
             if scheme == cm.PROPOSED:
@@ -520,11 +560,11 @@ class TestBuildDeliveryPlan:
 def enumerated_histogram(plan, user):
     """Brute-force oracle: walk every block and count the user's known-bit shapes."""
     counts = {}
-    for subset in plan.per_subset:
+    for subset in message_subsets(plan):
         if user not in subset:
             continue
         for block in oracle_blocks(plan, subset):
-            n = block.piece_len(user)
+            n = block[user]
             if n == 0:
                 continue
             shape = oracle_shape(plan.scheme, n, plan.label_len)
@@ -553,15 +593,6 @@ class TestShapeHistograms:
                 got = plan.shape_counts(u)
                 assert got == want
                 assert sum(got.values()) == plan.useful_symbols(u)
-            for subset in plan.per_subset:
-                runs = plan.block_runs(subset)
-                lengths = [block.per_user_piece_len for block, _ in runs]
-                expanded = [block.per_user_piece_len for block in expand(runs)]
-                assert expanded == [
-                    block.per_user_piece_len for block in oracle_blocks(plan, subset)
-                ]
-                assert all(a != b for a, b in zip(lengths, lengths[1:]))  # maximal runs
-                assert len(runs) <= 2 * len(subset) + 1
 
     def test_hand_evaluated_runs(self):
         # 7 bits over 3 blocks of width 3: pieces 3, 2, 2 -> shapes (0,0) and 2 x (1,0)
@@ -591,142 +622,94 @@ class TestShapeHistograms:
                 with pytest.raises(cm.ConfigurationError, match="outside 1..2"):
                     plan.useful_symbols(user)
 
-    def test_block_runs_need_a_message(self):
-        smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
-        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        for subset in ({1}, {3}, ()):
-            with pytest.raises(cm.ConfigurationError, match="no message"):
-                plan.block_runs(subset)
-
-
-def pair_block(plan):
-    """The spec of the pair subset's first run of blocks."""
-    return plan.block_runs(frozenset({1, 2}))[0][0]
-
-
 class TestEncodeDecode:
-    def test_pair_block_encoding(self, two_user_pair_placement, pair_demands):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        label = cm.encode_block(pair_block(plan), {1: [[0, 1, 0]], 2: [[1, 0]]})
-        assert label.tolist() == [[0, 0, 0]]
+    def test_pair_block_encoding(self):
+        # the pair fixture's message: user 1's piece 010 XOR user 2's 10, right-aligned
+        label = encode_block(cm.PROPOSED, [0, 1, 0], 1, 3) ^ encode_block(cm.PROPOSED, [1, 0], 1, 3)
+        assert label.dtype == np.int64
+        assert label.tolist() == [0b000]
 
     def test_single_piece_identity(self):
-        smap = subfile_map(1, 1, {(1, ()): 3})
-        plan = cm.build_delivery_plan(smap, cm.DemandVector((1,)), cm.PROPOSED, 3)
-        [(block, count)] = plan.block_runs(frozenset({1}))
-        assert count == 1
-        assert cm.encode_block(block, {1: [[1, 0, 1]]}).tolist() == [[1, 0, 1]]
+        assert encode_block(cm.PROPOSED, [1, 0, 1], 1, 3).tolist() == [0b101]
+        assert encode_block(cm.ZERO_PADDING, [1, 1], 1, 3).tolist() == [0b110]
 
-    def test_all_zero_pieces(self, two_user_pair_placement, pair_demands):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        label = cm.encode_block(pair_block(plan), {1: [[0, 0, 0]], 2: [[0, 0]]})
-        assert label.tolist() == [[0, 0, 0]]
+    def test_all_zero_pieces(self):
+        for scheme in cm.SCHEMES:
+            assert encode_block(scheme, np.zeros(5, np.uint8), 2, 3).tolist() == [0, 0]
 
-    def test_piece_length_mismatch_rejected(self, two_user_pair_placement, pair_demands):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        with pytest.raises(cm.ConfigurationError):
-            cm.encode_block(pair_block(plan), {1: [[0, 1, 0, 0]], 2: [[1, 0]]})
+    def test_piece_length_mismatch_rejected(self):
+        # the subfile must fit its message's labels, and a message has a label
+        for scheme in cm.SCHEMES:
+            for bits, n_blocks in (([0, 1, 0, 0], 1), ([1] * 7, 2), ([], 0)):
+                with pytest.raises(cm.ConfigurationError, match="does not fit"):
+                    encode_block(scheme, bits, n_blocks, 3)
 
-    def test_decode_recovers_piece(self, two_user_pair_placement, pair_demands):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        piece = cm.decode_block([[0, 0, 0]], pair_block(plan), 2, {1: [[0, 1, 0]]})
-        assert piece.tolist() == [[1, 0]]
+    def test_decode_recovers_piece(self):
+        # user 2 XORs off its cached copy of user 1's share of the pair label
+        labels = np.array([0b000])
+        known = encode_block(cm.PROPOSED, [0, 1, 0], 1, 3)
+        piece = decode_block(cm.PROPOSED, labels ^ known, 2, 3)
+        assert piece.dtype == np.uint8
+        assert piece.tolist() == [1, 0]
 
-    def test_decode_missing_piece(self, two_user_pair_placement, pair_demands):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        with pytest.raises(cm.ConfigurationError):
-            cm.decode_block([[0, 0, 0]], pair_block(plan), 2, {})
-
-    def test_bits_must_be_runs_of_0_1(self, two_user_pair_placement, pair_demands):
-        # a single block is a run of one: bare bit strings are not accepted
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = pair_block(plan)
-        for bad in ("010", [0, 1, 0], [[0, 2, 0]], np.zeros((1, 1, 3), np.uint8)):
-            with pytest.raises(ValueError, match="two-dimensional run of 0/1"):
-                cm.encode_block(block, {1: bad, 2: [[1, 0]]})
-            with pytest.raises(ValueError, match="two-dimensional run of 0/1"):
-                cm.decode_block(bad, block, 2, {1: [[0, 1, 0]]})
-        with pytest.raises(cm.ConfigurationError, match="label has 4 bits"):
-            cm.decode_block([[0, 0, 0, 0]], block, 2, {1: [[0, 1, 0]]})
+    def test_bits_must_be_runs_of_0_1(self):
+        # a subfile is one flat run of 0/1 bits
+        for bad in ("010", [[0, 1, 0]], [0, 2, 0], np.zeros((1, 3), np.uint8)):
+            with pytest.raises(ValueError, match="one-dimensional array of 0/1"):
+                encode_block(cm.PROPOSED, bad, 1, 3)
 
     @given(
-        w1=st.integers(1, 30),
-        w2=st.integers(1, 30),
-        m=st.integers(1, 5),
+        w1=st.integers(0, 30),
+        w2=st.integers(0, 30),
+        m=st.integers(1, 8),
+        spare=st.integers(0, 2),  # labels beyond the message's own
         scheme=st.sampled_from(cm.SCHEMES),
         data=st.data(),
     )
     @settings(max_examples=200)
-    def test_roundtrip(self, w1, w2, m, scheme, data):
-        smap = subfile_map(2, 2, {(1, (2,)): w1, (2, (1,)): w2})
-        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), scheme, m)
-        subset = frozenset({1, 2})
-        bits1 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=w1, max_size=w1)), dtype=np.uint8)
-        bits2 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=w2, max_size=w2)), dtype=np.uint8)
-        payload = {1: bits1, 2: bits2}
-        taken = {1: 0, 2: 0}
-        got = {1: [], 2: []}
-        for block in oracle_blocks(plan, subset):  # each block a run of one
-            pieces = {}
-            for u in (1, 2):
-                n = block.piece_len(u)
-                pieces[u] = payload[u][None, taken[u] : taken[u] + n]
-                taken[u] += n
-            label = cm.encode_block(block, pieces)
-            for u, other in ((1, 2), (2, 1)):
-                out = cm.decode_block(label, block, u, {other: pieces[other]})
-                got[u].extend(out[0].tolist())
-        assert got[1] == bits1.tolist()
-        assert got[2] == bits2.tolist()
-
+    def test_roundtrip(self, w1, w2, m, spare, scheme, data):
+        n_blocks = max(1, -(-max(w1, w2) // m)) + spare
+        a, b = (
+            np.array(data.draw(st.lists(st.integers(0, 1), min_size=w, max_size=w)), np.uint8)
+            for w in (w1, w2)
+        )
+        share_a, share_b = (encode_block(scheme, bits, n_blocks, m) for bits in (a, b))
+        labels = share_a ^ share_b
+        assert labels.shape == (n_blocks,)
+        assert labels.min() >= 0 and labels.max() < 1 << m
+        assert decode_block(scheme, labels ^ share_b, w1, m).tolist() == a.tolist()
+        assert decode_block(scheme, labels ^ share_a, w2, m).tolist() == b.tolist()
 
     @given(
-        w1=st.integers(0, 30),
-        w2=st.integers(1, 30),
-        m=st.integers(1, 5),
+        n=st.integers(0, 60),
+        m=st.integers(1, 8),
+        spare=st.integers(0, 3),
         scheme=st.sampled_from(cm.SCHEMES),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100)
-    def test_run_matches_single_blocks(self, w1, w2, m, scheme, seed):
-        # a (count, n_u) run encodes and decodes exactly like its blocks one by one
-        smap = subfile_map(2, 2, {(1, (2,)): w1, (2, (1,)): w2})
-        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), scheme, m)
-        rng = np.random.default_rng(seed)
-        subset = frozenset({1, 2})
-        singles = iter(oracle_blocks(plan, subset))
-        for block, count in plan.block_runs(subset):
-            pieces = {
-                u: rng.integers(0, 2, size=(count, block.piece_len(u)), dtype=np.uint8)
-                for u in (1, 2)
-            }
-            labels = cm.encode_block(block, pieces)
-            assert labels.tolist() == [
-                cm.encode_block(b, {u: pieces[u][i : i + 1] for u in (1, 2)})[0].tolist()
-                for i, b in zip(range(count), singles)
-            ]
-            for u, other in ((1, 2), (2, 1)):
-                got = cm.decode_block(labels, block, u, {other: pieces[other]})
-                assert got.tolist() == pieces[u].tolist()
-        assert next(singles, None) is None  # the runs cover every block
+    def test_run_matches_single_blocks(self, n, m, spare, scheme, seed):
+        # label by label, the share holds the bits the oracle deals to that
+        # block, between the known bits of its shape, MSB-first
+        n_blocks = max(1, -(-n // m)) + spare
+        bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+        labels = encode_block(scheme, bits, n_blocks, m)
+        taken = 0
+        pieces = oracle_pieces(scheme, n, n_blocks, m)
+        for label, piece in zip(labels.tolist(), pieces, strict=True):
+            prefix, suffix = oracle_shape(scheme, piece, m)
+            row = [0] * prefix + bits[taken : taken + piece].tolist() + [0] * suffix
+            assert label == int("".join(map(str, row)), 2)
+            taken += piece
+        assert decode_block(scheme, labels, n, m).tolist() == bits.tolist()
 
-    def test_run_counts_must_agree(self, two_user_pair_placement, pair_demands):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        block = pair_block(plan)
-        two, three = np.zeros((2, 3), np.uint8), np.zeros((3, 2), np.uint8)
-        with pytest.raises(cm.ConfigurationError):
-            cm.encode_block(block, {1: two, 2: three})
-        with pytest.raises(cm.ConfigurationError):
-            cm.encode_block(block, {1: [[0, 1, 0]], 2: three})
-        with pytest.raises(cm.ConfigurationError):
-            cm.decode_block(np.zeros((2, 3), np.uint8), block, 2, {1: np.zeros((3, 3), np.uint8)})
+    def test_run_counts_must_agree(self):
+        # the labels must hold the whole subfile: 7 bits need three 3-bit labels
+        for scheme in cm.SCHEMES:
+            labels = encode_block(scheme, [1] * 7, 3, 3)
+            assert decode_block(scheme, labels, 7, 3).tolist() == [1] * 7
+            with pytest.raises(cm.ConfigurationError, match="does not fit"):
+                decode_block(scheme, labels[:2], 7, 3)
 
 
 class TestKnownBitMask:
@@ -741,31 +724,24 @@ class TestKnownBitMask:
     def test_pair_block_masks(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        assert pair_block(plan).known_shape(2) == (1, 0)
-        assert pair_block(plan).known_shape(1) == (0, 0)
+        runs = message_runs(plan, {1, 2})
+        assert [known_shape(cm.PROPOSED, piece, 3) for piece, _ in runs[2]] == [(1, 0)]
+        assert [known_shape(cm.PROPOSED, piece, 3) for piece, _ in runs[1]] == [(0, 0)]
 
     def test_uneven_split_prefixes(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        [(block, count)] = plan.block_runs({1, 2})
+        [(piece, count)] = message_runs(plan, {1, 2})[2]
         assert count == 3
-        assert block.known_shape(2) == (2, 0)
+        assert known_shape(cm.PROPOSED, piece, 3) == (2, 0)
 
     def test_zero_padding_suffix(self):
         smap = subfile_map(2, 2, {(1, (2,)): 6, (2, (1,)): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        (first, one), (second, also_one) = plan.block_runs({1, 2})
+        (first, one), (second, also_one) = message_runs(plan, {1, 2})[2]
         assert one == also_one == 1
-        assert first.known_shape(2) == (0, 0)
-        assert second.known_shape(2) == (0, 2)
-
-    def test_useless_block_raises(self):
-        smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
-        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        _, (tail, count) = plan.block_runs({1, 2})
-        assert count == 2
-        with pytest.raises(cm.UselessBlockError, match="block 2 "):
-            tail.known_shape(2)
+        assert known_shape(cm.ZERO_PADDING, first, 3) == (0, 0)
+        assert known_shape(cm.ZERO_PADDING, second, 3) == (0, 2)
 
     def test_divisible_lengths_dominate_zero_padding(self):
         # when the symbol width divides everything, the even split never knows
@@ -774,10 +750,10 @@ class TestKnownBitMask:
         pp = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         pz = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         subset = frozenset({1, 2})
-        prop_blocks = expand(pp.block_runs(subset))
-        zp_blocks = expand(pz.block_runs(subset))
+        prop_runs, zp_runs = message_runs(pp, subset), message_runs(pz, subset)
         for u in (1, 2):
+            prop_pieces, zp_pieces = expand(prop_runs[u]), expand(zp_runs[u])
             for i in range(pz.useful_symbols(u)):
-                prop = prop_blocks[i].known_shape(u)[0]
-                zp = zp_blocks[i].known_shape(u)[0]
+                prop = known_shape(cm.PROPOSED, prop_pieces[i], 3)[0]
+                zp = known_shape(cm.ZERO_PADDING, zp_pieces[i], 3)[0]
                 assert prop >= zp

@@ -181,11 +181,13 @@ class TestRunScenario:
 
 
     def test_analytic_cost_independent_of_library_size(self, monkeypatch):
-        # no block object may be built on the sweep path, even for B = 1e9
-        def no_blocks(self, *args, **kwargs):
-            raise AssertionError("sweep built a MulticastBlockSpec")
+        # no label may be encoded or decoded on the sweep path, even for B = 1e9
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("sweep ran the codec")
 
-        monkeypatch.setattr(cm.caching.MulticastBlockSpec, "__init__", no_blocks)
+        for module in (cm.caching, cm.mc):
+            monkeypatch.setattr(module, "encode_block", no_blocks)
+            monkeypatch.setattr(module, "decode_block", no_blocks)
         rows = run_scenario(parse_config(config(total_bits=10**9)))
         assert len(rows) == 3 * 2 * 4
         assert all(r.useful > 0 for r in rows)

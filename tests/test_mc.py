@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import cachemod as cm
 import cachemod.mc as mc_mod
 from cachemod.mc import _cell_key, _cell_seed
-from conftest import demodulate, subfile_map
+from cachemod.caching import subset_code
+from conftest import demodulate, message_subsets, subfile_map
 
 
 def _cell_rng(master_seed, cell_id):
@@ -311,7 +312,7 @@ class TestEndToEnd:
         rm = cm.realized_subfile_map(pl)
         demands = cm.DemandVector((1,))
         plan = cm.build_delivery_plan(rm, demands, cm.PROPOSED, 3)
-        assert plan.per_subset[frozenset({1})].subfile_len[1] == 28
+        assert plan.subfiles.length(1, frozenset()) == plan.ell[0b1] == 28
         assert cm.end_to_end_noiseless(pl, plan, demands).all_passed
 
     def test_random_instances(self):
@@ -373,20 +374,36 @@ class TestEndToEnd:
             cm.end_to_end_noiseless(pl, plan, demands)
 
     @pytest.mark.parametrize("scheme", cm.SCHEMES)
-    def test_one_block_spec_per_run(self, scheme, monkeypatch):
-        # a block spec per run of equal piece lengths, not per m-bit block
+    def test_codec_and_detect_calls_per_member(self, scheme, monkeypatch):
+        # per (member, subset with a message): one encode, one decode and a
+        # detect per non-empty run of the member's pieces, at most two;
+        # never one call per m-bit block
         pl, rm, demands = self.three_users(200_000, seed=6)
         plan = cm.build_delivery_plan(rm, demands, scheme, 3)
-        built = []
-        real_init = cm.caching.MulticastBlockSpec.__init__
+        calls = []
 
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            real_init(self, *args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setattr(cm.caching.MulticastBlockSpec, "__init__", counting_init)
+            return wrapper
+
+        for name in ("encode_block", "decode_block", "detect"):
+            monkeypatch.setattr(mc_mod, name, counting(name, getattr(mc_mod, name)))
         assert cm.end_to_end_noiseless(pl, plan, demands).all_passed
-        assert len(built) <= sum(2 * len(subset) + 1 for subset in plan.per_subset)
+        pairs = sum(int(code).bit_count() for code in np.flatnonzero(plan.ell))
+        assert calls.count("encode_block") == calls.count("decode_block") == pairs
+        # a member's detects come right before its decode
+        detects, per_pair = 0, []
+        for name in calls:
+            if name == "detect":
+                detects += 1
+            elif name == "decode_block":
+                per_pair.append(detects)
+                detects = 0
+        assert detects == 0
+        assert max(per_pair) <= 2
 
     def test_paper_scale_library(self):
         pl, rm, demands = self.three_users(1_000_000, seed=3)
@@ -400,20 +417,26 @@ class TestEndToEnd:
         plan = cm.build_delivery_plan(rm, demands, scheme, 3)
         real_decode, flipped = mc_mod.decode_block, []
 
-        def decode_and_flip(label, block, user, cached_pieces):
-            piece = real_decode(label, block, user, cached_pieces)
-            if not flipped:
-                # the first bit of the first decoded run starts the user's subfile
-                assert block.block_index == 1
-                file = demands.file_for(user)
-                pos = pl.subfile_positions(file, block.subset - {user})[0]
-                flipped.append((user, (file, int(pos))))
-                piece = piece.copy()
-                piece[0, 0] ^= 1
-            return piece
+        def decode_and_flip(scheme, labels, subfile_len, m):
+            bits = real_decode(scheme, labels, subfile_len, m)
+            if not flipped and subfile_len:
+                flipped.append(subfile_len)
+                bits = bits.copy()
+                bits[0] ^= 1
+            return bits
 
         monkeypatch.setattr(mc_mod, "decode_block", decode_and_flip)
         result = cm.end_to_end_noiseless(pl, plan, demands)
-        [(user, bit)] = flipped
-        assert result.first_mismatch == {user: bit}
+        # the first non-empty subfile decoded, subsets in code order and
+        # members ascending; its first bit is the subfile's first position
+        user, subset = next(
+            (u, subset)
+            for subset in sorted(message_subsets(plan), key=subset_code)
+            for u in sorted(subset)
+            if pl.subfile_positions(demands.file_for(u), subset - {u}).size
+        )
+        file = demands.file_for(user)
+        positions = pl.subfile_positions(file, subset - {user})
+        assert flipped == [positions.size]
+        assert result.first_mismatch == {user: (file, int(positions[0]))}
         assert [u for u, ok in result.passed.items() if not ok] == [user]
