@@ -15,6 +15,7 @@ labels under one of two padding schemes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -95,6 +96,14 @@ def largest_remainder(targets, total: int, tie_key=None) -> np.ndarray:
     return shares
 
 
+def _floats(values, what: str) -> tuple:
+    """`values` as a tuple of floats; bools and non-real entries are rejected, not coerced."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        raise ConfigurationError(f"{what} must be real numbers, not {values!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Library:
     """File-size fractions plus the total library size in bits."""
@@ -103,7 +112,7 @@ class Library:
     total_bits: int
 
     def __post_init__(self):
-        fractions = tuple(float(f) for f in self.file_fractions)
+        fractions = _floats(self.file_fractions, "file fractions")
         object.__setattr__(self, "file_fractions", fractions)
         if not fractions or any(f <= 0 for f in fractions):
             raise ConfigurationError("file fractions must be positive")
@@ -141,7 +150,7 @@ class CacheProfile:
     mus: tuple
 
     def __post_init__(self):
-        mus = tuple(float(m) for m in self.mus)
+        mus = _floats(self.mus, "cache fractions")
         object.__setattr__(self, "mus", mus)
         if not mus:
             raise ConfigurationError("at least one user required")
@@ -395,9 +404,9 @@ class DeliveryPlan:
     table computed in closed form when the plan is built: row u - 1, column
     j counts user u's useful blocks with j known label bits, whose shape is
     `known_shape(scheme, m - j, m)`.  The plan keeps each subset's message
-    length `ell`, indexed by subset code, and the map it was built from; a
-    message's ceil(ell / m) labels hold each member's subfile as laid out
-    by `piece_runs` and `piece_start` (`encode_block`).
+    length `ell`, read-only and indexed by subset code, and the map it was
+    built from; a message's ceil(ell / m) labels hold each member's subfile
+    as laid out by `piece_runs` and `piece_start` (`encode_block`).
     """
 
     scheme: str
@@ -457,7 +466,7 @@ def build_delivery_plan(
 
     plan_subsets = _plan_loop if subfiles.lengths.shape[1] <= _LOOP_MAX else _plan_arrays
     ell, known_counts = plan_subsets(subfiles, demands, scheme, label_len)
-    known_counts.flags.writeable = False
+    ell.flags.writeable = known_counts.flags.writeable = False
     total_bits = int(subfiles.lengths.sum())
     return DeliveryPlan(
         scheme=scheme,

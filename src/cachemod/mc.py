@@ -5,7 +5,9 @@ an SNR have identical error statistics (labels are i.i.d. uniform once the
 subfile bits are random), so each cell is sampled once per `estimate_table`
 and reused by every user, plan and SNR point that reads it.  Every cell
 draws from its own RNG substream derived from (master seed, cell key), which
-keeps campaigns reproducible regardless of evaluation order.
+keeps campaigns reproducible regardless of evaluation order.  Trials whose
+noise cannot leave the sent point's decision cell skip detection (`_SCREEN`);
+every trial is still drawn, so no estimate changes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .caching import (
     piece_spans,
 )
 from .errors import ConfigurationError
-from .modem import Constellation, _known_value, detect
+from .modem import Constellation, _known_value, detect, min_distance
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,17 @@ def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
 # are drawn in chunks of this many trials, with the one-shot bytes.
 _TRIALS_PER_CHUNK = 1 << 14
 
+# The screen.  The sent point x is at least d = `min_distance` from every other
+# candidate, so noise w = sqrt(1/2) n with |w| < sqrt(gamma) d / 2 leaves each
+# of them farther from y than x by more than g = sqrt(gamma) d - 2 |w|.  Brute
+# force computes distances within E = 32 eps (|y| + 2 sqrt(gamma)) (see
+# `modem._MARGIN`), so it returns x once g > 2E, and so does `detect`.  Raw
+# |n|^2 < (1 - _SCREEN) 2 gamma (d/2)^2 gives g > _SCREEN / 2 sqrt(gamma) d (up
+# to a few eps of rounding), while 2E <= 64 eps (|x| + d/2 + 2) sqrt(gamma):
+# _SCREEN = 1e-9 leaves g / 2E above 1400 at 256-QAM's d = 2 / sqrt(170) and
+# above 280 at the smallest d of any shape, 256-PSK's 2 sin(pi / 256).
+_SCREEN = 1e-9
+
 
 def estimate_cell_ser(
     c: Constellation,
@@ -80,7 +93,9 @@ def estimate_cell_ser(
 
     Each trial draws a uniform m-bit label, reveals the masked positions to
     the demodulator, sends the point over the AWGN channel and checks the ML
-    decision over the compatible subconstellation.
+    decision over the compatible subconstellation.  Only the trials whose raw
+    noise reaches the screen radius (`_SCREEN`) become received points for
+    `detect`; the others are correct decisions.
     """
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
@@ -93,17 +108,26 @@ def estimate_cell_ser(
     noise_rng = np.random.Generator(np.random.PCG64(seed).advance(-(-trials // 2)))
     sqrt_gamma = math.sqrt(gamma)
 
+    # the screen (see `_SCREEN`); a lone candidate (p + s = m) is never wrong
+    d = math.inf if p + s == c.m else min_distance(c, p, s)
+    safe = (1 - _SCREEN) * 2 * gamma * (d / 2) ** 2
+    sent = sqrt_gamma * c.points[c._label_to_index]
+
     errors = 0
     for start in range(0, trials, _TRIALS_PER_CHUNK):
         n = min(_TRIALS_PER_CHUNK, trials - start)
         labels = label_rng.integers(0, 1 << c.m, size=n, dtype=np.int64)
-        # the draws of normal(0, sqrt(1/2), (n, 2)) as (real, imag) pairs, built in place
-        noise = noise_rng.standard_normal((n, 2))
-        noise *= math.sqrt(0.5)
-        y = noise.view(np.complex128)[:, 0]
-        y += sqrt_gamma * c.points[c._label_to_index[labels]]
-        decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
-        errors += int(np.count_nonzero(decided != labels))
+        # the draws of normal(0, sqrt(1/2), (n, 2)) as (real, imag) pairs, in
+        # the float operations of the one-shot cell, for the unscreened rows
+        noise = noise_rng.standard_normal((n, 2)).view(np.complex128)[:, 0]
+        rows = np.flatnonzero(noise.real**2 + noise.imag**2 >= safe)
+        if rows.size:
+            labels = labels[rows]
+            y = noise[rows]
+            y.view(np.float64)[:] *= math.sqrt(0.5)
+            y += sent[labels]
+            decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
+            errors += int(np.count_nonzero(decided != labels))
     ser = errors / trials
     return CellEstimate(
         ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials

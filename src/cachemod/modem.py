@@ -118,7 +118,12 @@ def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> 
         raise ConfigurationError("invalid mask counts")
     if p + s > c.m - 1:
         raise ConfigurationError("subconstellation has fewer than 2 points")
-    points = _candidates(c.family, c.m, p, s)[1]
+    return _min_distance(c.family, c.m, p, s)
+
+
+@lru_cache(maxsize=None)
+def _min_distance(family: str, m: int, p: int, s: int) -> float:
+    points = _candidates(family, m, p, s)[1]
     diff = np.abs(points[:, :, None] - points[:, None, :])
     own = np.arange(points.shape[1])
     diff[:, own, own] = np.inf

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cachemod import PROPOSED, CacheProfile, DemandVector, Library
+from cachemod import PROPOSED, CacheProfile, DemandVector, Library, min_distance
 from cachemod.caching import PlacementRealization, SubfileMap, subset_code
+from cachemod.mc import _SCREEN, _cell_seed
 
 # examples that build plans or scan constellations can take longer than
 # hypothesis' 200 ms default on a slow machine; max_examples stays per test
@@ -143,6 +144,19 @@ def demodulate(c, y, sqrt_snr, shape, value):
     allowed = set(compatible_labels(c, shape, value))
     dist = np.abs(y - sqrt_snr * c.points)
     return min((float(d), int(label)) for d, label in zip(dist, c.labels) if label in allowed)[1]
+
+
+def screen_bound(c, shape, gamma):
+    """The raw |n|^2 below which a Monte Carlo trial of the cell skips `detect`."""
+    return (1 - _SCREEN) * 2 * gamma * (min_distance(c, *shape) / 2) ** 2
+
+
+def screened_trials(c, shape, gamma, cfg, cell_id):
+    """Which trials of the cell's one-shot stream (labels, then noise) skip `detect`."""
+    rng = np.random.default_rng(_cell_seed(cfg.master_seed, cell_id))
+    rng.integers(0, c.size, size=cfg.trials_per_cell, dtype=np.int64)
+    raw = rng.standard_normal((cfg.trials_per_cell, 2))
+    return raw[:, 0] ** 2 + raw[:, 1] ** 2 < screen_bound(c, shape, gamma)
 
 
 def subfile_map(num_users, num_files, entries):

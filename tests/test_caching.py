@@ -79,6 +79,16 @@ class TestLibrary:
         with pytest.raises(cm.ConfigurationError, match="total_bits must be an integer"):
             cm.Library((1.0,), total_bits)
 
+    @pytest.mark.parametrize("fractions", [("1",), (True,), (0.5, None), (0.5, 0.5j)])
+    def test_fractions_must_be_real_numbers(self, fractions):
+        # "1" is not parsed into a one-file library, nor True taken for 1.0
+        with pytest.raises(cm.ConfigurationError, match="file fractions must be real numbers"):
+            cm.Library(fractions, 10)
+
+    def test_int_and_float_fractions_accepted(self):
+        assert cm.Library((1,), 10).file_fractions == (1.0,)
+        assert cm.Library((np.float64(0.25), 0.75), 8).file_bits == (2, 6)
+
     def test_exact_split_above_float_precision(self):
         # thirds of 2**53 + 1 floor 3 bits short, one per file
         lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 2**53 + 1)
@@ -101,6 +111,15 @@ class TestCacheProfile:
         for mus in ((math.nan,), (0.2, math.nan)):
             with pytest.raises(cm.ConfigurationError, match=r"\[0, 1\]"):
                 cm.CacheProfile(mus)
+
+    @pytest.mark.parametrize("mus", [("0.5", True), (0.5, True), (np.False_,), (None,), (0.5j,)])
+    def test_entries_must_be_real_numbers(self, mus):
+        # a coercing profile read ("0.5", True) as (0.5, 1.0)
+        with pytest.raises(cm.ConfigurationError, match="cache fractions must be real numbers"):
+            cm.CacheProfile(mus)
+
+    def test_int_and_float_entries_accepted(self):
+        assert cm.CacheProfile((0, 0.5, np.float64(0.75), 1)).mus == (0.0, 0.5, 0.75, 1.0)
 
 
 class TestDemandVector:
@@ -621,6 +640,16 @@ class TestShapeHistograms:
             for user in (0, 3):
                 with pytest.raises(cm.ConfigurationError, match="outside 1..2"):
                     plan.useful_symbols(user)
+
+    @pytest.mark.parametrize("k", [2, 5])  # the subset loop, then the code arrays
+    def test_ell_is_read_only(self, k):
+        # editing ell would change what the end-to-end check encodes, behind
+        # known_counts and load
+        smap = subfile_map(k, k, {(1, (2,)): 9, (2, (1,)): 7})
+        for scheme in cm.SCHEMES:
+            plan = cm.build_delivery_plan(smap, cm.DemandVector(tuple(range(1, k + 1))), scheme, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                plan.ell[3] = 0
 
 class TestEncodeDecode:
     def test_pair_block_encoding(self):

@@ -17,6 +17,7 @@ from cachemod.cli import (
     render_csv,
     run_scenario,
 )
+from conftest import screened_trials
 
 BASE = {
     "users": [{"mu": 0.2}, {"mu": 1 / 3}, {"mu": 0.5}],
@@ -224,12 +225,14 @@ class TestRunScenario:
     def test_detector_rarely_falls_back_to_brute_force(self, monkeypatch):
         # the paper sweep's 8PSK cells and the 256-QAM prefix cells have
         # structured detectors; brute force is only for the rows next to a
-        # decision boundary or a checkerboard tie, or outside the radius window
+        # decision boundary or a checkerboard tie, or outside the radius
+        # window.  Rows whose noise stays inside the screen radius never reach
+        # `detect`; replaying each cell's stream counts them independently
         import cachemod.mc as mc
         import cachemod.modem as modem
 
-        rows = {"all": 0, "brute": 0}
-        real_detect, real_brute = mc.detect, modem._brute_force
+        rows = {"all": 0, "brute": 0, "screened": 0, "trials": 0}
+        real_detect, real_brute, real_cell = mc.detect, modem._brute_force, mc.estimate_cell_ser
 
         def detect(c, y, *args):
             rows["all"] += len(y)
@@ -239,28 +242,38 @@ class TestRunScenario:
             rows["brute"] += len(y)
             return real_brute(c, y, *args)
 
+        def cell(c, shape, gamma, cfg, cell_id):
+            rows["screened"] += int(screened_trials(c, shape, gamma, cfg, cell_id).sum())
+            rows["trials"] += cfg.trials_per_cell
+            return real_cell(c, shape, gamma, cfg, cell_id)
+
         monkeypatch.setattr(mc, "detect", detect)
         monkeypatch.setattr(modem, "_brute_force", brute)
+        monkeypatch.setattr(mc, "estimate_cell_ser", cell)
         run_scenario(replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10_000))
-        assert rows["all"] == 33 * 10_000
+        assert rows["trials"] == 33 * 10_000
+        assert rows["all"] + rows["screened"] == rows["trials"]
         assert rows["brute"] < 1e-3 * rows["all"]
 
         c, cfg = cm.build_qam(8), cm.CampaignConfig(trials_per_cell=10_000, master_seed=3)
         for prefixes in ((0, 2, 4, 6), (1, 3, 5, 7)):
-            rows.update(all=0, brute=0)
+            rows.update(all=0, brute=0, screened=0, trials=0)
             for p in prefixes:
                 for gamma in (1.0, 10.0, 100.0):
-                    cm.estimate_cell_ser(c, (p, 0), gamma, cfg, "fallback")
-            assert rows["all"] == 12 * 10_000
+                    mc.estimate_cell_ser(c, (p, 0), gamma, cfg, "fallback")
+            assert rows["trials"] == 12 * 10_000
+            assert rows["all"] + rows["screened"] == rows["trials"]
             assert rows["brute"] < 1e-3 * rows["all"]
 
         # the pinned K=12 scenario: suffix-shape rows reach brute force when
         # their full-grid decision misses the suffix, and shapes of at most 16
-        # candidates entirely
-        rows.update(all=0, brute=0)
+        # candidates entirely, so the bound is on the trials (154,280 brute
+        # rows of 450,000 without the screen, 133,798 with it)
+        rows.update(all=0, brute=0, screened=0, trials=0)
         run_scenario(parse_config(json.dumps(dict(MANY_USERS, trials_per_cell=10_000))))
-        assert rows["all"] == 45 * 10_000
-        assert rows["brute"] < 0.4 * rows["all"]
+        assert rows["trials"] == 45 * 10_000
+        assert rows["all"] + rows["screened"] == rows["trials"]
+        assert rows["brute"] < 0.4 * rows["trials"]
 
     def test_many_users_analytic_csv_is_pinned(self):
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))

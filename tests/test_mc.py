@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,13 +10,32 @@ from hypothesis import strategies as st
 import cachemod as cm
 import cachemod.mc as mc_mod
 from cachemod.mc import _cell_key, _cell_seed
+from cachemod.modem import _candidates
 from cachemod.caching import subset_code
-from conftest import demodulate, message_subsets, subfile_map
+from conftest import demodulate, message_subsets, screen_bound, screened_trials, subfile_map
 
 
 def _cell_rng(master_seed, cell_id):
     """The cell's one-shot generator: labels, then noise, from one stream."""
     return np.random.default_rng(_cell_seed(master_seed, cell_id))
+
+
+def _replay_errors(c, shape, gamma, cfg, cell_id):
+    """Replay the cell's RNG stream and decide every trial one symbol at a
+    time with the brute-force oracle; the number of wrong decisions."""
+    rng = _cell_rng(cfg.master_seed, cell_id)
+    labels = rng.integers(0, c.size, size=cfg.trials_per_cell, dtype=np.int64)
+    noise = rng.normal(0.0, math.sqrt(0.5), size=(cfg.trials_per_cell, 2))
+    errors = 0
+    for t in range(cfg.trials_per_cell):
+        label = int(labels[t])
+        bits = format(label, f"0{c.m}b")
+        p, s = shape
+        known = int("0" + bits[:p] + bits[c.m - s :], 2)
+        x = c.points[c._label_to_index[label]]
+        y = math.sqrt(gamma) * x + complex(noise[t, 0], noise[t, 1])
+        errors += demodulate(c, y, math.sqrt(gamma), shape, known) != label
+    return errors
 
 
 class TestCampaignConfig:
@@ -88,27 +108,25 @@ class TestEstimateCellSer:
         assert ra.integers(0, 8, size=32).tolist() != rb.integers(0, 8, size=32).tolist()
 
     def test_matches_scalar_demodulator(self):
-        # replay the cell's RNG stream and decide every trial one symbol at a
-        # time with the brute-force oracle; counts must agree exactly
-        c = cm.build_psk(3)
-        shape, gamma = (1, 1), 1.5
+        # the replayed oracle's error count and the cell's must agree exactly
+        c, shape, gamma = cm.build_psk(3), (1, 1), 1.5
         cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        cell_id = "replay"
-        est = cm.estimate_cell_ser(c, shape, gamma, cfg, cell_id)
-
-        rng = _cell_rng(cfg.master_seed, cell_id)
-        labels = rng.integers(0, c.size, size=cfg.trials_per_cell, dtype=np.int64)
-        noise = rng.normal(0.0, math.sqrt(0.5), size=(cfg.trials_per_cell, 2))
-        errors = 0
-        for t in range(cfg.trials_per_cell):
-            label = int(labels[t])
-            bits = format(label, f"0{c.m}b")
-            p, s = shape
-            known = int(bits[:p] + bits[c.m - s :], 2)
-            x = c.points[c._label_to_index[label]]
-            y = math.sqrt(gamma) * x + complex(noise[t, 0], noise[t, 1])
-            errors += demodulate(c, y, math.sqrt(gamma), shape, known) != label
+        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
+        errors = _replay_errors(c, shape, gamma, cfg, "replay")
         assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "family, m, shape, gamma",
+        [("psk", 3, (0, 0), 30.0), ("qam", 4, (2, 0), 20.0), ("qam", 8, (0, 3), 300.0)],
+    )
+    def test_screened_cells_match_scalar_demodulator(self, family, m, shape, gamma):
+        # cells where the screen keeps most trials from `detect`
+        c = cm.build_constellation(family, m)
+        cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
+        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
+        errors = _replay_errors(c, shape, gamma, cfg, "replay")
+        assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+        assert screened_trials(c, shape, gamma, cfg, "replay").mean() > 0.7
 
     def test_antipodal_matches_exact_binary_error(self):
         # a 2-point subconstellation has a closed-form error probability
@@ -130,10 +148,10 @@ class TestEstimateCellSer:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_received_points_are_the_normal_pairs(self, seed, monkeypatch):
-        # the cell builds y in place from standard normals, here for an odd N
-        # in odd chunks of 999 trials; bit for bit the chunks must be
-        # sqrt(gamma) x plus the one-shot rng.normal(0, sqrt(1/2)) pairs read
-        # as complex
+        # the cell builds y from standard normals, here for an odd N in odd
+        # chunks of 999 trials, for the trials the screen keeps; bit for bit
+        # those must be sqrt(gamma) x plus the one-shot
+        # rng.normal(0, sqrt(1/2)) pairs read as complex, in order
         seen = []
 
         def capture(c, y, sqrt_snr, shape, known):
@@ -143,16 +161,59 @@ class TestEstimateCellSer:
         monkeypatch.setattr(mc_mod, "detect", capture)
         monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", 999)
         c, shape, gamma, trials = cm.build_qam(4), (2, 0), 3.7, 4999
-        cm.estimate_cell_ser(c, shape, gamma, cm.CampaignConfig(trials, seed), "draws")
+        cfg = cm.CampaignConfig(trials, seed)
+        cm.estimate_cell_ser(c, shape, gamma, cfg, "draws")
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
         want = math.sqrt(gamma) * c.points[c._label_to_index[labels]] + (
             noise[:, 0] + 1j * noise[:, 1]
         )
-        assert [len(y) for y, _ in seen] == [999] * 5 + [4]
-        assert np.concatenate([y for y, _ in seen]).tobytes() == want.tobytes()
-        assert np.concatenate([k for _, k in seen]).tolist() == (labels >> 2).tolist()
+        screened = screened_trials(c, shape, gamma, cfg, "draws")
+        kept = [np.count_nonzero(~screened[i : i + 999]) for i in range(0, trials, 999)]
+        assert 0 < screened.mean() < 1
+        assert [len(y) for y, _ in seen] == [k for k in kept if k]
+        assert np.concatenate([y for y, _ in seen]).tobytes() == want[~screened].tobytes()
+        assert np.concatenate([k for _, k in seen]).tolist() == (labels[~screened] >> 2).tolist()
+        # no trial the screen keeps from `detect` is an error
+        sqrt_gamma = math.sqrt(gamma)
+        for label, y in zip(labels[screened].tolist(), want[screened].tolist()):
+            assert demodulate(c, y, sqrt_gamma, shape, label >> 2) == label
+
+    @pytest.mark.parametrize("family", ["psk", "qam"])
+    def test_noise_at_the_screen_radius_is_decided_correctly(self, family):
+        # every compatible point of every plan-reachable shape, sent with raw
+        # noise of squared length `screen_bound` towards its nearest
+        # candidate: the brute-force oracle still decides the sent label
+        for m in range(1, 9) if family == "psk" else (2, 4, 6, 8):
+            c = cm.build_constellation(family, m)
+            shapes = {(k, 0) for k in range(m)} | {(0, k) for k in range(m)}
+            for shape, gamma in itertools.product(sorted(shapes), (0.5, 1e4)):
+                sqrt_gamma = math.sqrt(gamma)
+                safe = screen_bound(c, shape, gamma)
+                labels, points = _candidates(family, m, *shape)
+                for known, (row, pts) in enumerate(zip(labels.tolist(), points)):
+                    gaps = pts[None, :] - pts[:, None]
+                    np.fill_diagonal(gaps, np.inf)
+                    toward = gaps[np.arange(len(pts)), np.argmin(np.abs(gaps), axis=1)]
+                    raw = math.sqrt(safe) * toward / np.abs(toward)
+                    assert np.all(raw.real**2 + raw.imag**2 <= safe * (1 + 1e-15))
+                    ys = raw * math.sqrt(0.5) + sqrt_gamma * pts
+                    for label, y in zip(row, ys.tolist()):
+                        assert demodulate(c, y, sqrt_gamma, shape, known) == label
+
+    @pytest.mark.parametrize(
+        "family, m, shape",
+        [("psk", 1, (1, 0)), ("psk", 3, (3, 0)), ("psk", 3, (1, 2)), ("qam", 4, (0, 4))],
+    )
+    def test_single_candidate_cells_never_detect(self, family, m, shape, monkeypatch):
+        # p + s = m leaves one candidate: no trial can be an error, at any SNR
+        calls = []
+        monkeypatch.setattr(mc_mod, "detect", lambda *args: calls.append(args))
+        c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 4)
+        est = cm.estimate_cell_ser(c, shape, 0.01, cfg, "single")
+        assert (est.ser, est.std_error, est.trials) == (0.0, 0.0, 20_001)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "family, m, shape, gamma",
