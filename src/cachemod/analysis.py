@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
-from .caching import DeliveryPlan
+from .caching import DeliveryPlan, _floats
 from .errors import ConfigurationError
 from .modem import PSK, Constellation, min_distance
 
@@ -28,7 +30,7 @@ class SnrProfile:
     gammas: tuple
 
     def __post_init__(self):
-        gammas = tuple(float(g) for g in self.gammas)
+        gammas = _floats(self.gammas, "SNRs")
         object.__setattr__(self, "gammas", gammas)
         if not all(0 < g < math.inf for g in gammas):
             raise ConfigurationError("SNRs must be positive and finite")
@@ -71,12 +73,18 @@ def symbol_error_bound(family: str, gamma: float, dmin: float) -> float:
     return min(1.0, neighbors * q_function(math.sqrt(gamma / 2.0) * dmin))
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 class CellTable:
     """Memoised (ser, std_error) per cell (shape, gamma) of one constellation.
 
     The constellation fixes (family, m), so a cell is keyed by its known-bit
     shape and SNR.  `evaluate(shape, gamma)` runs once per distinct cell,
-    however many users, schemes or sweep points read it.
+    however many users, schemes or sweep points read it: on its first read,
+    or ahead of the reads in `fill`, which spreads the cells over threads.  A
+    value depends only on its key, not on the thread that computes it.
     """
 
     def __init__(self, c: Constellation, evaluate):
@@ -89,6 +97,41 @@ class CellTable:
         if key not in self._cells:
             self._cells[key] = self._evaluate(shape, gamma)
         return self._cells[key]
+
+    def fill(self, cells) -> None:
+        """Evaluate each (shape, gamma) of `cells` that the table lacks, one thread per usable CPU.
+
+        The caller and its helper threads pull cells from one shared iterator; the
+        first exception stops them all and is re-raised here once all are joined.
+        """
+        missing = [key for key in dict.fromkeys(cells) if key not in self._cells]
+        todo, lock, done, failed, stop = iter(missing), threading.Lock(), {}, [], threading.Event()
+
+        def work():
+            try:
+                while not stop.is_set():
+                    with lock:
+                        key = next(todo, None)
+                    if key is None:
+                        return
+                    done[key] = self._evaluate(*key)
+            except BaseException as exc:  # re-raised in the caller below
+                failed.append(exc)
+                stop.set()
+
+        helpers = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(missing)) - 1)]
+        try:
+            for t in helpers:
+                t.start()
+            work()
+        finally:
+            stop.set()  # also when the caller is interrupted outside a cell
+            for t in helpers:
+                if t.ident is not None:  # started
+                    t.join()
+        self._cells.update(done)
+        if failed:
+            raise failed[0]
 
 
 def bound_table(c: Constellation) -> CellTable:

@@ -260,19 +260,21 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     c = build_constellation(cfg.family, cfg.m)
     subfiles = quantize_expected_map(expected_subfile_lengths(library, caches), library)
     plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
+    profiles = [SnrProfile(tuple(_gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db))
+                for snr_db in cfg.sweep_db]
     # one table of each kind, shared by every scheme and sweep point
     bounds = bound_table(c)
     campaign = estimates = None
     if cfg.trials_per_cell > 0:
         campaign = CampaignConfig(cfg.trials_per_cell, cfg.master_seed)
         estimates = estimate_table(c, campaign)
+        # every cell `ser_report` reads, evaluated up front on every usable CPU
+        estimates.fill(sorted({(shape, snr.gamma(u)) for snr in profiles for plan in plans.values()
+                               for u in range(1, caches.num_users + 1)
+                               for shape in plan.shape_counts(u)}))
 
     rows = []
-    for snr_db in cfg.sweep_db:
-        gammas = tuple(
-            _gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db
-        )
-        snr = SnrProfile(gammas)
+    for snr_db, snr in zip(cfg.sweep_db, profiles):
         for scheme in cfg.schemes:
             plan = plans[scheme]
             analytic = ser_report(plan, snr, bounds)

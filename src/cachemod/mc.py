@@ -5,7 +5,9 @@ an SNR have identical error statistics (labels are i.i.d. uniform once the
 subfile bits are random), so each cell is sampled once per `estimate_table`
 and reused by every user, plan and SNR point that reads it.  Every cell
 draws from its own RNG substream derived from (master seed, cell key), which
-keeps campaigns reproducible regardless of evaluation order.  Trials whose
+keeps campaigns reproducible regardless of evaluation order or thread, so
+`CellTable.fill` may run a sweep's cells on every usable CPU at once; each
+holds one chunk of trials at a time (`_TRIALS_PER_CHUNK`).  Trials whose
 noise cannot leave the sent point's decision cell skip detection (`_SCREEN`);
 every trial is still drawn, so no estimate changes.
 """
@@ -68,7 +70,7 @@ def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
 # 64-bit words (an odd half-word stays in the bit generator's state), and a
 # second PCG64 on the same seed advanced by ceil(N/2) yields the noise.  Both
 # are drawn in chunks of this many trials, with the one-shot bytes.
-_TRIALS_PER_CHUNK = 1 << 14
+_TRIALS_PER_CHUNK = 1 << 13
 
 # The screen.  The sent point x is at least d = `min_distance` from every other
 # candidate, so noise w = sqrt(1/2) n with |w| < sqrt(gamma) d / 2 leaves each

@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 PSK = "psk"
 QAM = "qam"
 
-_CHUNK = 1 << 18  # entries of the symbols x candidates distance matrix per step
+_CHUNK = 1 << 16  # entries of the symbols x candidates distance matrix per step
 
 
 @dataclass(frozen=True)

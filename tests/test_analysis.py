@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import cachemod as cm
+import cachemod.analysis as analysis
 from conftest import message_subsets, oracle_blocks, oracle_shape, subfile_map
 
 
@@ -74,6 +78,86 @@ class TestSymbolErrorBound:
 def test_non_finite_snr_rejected(call, gamma):
     with pytest.raises(cm.ConfigurationError):
         call(gamma)
+
+
+@pytest.mark.parametrize("gammas", [("1.5", 1.0), (True, 1.0), (1.0, None), (1.0, 1j)])
+def test_snrs_must_be_real_numbers(gammas):
+    # bools and strings were coerced to floats before, so ("1.5", True) read as (1.5, 1.0)
+    with pytest.raises(cm.ConfigurationError, match="real numbers"):
+        cm.SnrProfile(gammas)
+
+
+def test_int_and_numpy_snrs_accepted():
+    gammas = cm.SnrProfile((2, np.float64(1.5), np.int64(3))).gammas
+    assert gammas == (2.0, 1.5, 3.0) and all(type(g) is float for g in gammas)
+
+
+class TestCellTableFill:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_missing_cell_evaluated_once(self, monkeypatch, cpus):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        calls = []
+
+        def evaluate(shape, gamma):
+            calls.append((shape, gamma))
+            return shape[0] * gamma, 0.0
+
+        table = cm.CellTable(cm.build_psk(3), evaluate)
+        assert table((1, 0), 2.0) == (2.0, 0.0)
+        keys = [((p, 0), g) for p in range(3) for g in (1.0, 2.0, 5.0)]
+        table.fill(keys + keys[::-1])  # repeated keys and one already in the table
+        assert sorted(calls) == sorted(keys)
+        assert [table(*key) for key in keys] == [(s[0] * g, 0.0) for s, g in keys]
+        assert len(calls) == len(keys)  # reads after `fill` evaluate nothing
+        table.fill(keys)
+        assert len(calls) == len(keys)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_helper_outlives_fill(self, monkeypatch, fails):
+        # the calling thread runs out of cells while the helper is still in its
+        # own: `fill` waits for it, then keeps its value or raises its error
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        started, helpers, calls = threading.Event(), [], []
+
+        def evaluate(shape, gamma):
+            calls.append(gamma)
+            if threading.current_thread() is threading.main_thread():
+                started.wait(timeout=30)
+                return gamma, 0.0
+            helpers.append(threading.current_thread())
+            started.set()
+            time.sleep(0.2)
+            if fails:
+                raise RuntimeError("late failure")
+            return gamma, 0.0
+
+        table = cm.CellTable(cm.build_psk(3), evaluate)
+        keys = [((0, 0), 1.0), ((0, 0), 2.0)]
+        if fails:
+            with pytest.raises(RuntimeError, match="late failure"):
+                table.fill(keys)
+        else:
+            table.fill(keys)
+            assert [table(*key) for key in keys] == [(1.0, 0.0), (2.0, 0.0)]
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        assert sorted(calls) == [1.0, 2.0]
+
+    def test_no_cell_lost_or_repeated_under_contention(self, monkeypatch):
+        # more threads than CPUs and a switch interval of a microsecond: a key
+        # handed out twice, or a result lost, breaks the counts
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 8)
+        calls = []
+        table = cm.CellTable(cm.build_psk(3), lambda s, g: calls.append(g) or (g, 0.0))
+        keys = [((0, 0), float(g)) for g in range(2000)]
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table.fill(keys)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == [g for _, g in keys]
+        assert [table(*key) for key in keys] == [(g, 0.0) for _, g in keys]
+        assert len(calls) == len(keys) and threading.active_count() == before
 
 
 def stub_table(c, values):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,6 +59,8 @@ MANY_USERS_MD5 = "94c6c1aeec92598df85b81d09b013e07"
 # the same scenario with 1e4 Monte Carlo trials per cell: pins every draw and
 # every 256-QAM detector decision behind the mc_T column
 MANY_USERS_MC_MD5 = "f7208f3c8b6143adcc0dbaa3ed4806bc"
+# the three-user sweep with 1e4 trials per cell, as one thread computes it
+THREE_USER_SWEEP_1E4_MD5 = "bf76a1de831c3726c20abb1dc8165538"
 
 # sixteen users, 256-QAM, B=1e6, 11 SNR points, analytic only; the CI smoke
 # step runs it under a timeout, and these bytes are the per-subset loop's
@@ -233,18 +236,25 @@ class TestRunScenario:
 
         rows = {"all": 0, "brute": 0, "screened": 0, "trials": 0}
         real_detect, real_brute, real_cell = mc.detect, modem._brute_force, mc.estimate_cell_ser
+        # cells run on several threads: each value is computed first and then
+        # added under the lock, so no count is lost between a read and a write
+        lock = threading.Lock()
+
+        def count(name, value):
+            with lock:
+                rows[name] += value
 
         def detect(c, y, *args):
-            rows["all"] += len(y)
+            count("all", len(y))
             return real_detect(c, y, *args)
 
         def brute(c, y, *args):
-            rows["brute"] += len(y)
+            count("brute", len(y))
             return real_brute(c, y, *args)
 
         def cell(c, shape, gamma, cfg, cell_id):
-            rows["screened"] += int(screened_trials(c, shape, gamma, cfg, cell_id).sum())
-            rows["trials"] += cfg.trials_per_cell
+            count("screened", int(screened_trials(c, shape, gamma, cfg, cell_id).sum()))
+            count("trials", cfg.trials_per_cell)
             return real_cell(c, shape, gamma, cfg, cell_id)
 
         monkeypatch.setattr(mc, "detect", detect)
@@ -274,6 +284,55 @@ class TestRunScenario:
         assert rows["trials"] == 45 * 10_000
         assert rows["all"] + rows["screened"] == rows["trials"]
         assert rows["brute"] < 0.4 * rows["trials"]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_csv_independent_of_thread_count(self, monkeypatch, cpus):
+        # each cell draws from its own substream, so the bytes do not depend on
+        # how many threads fill the estimate table or which one runs a cell
+        import cachemod.analysis as an
+
+        monkeypatch.setattr(an, "_usable_cpus", lambda: cpus)
+        three = replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10_000)
+        many = parse_config(json.dumps(dict(MANY_USERS, trials_per_cell=10_000)))
+        for cfg, want in ((three, THREE_USER_SWEEP_1E4_MD5), (many, MANY_USERS_MC_MD5)):
+            assert hashlib.md5(render_csv(run_scenario(cfg)).encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("error, status", [(cm.ConfigurationError, 2), (RuntimeError, 3)])
+    def test_cell_failing_on_a_helper_thread(self, monkeypatch, capsys, tmp_path, error, status):
+        # the helper's exception reaches the caller with its own type, so the
+        # exit status still tells config errors from runtime errors; the
+        # calling thread takes no cell after it, and no thread outlives the run
+        import cachemod.analysis as an
+        import cachemod.mc as mc
+        from cachemod.cli import execute_run
+
+        monkeypatch.setattr(an, "_usable_cpus", lambda: 2)
+        raised, calls = threading.Event(), []
+        real_cell = mc.estimate_cell_ser
+
+        def cell(c, shape, gamma, cfg, cell_id):
+            calls.append(cell_id)
+            if threading.current_thread() is threading.main_thread():
+                raised.wait(timeout=30)  # until the helper has failed
+                return real_cell(c, shape, gamma, cfg, cell_id)
+            raised.set()
+            raise error("cell failed")
+
+        monkeypatch.setattr(mc, "estimate_cell_ser", cell)
+        cfg = replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10)
+        before = threading.active_count()
+        with pytest.raises(error, match="cell failed") as info:
+            run_scenario(cfg)
+        assert type(info.value) is error
+        assert raised.is_set() and len(calls) <= 2
+        assert threading.active_count() == before
+
+        raised.clear()
+        out = tmp_path / "out.csv"
+        assert execute_run(cfg, out=str(out)) == (status, [])
+        assert "cell failed" in capsys.readouterr().err
+        assert not out.exists()
+        assert threading.active_count() == before
 
     def test_many_users_analytic_csv_is_pinned(self):
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))

@@ -227,7 +227,7 @@ class TestEstimateCellSer:
     def test_trials_per_chunk_does_not_change_estimates(
         self, family, m, shape, gamma, monkeypatch
     ):
-        # 20,001 trials: two default chunks, 21 odd chunks, or one chunk
+        # 20,001 trials: three default chunks, 21 odd chunks, or one chunk
         c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 6)
         estimates = []
         for chunk in (mc_mod._TRIALS_PER_CHUNK, 999, 1 << 15):
@@ -238,7 +238,8 @@ class TestEstimateCellSer:
 
     def test_memory_flat_in_trials(self):
         # one-shot draws held every trial's arrays at once, 72.5 MiB at 1e6
-        # trials of this cell; chunks keep it near 1.3 MiB
+        # trials of this cell; chunks keep it near 0.4 MiB (2.2 MiB in a fresh
+        # process, which also builds the constellation's cached tables)
         c = cm.build_qam(8)
         tracemalloc.start()
         try:
@@ -247,6 +248,19 @@ class TestEstimateCellSer:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_cell_memory_per_thread(self):
+        # the sweep runs one cell per usable CPU at once, so this peak counts
+        # once per thread: 7.2 MiB with 16,384-trial chunks and 2^18-entry
+        # distance steps, 2.8 MiB with 8,192 and 2^16
+        c = cm.build_qam(8)
+        tracemalloc.start()
+        try:
+            cm.estimate_cell_ser(c, (0, 1), 1.0, cm.CampaignConfig(10_000, 2), "memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
         import cachemod.modem as modem_mod
