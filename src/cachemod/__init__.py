@@ -29,7 +29,6 @@ from .caching import (
     decode_block,
     encode_block,
     expected_subfile_lengths,
-    quantize_expected_map,
     realized_subfile_map,
     sample_placement,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "expected_subfile_lengths",
     "min_distance",
     "q_function",
-    "quantize_expected_map",
     "realized_subfile_map",
     "run_campaign",
     "sample_placement",

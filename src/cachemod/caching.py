@@ -10,6 +10,9 @@ labels under one of two padding schemes:
 * ``zero_padding`` -- subfiles are zero-extended to the longest subfile first
   and then chopped sequentially, so a user's pieces fill whole labels until a
   single possibly-partial final one.
+
+Plans read a `SubfileMap`: whole-bit lengths |W_{i,S}|, from a sampled
+placement or from the expected lengths, each file rounded to its bit count.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ SCHEMES = (PROPOSED, ZERO_PADDING)
 MAX_ENUMERATED_BITS = 10**7
 # subfile maps hold 2**K lengths per file; keep them allocatable
 MAX_USERS = 20
-MAX_SUBFILE_ENTRIES = 2**25  # N * 2**K; 256 MiB per float64 or int64 map
-# Every integer that quantisation and planning store in int64 is at most
-# B = total_bits: a file's bit count, a subfile length, a message length
-# ell_S, its block count and each sum of them.  With distinct demands each
-# (user, subset) pair reads its own map entry W_{d_u, S minus u}, so
-# sum_S ell_S <= sum_S sum_{u in S} |W_{d_u, S minus u}| <= B, and a user's
-# block counts sum to at most that.  The float shares F_i * B may round a
+MAX_SUBFILE_ENTRIES = 2**25  # N * 2**K; one int64 map of 256 MiB
+# Every integer that a subfile map and planning store in int64 is at most B,
+# the total bits of the library or of the map: a file's bit count, a subfile
+# length, a message length ell_S, its block count and each sum of them.  With
+# distinct demands each (user, subset) pair reads its own map entry
+# W_{d_u, S minus u}, so sum_S ell_S <= sum_S sum_{u in S} |W_{d_u, S minus u}|
+# <= B, and a user's block counts sum to at most that.  The float shares F_i * B may round a
 # little above B (the fractions sum to 1 within 1e-12), so B <= 2**62 leaves
 # int64 (largest value 2**63 - 1) a factor of two of headroom.
 MAX_TOTAL_BITS = 2**62
@@ -219,20 +222,28 @@ def _file_row(file_index: int, num_files: int) -> int:
 
 @dataclass(frozen=True)
 class SubfileMap:
-    """Lengths |W_{i,S}| in bits for every (file, caching-subset) pair.
+    """Whole-bit lengths |W_{i,S}| for every (file, caching-subset) pair.
 
-    `lengths` is a read-only array of shape (num_files, 2**num_users):
-    lengths[i - 1, subset_code(S)] is |W_{i,S}|.  An integer dtype holds
-    exact bit counts, ready for planning; a float dtype holds expected
-    lengths, which `quantize_expected_map` rounds to integers.
+    `lengths` is a read-only int64 array of shape (num_files, 2**num_users):
+    lengths[i - 1, subset_code(S)] is |W_{i,S}|.  Construction takes any
+    integer array (not bool) with non-negative entries summing to at most
+    MAX_TOTAL_BITS, and keeps it without a copy when it is already int64.
     """
 
     lengths: np.ndarray
 
     def __post_init__(self):
-        lengths = np.asarray(self.lengths).view()
+        lengths = np.asarray(self.lengths)
         if lengths.ndim != 2 or lengths.shape[1].bit_count() != 1:
             raise ConfigurationError("subfile lengths must have shape (num_files, 2**num_users)")
+        if lengths.dtype.kind not in "iu":
+            raise ConfigurationError(f"subfile lengths must be integers, not {lengths.dtype}")
+        if lengths.min(initial=0) < 0:
+            raise ConfigurationError("subfile lengths must be non-negative")
+        # summed in float64, which cannot wrap; within the bound the int64 sums are exact
+        if lengths.sum(dtype=np.float64) > MAX_TOTAL_BITS:
+            raise ConfigurationError(f"subfile lengths sum past the limit of {MAX_TOTAL_BITS}")
+        lengths = lengths.astype(np.int64, copy=False).view()
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
 
@@ -261,9 +272,12 @@ def check_subfile_map_size(num_files: int, num_users: int):
 
 
 def expected_subfile_lengths(library: Library, caches: CacheProfile) -> SubfileMap:
-    """Law-of-large-numbers subfile lengths for independent random caching.
+    """Law-of-large-numbers subfile lengths for independent random caching, in whole bits.
 
-    lengths(i, S) = F_i * B * prod_{j in S} mu_j * prod_{k not in S} (1 - mu_k)
+    File i's expected lengths F_i * B * prod_{j in S} mu_j * prod_{k not in S} (1 - mu_k)
+    are rounded by largest remainder to its `file_bits`, one file at a time,
+    so no float map is held.  Tied remainders go to the earlier subset in
+    canonical order (`_canonical_key`: the empty set, then by size and members).
     """
     check_subfile_map_size(library.num_files, caches.num_users)
     codes = np.arange(2**caches.num_users)
@@ -271,22 +285,11 @@ def expected_subfile_lengths(library: Library, caches: CacheProfile) -> SubfileM
     for u, mu in enumerate(caches.mus):  # user by user: the order fixes the float results
         p *= np.where(codes >> u & 1, mu, 1.0 - mu)
     base = np.array(library.file_fractions) * library.total_bits
-    return SubfileMap(base[:, None] * p)
-
-
-def quantize_expected_map(subfiles: SubfileMap, library: Library) -> SubfileMap:
-    """Round an expected map to integer lengths, conserving per-file totals.
-
-    Largest-remainder rounding within each file keeps the subset lengths
-    summing exactly to the file's integer bit count.  Tied remainders go to
-    the earlier subset in canonical order (`_canonical_key`: the empty set,
-    then by size and members).
-    """
-    tie_key = partial(_canonical_key, num_users=subfiles.num_users)
-    lengths = np.empty(subfiles.lengths.shape, dtype=np.int64)
-    for row, raw, nbits in zip(lengths, subfiles.lengths, library.file_bits, strict=True):
+    tie_key = partial(_canonical_key, num_users=caches.num_users)
+    lengths = np.empty((library.num_files, len(codes)), dtype=np.int64)
+    for row, share, nbits in zip(lengths, base, library.file_bits, strict=True):
         try:
-            row[:] = largest_remainder(raw, nbits, tie_key)
+            row[:] = largest_remainder(share * p, nbits, tie_key)
         except ValueError as exc:
             raise ConfigurationError(
                 f"expected subfile lengths do not round to a {nbits}-bit file: {exc}"
@@ -443,25 +446,19 @@ def build_delivery_plan(
     scheme: str,
     label_len: int,
 ) -> DeliveryPlan:
-    """Compile an integer subfile map and demand vector into per-subset block schedules.
+    """Compile a subfile map and demand vector into per-subset block schedules.
 
-    Expected (float) maps are rejected: round them with
-    `quantize_expected_map` first.  No block is enumerated.  For user u in
-    subset S, n_u = |W_{d_u, S minus u}|; the message has ell = max n_u bits
-    in ceil(ell / m) blocks, and each (user, subset) pair adds the blocks of
-    its non-empty `piece_runs` to the user's `known_counts`, in the column of
-    the m - piece_len label bits it knows.  Up to `_LOOP_MAX` subsets a loop
-    visits them one by one; beyond, `_plan_arrays` handles them as arrays of
-    codes.
+    No block is enumerated.  For user u in subset S, n_u = |W_{d_u, S minus u}|;
+    the message has ell = max n_u bits in ceil(ell / m) blocks, and each
+    (user, subset) pair adds the blocks of its non-empty `piece_runs` to the
+    user's `known_counts`, in the column of the m - piece_len label bits it
+    knows.  Up to `_LOOP_MAX` subsets a loop visits them one by one; beyond,
+    `_plan_arrays` handles them as arrays of codes.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if label_len < 1:
         raise ConfigurationError("bits per symbol must be >= 1")
-    if not np.issubdtype(subfiles.lengths.dtype, np.integer):
-        raise ConfigurationError("quantize an expected (float) subfile map before planning")
-    if subfiles.lengths.min(initial=0) < 0:
-        raise ConfigurationError("subfile lengths must be non-negative")
     demands.validate(subfiles.num_files, subfiles.num_users)
 
     plan_subsets = _plan_loop if subfiles.lengths.shape[1] <= _LOOP_MAX else _plan_arrays
@@ -507,7 +504,6 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
     (user, known bits).
     """
     k = subfiles.num_users
-    lengths = subfiles.lengths.astype(np.int64, copy=False)
     files = np.array(demands.demands)[:, None] - 1
     bits = np.int64(1) << np.arange(k)[:, None]
     ell = np.empty(1 << k, dtype=np.int64)  # by code
@@ -518,7 +514,7 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
     for start in range(0, ell.size, _PLAN_CHUNK):
         stop = min(start + _PLAN_CHUNK, ell.size)
         codes = np.arange(start, stop)
-        sub_lens = np.where(codes & bits, lengths[files, codes & ~bits], 0)  # 0 off S
+        sub_lens = np.where(codes & bits, subfiles.lengths[files, codes & ~bits], 0)  # 0 off S
         chunk_ell = ell[start:stop] = sub_lens.max(axis=0)
         # two runs of blocks per (user, subset) as (known bits, block count);
         # a run with no blocks, or with empty pieces (known = m), is dropped

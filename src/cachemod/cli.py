@@ -23,7 +23,6 @@ from .caching import (
     build_delivery_plan,
     check_subfile_map_size,
     expected_subfile_lengths,
-    quantize_expected_map,
 )
 from .errors import ConfigurationError
 from .mc import CampaignConfig, estimate_table, run_campaign
@@ -258,7 +257,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     caches = CacheProfile(cfg.mus)
     demands = DemandVector(cfg.demands)
     c = build_constellation(cfg.family, cfg.m)
-    subfiles = quantize_expected_map(expected_subfile_lengths(library, caches), library)
+    subfiles = expected_subfile_lengths(library, caches)
     plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
     profiles = [SnrProfile(tuple(_gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db))
                 for snr_db in cfg.sweep_db]

@@ -39,12 +39,22 @@ def loop_largest_remainder(targets, total):
     return floors
 
 
-def loop_quantized_lengths(subfiles, library):
-    """Oracle of `quantize_expected_map`: one scalar apportionment per file."""
-    order = [0, *map(subset_code, subset_tuples(subfiles.num_users))]
-    lengths = np.empty(subfiles.lengths.shape, dtype=np.int64)
-    for row, raw, nbits in zip(lengths, subfiles.lengths, library.file_bits, strict=True):
-        row[order] = loop_largest_remainder(raw[order].tolist(), nbits)
+def loop_quantized_lengths(library, caches):
+    """Oracle of `expected_subfile_lengths`: F_i * B * p in plain floats, apportioned per file.
+
+    p multiplies mu or 1 - mu user by user, and each file's row is
+    apportioned by a scalar sort in canonical order.
+    """
+    order = [(), *subset_tuples(caches.num_users)]
+    lengths = np.empty((library.num_files, 1 << caches.num_users), dtype=np.int64)
+    for row, fraction, nbits in zip(lengths, library.file_fractions, library.file_bits, strict=True):
+        targets = []
+        for subset in order:
+            p = 1.0
+            for u, mu in enumerate(caches.mus, start=1):
+                p *= mu if u in subset else 1.0 - mu
+            targets.append(fraction * library.total_bits * p)
+        row[[subset_code(s) for s in order]] = loop_largest_remainder(targets, nbits)
     return lengths
 
 

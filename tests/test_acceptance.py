@@ -39,7 +39,7 @@ def three_user_sweep():
     caches = cm.CacheProfile((1 / 5, 1 / 3, 1 / 2))
     demands = cm.DemandVector((1, 2, 3))
     c = cm.build_psk(3)
-    subfiles = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+    subfiles = cm.expected_subfile_lengths(lib, caches)
     plans = {s: cm.build_delivery_plan(subfiles, demands, s, 3) for s in cm.SCHEMES}
     cfg = cm.CampaignConfig(trials_per_cell=TRIALS, master_seed=2024)
 
@@ -82,7 +82,7 @@ def test_criterion_2_analytic_dominance():
         fr = rng.random(n) + 0.1
         lib = cm.Library(tuple(fr / fr.sum()), int(rng.integers(240, 1500)))
         caches = cm.CacheProfile(tuple(np.sort(rng.random(k) * 0.95)))
-        subfiles = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        subfiles = cm.expected_subfile_lengths(lib, caches)
         demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
         for c in constellations:
             plans = {s: cm.build_delivery_plan(subfiles, demands, s, c.m) for s in cm.SCHEMES}
@@ -190,7 +190,6 @@ def test_criterion_7_placement_concentration():
     t0 = time.perf_counter()
     lib = cm.Library((0.6, 0.4), 10**5)
     caches = cm.CacheProfile((1 / 3, 1 / 3))
-    expected = cm.expected_subfile_lengths(lib, caches)
     checks = 0
     hits = 0
     for seed in range(100):
@@ -198,7 +197,9 @@ def test_criterion_7_placement_concentration():
         for i, nbits in enumerate(lib.file_bits, start=1):
             for code in range(4):
                 subset = frozenset(u for u in (1, 2) if code & (1 << (u - 1)))
-                mean = expected.length(i, subset)
+                # F_i * B * p, p taken user by user: the unrounded expected length
+                prob = math.prod(mu if u in subset else 1 - mu for u, mu in enumerate(caches.mus, 1))
+                mean = lib.file_fractions[i - 1] * lib.total_bits * prob
                 p = mean / nbits
                 sigma = math.sqrt(nbits * p * (1 - p))
                 checks += 1

@@ -285,7 +285,7 @@ class TestUserMetrics:
         # user 2 caches everything, so only user 1 receives symbols
         lib = cm.Library((0.5, 0.5), 20)
         caches = cm.CacheProfile((0.0, 1.0))
-        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        em = cm.expected_subfile_lengths(lib, caches)
         plan = cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 2)
         report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(2)))
         assert report.undefined_users == frozenset({2})
@@ -335,7 +335,7 @@ class TestPlanMetrics:
             fr = rng.random(n) + 0.1
             lib = cm.Library(tuple(fr / fr.sum()), int(rng.integers(50, 3000)))
             caches = cm.CacheProfile(tuple(np.sort(rng.random(k))))
-            em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+            em = cm.expected_subfile_lengths(lib, caches)
             demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
             c = cm.build_psk(int(rng.integers(1, 6))) if trial % 2 else cm.build_qam(4)
             snr = cm.SnrProfile(tuple(rng.uniform(0.2, 50.0, size=k)))
@@ -392,7 +392,7 @@ class TestCompareSchemes:
         # two schemes produce identical masks everywhere
         lib = cm.Library((0.5, 0.5), 48)
         caches = cm.CacheProfile((0.5, 0.5))
-        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        em = cm.expected_subfile_lengths(lib, caches)
         rp, rz = scheme_reports(
             em, cm.DemandVector((1, 2)), cm.build_psk(3), cm.SnrProfile((2.0, 2.0))
         )
@@ -404,7 +404,7 @@ class TestCompareSchemes:
         # nothing while larger caches gain progressively more
         lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 2700)
         caches = cm.CacheProfile((1 / 5, 1 / 3, 1 / 2))
-        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        em = cm.expected_subfile_lengths(lib, caches)
         for gamma in (1.0, 10.0):
             rp, rz = scheme_reports(
                 em,
@@ -426,7 +426,7 @@ class TestCompareSchemes:
             fr = rng.random(n) + 0.1
             lib = cm.Library(tuple(fr / fr.sum()), int(rng.integers(100, 900)))
             caches = cm.CacheProfile(tuple(np.sort(rng.random(k) * 0.95)))
-            em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+            em = cm.expected_subfile_lengths(lib, caches)
             demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
             c = cm.build_psk(3) if trial % 2 else cm.build_qam(4)
             snr = cm.SnrProfile(tuple(rng.uniform(0.5, 20.0, size=k)))
@@ -437,7 +437,7 @@ class TestCompareSchemes:
     def test_rate_decreases_with_snr(self):
         lib = cm.Library((0.5, 0.5), 600)
         caches = cm.CacheProfile((0.2, 0.6))
-        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        em = cm.expected_subfile_lengths(lib, caches)
         plan = cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         bounds = cm.bound_table(cm.build_psk(3))
         prev = None

@@ -18,7 +18,6 @@ from cachemod.caching import (
     known_shape,
     largest_remainder,
     piece_runs,
-    quantize_expected_map,
     subset_code,
 )
 from conftest import (
@@ -157,8 +156,8 @@ class TestExpectedSubfileLengths:
         lib = cm.Library((0.6, 0.4), 15)
         caches = cm.CacheProfile((1 / 3, 1 / 3))
         em = cm.expected_subfile_lengths(lib, caches)
-        assert em.length(1, frozenset({2})) == pytest.approx(2.0, rel=1e-12)
-        assert em.lengths.dtype == np.float64
+        assert [em.length(1, frozenset(s)) for s in ((), (1,), (2,), (1, 2))] == [4, 2, 2, 1]
+        assert em.lengths.dtype == np.int64
         assert (em.num_files, em.num_users) == (2, 2)
         assert not em.lengths.flags.writeable
 
@@ -180,16 +179,16 @@ class TestExpectedSubfileLengths:
         lib = cm.Library((0.6, 0.4), 15)
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.0, 0.0)))
         for i, frac in ((1, 0.6), (2, 0.4)):
-            assert em.length(i, frozenset()) == pytest.approx(frac * 15)
+            assert em.length(i, frozenset()) == round(frac * 15)
             for subset in all_subsets(2):
-                assert em.length(i, subset) == 0.0
+                assert em.length(i, subset) == 0
 
     def test_full_caching(self):
         lib = cm.Library((0.6, 0.4), 15)
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((1.0, 1.0)))
-        assert em.length(1, frozenset({1, 2})) == pytest.approx(9.0)
-        assert em.length(1, frozenset({1})) == 0.0
-        assert em.length(1, frozenset()) == 0.0
+        assert em.length(1, frozenset({1, 2})) == 9
+        assert em.length(1, frozenset({1})) == 0
+        assert em.length(1, frozenset()) == 0
 
     @given(
         mus=st.lists(st.floats(0, 1), min_size=1, max_size=4),
@@ -201,8 +200,8 @@ class TestExpectedSubfileLengths:
         lib = cm.Library(tuple(f / total for f in fracs), b)
         caches = cm.CacheProfile(tuple(sorted(mus)))
         em = cm.expected_subfile_lengths(lib, caches)
-        for i, frac in enumerate(lib.file_fractions, start=1):
-            assert em.file_total(i) == pytest.approx(frac * b, rel=1e-9)
+        for i, nbits in enumerate(lib.file_bits, start=1):
+            assert em.file_total(i) == nbits
 
 
 class TestSamplePlacement:
@@ -365,31 +364,28 @@ class TestQuantization:
         lib = cm.Library((1 / 3, 2 / 3), 100)
         caches = cm.CacheProfile((0.21, 0.47))
         em = cm.expected_subfile_lengths(lib, caches)
-        qm = quantize_expected_map(em, lib)
-        assert np.issubdtype(qm.lengths.dtype, np.integer)
+        assert em.lengths.dtype == np.int64
         for i, nbits in enumerate(lib.file_bits, start=1):
-            assert qm.file_total(i) == nbits
+            assert em.file_total(i) == nbits
 
     @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
     def test_inexact_rounding_rejected(self, loop_max):
         # each file of thirds of 3 * 2**55 is exactly 2**55 bits, but the
         # float subset lengths of each floor 4 bits above it
         lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 3 * 2**55)
-        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.2, 1 / 3, 0.5)))
         with mock.patch.object(caching, "_LOOP_MAX", loop_max):
             with pytest.raises(cm.ConfigurationError, match="do not round"):
-                quantize_expected_map(em, lib)
+                cm.expected_subfile_lengths(lib, cm.CacheProfile((0.2, 1 / 3, 0.5)))
 
     def test_ties_follow_canonical_subset_order(self):
         # 250 bits over 16 equally likely subsets: every remainder is 0.625, so
         # the ten leftover bits go to the first ten subsets in canonical order
         lib = cm.Library((0.25,) * 4, 1000)
-        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
         canonical = [frozenset(), *all_subsets(4)]
         for loop_max in (caching._LOOP_MAX, 0):  # 0: the array path ranks the ties
             with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-                qm = quantize_expected_map(em, lib)
-            assert [qm.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
+                em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
+            assert [em.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
 def message_runs(plan, subset):
@@ -408,7 +404,7 @@ def expand(runs):
 
 @st.composite
 def planning_instances(draw):
-    """(map, library or None, demands) over every kind of map the planner meets."""
+    """(map, or the (library, caches) of an expected map, and demands) over every kind of map."""
     k = draw(st.integers(1, 8))
     num_files = k + draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["expected", "placement", "sparse"]))
@@ -418,7 +414,7 @@ def planning_instances(draw):
         scale = draw(st.sampled_from([0, 1, 5, 60]))
         lengths = rng.integers(0, scale + 1, (num_files, 2**k))
         lengths[rng.random(lengths.shape) < draw(st.floats(0, 1))] = 0
-        return SubfileMap(lengths), None, demands
+        return SubfileMap(lengths), demands
     # equal cache sizes and equal files tie many remainders
     mu = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
     mus = tuple(sorted(draw(st.lists(mu, min_size=k, max_size=k))))
@@ -431,8 +427,8 @@ def planning_instances(draw):
     caches = cm.CacheProfile(mus)
     if kind == "placement":
         placement = cm.sample_placement(lib, caches, draw(st.integers(0, 2**32 - 1)))
-        return cm.realized_subfile_map(placement), None, demands
-    return cm.expected_subfile_lengths(lib, caches), lib, demands
+        return cm.realized_subfile_map(placement), demands
+    return (lib, caches), demands
 
 
 class TestPlannerMatchesLoop:
@@ -446,11 +442,11 @@ class TestPlannerMatchesLoop:
         with mock.patch.object(caching, "_LOOP_MAX", loop_max):
             self.check(*instance, m)
 
-    def check(self, smap, lib, demands, m):
-        if lib is not None:
-            quantised = quantize_expected_map(smap, lib)
-            assert np.array_equal(quantised.lengths, loop_quantized_lengths(smap, lib))
-            smap = quantised
+    def check(self, smap, demands, m):
+        if not isinstance(smap, SubfileMap):  # built here, under the test's _LOOP_MAX
+            expected = cm.expected_subfile_lengths(*smap)
+            assert np.array_equal(expected.lengths, loop_quantized_lengths(*smap))
+            smap = expected
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(smap, demands, scheme, m)
             ell, histograms, load = loop_delivery_plan(smap, demands, scheme, m)
@@ -486,11 +482,11 @@ class TestBuildDeliveryPlan:
         with pytest.raises(cm.ConfigurationError):
             cm.DemandVector((1, 1))
 
-    @pytest.mark.parametrize("k", [2, 5])  # the loop and the array planner
+    @pytest.mark.parametrize("k", [2, 5])  # map sizes of the loop and the array planner
     def test_negative_lengths_rejected(self, k):
-        smap = subfile_map(k, k, {(1, (2,)): 4, (2, (1,)): -1})
+        # caught when the map is built, so no planner sees it
         with pytest.raises(cm.ConfigurationError, match="non-negative"):
-            cm.build_delivery_plan(smap, cm.DemandVector(tuple(range(1, k + 1))), cm.PROPOSED, 3)
+            subfile_map(k, k, {(1, (2,)): 4, (2, (1,)): -1})
 
     def test_bad_symbol_width(self):
         smap = subfile_map(2, 2, {(1, (2,)): 4})
@@ -518,15 +514,45 @@ class TestBuildDeliveryPlan:
         assert loads[0] == loads[1]
 
     def test_float_map_rejected(self):
-        lib = cm.Library((0.5, 0.5), 40)
-        caches = cm.CacheProfile((0.3, 0.6))
-        em = cm.expected_subfile_lengths(lib, caches)
-        with pytest.raises(cm.ConfigurationError, match="quantize"):
-            cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 2)
-        plan = cm.build_delivery_plan(
-            quantize_expected_map(em, lib), cm.DemandVector((1, 2)), cm.PROPOSED, 2
-        )
-        assert plan.subfiles.lengths.dtype == plan.ell.dtype == np.int64
+        # no map of fractional, boolean or untyped lengths can be built, so none reaches a plan
+        for lengths in (
+            np.full((2, 4), 2.5),
+            np.full((2, 4), 2.0),
+            np.ones((2, 4), dtype=bool),
+            np.full((2, 4), 2 + 0j),
+            np.full((2, 4), 2, dtype=object),
+        ):
+            with pytest.raises(cm.ConfigurationError, match="must be integers"):
+                SubfileMap(lengths)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.int64])
+    def test_integer_maps_stored_as_int64(self, dtype):
+        lengths = np.arange(24, dtype=np.int64).reshape(3, 8) * 5
+        given = lengths.astype(dtype)
+        smap, reference = SubfileMap(given), SubfileMap(lengths)
+        assert smap.lengths.dtype == np.int64 and not smap.lengths.flags.writeable
+        assert np.array_equal(smap.lengths, lengths)
+        # an int64 map is a read-only view, not a copy, and the caller's array stays writeable
+        assert np.shares_memory(smap.lengths, given) == (dtype == np.int64)
+        assert given.flags.writeable
+        for scheme in cm.SCHEMES:
+            plan, want = (cm.build_delivery_plan(x, cm.DemandVector((1, 2, 3)), scheme, 3)
+                          for x in (smap, reference))
+            assert plan.load == want.load
+            assert np.array_equal(plan.ell, want.ell)
+            assert np.array_equal(plan.known_counts, want.known_counts)
+
+    def test_total_past_the_bit_limit_rejected(self):
+        # its int64 sum wraps to 0, which used to plan with load 0.0
+        with pytest.raises(cm.ConfigurationError, match="sum past the limit"):
+            SubfileMap(np.array([[2**62] * 4] * 2))
+
+    def test_total_at_the_bit_limit_plans_exactly(self):
+        smap = SubfileMap(np.array([[2**59] * 4] * 2))  # 8 * 2**59 = 2**62 bits
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+        assert smap.file_total(1) + smap.file_total(2) == MAX_TOTAL_BITS
+        assert plan.ell.tolist() == [0, 2**59, 2**59, 2**59]
+        assert plan.load == 3 / 8
 
     @given(
         w1=st.integers(0, 40),

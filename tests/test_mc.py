@@ -298,7 +298,7 @@ class TestRunCampaign:
     def small_instance(self):
         lib = cm.Library((0.5, 0.5), 240)
         caches = cm.CacheProfile((0.25, 0.5))
-        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        em = cm.expected_subfile_lengths(lib, caches)
         demands = cm.DemandVector((1, 2))
         return em, demands
 
@@ -443,7 +443,7 @@ class TestEndToEnd:
         # a plan built from the expected map does not fit a sampled placement
         pl, _, demands = self.three_users(3000, seed=1)
         lib, caches = pl.library, pl.caches
-        em = cm.quantize_expected_map(cm.expected_subfile_lengths(lib, caches), lib)
+        em = cm.expected_subfile_lengths(lib, caches)
         plan = cm.build_delivery_plan(em, demands, scheme, 3)
         with pytest.raises(cm.ConfigurationError, match="bits in the placement"):
             cm.end_to_end_noiseless(pl, plan, demands)
