@@ -51,7 +51,6 @@ class SerReport:
     error_symbols: dict  # user -> S_k
     ser: dict  # user -> T_k = S_k / L_k
     average_ser: float
-    load: float
     undefined_users: frozenset
     stderr: dict  # user -> standard error of T_k (0 for bounds)
     average_stderr: float
@@ -174,7 +173,6 @@ def ser_report(plan: DeliveryPlan, snr: SnrProfile, cells: CellTable) -> SerRepo
         error_symbols=errors,
         ser=ser,
         average_ser=sum(ser.values()) / len(users),
-        load=plan.load,
         undefined_users=frozenset(u for u in users if useful[u] == 0),
         stderr=stderr,
         average_stderr=sum(stderr.values()) / len(users),

@@ -307,7 +307,6 @@ class PlacementRealization:
     # shape (num_users, file_bits)
     bit_values: tuple
     cached_by: tuple
-    seed: int | None = None
 
     @property
     def num_users(self) -> int:
@@ -352,7 +351,6 @@ def sample_placement(library: Library, caches: CacheProfile, seed: int) -> Place
         caches=caches,
         bit_values=tuple(values),
         cached_by=tuple(masks),
-        seed=seed,
     )
 
 
@@ -370,22 +368,21 @@ def realized_subfile_map(placement: PlacementRealization) -> SubfileMap:
 # ---------------------------------------------------------------------------
 
 
-def piece_runs(scheme: str, subfile_len: int, n_blocks: int, label_len: int) -> list:
-    """One subfile's piece lengths over its message's blocks, as [(piece_len, count)] runs.
+def piece_runs(scheme: str, subfile_len, n_blocks, label_len: int) -> tuple:
+    """One subfile's piece lengths over its message's blocks, as two (piece_len, count) runs.
 
-    The runs cover all n_blocks blocks in order, empty pieces last.  With
-    q, r = divmod(n, n_blocks) the even split puts q + 1 bits in the first r
-    blocks and q in the rest; sequential fill gives n // m full labels, then
-    one partial label, then empty ones.  Runs of no blocks are dropped.
+    The two runs fill the message's first blocks in order, and every block
+    after them carries an empty piece.  With q, r = divmod(n, n_blocks) the
+    even split puts q + 1 bits in the first r blocks and q in the rest;
+    sequential fill gives n // m full labels, then one partial label when
+    n % m > 0.  A run may have no blocks or an empty piece.  Python ints and
+    int64 arrays (element by element) alike.
     """
     if scheme == PROPOSED:
         q, r = divmod(subfile_len, n_blocks)
-        runs = ((q + 1, r), (q, n_blocks - r))
-    else:
-        full, rest = divmod(subfile_len, label_len)
-        partial = int(rest > 0)
-        runs = ((label_len, full), (rest, partial), (0, n_blocks - full - partial))
-    return [(n, count) for n, count in runs if count > 0]
+        return (q + 1, r), (q, n_blocks - r)
+    full, rest = divmod(subfile_len, label_len)
+    return (label_len, full), (rest, -(-rest // label_len))
 
 
 def piece_start(scheme: str, piece_len: int, label_len: int) -> int:
@@ -450,10 +447,11 @@ def build_delivery_plan(
 
     No block is enumerated.  For user u in subset S, n_u = |W_{d_u, S minus u}|;
     the message has ell = max n_u bits in ceil(ell / m) blocks, and each
-    (user, subset) pair adds the blocks of its non-empty `piece_runs` to the
-    user's `known_counts`, in the column of the m - piece_len label bits it
-    knows.  Up to `_LOOP_MAX` subsets a loop visits them one by one; beyond,
-    `_plan_arrays` handles them as arrays of codes.
+    (user, subset) pair adds the blocks of its two `piece_runs`, skipping
+    empty pieces, to the user's `known_counts`, in the column of the
+    m - piece_len label bits it knows.  Up to `_LOOP_MAX` subsets a loop
+    visits them one by one; beyond, `_plan_arrays` handles them as arrays of
+    codes.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -491,7 +489,7 @@ def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int)
         n_blocks = -(-ell[code] // m)
         for u, n in sub_lens.items():
             for piece, count in piece_runs(scheme, n, n_blocks, m):
-                if piece:
+                if piece and count:
                     counts[u][m - piece] += count
     return np.array(ell, dtype=np.int64), np.array(counts, dtype=np.int64)
 
@@ -499,9 +497,8 @@ def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int)
 def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:
     """(ell by code, known_counts) from arrays over subset codes, `_PLAN_CHUNK` at a time.
 
-    Each (user, subset) pair's useful runs of blocks follow from `divmod`,
-    the vector form of `piece_runs`, and their block counts are summed per
-    (user, known bits).
+    `piece_runs` on int64 arrays gives each (user, subset) pair's two runs,
+    and their block counts are summed per (user, known bits).
     """
     k = subfiles.num_users
     files = np.array(demands.demands)[:, None] - 1
@@ -516,18 +513,12 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
         codes = np.arange(start, stop)
         sub_lens = np.where(codes & bits, subfiles.lengths[files, codes & ~bits], 0)  # 0 off S
         chunk_ell = ell[start:stop] = sub_lens.max(axis=0)
+        n_blocks = np.maximum(-(-chunk_ell // m), 1)  # 1 where ell = 0: every piece is empty
         # two runs of blocks per (user, subset) as (known bits, block count);
         # a run with no blocks, or with empty pieces (known = m), is dropped
         known, blocks = np.empty((2, k, stop - start, 2), dtype=np.int64)
-        if scheme == PROPOSED:
-            n_blocks = np.maximum(-(-chunk_ell // m), 1)  # 1 where ell = 0: no runs
-            q, r = np.divmod(sub_lens, n_blocks)
-            known[..., 0], blocks[..., 0] = (m - 1) - q, r  # q + 1 bits in the first r blocks
-            known[..., 1], blocks[..., 1] = m - q, n_blocks - r  # q bits in the rest
-        else:
-            full, rest = np.divmod(sub_lens, m)
-            known[..., 0], blocks[..., 0] = 0, full  # full labels
-            known[..., 1], blocks[..., 1] = m - rest, 1  # then one partial label
+        for i, (piece, count) in enumerate(piece_runs(scheme, sub_lens, n_blocks, m)):
+            known[..., i], blocks[..., i] = m - piece, count
         slot = (np.where(blocks > 0, known, m) + slot_base).ravel()
         np.add.at(counts.reshape(-1), slot, blocks.ravel())
     return ell, counts[:, :m].copy()
@@ -546,7 +537,7 @@ def piece_spans(scheme: str, subfile_len: int, n_blocks: int, label_len: int) ->
         )
     spans, block, bit = [], 0, 0
     for piece, count in piece_runs(scheme, subfile_len, n_blocks, label_len):
-        if piece:
+        if piece and count:
             end = label_len - piece_start(scheme, piece, label_len)
             positions = np.arange(end - 1, end - 1 - piece, -1)
             spans.append((slice(block, block + count), slice(bit, bit + piece * count), positions))

@@ -127,7 +127,12 @@ def _grid(sweep: dict) -> tuple:
         raise ConfigurationError(
             f"sweep step_db {step!r} gives more than {MAX_SWEEP_POINTS} SNR points"
         )
-    return tuple(start + i * step for i in range(int(span) + 1))
+    grid = tuple(start + i * step for i in range(int(span) + 1))
+    if len({_fmt(db) for db in grid}) < len(grid):  # the printed SNR keys each CSV row
+        raise ConfigurationError(
+            f"sweep step_db {step!r} is finer than the CSV prints: SNR points would print alike"
+        )
+    return grid
 
 
 def _resolve_demands(requested, fractions, num_users) -> tuple:

@@ -181,7 +181,7 @@ def end_to_end_noiseless(
     placement: PlacementRealization,
     plan: DeliveryPlan,
     demands: DemandVector,
-    c: Constellation | None = None,
+    c: Constellation,
 ) -> EndToEndResult:
     """Encode, modulate, detect with side information and reassemble.
 
@@ -191,15 +191,9 @@ def end_to_end_noiseless(
     array, the XOR of its members' `encode_block` shares; member u knows
     `labels ^ share[u]`, detects each non-empty run of its own pieces with
     that run's known-bit shape, and decodes its whole subfile in one call.
-    Defaults to PSK of the plan's label width when no constellation is
-    given.  Raises ConfigurationError when the demands are not the plan's,
-    or when the placement's subfiles are not the lengths the plan was built
-    for.
+    Raises ConfigurationError when the demands are not the plan's, or when
+    the placement's subfiles are not the lengths the plan was built for.
     """
-    if c is None:
-        from .modem import build_psk
-
-        c = build_psk(plan.label_len)
     m = c.m
     if m != plan.label_len:
         raise ConfigurationError("plan and constellation disagree on bits per symbol")

@@ -208,7 +208,6 @@ _RHO_MIN, _RHO_MAX = 1e-2, 1e2
 # brute force picks the nearer decision.  Gaps up to _TIE (|y| + 2 sqrt(gamma))
 # go to brute force; _TIE = 1e-13 exceeds 128 eps = 2.8e-14 by a factor of 3.
 _TIE = 1e-13
-_GATHER_MAX = 16  # candidates per value up to which brute force is one gather
 
 
 def _structured(c: Constellation, shape: tuple):
@@ -350,31 +349,19 @@ def _qam_suffix(
 def _brute_force(
     c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
 ) -> np.ndarray:
-    """ML decisions by distance to every compatible point, `_CHUNK` entries a step."""
+    """ML decisions by distance to every compatible point, `_CHUNK` entries a step.
+
+    Each symbol gathers its own candidate row, labels ascending, so argmin
+    picks the smallest label on ties; subtracting in place saves allocating
+    a second matrix.
+    """
     labels, points = _candidates(c.family, c.m, *shape)
-    count = labels.shape[1]
-    step = _CHUNK // count
+    step = _CHUNK // labels.shape[1]
     scaled = sqrt_snr * points
     decided = np.empty(len(y), dtype=np.int64)
-    # ascending labels in each row, so argmin favors the smallest label on ties
-    if count <= _GATHER_MAX:
-        # each symbol gathers its own candidate row; subtracting in place
-        # saves allocating a second matrix
-        for start in range(0, len(y), step):
-            rows = slice(start, start + step)
-            diff = scaled[known[rows]]
-            np.subtract(y[rows, None], diff, out=diff)
-            decided[rows] = labels[known[rows], np.argmin(np.abs(diff), axis=1)]
-        return decided
-    # one stable sort groups the symbols by known value, keeping each group
-    # in symbol order; a group shares one compatible subconstellation
-    counts = np.bincount(known)
-    order = np.argsort(known, kind="stable")
-    ends = np.cumsum(counts)
-    for value in np.flatnonzero(counts).tolist():
-        sel = order[ends[value] - counts[value] : ends[value]]
-        for start in range(0, sel.size, step):
-            rows = sel[start : start + step]
-            dist = np.abs(y[rows, None] - scaled[value])
-            decided[rows] = labels[value, np.argmin(dist, axis=1)]
+    for start in range(0, len(y), step):
+        rows = slice(start, start + step)
+        diff = scaled[known[rows]]
+        np.subtract(y[rows, None], diff, out=diff)
+        decided[rows] = labels[known[rows], np.argmin(np.abs(diff), axis=1)]
     return decided

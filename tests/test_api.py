@@ -17,6 +17,9 @@ REMOVED = {
     "cachemod.modem": [
         "KnownMask", "empty_mask", "_compatible", "subconstellation", "modulate", "demodulate",
         "bits_to_int", "as_bits",
+        # the second brute-force kernel, which grouped symbols by known value
+        # past this many candidates; one gather serves every count
+        "_GATHER_MAX",
     ],
     "cachemod.mc": ["awgn_channel", "modulate", "demodulate"],
     # the bit-row helpers, now the codec's own shifts and masks
@@ -37,9 +40,10 @@ REMOVED = {
     ],
     # per-user shape dicts, replaced by the `known_counts` table; per-subset
     # schedules and merged block runs, which the one-array codec needs no
-    # more; and a report tag nothing read
+    # more; a report tag and fields nothing read (the load is the plan's)
     "cachemod.caching.DeliveryPlan": ["histograms", "per_subset", "block_runs"],
-    "cachemod.analysis.SerReport": ["kind"],
+    "cachemod.caching.PlacementRealization": ["seed"],
+    "cachemod.analysis.SerReport": ["kind", "load"],
 }
 
 

@@ -388,18 +388,23 @@ class TestQuantization:
             assert [em.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
+def message_blocks(plan, subset):
+    """The number of m-bit blocks of a subset's message in the plan."""
+    return -(-int(plan.ell[subset_code(subset)]) // plan.label_len)
+
+
 def message_runs(plan, subset):
-    """{user: its `piece_runs`} over the blocks of a subset's message in the plan."""
-    n_blocks = -(-int(plan.ell[subset_code(subset)]) // plan.label_len)
+    """{user: its two `piece_runs`} over the blocks of a subset's message in the plan."""
     return {
-        u: piece_runs(plan.scheme, n, n_blocks, plan.label_len)
+        u: piece_runs(plan.scheme, n, message_blocks(plan, subset), plan.label_len)
         for u, n in oracle_subfile_lens(plan, subset).items()
     }
 
 
-def expand(runs):
-    """Each block's piece length of [(piece_len, count)] runs, in message order."""
-    return [piece for piece, count in runs for _ in range(count)]
+def expand(runs, n_blocks):
+    """Each of n_blocks blocks' piece length: the runs in order, then empty pieces."""
+    pieces = [piece for piece, count in runs for _ in range(count)]
+    return pieces + [0] * (n_blocks - len(pieces))
 
 
 @st.composite
@@ -461,7 +466,7 @@ class TestBuildDeliveryPlan:
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         assert plan.ell[subset_code({1, 2})] == 3  # one block
-        assert message_runs(plan, {1, 2}) == {1: [(3, 1)], 2: [(2, 1)]}
+        assert message_runs(plan, {1, 2}) == {1: ((4, 0), (3, 1)), 2: ((3, 0), (2, 1))}
 
     def test_three_to_one_split_proposed(self):
         # 9-bit vs 3-bit subfiles at 3 bits/symbol: 3 blocks, pieces 3 and 1
@@ -469,14 +474,15 @@ class TestBuildDeliveryPlan:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         assert plan.ell[subset_code({1, 2})] == 9  # three blocks
         assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 3]
-        assert message_runs(plan, {1, 2}) == {1: [(3, 3)], 2: [(1, 3)]}
+        assert message_runs(plan, {1, 2}) == {1: ((4, 0), (3, 3)), 2: ((2, 0), (1, 3))}
 
     def test_three_to_one_split_zero_padding(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         assert plan.ell[subset_code({1, 2})] == 9  # three blocks
         assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 1]
-        assert message_runs(plan, {1, 2}) == {1: [(3, 3)], 2: [(3, 1), (0, 2)]}
+        # user 2's third label is partial with no bits; its last two blocks are empty
+        assert message_runs(plan, {1, 2}) == {1: ((3, 3), (0, 0)), 2: ((3, 1), (0, 0))}
 
     def test_duplicate_demands_rejected(self):
         with pytest.raises(cm.ConfigurationError):
@@ -567,10 +573,12 @@ class TestBuildDeliveryPlan:
         if max(w1, w2) == 0:
             assert plan.ell[subset_code(subset)] == 0
             return
-        runs = message_runs(plan, subset)
+        runs, n_blocks = message_runs(plan, subset), message_blocks(plan, subset)
+        assert n_blocks == -(-max(w1, w2) // m)
         for user, w in ((1, w1), (2, w2)):
-            pieces = expand(runs[user])
-            assert len(pieces) == -(-max(w1, w2) // m)
+            assert len(runs[user]) == 2
+            pieces = expand(runs[user], n_blocks)
+            assert len(pieces) == n_blocks
             assert sum(pieces) == w
             assert all(0 <= x <= m for x in pieces)
             if scheme == cm.PROPOSED:
@@ -594,11 +602,33 @@ class TestBuildDeliveryPlan:
     def test_piece_runs_match_dealt_bits(self, n, m, spare, scheme):
         n_blocks = max(1, -(-n // m)) + spare
         runs = piece_runs(scheme, n, n_blocks, m)
-        assert [piece for piece, count in runs for _ in range(count)] == oracle_pieces(
-            scheme, n, n_blocks, m
-        )
-        assert all(count > 0 for _, count in runs)
-        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))  # maximal runs
+        assert len(runs) == 2
+        assert all(count >= 0 for _, count in runs)
+        assert expand(runs, n_blocks) == oracle_pieces(scheme, n, n_blocks, m)
+
+    @given(
+        columns=st.lists(  # (block count, three subfile lengths) per subset
+            st.tuples(
+                st.integers(1, 2**40), st.lists(st.integers(0, 2**48), min_size=3, max_size=3)
+            ),
+            max_size=12,
+        ),
+        m=st.integers(1, 8),
+        scheme=st.sampled_from(cm.SCHEMES),
+    )
+    def test_piece_runs_on_arrays_match_scalar_calls(self, columns, m, scheme):
+        # the array planner's call: (users, subsets) subfile lengths over one
+        # block count per subset, each length fitting its message
+        n_blocks = np.array([nb for nb, _ in columns], dtype=np.int64)
+        lens = np.array(
+            [[n % (nb * m + 1) for n in ns] for nb, ns in columns], dtype=np.int64
+        ).reshape(-1, 3).T
+        runs = piece_runs(scheme, lens, n_blocks, m)
+        assert len(runs) == 2
+        runs = [[np.broadcast_to(x, lens.shape) for x in run] for run in runs]
+        for u, j in np.ndindex(lens.shape):
+            got = tuple((int(piece[u, j]), int(count[u, j])) for piece, count in runs)
+            assert got == piece_runs(scheme, int(lens[u, j]), int(n_blocks[j]), m)
 
 
 
@@ -780,14 +810,15 @@ class TestKnownBitMask:
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         runs = message_runs(plan, {1, 2})
-        assert [known_shape(cm.PROPOSED, piece, 3) for piece, _ in runs[2]] == [(1, 0)]
-        assert [known_shape(cm.PROPOSED, piece, 3) for piece, _ in runs[1]] == [(0, 0)]
+        # the first run of each has no blocks: both pieces divide evenly
+        assert [known_shape(cm.PROPOSED, piece, 3) for piece, n in runs[2] if n] == [(1, 0)]
+        assert [known_shape(cm.PROPOSED, piece, 3) for piece, n in runs[1] if n] == [(0, 0)]
 
     def test_uneven_split_prefixes(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        [(piece, count)] = message_runs(plan, {1, 2})[2]
-        assert count == 3
+        (_, none), (piece, count) = message_runs(plan, {1, 2})[2]
+        assert (none, count) == (0, 3)
         assert known_shape(cm.PROPOSED, piece, 3) == (2, 0)
 
     def test_zero_padding_suffix(self):
@@ -806,8 +837,9 @@ class TestKnownBitMask:
         pz = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         subset = frozenset({1, 2})
         prop_runs, zp_runs = message_runs(pp, subset), message_runs(pz, subset)
+        n_blocks = message_blocks(pz, subset)
         for u in (1, 2):
-            prop_pieces, zp_pieces = expand(prop_runs[u]), expand(zp_runs[u])
+            prop_pieces, zp_pieces = expand(prop_runs[u], n_blocks), expand(zp_runs[u], n_blocks)
             for i in range(pz.useful_symbols(u)):
                 prop = known_shape(cm.PROPOSED, prop_pieces[i], 3)[0]
                 zp = known_shape(cm.ZERO_PADDING, zp_pieces[i], 3)[0]

@@ -456,6 +456,22 @@ class TestMain:
             assert "sweep step_db" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, step_db, rc",
+        [
+            ("validate", 1e-6, 2),  # 1,001 points that print as 11 values
+            ("run", 1e-6, 2),
+            ("validate", 1e-5, 2),  # 1000.00001 prints as 1000
+            ("validate", 1e-4, 0),  # 1000.0001: eight significant digits suffice
+        ],
+    )
+    def test_sweep_points_print_distinctly(self, tmp_path, capsys, command, step_db, rc):
+        # the CSV prints 8 significant digits, and (snr_db, scheme, user) keys its rows
+        doc = config(sweep={"start_db": 1000, "stop_db": 1000.001, "step_db": step_db})
+        assert main([command, "--config", self.write(tmp_path, doc)]) == rc
+        if rc:
+            assert "sweep step_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"total_bits": 27000.7},

@@ -265,26 +265,26 @@ class TestEstimateCellSer:
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
         import cachemod.modem as modem_mod
 
-        # 256-QAM (2, 2) has 16 candidates per value (one gather over every
-        # row) and (1, 2) has 32 (a loop over the known values); both go to
-        # brute force entirely
-        cfg = cm.CampaignConfig(trials_per_cell=3000, master_seed=8)
-        cases = [(cm.build_qam(8), (2, 2)), (cm.build_qam(8), (1, 2))]
-        default = [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases]
-        chunks = {}
-        real_brute = modem_mod._brute_force
-
-        def brute(c, y, sqrt_snr, shape, known):
-            # the steps each kernel takes: over all rows, or over each value's rows
-            step = modem_mod._CHUNK >> (c.m - shape[0] - shape[1])
-            rows = len(y) if shape == (2, 2) else np.bincount(known).max()
-            chunks[shape] = -(-rows // step)
-            return real_brute(c, y, sqrt_snr, shape, known)
-
-        monkeypatch.setattr(modem_mod, "_brute_force", brute)
-        monkeypatch.setattr(modem_mod, "_CHUNK", 1 << 9)  # 32 rows per step at 16 candidates
-        assert [cm.estimate_cell_ser(c, shape, 3.0, cfg, "chunk") for c, shape in cases] == default
-        assert chunks[(2, 2)] > 1 and chunks[(1, 2)] > 1
+        # 256-QAM shapes of 32, 64, 128 and 256 candidates, with the symbols'
+        # known values in random order and a few exact ties at y = 0: every
+        # step of the gather loop must decide as the one-symbol oracle does
+        c, sqrt_snr = cm.build_qam(8), 3.0
+        rng = np.random.default_rng(8)
+        monkeypatch.setattr(modem_mod, "_CHUNK", 1 << 9)  # 2 to 16 rows per step
+        for shape in [(1, 2), (2, 0), (0, 1), (0, 0)]:
+            labels = rng.integers(0, c.size, 60)
+            noise = rng.normal(0.0, math.sqrt(0.5), (60, 2)) @ [1, 1j]
+            y = sqrt_snr * c.points[c._label_to_index[labels]] + noise
+            y[:3] = 0.0
+            known = modem_mod._known_value(labels, c.m, shape)
+            decided = modem_mod._brute_force(c, y, sqrt_snr, shape, known)
+            want = [demodulate(c, yi, sqrt_snr, shape, int(v)) for yi, v in zip(y, known)]
+            assert decided.tolist() == want, shape
+            count = _candidates(c.family, c.m, *shape)[0].shape[1]
+            assert 32 <= count <= 256
+            assert len(y) > modem_mod._CHUNK // count  # more than one step
+            if shape != (0, 0):  # one known value, 0, when nothing is known
+                assert np.any(np.diff(known) < 0)  # unsorted
 
     def test_high_snr_error_free(self):
         c = cm.build_psk(3)
@@ -376,7 +376,8 @@ class TestEndToEnd:
         rm = cm.realized_subfile_map(two_user_pair_placement)
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(rm, pair_demands, scheme, 3)
-            result = cm.end_to_end_noiseless(two_user_pair_placement, plan, pair_demands)
+            c = cm.build_psk(plan.label_len)
+            result = cm.end_to_end_noiseless(two_user_pair_placement, plan, pair_demands, c)
             assert result.all_passed
             assert result.first_mismatch == {}
 
@@ -388,7 +389,7 @@ class TestEndToEnd:
         demands = cm.DemandVector((1,))
         plan = cm.build_delivery_plan(rm, demands, cm.PROPOSED, 3)
         assert plan.subfiles.length(1, frozenset()) == plan.ell[0b1] == 28
-        assert cm.end_to_end_noiseless(pl, plan, demands).all_passed
+        assert cm.end_to_end_noiseless(pl, plan, demands, cm.build_psk(plan.label_len)).all_passed
 
     def test_random_instances(self):
         rng = np.random.default_rng(99)
@@ -418,7 +419,8 @@ class TestEndToEnd:
         monkeypatch.setattr(
             mc_mod, "detect", lambda c, y, s, shape, known: np.full(len(y), 0b111)
         )
-        result = cm.end_to_end_noiseless(two_user_pair_placement, plan, pair_demands)
+        c = cm.build_psk(plan.label_len)
+        result = cm.end_to_end_noiseless(two_user_pair_placement, plan, pair_demands, c)
         assert not result.all_passed
         for user, ok in result.passed.items():
             if not ok:
@@ -435,8 +437,9 @@ class TestEndToEnd:
     def test_demands_must_be_the_plans(self):
         pl, rm, demands = self.three_users(3000, seed=1)
         plan = cm.build_delivery_plan(rm, demands, cm.PROPOSED, 3)
+        c = cm.build_psk(plan.label_len)
         with pytest.raises(cm.ConfigurationError, match="demands"):
-            cm.end_to_end_noiseless(pl, plan, cm.DemandVector((2, 1, 3)))
+            cm.end_to_end_noiseless(pl, plan, cm.DemandVector((2, 1, 3)), c)
 
     @pytest.mark.parametrize("scheme", cm.SCHEMES)
     def test_plan_map_must_be_the_placements(self, scheme):
@@ -446,7 +449,7 @@ class TestEndToEnd:
         em = cm.expected_subfile_lengths(lib, caches)
         plan = cm.build_delivery_plan(em, demands, scheme, 3)
         with pytest.raises(cm.ConfigurationError, match="bits in the placement"):
-            cm.end_to_end_noiseless(pl, plan, demands)
+            cm.end_to_end_noiseless(pl, plan, demands, cm.build_psk(plan.label_len))
 
     @pytest.mark.parametrize("scheme", cm.SCHEMES)
     def test_codec_and_detect_calls_per_member(self, scheme, monkeypatch):
@@ -466,7 +469,7 @@ class TestEndToEnd:
 
         for name in ("encode_block", "decode_block", "detect"):
             monkeypatch.setattr(mc_mod, name, counting(name, getattr(mc_mod, name)))
-        assert cm.end_to_end_noiseless(pl, plan, demands).all_passed
+        assert cm.end_to_end_noiseless(pl, plan, demands, cm.build_psk(plan.label_len)).all_passed
         pairs = sum(int(code).bit_count() for code in np.flatnonzero(plan.ell))
         assert calls.count("encode_block") == calls.count("decode_block") == pairs
         # a member's detects come right before its decode
@@ -484,7 +487,8 @@ class TestEndToEnd:
         pl, rm, demands = self.three_users(1_000_000, seed=3)
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(rm, demands, scheme, 3)
-            assert cm.end_to_end_noiseless(pl, plan, demands).all_passed, scheme
+            c = cm.build_psk(plan.label_len)
+            assert cm.end_to_end_noiseless(pl, plan, demands, c).all_passed, scheme
 
     @pytest.mark.parametrize("scheme", cm.SCHEMES)
     def test_flipped_decoded_bit_is_first_mismatch(self, scheme, monkeypatch):
@@ -501,7 +505,7 @@ class TestEndToEnd:
             return bits
 
         monkeypatch.setattr(mc_mod, "decode_block", decode_and_flip)
-        result = cm.end_to_end_noiseless(pl, plan, demands)
+        result = cm.end_to_end_noiseless(pl, plan, demands, cm.build_psk(plan.label_len))
         # the first non-empty subfile decoded, subsets in code order and
         # members ascending; its first bit is the subfile's first position
         user, subset = next(
