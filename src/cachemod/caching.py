@@ -44,8 +44,9 @@ MAX_SUBFILE_ENTRIES = 2**25  # N * 2**K; one int64 map of 256 MiB
 # little above B (the fractions sum to 1 within 1e-12), so B <= 2**62 leaves
 # int64 (largest value 2**63 - 1) a factor of two of headroom.
 MAX_TOTAL_BITS = 2**62
-# subsets per step of the array planner, bounding its (K, chunk, 2) arrays
-_PLAN_CHUNK = 2**13
+# (user, subset) entries per step of the array planner: each step takes
+# _PLAN_ENTRIES // K subsets, so its (K, subsets, 2) arrays do not grow with K
+_PLAN_ENTRIES = 2**13
 # Up to this many entries (targets of `largest_remainder`, subsets of a plan)
 # Python loops beat array code.  The array code calls some thirty numpy
 # kernels, and in a fresh process each one's first call costs 2-40 us: about
@@ -495,7 +496,7 @@ def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int)
 
 
 def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:
-    """(ell by code, known_counts) from arrays over subset codes, `_PLAN_CHUNK` at a time.
+    """(ell by code, known_counts) from arrays over subset codes, `_PLAN_ENTRIES` // K at a time.
 
     `piece_runs` on int64 arrays gives each (user, subset) pair's two runs,
     and their block counts are summed per (user, known bits).
@@ -508,8 +509,9 @@ def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: in
     counts = np.zeros((k, m + 1), dtype=np.int64)
     slot_base = np.arange(k)[:, None, None] * (m + 1)  # flat index of (user, 0)
     # codes in natural order, so each user's gather walks its file's row forward
-    for start in range(0, ell.size, _PLAN_CHUNK):
-        stop = min(start + _PLAN_CHUNK, ell.size)
+    step = max(1, _PLAN_ENTRIES // k)
+    for start in range(0, ell.size, step):
+        stop = min(start + step, ell.size)
         codes = np.arange(start, stop)
         sub_lens = np.where(codes & bits, subfiles.lengths[files, codes & ~bits], 0)  # 0 off S
         chunk_ell = ell[start:stop] = sub_lens.max(axis=0)

@@ -8,8 +8,11 @@ draws from its own RNG substream derived from (master seed, cell key), which
 keeps campaigns reproducible regardless of evaluation order or thread, so
 `CellTable.fill` may run a sweep's cells on every usable CPU at once; each
 holds one chunk of trials at a time (`_TRIALS_PER_CHUNK`).  Trials whose
-noise cannot leave the sent point's decision cell skip detection (`_SCREEN`);
-every trial is still drawn, so no estimate changes.
+noise cannot leave the sent point's decision cell skip detection (`_SCREEN`).
+In PSK prefix cells, whose decision cells are wedges, the others are counted
+by one phase test against the sent point (`_BAND`), and only the rows on a
+wedge edge or outside `detect`'s radius window are detected.  Every trial is
+still drawn, so no estimate changes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .caching import (
     piece_spans,
 )
 from .errors import ConfigurationError
-from .modem import Constellation, _known_value, detect, min_distance
+from .modem import PSK, _RHO_MAX, _RHO_MIN, Constellation, _known_value, detect, min_distance
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,25 @@ _TRIALS_PER_CHUNK = 1 << 13
 # above 280 at the smallest d of any shape, 256-PSK's 2 sin(pi / 256).
 _SCREEN = 1e-9
 
+# The wedge test.  In a PSK prefix shape (p, 0), p < m, the candidates are
+# 2^(m-p) points D = 2 pi / 2^(m-p) apart round the circle, so the sent point x
+# is the exact ML decision when phi = arg(y conj(x)) has |phi| < D/2 and not
+# when |phi| > D/2.  With |phi| at least delta inside that wedge, every other
+# candidate is farther from y than x by at least
+# 2 |y| sqrt(gamma) sin(D/2) sin(delta) / (|y| + sqrt(gamma)); with |phi| at
+# least delta outside it, x's neighbour across the edge is nearer than x by as
+# much (the bound of `modem._MARGIN`).  That exceeds brute force's 2E =
+# 64 eps (|y| + 2 sqrt(gamma)) once sin(delta) > 32 eps (rho + 1)(rho + 2) /
+# (rho sin(D/2)), rho = |y| / sqrt(gamma); inside `detect`'s window
+# [_RHO_MIN, _RHO_MAX] and at 256-PSK's D = 2 pi / 256 this is at most 1.2e-10,
+# at rho = _RHO_MIN.  Brute force, and so `detect`, then decides x inside the
+# wedge and another point outside it.  The computed |phi| - D/2 is within
+# 30 eps < 1e-14 of the exact one (sqrt(gamma) x carries under 17 eps, the
+# product 3, the arctangent 2 ulp of pi, the subtraction 1), so only the rows
+# within _BAND = 1e-8 of the edge, a factor of 80 spare, and the rows outside
+# the window go to `detect`.
+_BAND = 1e-8
+
 
 def estimate_cell_ser(
     c: Constellation,
@@ -96,8 +118,8 @@ def estimate_cell_ser(
     Each trial draws a uniform m-bit label, reveals the masked positions to
     the demodulator, sends the point over the AWGN channel and checks the ML
     decision over the compatible subconstellation.  Only the trials whose raw
-    noise reaches the screen radius (`_SCREEN`) become received points for
-    `detect`; the others are correct decisions.
+    noise reaches the screen radius (`_SCREEN`) become received points; the
+    others are correct decisions.  `_errors` counts the errors among the rest.
     """
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
@@ -124,16 +146,54 @@ def estimate_cell_ser(
         noise = noise_rng.standard_normal((n, 2)).view(np.complex128)[:, 0]
         rows = np.flatnonzero(noise.real**2 + noise.imag**2 >= safe)
         if rows.size:
-            labels = labels[rows]
-            y = noise[rows]
-            y.view(np.float64)[:] *= math.sqrt(0.5)
-            y += sent[labels]
-            decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
-            errors += int(np.count_nonzero(decided != labels))
+            errors += _errors(c, shape, sqrt_gamma, sent, noise, labels, rows)
     ser = errors / trials
     return CellEstimate(
         ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials
     )
+
+
+def _received(sent: np.ndarray, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The received points sent[labels] + sqrt(1/2) `noise`, in the float
+    operations of the one-shot cell; overwrites `noise`."""
+    noise.view(np.float64)[:] *= math.sqrt(0.5)
+    noise += sent[labels]
+    return noise
+
+
+def _errors(
+    c: Constellation,
+    shape: tuple,
+    sqrt_gamma: float,
+    sent: np.ndarray,
+    noise: np.ndarray,
+    labels: np.ndarray,
+    rows: np.ndarray,
+) -> int:
+    """How many of a chunk's trials `rows` the ML decision gets wrong.
+
+    `noise` holds the chunk's raw complex noise, `labels` its sent labels and
+    `sent` sqrt(gamma) times each label's point.  PSK prefix shapes count the
+    rows away from the sent point's wedge edge by its phase (`_BAND`); the
+    other rows, and every row of the other shapes, go to `detect`.
+    """
+    labels, errors = labels[rows], 0
+    if c.family == PSK and shape[1] == 0:
+        y = _received(sent, noise[rows], labels)
+        radius = np.abs(y)
+        y *= sent.conj()[labels]  # phase arg(y conj(x)), rotated in place
+        off = np.abs(np.angle(y))
+        off -= math.pi / (1 << (c.m - shape[0]))
+        # outside `detect`'s window the band's bound does not hold
+        off[(radius < _RHO_MIN * sqrt_gamma) | (radius > _RHO_MAX * sqrt_gamma)] = 0
+        errors = int(np.count_nonzero(off > _BAND))
+        unsure = np.flatnonzero(np.abs(off, out=off) <= _BAND)
+        rows, labels = rows[unsure], labels[unsure]
+    if rows.size:
+        y = _received(sent, noise[rows], labels)
+        decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
+        errors += int(np.count_nonzero(decided != labels))
+    return errors
 
 
 def _cell_key(c: Constellation, shape: tuple, gamma: float) -> str:

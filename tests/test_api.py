@@ -28,11 +28,12 @@ REMOVED = {
     # the per-block split laws and the codec's bit-string and bit-row paths,
     # replaced by `piece_runs` and the one-array `encode_block`/`decode_block`;
     # the canonical subset order as an array, replaced by the tie key
-    # `_canonical_key`
+    # `_canonical_key`; the planner's subsets per step, now `_PLAN_ENTRIES`
+    # (user, subset) entries per step
     "cachemod.caching": [
         "proposed_piece_len", "zero_padding_piece_len", "subset_shapes", "_bit_array",
         "canonical_codes", "MulticastBlockSpec", "UselessBlockError", "SubsetSchedule",
-        "_bit_run", "_checked_pieces", "_run_count",
+        "_bit_run", "_checked_pieces", "_run_count", "_PLAN_CHUNK",
     ],
     # thin wrappers around `ser_report`, and `q_function`'s array path
     "cachemod.analysis": [

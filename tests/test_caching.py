@@ -441,10 +441,14 @@ class TestPlannerMatchesLoop:
         instance=planning_instances(),
         m=st.integers(1, 8),
         loop_max=st.sampled_from([caching._LOOP_MAX, 0]),  # 0: arrays at every K
+        # entries per array step: one subset a step below K, a few, all of them
+        plan_entries=st.sampled_from([caching._PLAN_ENTRIES, 1, 13]),
     )
     @settings(max_examples=120)
-    def test_quantise_and_plan_equal_the_loop(self, instance, m, loop_max):
-        with mock.patch.object(caching, "_LOOP_MAX", loop_max):
+    def test_quantise_and_plan_equal_the_loop(self, instance, m, loop_max, plan_entries):
+        with mock.patch.object(caching, "_LOOP_MAX", loop_max), mock.patch.object(
+            caching, "_PLAN_ENTRIES", plan_entries
+        ):
             self.check(*instance, m)
 
     def check(self, smap, demands, m):
@@ -462,6 +466,23 @@ class TestPlannerMatchesLoop:
 
 
 class TestBuildDeliveryPlan:
+    def test_plan_memory_does_not_grow_with_users(self):
+        # K = 16: steps of 8,192 subsets held (16, 8192, 2) int64 arrays and
+        # peaked at 13.7 MiB; steps of 8,192 (user, subset) entries take 1.4
+        # MiB, half of it the (2^16,) ell table
+        k = 16
+        lib = cm.Library((1 / k,) * k, 1_000_000)
+        caches = cm.CacheProfile(tuple(0.05 + 0.06 * i for i in range(k)))
+        smap, demands = cm.expected_subfile_lengths(lib, caches), cm.DemandVector(tuple(range(1, k + 1)))
+        tracemalloc.start()
+        try:
+            for scheme in cm.SCHEMES:
+                cm.build_delivery_plan(smap, demands, scheme, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
     def test_pair_message_single_block(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)

@@ -10,14 +10,26 @@ from hypothesis import strategies as st
 import cachemod as cm
 import cachemod.mc as mc_mod
 from cachemod.mc import _cell_key, _cell_seed
-from cachemod.modem import _candidates
+from cachemod.modem import _RHO_MAX, _RHO_MIN, _candidates
 from cachemod.caching import subset_code
-from conftest import demodulate, message_subsets, screen_bound, screened_trials, subfile_map
+from conftest import (
+    demodulate,
+    message_subsets,
+    screen_bound,
+    screened_trials,
+    subfile_map,
+    wedge_trials,
+)
 
 
 def _cell_rng(master_seed, cell_id):
     """The cell's one-shot generator: labels, then noise, from one stream."""
     return np.random.default_rng(_cell_seed(master_seed, cell_id))
+
+
+def _wedge_prefix_shapes():
+    """PSK prefix shapes (m, p) with p < m: the first and last prefix, and a middle one."""
+    return [(m, p) for m in (1, 2, 3, 8) for p in sorted({0, m // 2, m - 1})]
 
 
 def _replay_errors(c, shape, gamma, cfg, cell_id):
@@ -128,6 +140,62 @@ class TestEstimateCellSer:
         assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
         assert screened_trials(c, shape, gamma, cfg, "replay").mean() > 0.7
 
+    @pytest.mark.parametrize("gamma", [0.5, 30.0, 1e4])
+    @pytest.mark.parametrize("m, p", _wedge_prefix_shapes())
+    def test_wedge_cells_match_scalar_demodulator(self, m, p, gamma, monkeypatch):
+        # PSK prefix cells count most rows past the screen by the wedge test,
+        # m = 1 and p = m - 1 on a half-plane; the count must be the oracle's,
+        # and only the rows the replay leaves to it may reach `detect`
+        detected = []
+
+        def capture(c, y, *args):
+            detected.append(len(y))
+            return cm.detect(c, y, *args)
+
+        monkeypatch.setattr(mc_mod, "detect", capture)
+        c, shape = cm.build_psk(m), (p, 0)
+        cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
+        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
+        errors = _replay_errors(c, shape, gamma, cfg, "replay")
+        assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+        screened = screened_trials(c, shape, gamma, cfg, "replay")
+        wedge = wedge_trials(c, shape, gamma, cfg, "replay")
+        assert sum(detected) == np.count_nonzero(~screened & ~wedge)
+
+    def test_wedge_edges_match_scalar_demodulator(self):
+        # received points a few ulps either side of the sent point's wedge
+        # edge, within and just past the band, at and near the origin and past
+        # the radius window: the cell's error indicator, one row at a time, is
+        # the oracle's on each.  First the band's bound (see `mc._BAND`)
+        eps = np.finfo(float).eps
+        rho = _RHO_MIN  # where 32 eps (rho + 1)(rho + 2) / rho peaks in the window
+        need = math.asin(32 * eps * (rho + 1) * (rho + 2) / (rho * math.sin(math.pi / 256)))
+        assert mc_mod._BAND > need + 30 * eps
+
+        band = mc_mod._BAND
+        for (m, p), gamma in itertools.product(_wedge_prefix_shapes(), (0.5, 1e4)):
+            c, shape, sqrt_gamma = cm.build_psk(m), (p, 0), math.sqrt(gamma)
+            sent = sqrt_gamma * c.points[c._label_to_index]
+            half = math.pi / (1 << (m - p))
+            edge = [half + k * math.ulp(half) for k in range(-4, 5)]
+            turns = [s * (half + d) for s in (1, -1) for d in (0.5 * band, 2 * band, -0.5 * band)]
+            turns += [s * t for s in (1, -1) for t in edge]
+            near = [(r, t) for r in (1.0, 0.3, 3.0) for t in turns]
+            near += [(r, t) for r in (0.0, 1e-300, 1e-12, 0.5 * _RHO_MIN) for t in (0.0, 1.0, half)]
+            near += [(2 * _RHO_MAX, t) for t in (0.0, half, half + band, math.pi)]
+            labels, targets = [], []
+            for label in range(0, c.size, max(1, c.size // 8)):
+                for r, t in near:
+                    labels.append(label)
+                    targets.append(r * sent[label] * complex(math.cos(t), math.sin(t)))
+            labels = np.array(labels, dtype=np.int64)
+            noise = (np.array(targets) - sent[labels]) / math.sqrt(0.5)
+            for row, (label, raw) in enumerate(zip(labels.tolist(), noise.tolist())):
+                y = complex(raw.real * math.sqrt(0.5), raw.imag * math.sqrt(0.5)) + sent[label]
+                want = demodulate(c, y, sqrt_gamma, shape, label >> (m - p)) != label
+                got = mc_mod._errors(c, shape, sqrt_gamma, sent, noise, labels, np.array([row]))
+                assert got == want, (m, p, gamma, label, y)
+
     def test_antipodal_matches_exact_binary_error(self):
         # a 2-point subconstellation has a closed-form error probability
         c = cm.build_psk(3)
@@ -179,6 +247,38 @@ class TestEstimateCellSer:
         sqrt_gamma = math.sqrt(gamma)
         for label, y in zip(labels[screened].tolist(), want[screened].tolist()):
             assert demodulate(c, y, sqrt_gamma, shape, label >> 2) == label
+
+    @pytest.mark.parametrize("seed, band", [(0, 0.3), (1, 0.3), (2, math.pi)])
+    def test_band_rows_reach_detect_as_received_points(self, seed, band, monkeypatch):
+        # a wide band makes rows of an 8PSK prefix cell reach `detect` (every
+        # row past the screen at a band of pi); bit for bit those must be the
+        # one-shot points, and the count still the oracle's
+        seen = []
+
+        def capture(c, y, sqrt_snr, shape, known):
+            seen.append((y.copy(), known.copy()))
+            return cm.detect(c, y, sqrt_snr, shape, known)
+
+        monkeypatch.setattr(mc_mod, "detect", capture)
+        monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", 999)
+        monkeypatch.setattr(mc_mod, "_BAND", band)
+        c, shape, gamma, trials = cm.build_psk(3), (1, 0), 3.7, 4999
+        cfg = cm.CampaignConfig(trials, seed)
+        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "draws")
+        rng = _cell_rng(seed, "draws")
+        labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+        noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
+        x = c.points[c._label_to_index[labels]]
+        want = math.sqrt(gamma) * x + (noise[:, 0] + 1j * noise[:, 1])
+        # the band rows, with the wedge edge at pi / 4 and the phase taken apart
+        phase = np.abs(np.remainder(np.angle(want) - np.angle(x) + np.pi, 2 * np.pi) - np.pi)
+        taken = ~screened_trials(c, shape, gamma, cfg, "draws")
+        taken &= np.abs(phase - math.pi / 4) <= band
+        assert 0 < taken.mean() < 1
+        assert np.concatenate([y for y, _ in seen]).tobytes() == want[taken].tobytes()
+        assert np.concatenate([k for _, k in seen]).tolist() == (labels[taken] >> 2).tolist()
+        errors = _replay_errors(c, shape, gamma, cfg, "draws")
+        assert est.ser == pytest.approx(errors / trials, abs=1e-15)
 
     @pytest.mark.parametrize("family", ["psk", "qam"])
     def test_noise_at_the_screen_radius_is_decided_correctly(self, family):
