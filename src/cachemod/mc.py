@@ -6,13 +6,15 @@ subfile bits are random), so each cell is sampled once per `estimate_table`
 and reused by every user, plan and SNR point that reads it.  Every cell
 draws from its own RNG substream derived from (master seed, cell key), which
 keeps campaigns reproducible regardless of evaluation order or thread, so
-`CellTable.fill` may run a sweep's cells on every usable CPU at once; each
-holds one chunk of trials at a time (`_TRIALS_PER_CHUNK`).  Trials whose
-noise cannot leave the sent point's decision cell skip detection (`_SCREEN`).
-In PSK prefix cells, whose decision cells are wedges, the others are counted
-by one phase test against the sent point (`_BAND`), and only the rows on a
-wedge edge or outside `detect`'s radius window are detected.  Every trial is
-still drawn, so no estimate changes.
+`CellTable.fill` may run a sweep's cells on every usable CPU at once.  A cell
+of N trials runs in ceil(N / `_TRIALS_PER_CHUNK`) chunks whose lengths differ
+by at most one, and holds one chunk at a time.  Trials whose noise cannot
+leave the sent point's decision cell skip detection (`_SCREEN`); only the
+labels and noise of the others are kept for the error count.  In PSK prefix
+cells, whose decision cells are wedges, those are counted by one phase test
+against the sent point (`_BAND`), and only the rows on a wedge edge or
+outside `detect`'s radius window are detected.  Every trial is still drawn,
+so no estimate changes.
 """
 
 from __future__ import annotations
@@ -72,8 +74,12 @@ def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
 # is one 32-bit Lemire draw without rejection, so the labels take ceil(N/2)
 # 64-bit words (an odd half-word stays in the bit generator's state), and a
 # second PCG64 on the same seed advanced by ceil(N/2) yields the noise.  Both
-# are drawn in chunks of this many trials, with the one-shot bytes.
-_TRIALS_PER_CHUNK = 1 << 13
+# are drawn chunk by chunk, with the one-shot bytes, in k = ceil(N / this) equal
+# chunks (lengths differ by at most one): a 1e4-trial cell is one chunk and a
+# 1e5-trial cell seven of 14,285 or 14,286.  Each chunk's numpy calls release
+# and retake the GIL, so with cells on two threads fewer chunks mean fewer
+# waits for the other thread.
+_TRIALS_PER_CHUNK = 1 << 14
 
 # The screen.  The sent point x is at least d = `min_distance` from every other
 # candidate, so noise w = sqrt(1/2) n with |w| < sqrt(gamma) d / 2 leaves each
@@ -138,27 +144,32 @@ def estimate_cell_ser(
     sent = sqrt_gamma * c.points[c._label_to_index]
 
     errors = 0
-    for start in range(0, trials, _TRIALS_PER_CHUNK):
-        n = min(_TRIALS_PER_CHUNK, trials - start)
+    chunks = -(-trials // _TRIALS_PER_CHUNK)
+    # one buffer for every chunk's noise: a fresh array per chunk went back to
+    # the OS and was faulted in again, some 10,000 page faults per paper sweep
+    pairs = np.empty((-(-trials // chunks), 2))
+    for i in range(chunks):
+        n = trials // chunks + (i < trials % chunks)
         labels = label_rng.integers(0, 1 << c.m, size=n, dtype=np.int64)
         # the draws of normal(0, sqrt(1/2), (n, 2)) as (real, imag) pairs, in
         # the float operations of the one-shot cell, for the unscreened rows
-        noise = noise_rng.standard_normal((n, 2)).view(np.complex128)[:, 0]
-        rows = np.flatnonzero(noise.real**2 + noise.imag**2 >= safe)
-        if rows.size:
-            errors += _errors(c, shape, sqrt_gamma, sent, noise, labels, rows)
+        noise = noise_rng.standard_normal(out=pairs[:n]).view(np.complex128)[:, 0]
+        q = np.square(noise.real)
+        q += np.square(noise.imag)
+        rows = np.flatnonzero(q >= safe)
+        del q
+        # only these rows live through the count: their labels, and their
+        # noise moved to the front of the buffer (`take` writes through a
+        # temporary, so the overlap is safe)
+        labels = labels[rows]
+        noise = np.take(noise, rows, out=noise[: rows.size])
+        del rows
+        if labels.size:
+            errors += _errors(c, shape, sqrt_gamma, sent, noise, labels)
     ser = errors / trials
     return CellEstimate(
         ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials
     )
-
-
-def _received(sent: np.ndarray, noise: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The received points sent[labels] + sqrt(1/2) `noise`, in the float
-    operations of the one-shot cell; overwrites `noise`."""
-    noise.view(np.float64)[:] *= math.sqrt(0.5)
-    noise += sent[labels]
-    return noise
 
 
 def _errors(
@@ -168,29 +179,37 @@ def _errors(
     sent: np.ndarray,
     noise: np.ndarray,
     labels: np.ndarray,
-    rows: np.ndarray,
 ) -> int:
-    """How many of a chunk's trials `rows` the ML decision gets wrong.
+    """How many trials with raw complex `noise` and sent `labels` the ML
+    decision gets wrong; overwrites `noise`.
 
-    `noise` holds the chunk's raw complex noise, `labels` its sent labels and
-    `sent` sqrt(gamma) times each label's point.  PSK prefix shapes count the
-    rows away from the sent point's wedge edge by its phase (`_BAND`); the
-    other rows, and every row of the other shapes, go to `detect`.
+    `sent` holds sqrt(gamma) times each label's point.  PSK prefix shapes
+    count the rows away from the sent point's wedge edge by its phase
+    (`_BAND`); the other rows, and every row of the other shapes, go to
+    `detect`.
     """
-    labels, errors = labels[rows], 0
+    # the received points sent[labels] + sqrt(1/2) noise, in the float
+    # operations of the one-shot cell
+    y = noise
+    y.view(np.float64)[:] *= math.sqrt(0.5)
+    y += sent[labels]
+    errors = 0
     if c.family == PSK and shape[1] == 0:
-        y = _received(sent, noise[rows], labels)
         radius = np.abs(y)
-        y *= sent.conj()[labels]  # phase arg(y conj(x)), rotated in place
-        off = np.abs(np.angle(y))
-        off -= math.pi / (1 << (c.m - shape[0]))
         # outside `detect`'s window the band's bound does not hold
-        off[(radius < _RHO_MIN * sqrt_gamma) | (radius > _RHO_MAX * sqrt_gamma)] = 0
+        outside = (radius < _RHO_MIN * sqrt_gamma) | (radius > _RHO_MAX * sqrt_gamma)
+        del radius
+        turned = sent.conj()[labels]
+        np.multiply(y, turned, out=turned)  # y conj(x), whose phase is tested
+        off = np.angle(turned)
+        del turned
+        np.abs(off, out=off)
+        off -= math.pi / (1 << (c.m - shape[0]))
+        off[outside] = 0
         errors = int(np.count_nonzero(off > _BAND))
         unsure = np.flatnonzero(np.abs(off, out=off) <= _BAND)
-        rows, labels = rows[unsure], labels[unsure]
-    if rows.size:
-        y = _received(sent, noise[rows], labels)
+        y, labels = y[unsure], labels[unsure]
+    if labels.size:
         decided = detect(c, y, sqrt_gamma, shape, _known_value(labels, c.m, shape))
         errors += int(np.count_nonzero(decided != labels))
     return errors

@@ -193,7 +193,7 @@ class TestEstimateCellSer:
             for row, (label, raw) in enumerate(zip(labels.tolist(), noise.tolist())):
                 y = complex(raw.real * math.sqrt(0.5), raw.imag * math.sqrt(0.5)) + sent[label]
                 want = demodulate(c, y, sqrt_gamma, shape, label >> (m - p)) != label
-                got = mc_mod._errors(c, shape, sqrt_gamma, sent, noise, labels, np.array([row]))
+                got = mc_mod._errors(c, shape, sqrt_gamma, sent, noise[[row]], labels[[row]])
                 assert got == want, (m, p, gamma, label, y)
 
     def test_antipodal_matches_exact_binary_error(self):
@@ -217,8 +217,8 @@ class TestEstimateCellSer:
     @pytest.mark.parametrize("seed", range(5))
     def test_received_points_are_the_normal_pairs(self, seed, monkeypatch):
         # the cell builds y from standard normals, here for an odd N in odd
-        # chunks of 999 trials, for the trials the screen keeps; bit for bit
-        # those must be sqrt(gamma) x plus the one-shot
+        # chunks of at most 999 trials, for the trials the screen keeps; bit
+        # for bit those must be sqrt(gamma) x plus the one-shot
         # rng.normal(0, sqrt(1/2)) pairs read as complex, in order
         seen = []
 
@@ -238,7 +238,10 @@ class TestEstimateCellSer:
             noise[:, 0] + 1j * noise[:, 1]
         )
         screened = screened_trials(c, shape, gamma, cfg, "draws")
-        kept = [np.count_nonzero(~screened[i : i + 999]) for i in range(0, trials, 999)]
+        # the chunk law: ceil(4999 / 999) = 6 chunks, one of 834 and five of 833
+        ends = np.cumsum([len(part) for part in np.array_split(screened, 6)])
+        assert np.diff(ends, prepend=0).tolist() == [834] + [833] * 5
+        kept = [np.count_nonzero(~part) for part in np.split(screened, ends[:-1])]
         assert 0 < screened.mean() < 1
         assert [len(y) for y, _ in seen] == [k for k in kept if k]
         assert np.concatenate([y for y, _ in seen]).tobytes() == want[~screened].tobytes()
@@ -327,19 +330,46 @@ class TestEstimateCellSer:
     def test_trials_per_chunk_does_not_change_estimates(
         self, family, m, shape, gamma, monkeypatch
     ):
-        # 20,001 trials: three default chunks, 21 odd chunks, or one chunk
+        # 20,001 trials: two default chunks (10,001 and 10,000), 21 chunks of
+        # 952 or 953, one chunk, or 26 chunks of 769 or 770 (a cap of 1,000
+        # would split as 999 does)
         c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 6)
         estimates = []
-        for chunk in (mc_mod._TRIALS_PER_CHUNK, 999, 1 << 15):
+        for chunk in (mc_mod._TRIALS_PER_CHUNK, 999, 1 << 15, 777):
             monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", chunk)
             estimates.append(cm.estimate_cell_ser(c, shape, gamma, cfg, "chunks"))
-        assert estimates[0] == estimates[1] == estimates[2]
+        assert estimates[1:] == estimates[:1] * 3
         assert 0 < estimates[0].ser < 1
+
+    @pytest.mark.parametrize("trials", [1, 1 << 14, (1 << 14) + 1, 10_000, 100_000, 1_000_000])
+    def test_chunks_are_equal_and_at_most_the_cap(self, trials, monkeypatch):
+        # a cell of N trials draws its labels in ceil(N / 2^14) chunks whose
+        # lengths differ by at most one, so a 1e4-trial cell is one chunk
+        sizes, default_rng = [], np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high, size, dtype):
+                sizes.append(size)
+                return self.rng.integers(low, high, size=size, dtype=dtype)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        # one candidate: every trial is drawn, none detected
+        cm.estimate_cell_ser(cm.build_psk(1), (1, 0), 1.0, cm.CampaignConfig(trials, 1), "law")
+        assert mc_mod._TRIALS_PER_CHUNK == 1 << 14
+        assert len(sizes) == -(-trials // (1 << 14))
+        assert sum(sizes) == trials
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= 1 << 14
+        if trials == 10_000:
+            assert sizes == [10_000]
 
     def test_memory_flat_in_trials(self):
         # one-shot draws held every trial's arrays at once, 72.5 MiB at 1e6
-        # trials of this cell; chunks keep it near 0.4 MiB (2.2 MiB in a fresh
-        # process, which also builds the constellation's cached tables)
+        # trials of this cell; chunks keep it near 0.6 MiB (0.4 MiB with
+        # 8,192-trial chunks; 2.2 MiB in a fresh process, which also builds
+        # the constellation's cached tables)
         c = cm.build_qam(8)
         tracemalloc.start()
         try:
@@ -352,7 +382,9 @@ class TestEstimateCellSer:
     def test_cell_memory_per_thread(self):
         # the sweep runs one cell per usable CPU at once, so this peak counts
         # once per thread: 7.2 MiB with 16,384-trial chunks and 2^18-entry
-        # distance steps, 2.8 MiB with 8,192 and 2^16
+        # distance steps, 2.8 MiB with 8,192-trial chunks (8,192 + 1,808
+        # here) and 2^16, and 2.7 MiB as one 10,000-trial chunk that keeps
+        # only the rows past the screen for `detect`
         c = cm.build_qam(8)
         tracemalloc.start()
         try:
@@ -361,6 +393,22 @@ class TestEstimateCellSer:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_wedge_cell_memory_per_thread(self):
+        # the cell with the most rows past the screen in the paper sweep, 86 %
+        # of them, sets its peak: 0.57 MiB with 8,192-trial chunks, 0.61 MiB
+        # with 14,286-trial chunks that keep only those rows through the
+        # count, and 1.0 MiB when the chunk's labels, row indices and a
+        # separate copy of the kept noise live through `_errors`
+        c, cfg = cm.build_psk(3), cm.CampaignConfig(100_000, 2)
+        cm.estimate_cell_ser(c, (0, 0), 1.0, cm.CampaignConfig(1000, 2), "warm")
+        tracemalloc.start()
+        try:
+            cm.estimate_cell_ser(c, (0, 0), 1.0, cfg, "memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 2**20
 
     def test_chunk_size_does_not_change_decisions(self, monkeypatch):
         import cachemod.modem as modem_mod
