@@ -13,8 +13,8 @@ leave the sent point's decision cell skip detection (`_SCREEN`); only the
 labels and noise of the others are kept for the error count.  In PSK prefix
 cells, whose decision cells are wedges, those are counted by one phase test
 against the sent point (`_BAND`), and only the rows on a wedge edge or
-outside `detect`'s radius window are detected.  Every trial is still drawn,
-so no estimate changes.
+outside the radius window [`_RHO_MIN`, `_RHO_MAX`] are detected.  Every
+trial is still drawn, so no estimate changes.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ _TRIALS_PER_CHUNK = 1 << 14
 # The screen.  The sent point x is at least d = `min_distance` from every other
 # candidate, so noise w = sqrt(1/2) n with |w| < sqrt(gamma) d / 2 leaves each
 # of them farther from y than x by more than g = sqrt(gamma) d - 2 |w|.  Brute
-# force computes distances within E = 32 eps (|y| + 2 sqrt(gamma)) (see
-# `modem._MARGIN`), so it returns x once g > 2E, and so does `detect`.  Raw
-# |n|^2 < (1 - _SCREEN) 2 gamma (d/2)^2 gives g > _SCREEN / 2 sqrt(gamma) d (up
-# to a few eps of rounding), while 2E <= 64 eps (|x| + d/2 + 2) sqrt(gamma):
+# force returns x once g > 2E (E: see above `modem._brute_force`), and so does
+# `detect`.  Raw |n|^2 < (1 - _SCREEN) 2 gamma (d/2)^2 gives
+# g > _SCREEN / 2 sqrt(gamma) d (up to a few eps of rounding), while
+# 2E <= 64 eps (|x| + d/2 + 2) sqrt(gamma):
 # _SCREEN = 1e-9 leaves g / 2E above 1400 at 256-QAM's d = 2 / sqrt(170) and
 # above 280 at the smallest d of any shape, 256-PSK's 2 sin(pi / 256).
 _SCREEN = 1e-9
@@ -99,9 +99,9 @@ _SCREEN = 1e-9
 # candidate is farther from y than x by at least
 # 2 |y| sqrt(gamma) sin(D/2) sin(delta) / (|y| + sqrt(gamma)); with |phi| at
 # least delta outside it, x's neighbour across the edge is nearer than x by as
-# much (the bound of `modem._MARGIN`).  That exceeds brute force's 2E =
+# much.  That exceeds brute force's 2E (E: see above `modem._brute_force`) =
 # 64 eps (|y| + 2 sqrt(gamma)) once sin(delta) > 32 eps (rho + 1)(rho + 2) /
-# (rho sin(D/2)), rho = |y| / sqrt(gamma); inside `detect`'s window
+# (rho sin(D/2)), rho = |y| / sqrt(gamma); inside the radius window
 # [_RHO_MIN, _RHO_MAX] and at 256-PSK's D = 2 pi / 256 this is at most 1.2e-10,
 # at rho = _RHO_MIN.  Brute force, and so `detect`, then decides x inside the
 # wedge and another point outside it.  The computed |phi| - D/2 is within
@@ -196,7 +196,7 @@ def _errors(
     errors = 0
     if c.family == PSK and shape[1] == 0:
         radius = np.abs(y)
-        # outside `detect`'s window the band's bound does not hold
+        # outside the radius window the band's bound does not hold
         outside = (radius < _RHO_MIN * sqrt_gamma) | (radius > _RHO_MAX * sqrt_gamma)
         del radius
         turned = sent.conj()[labels]

@@ -140,19 +140,18 @@ def detect(
     subconstellation by minimizing |y - sqrt(gamma) x|; exact ties resolve to
     the numerically smallest label.
 
-    Set partitioning makes most subconstellations regular, so their decision
-    is a rounding, not a search:
-    - PSK, every shape: the phase is rounded to the arc of candidates;
-    - square QAM, even prefix: each axis is sliced on the coset's grid;
-    - square QAM, odd prefix: the checkerboard coset is two even-prefix
-      grids, and the nearer of their two slice decisions wins;
-    - square QAM, suffix shapes (0, s) with s <= m - 5: the full grid is
-      sliced, and the decision stands when it carries the known suffix.
+    Set partitioning makes most square-QAM subconstellations regular, so
+    their decision is a rounding, not a search:
+    - even prefix: each axis is sliced on the coset's grid;
+    - odd prefix: the checkerboard coset is two even-prefix grids, and the
+      nearer of their two slice decisions wins;
+    - suffix shapes (0, s) with s <= m - 5: the full grid is sliced, and the
+      decision stands when it carries the known suffix.
     Symbols near a decision boundary, near a tie of the two checkerboard
     grids, with |y| / sqrt(gamma) outside a fixed window or whose full-grid
-    decision misses the suffix, and every other shape, are decided by brute
-    force over the compatible points, so the result is the brute-force
-    decision for every symbol.
+    decision misses the suffix, and every other shape, every PSK shape
+    included, are decided by brute force over the compatible points, so the
+    result is the brute-force decision for every symbol.
     """
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
@@ -182,26 +181,18 @@ def detect(
     return decided
 
 
-# The structured decision is the brute-force one away from cell edges.  Brute
-# force computes each |y - sqrt(gamma) x| within E = 32 eps (|y| + 2 sqrt(gamma))
-# of the exact distance (|x| < 2; the points carry under 16 eps of error, the
-# scaling, difference and hypot a few eps each), so it picks the exact ML
-# decision whenever every other candidate is farther by more than 2E.  With
+# The structured decision is the brute-force one away from cell edges: brute
+# force errs by at most E (see the comment above `_brute_force`).  With
 # rho = |y| / sqrt(gamma) in [_RHO_MIN, _RHO_MAX] and y at least _MARGIN
-# candidate steps inside its cell, the runner-up is farther:
-# - PSK, step D >= 2 pi / 256: by at least
-#   2 |y| sqrt(gamma) sin(D/2) sin(_MARGIN D) / (|y| + sqrt(gamma)), also for
-#   the two arc ends across the gap; this exceeds 2E once
-#   _MARGIN > 16 eps (rho + 2)^2 / rho * (pi / D)^2, i.e. 2.4e-8 at _RHO_MIN;
-# - QAM, step g = sqrt(gamma) 2^(p/2) d with d >= 2 / sqrt(170): by at least
-#   2 g^2 _MARGIN in squared distance; this exceeds 2E once
-#   _MARGIN > 64 eps (rho + 2)^2 / d^2, i.e. 6.3e-9 at _RHO_MAX.
-# The cell coordinates carry under 1e-12 steps of error, so _MARGIN = 1e-6
-# leaves a factor of 40 spare.
+# candidate steps inside its cell, the runner-up is farther by at least
+# 2 g^2 _MARGIN in squared distance, g = sqrt(gamma) 2^(p/2) d the step and
+# d >= 2 / sqrt(170); this exceeds 2E once _MARGIN > 64 eps (rho + 2)^2 / d^2,
+# i.e. 6.3e-9 at _RHO_MAX.  The cell coordinates carry under 1e-12 steps of
+# error, so _MARGIN = 1e-6 leaves a factor above 150 spare.
 _MARGIN = 1e-6
 _RHO_MIN, _RHO_MAX = 1e-2, 1e2
 # A checkerboard coset's two grid decisions are compared by their distances,
-# computed as brute force computes them, each within E of the exact one.  When
+# computed as brute force computes them (E: see above `_brute_force`).  When
 # the computed gap exceeds 4E = 128 eps (|y| + 2 sqrt(gamma)), the exact gap
 # exceeds 2E, so brute force orders the two the same way; every other point of
 # either grid is farther than its grid's decision by more than 2E (above), so
@@ -214,7 +205,7 @@ def _structured(c: Constellation, shape: tuple):
     """The rounding decision for `shape`, or None where only brute force applies."""
     p, s = shape
     if c.family == PSK:
-        return _psk_round
+        return None
     if s == 0:
         return _qam_slice if p % 2 == 0 else _qam_checkerboard
     if p == 0 and s <= c.m - 5:
@@ -238,11 +229,6 @@ def _candidates(family: str, m: int, p: int, s: int) -> tuple:
     return _read_only(labels, c.points[c._label_to_index[labels]])
 
 
-def _first_points(c: Constellation, shape: tuple) -> np.ndarray:
-    """Smallest point index of each known value's subconstellation."""
-    return c._label_to_index[_candidates(c.family, c.m, *shape)[0]].min(axis=1)
-
-
 def _split(v: np.ndarray) -> tuple:
     """Cells floor(v), and which `v` lie within _MARGIN of a cell edge; overwrites `v`."""
     cell = np.floor(v)
@@ -257,39 +243,6 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _psk_cells(m: int, p: int, s: int) -> tuple:
-    """Per known value: its arc's labels in angular order, and the arc's angle offset.
-
-    Point k carries label bitrev(k): a known prefix keeps k = r (mod 2^p) and
-    a known suffix one arc of 2^(m-s) consecutive points, so the candidates
-    are first + 2^p j for j < 2^free, on a turn of 2^(m-p) such steps.  In
-    steps past the middle of the gap before the arc (half a step before the
-    first point on a full circle), candidate j owns the cell
-    [j + gap, j + gap + 1) and the gap after the arc the rest of the turn.
-    """
-    count, turn = 1 << (m - p - s), 1 << (m - p)
-    c = build_psk(m)
-    first = _first_points(c, (p, s))
-    arc = c.labels[first[:, None] + (np.arange(count) << p)]
-    return _read_only(arc, (turn - count) // 2 + 0.5 - first / (1 << p))
-
-
-def _psk_round(
-    c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
-) -> tuple:
-    arc, offset = _psk_cells(c.m, *shape)
-    count, turn = arc.shape[1], 1 << (c.m - shape[0])
-    v = np.angle(y)
-    v *= turn / (2 * math.pi)
-    v += offset[known]
-    cell, unsure = _split(v)
-    j = cell.astype(np.int64)
-    j &= turn - 1
-    j -= (turn - count) // 2
-    return arc[known, np.clip(j, 0, count - 1, out=j)], unsure
-
-
-@lru_cache(maxsize=None)
 def _qam_cells(m: int, p: int) -> tuple:
     """Per known prefix value: its coset's labels as a grid, and the axis offsets.
 
@@ -301,7 +254,8 @@ def _qam_cells(m: int, p: int) -> tuple:
     """
     c = build_qam(m)
     side, stride = 1 << (m // 2), 1 << (p // 2)
-    a0, b0 = np.divmod(_first_points(c, (p, 0)), side)
+    first = c._label_to_index[_candidates(QAM, m, p, 0)[0]].min(axis=1)
+    a0, b0 = np.divmod(first, side)
     steps = stride * np.arange(side // stride)
     grid = c.labels[(a0[:, None, None] + steps[:, None]) * side + b0[:, None, None] + steps]
     centre = (side - 1) / 2
@@ -346,6 +300,13 @@ def _qam_suffix(
     return decided, unsure | ((decided & ((1 << shape[1]) - 1)) != known)
 
 
+# E, the float error of brute force's distances, against which every shortcut
+# to its decision keeps a margin (`_MARGIN`, `_TIE`, `mc._SCREEN`, `mc._BAND`).
+# Brute force computes each |y - sqrt(gamma) x| within
+# E = 32 eps (|y| + 2 sqrt(gamma)) of the exact distance (|x| < 2; the points
+# carry under 16 eps of error, the scaling, difference and hypot a few eps
+# each), so it picks the exact ML decision whenever every other candidate is
+# farther by more than 2E.
 def _brute_force(
     c: Constellation, y: np.ndarray, sqrt_snr: float, shape: tuple, known: np.ndarray
 ) -> np.ndarray:

@@ -174,8 +174,9 @@ def wedge_trials(c, shape, gamma, cfg, cell_id):
     """Which trials of the cell's one-shot stream the wedge test decides without `detect`.
 
     In PSK prefix shapes (p, 0): the trials the screen passes whose received
-    point lies inside `detect`'s radius window and whose phase against the
-    sent point x is more than `_BAND` from the wedge edge pi / 2^(m-p).
+    point lies inside the radius window [_RHO_MIN, _RHO_MAX] and whose phase
+    against the sent point x is more than `_BAND` from the wedge edge
+    pi / 2^(m-p).
     """
     if c.family != "psk" or shape[1]:
         return np.zeros(cfg.trials_per_cell, dtype=bool)

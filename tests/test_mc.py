@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cachemod as cm
 import cachemod.mc as mc_mod
+import cachemod.modem as modem_mod
 from cachemod.mc import _cell_key, _cell_seed
 from cachemod.modem import _RHO_MAX, _RHO_MIN, _candidates
 from cachemod.caching import subset_code
@@ -553,11 +554,29 @@ class TestEndToEnd:
             if trial % 2:
                 c = cm.build_qam(4)
             else:
-                c = cm.build_psk(int(rng.integers(1, 5)))
+                c = cm.build_psk(int(rng.integers(1, 9)))
             for scheme in cm.SCHEMES:
                 plan = cm.build_delivery_plan(rm, demands, scheme, c.m)
                 result = cm.end_to_end_noiseless(pl, plan, demands, c)
                 assert result.all_passed, (trial, scheme, result.first_mismatch)
+
+    def test_psk256_brute_force_takes_several_steps(self, monkeypatch):
+        # every PSK symbol is decided by brute force, and at 256 candidates a
+        # `_CHUNK` step holds 256 symbols; the full-constellation runs of this
+        # library are longer, so a call walks several steps
+        pl, rm, demands = self.three_users(50_000, seed=5)
+        c, brute_force, steps = cm.build_psk(8), modem_mod._brute_force, []
+
+        def counting(c, y, sqrt_snr, shape, known):
+            step = modem_mod._CHUNK >> (c.m - sum(shape))
+            steps.append(-(-len(y) // step))
+            return brute_force(c, y, sqrt_snr, shape, known)
+
+        monkeypatch.setattr(modem_mod, "_brute_force", counting)
+        for scheme in cm.SCHEMES:
+            plan = cm.build_delivery_plan(rm, demands, scheme, c.m)
+            assert cm.end_to_end_noiseless(pl, plan, demands, c).all_passed, scheme
+        assert max(steps) > 1
 
     def test_reports_first_mismatch_when_demodulation_breaks(
         self, two_user_pair_placement, pair_demands, monkeypatch

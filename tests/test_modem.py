@@ -276,7 +276,8 @@ class TestDetect:
         prefix=st.integers(0, 8),
         suffix=st.integers(0, 8),
         # per symbol: known value, phase, log10 of |y| / sqrt(gamma); radii run
-        # from deep inside to beyond the window the rounding paths accept
+        # from deep inside to beyond the window QAM's rounding paths accept,
+        # and every PSK shape is decided by brute force at any radius
         symbols=st.lists(
             st.tuples(st.integers(0, 255), st.floats(-4, 4), st.floats(-3, 3)),
             min_size=1,
@@ -297,8 +298,10 @@ class TestDetect:
 
     @pytest.mark.parametrize("m", PSK_WIDTHS)
     def test_psk_neighbour_midpoints_match_demodulate(self, m):
-        # midpoints of angular neighbours sit on decision boundaries, and their
-        # antipodes include the tie across the gap between an arc's two ends
+        # midpoints of angular neighbours sit on the boundary of two
+        # candidates, where brute force must break the tie as the oracle does;
+        # for an arc, the midpoint of its two ends and that point's antipode
+        # are as far from one end as from the other
         c = cm.build_psk(m)
         for p, s in itertools.product(range(m + 1), repeat=2):
             if p + s > m:
