@@ -35,12 +35,10 @@ from .caching import (
 from .errors import ConfigurationError
 from .mc import (
     CampaignConfig,
-    CellEstimate,
     EndToEndResult,
     end_to_end_noiseless,
     estimate_cell_ser,
     estimate_table,
-    run_campaign,
 )
 from .modem import (
     Constellation,
@@ -54,7 +52,6 @@ from .modem import (
 __all__ = [
     "CacheProfile",
     "CampaignConfig",
-    "CellEstimate",
     "CellTable",
     "ConfigurationError",
     "Constellation",
@@ -84,7 +81,6 @@ __all__ = [
     "min_distance",
     "q_function",
     "realized_subfile_map",
-    "run_campaign",
     "sample_placement",
     "ser_report",
     "symbol_error_bound",

@@ -12,7 +12,6 @@ estimates in `mc`) and `ser_report` is the one place that sum is taken.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 from .caching import DeliveryPlan, _floats
 from .errors import ConfigurationError
-from .modem import PSK, Constellation, min_distance
+from .modem import PSK, QAM, Constellation, min_distance
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,9 @@ def symbol_error_bound(family: str, gamma: float, dmin: float) -> float:
 
     PSK has two nearest neighbors, QAM up to four; both clamp at 1.
     """
-    if not 0 < gamma < math.inf or dmin <= 0:
+    if family not in (PSK, QAM):
+        raise ConfigurationError(f"unknown constellation family {family!r}")
+    if not 0 < gamma < math.inf or not dmin > 0:  # `not >` also rejects NaN
         raise ConfigurationError("gamma must be positive and finite and dmin positive")
     neighbors = 2.0 if family == PSK else 4.0
     return min(1.0, neighbors * q_function(math.sqrt(gamma / 2.0) * dmin))
@@ -134,14 +135,14 @@ class CellTable:
 
 
 def bound_table(c: Constellation) -> CellTable:
-    """Union bounds per cell; each shape's minimum distance is enumerated once."""
+    """Union bounds per cell, std_error 0.
 
-    @functools.cache
-    def dmin(shape: tuple) -> float:
-        return min_distance(c, *shape)
+    Each cell asks `min_distance` for its shape; `modem`'s cache enumerates
+    each (family, m, shape) once, however many cells and tables read it.
+    """
 
     def bound(shape: tuple, gamma: float) -> tuple:
-        return symbol_error_bound(c.family, gamma, dmin(shape)), 0.0
+        return symbol_error_bound(c.family, gamma, min_distance(c, *shape)), 0.0
 
     return CellTable(c, bound)
 

@@ -25,7 +25,7 @@ from .caching import (
     expected_subfile_lengths,
 )
 from .errors import ConfigurationError
-from .mc import CampaignConfig, estimate_table, run_campaign
+from .mc import CampaignConfig, estimate_table
 from .modem import build_constellation
 
 log = logging.getLogger("cachemod")
@@ -267,11 +267,9 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     profiles = [SnrProfile(tuple(_gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db))
                 for snr_db in cfg.sweep_db]
     # one table of each kind, shared by every scheme and sweep point
-    bounds = bound_table(c)
-    campaign = estimates = None
+    bounds, estimates = bound_table(c), None
     if cfg.trials_per_cell > 0:
-        campaign = CampaignConfig(cfg.trials_per_cell, cfg.master_seed)
-        estimates = estimate_table(c, campaign)
+        estimates = estimate_table(c, CampaignConfig(cfg.trials_per_cell, cfg.master_seed))
         # every cell `ser_report` reads, evaluated up front on every usable CPU
         estimates.fill(sorted({(shape, snr.gamma(u)) for snr in profiles for plan in plans.values()
                                for u in range(1, caches.num_users + 1)
@@ -282,9 +280,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         for scheme in cfg.schemes:
             plan = plans[scheme]
             analytic = ser_report(plan, snr, bounds)
-            empirical = None
-            if campaign is not None:
-                empirical = run_campaign(plan, c, snr, campaign, estimates)
+            empirical = None if estimates is None else ser_report(plan, snr, estimates)
             for u in range(1, caches.num_users + 1):
                 rows.append(
                     ResultRow(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CellTable, SerReport, SnrProfile, ser_report
+from .analysis import CellTable
 from .caching import (
     DeliveryPlan,
     DemandVector,
@@ -52,15 +52,6 @@ class CampaignConfig:
             raise ConfigurationError("trials_per_cell must be an integer >= 1")
         if type(self.master_seed) is not int or not 0 <= self.master_seed < 2**64:
             raise ConfigurationError("master_seed must be an integer in [0, 2**64)")
-
-
-@dataclass(frozen=True)
-class CellEstimate:
-    """Empirical SER of one (mask shape, SNR) cell."""
-
-    ser: float
-    std_error: float
-    trials: int
 
 
 def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
@@ -118,14 +109,17 @@ def estimate_cell_ser(
     gamma: float,
     cfg: CampaignConfig,
     cell_id: str,
-) -> CellEstimate:
-    """Monte Carlo SER for symbols whose labels have `shape` known bits.
+) -> tuple:
+    """Monte Carlo (ser, std_error) for symbols whose labels have `shape` known bits.
 
     Each trial draws a uniform m-bit label, reveals the masked positions to
     the demodulator, sends the point over the AWGN channel and checks the ML
     decision over the compatible subconstellation.  Only the trials whose raw
     noise reaches the screen radius (`_SCREEN`) become received points; the
     others are correct decisions.  `_errors` counts the errors among the rest.
+    Returns the pair a `CellTable` stores: ser, the fraction of the
+    `cfg.trials_per_cell` trials in error, and std_error, its binomial
+    standard error sqrt(ser (1 - ser) / trials).
     """
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
@@ -167,9 +161,7 @@ def estimate_cell_ser(
         if labels.size:
             errors += _errors(c, shape, sqrt_gamma, sent, noise, labels)
     ser = errors / trials
-    return CellEstimate(
-        ser=ser, std_error=math.sqrt(ser * (1.0 - ser) / trials), trials=trials
-    )
+    return ser, math.sqrt(ser * (1.0 - ser) / trials)
 
 
 def _errors(
@@ -223,27 +215,9 @@ def estimate_table(c: Constellation, cfg: CampaignConfig) -> CellTable:
     """Monte Carlo estimates per cell, each from its own (master seed, cell key) substream."""
 
     def estimate(shape: tuple, gamma: float) -> tuple:
-        est = estimate_cell_ser(c, shape, gamma, cfg, _cell_key(c, shape, gamma))
-        return est.ser, est.std_error
+        return estimate_cell_ser(c, shape, gamma, cfg, _cell_key(c, shape, gamma))
 
     return CellTable(c, estimate)
-
-
-def run_campaign(
-    plan: DeliveryPlan,
-    c: Constellation,
-    snr: SnrProfile,
-    cfg: CampaignConfig,
-    estimates: CellTable | None = None,
-) -> SerReport:
-    """Empirical per-user symbol error rates for one delivery plan.
-
-    Pass one `estimate_table(c, cfg)` to share cells across plans and SNR
-    points; a cell's value depends only on its key and the master seed, so
-    sharing changes no number.
-    """
-    cells = estimate_table(c, cfg) if estimates is None else estimates
-    return ser_report(plan, snr, cells)
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,10 @@ class TestSymbolErrorBound:
         assert cm.symbol_error_bound("qam", 1e-6, 1e-6) == 1.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(cm.ConfigurationError):
-            cm.symbol_error_bound("psk", 0.0, 1.0)
-        with pytest.raises(cm.ConfigurationError):
-            cm.symbol_error_bound("psk", 1.0, 0.0)
+        # a NaN distance, and a family that would silently take QAM's 4 neighbours
+        for args in (("psk", 0.0, 1.0), ("psk", 1.0, 0.0), ("psk", 1.0, math.nan), ("bogus", 100.0, 0.5)):
+            with pytest.raises(cm.ConfigurationError):
+                cm.symbol_error_bound(*args)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
@@ -350,7 +350,10 @@ class TestPlanMetrics:
                     assert got.ser[u] == pytest.approx(ser[u], abs=1e-12)
 
     def test_shared_bounds_enumerate_each_shape_once(self, monkeypatch):
+        # each bound cell asks `min_distance` for its shape, and `modem`'s
+        # cache enumerates each shape once
         import cachemod.analysis as an
+        import cachemod.modem as modem
 
         calls = []
         real = an.min_distance
@@ -364,9 +367,12 @@ class TestPlanMetrics:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         c = cm.build_psk(3)
         bounds = cm.bound_table(c)
+        modem._min_distance.cache_clear()
         for gamma in (1.0, 4.0, 16.0):
             cm.ser_report(plan, cm.SnrProfile((gamma, gamma)), bounds)
-        assert sorted(calls) == sorted({s for u in (1, 2) for s in plan.shape_counts(u)})
+        shapes = {s for u in (1, 2) for s in plan.shape_counts(u)}
+        assert sorted(calls) == sorted(list(shapes) * 3)  # one call per (shape, gamma) cell
+        assert modem._min_distance.cache_info().misses == len(shapes)
 
     def test_symbol_width_mismatch(self):
         smap = subfile_map(2, 2, {(1, (2,)): 4, (2, (1,)): 2})

@@ -12,7 +12,7 @@ REMOVED = {
     "cachemod": [
         "KnownMask", "empty_mask", "subconstellation", "modulate", "demodulate", "awgn_channel",
         "plan_metrics", "analytic_report", "compare_schemes", "SchemeComparison",
-        "MulticastBlockSpec", "UselessBlockError",
+        "MulticastBlockSpec", "UselessBlockError", "run_campaign", "CellEstimate",
     ],
     "cachemod.modem": [
         "KnownMask", "empty_mask", "_compatible", "subconstellation", "modulate", "demodulate",
@@ -21,7 +21,9 @@ REMOVED = {
         # past this many candidates; one gather serves every count
         "_GATHER_MAX",
     ],
-    "cachemod.mc": ["awgn_channel", "modulate", "demodulate"],
+    # `run_campaign` was `ser_report` over an estimate table, and `CellEstimate`
+    # a second carrier for the (ser, std_error) pair a `CellTable` stores
+    "cachemod.mc": ["awgn_channel", "modulate", "demodulate", "run_campaign", "CellEstimate"],
     # the bit-row helpers, now the codec's own shifts and masks
     "cachemod.bits": None,
     "cachemod.errors": ["UselessBlockError"],

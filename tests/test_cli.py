@@ -203,9 +203,12 @@ class TestRunScenario:
 
     def test_each_cell_evaluated_once_per_run(self, monkeypatch):
         # both schemes and all eleven SNR points share one bound table and one
-        # estimate table: 33 distinct (shape, gamma) cells, 3 distinct shapes
+        # estimate table: 33 distinct (shape, gamma) cells, 3 distinct shapes.
+        # Each bound cell asks `min_distance` for its shape, and `modem`'s
+        # cache enumerates each shape once
         import cachemod.analysis as an
         import cachemod.mc as mc
+        import cachemod.modem as modem
 
         calls = {"cells": [], "shapes": []}
         real_cell, real_dmin = mc.estimate_cell_ser, an.min_distance
@@ -223,7 +226,12 @@ class TestRunScenario:
         cfg = replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10)
         run_scenario(cfg)
         assert len(calls["cells"]) == len(set(calls["cells"])) == 33
-        assert len(calls["shapes"]) == len(set(calls["shapes"])) == 3
+        assert len(calls["shapes"]) == 33 and len(set(calls["shapes"])) == 3
+        # analytic only: MC cells call `min_distance` on helper threads, and
+        # two threads missing one key together may both enumerate it
+        modem._min_distance.cache_clear()
+        run_scenario(replace(cfg, trials_per_cell=0))
+        assert modem._min_distance.cache_info().misses == 3
 
     def test_detector_rarely_falls_back_to_brute_force(self, monkeypatch):
         # the paper sweep's 8PSK cells and the 256-QAM prefix cells have

@@ -124,9 +124,9 @@ class TestEstimateCellSer:
         # the replayed oracle's error count and the cell's must agree exactly
         c, shape, gamma = cm.build_psk(3), (1, 1), 1.5
         cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
         errors = _replay_errors(c, shape, gamma, cfg, "replay")
-        assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+        assert ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
 
     @pytest.mark.parametrize(
         "family, m, shape, gamma",
@@ -136,9 +136,9 @@ class TestEstimateCellSer:
         # cells where the screen keeps most trials from `detect`
         c = cm.build_constellation(family, m)
         cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
         errors = _replay_errors(c, shape, gamma, cfg, "replay")
-        assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+        assert ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
         assert screened_trials(c, shape, gamma, cfg, "replay").mean() > 0.7
 
     @pytest.mark.parametrize("gamma", [0.5, 30.0, 1e4])
@@ -156,9 +156,9 @@ class TestEstimateCellSer:
         monkeypatch.setattr(mc_mod, "detect", capture)
         c, shape = cm.build_psk(m), (p, 0)
         cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
         errors = _replay_errors(c, shape, gamma, cfg, "replay")
-        assert est.ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+        assert ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
         screened = screened_trials(c, shape, gamma, cfg, "replay")
         wedge = wedge_trials(c, shape, gamma, cfg, "replay")
         assert sum(detected) == np.count_nonzero(~screened & ~wedge)
@@ -204,16 +204,14 @@ class TestEstimateCellSer:
         d_sub = cm.min_distance(c, 2)
         want = float(cm.q_function(math.sqrt(gamma / 2) * d_sub))
         cfg = cm.CampaignConfig(trials_per_cell=200_000, master_seed=5)
-        est = cm.estimate_cell_ser(c, (2, 0), gamma, cfg, "antipodal")
-        assert abs(est.ser - want) <= 3 * est.std_error
+        ser, std_error = cm.estimate_cell_ser(c, (2, 0), gamma, cfg, "antipodal")
+        assert abs(ser - want) <= 3 * std_error
 
     def test_std_error_definition(self):
         c = cm.build_psk(2)
         cfg = cm.CampaignConfig(trials_per_cell=10_000, master_seed=1)
-        est = cm.estimate_cell_ser(c, (0, 0), 1.0, cfg, "se")
-        assert est.std_error == pytest.approx(
-            math.sqrt(est.ser * (1 - est.ser) / est.trials)
-        )
+        ser, std_error = cm.estimate_cell_ser(c, (0, 0), 1.0, cfg, "se")
+        assert std_error == pytest.approx(math.sqrt(ser * (1 - ser) / cfg.trials_per_cell))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_received_points_are_the_normal_pairs(self, seed, monkeypatch):
@@ -268,7 +266,7 @@ class TestEstimateCellSer:
         monkeypatch.setattr(mc_mod, "_BAND", band)
         c, shape, gamma, trials = cm.build_psk(3), (1, 0), 3.7, 4999
         cfg = cm.CampaignConfig(trials, seed)
-        est = cm.estimate_cell_ser(c, shape, gamma, cfg, "draws")
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "draws")
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
@@ -282,7 +280,7 @@ class TestEstimateCellSer:
         assert np.concatenate([y for y, _ in seen]).tobytes() == want[taken].tobytes()
         assert np.concatenate([k for _, k in seen]).tolist() == (labels[taken] >> 2).tolist()
         errors = _replay_errors(c, shape, gamma, cfg, "draws")
-        assert est.ser == pytest.approx(errors / trials, abs=1e-15)
+        assert ser == pytest.approx(errors / trials, abs=1e-15)
 
     @pytest.mark.parametrize("family", ["psk", "qam"])
     def test_noise_at_the_screen_radius_is_decided_correctly(self, family):
@@ -315,8 +313,7 @@ class TestEstimateCellSer:
         calls = []
         monkeypatch.setattr(mc_mod, "detect", lambda *args: calls.append(args))
         c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 4)
-        est = cm.estimate_cell_ser(c, shape, 0.01, cfg, "single")
-        assert (est.ser, est.std_error, est.trials) == (0.0, 0.0, 20_001)
+        assert cm.estimate_cell_ser(c, shape, 0.01, cfg, "single") == (0.0, 0.0)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -340,7 +337,7 @@ class TestEstimateCellSer:
             monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", chunk)
             estimates.append(cm.estimate_cell_ser(c, shape, gamma, cfg, "chunks"))
         assert estimates[1:] == estimates[:1] * 3
-        assert 0 < estimates[0].ser < 1
+        assert 0 < estimates[0][0] < 1
 
     @pytest.mark.parametrize("trials", [1, 1 << 14, (1 << 14) + 1, 10_000, 100_000, 1_000_000])
     def test_chunks_are_equal_and_at_most_the_cap(self, trials, monkeypatch):
@@ -438,8 +435,8 @@ class TestEstimateCellSer:
     def test_high_snr_error_free(self):
         c = cm.build_psk(3)
         cfg = cm.CampaignConfig(trials_per_cell=100_000, master_seed=3)
-        est = cm.estimate_cell_ser(c, (2, 0), 1e4, cfg, "clean")
-        assert est.ser == 0.0
+        ser, _ = cm.estimate_cell_ser(c, (2, 0), 1e4, cfg, "clean")
+        assert ser == 0.0
 
 
 class TestRunCampaign:
@@ -454,16 +451,19 @@ class TestRunCampaign:
     def test_high_snr_all_users_clean(self, small_instance):
         em, demands = small_instance
         plan = cm.build_delivery_plan(em, demands, cm.PROPOSED, 3)
-        report = cm.run_campaign(
-            plan, cm.build_psk(3), cm.SnrProfile((1e4, 1e4)), cm.CampaignConfig(20_000, 0)
+        c = cm.build_psk(3)
+        report = cm.ser_report(
+            plan, cm.SnrProfile((1e4, 1e4)), cm.estimate_table(c, cm.CampaignConfig(20_000, 0))
         )
         assert all(v == 0.0 for v in report.ser.values())
 
     def test_deterministic_reports(self, small_instance):
         em, demands = small_instance
         plan = cm.build_delivery_plan(em, demands, cm.ZERO_PADDING, 3)
-        args = (plan, cm.build_psk(3), cm.SnrProfile((2.0, 3.0)), cm.CampaignConfig(5000, 21))
-        assert cm.run_campaign(*args) == cm.run_campaign(*args)
+        c, snr, cfg = cm.build_psk(3), cm.SnrProfile((2.0, 3.0)), cm.CampaignConfig(5000, 21)
+        assert cm.ser_report(plan, snr, cm.estimate_table(c, cfg)) == cm.ser_report(
+            plan, snr, cm.estimate_table(c, cfg)
+        )
 
     def test_empirical_within_analytic_bound(self, small_instance):
         em, demands = small_instance
@@ -472,15 +472,16 @@ class TestRunCampaign:
             plan = cm.build_delivery_plan(em, demands, scheme, 3)
             snr = cm.SnrProfile((2.0, 2.0))
             analytic = cm.ser_report(plan, snr, cm.bound_table(c))
-            empirical = cm.run_campaign(plan, c, snr, cm.CampaignConfig(50_000, 9))
+            empirical = cm.ser_report(plan, snr, cm.estimate_table(c, cm.CampaignConfig(50_000, 9)))
             for u in (1, 2):
                 assert empirical.ser[u] <= analytic.ser[u] + 3 * empirical.stderr[u]
 
     def test_useful_symbol_counts_match_plan(self, small_instance):
         em, demands = small_instance
         plan = cm.build_delivery_plan(em, demands, cm.PROPOSED, 3)
-        report = cm.run_campaign(
-            plan, cm.build_psk(3), cm.SnrProfile((1.0, 1.0)), cm.CampaignConfig(1000, 0)
+        c = cm.build_psk(3)
+        report = cm.ser_report(
+            plan, cm.SnrProfile((1.0, 1.0)), cm.estimate_table(c, cm.CampaignConfig(1000, 0))
         )
         for u in (1, 2):
             assert report.useful_symbols[u] == plan.useful_symbols(u)
@@ -493,7 +494,7 @@ class TestRunCampaign:
         c, cfg = cm.build_psk(3), cm.CampaignConfig(2000, 4)
         plans = [cm.build_delivery_plan(em, demands, s, 3) for s in cm.SCHEMES]
         snrs = [cm.SnrProfile((2.0, 5.0)), cm.SnrProfile((2.0, 2.0))]
-        fresh = [cm.run_campaign(p, c, snr, cfg) for snr in snrs for p in plans]
+        fresh = [cm.ser_report(p, snr, cm.estimate_table(c, cfg)) for snr in snrs for p in plans]
 
         calls = []
         real = mc_mod.estimate_cell_ser
@@ -504,7 +505,7 @@ class TestRunCampaign:
 
         monkeypatch.setattr(mc_mod, "estimate_cell_ser", counting)
         table = cm.estimate_table(c, cfg)
-        shared = [cm.run_campaign(p, c, snr, cfg, table) for snr in snrs for p in plans]
+        shared = [cm.ser_report(p, snr, table) for snr in snrs for p in plans]
         assert shared == fresh
         cells = {
             (shape, snr.gamma(u))
