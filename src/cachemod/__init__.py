@@ -9,7 +9,6 @@ form and by seeded Monte Carlo.
 from .analysis import (
     CellTable,
     SerReport,
-    SnrProfile,
     bound_table,
     q_function,
     ser_report,
@@ -34,7 +33,6 @@ from .caching import (
 )
 from .errors import ConfigurationError
 from .mc import (
-    CampaignConfig,
     EndToEndResult,
     end_to_end_noiseless,
     estimate_cell_ser,
@@ -51,7 +49,6 @@ from .modem import (
 
 __all__ = [
     "CacheProfile",
-    "CampaignConfig",
     "CellTable",
     "ConfigurationError",
     "Constellation",
@@ -63,7 +60,6 @@ __all__ = [
     "PlacementRealization",
     "SCHEMES",
     "SerReport",
-    "SnrProfile",
     "SubfileMap",
     "ZERO_PADDING",
     "bound_table",

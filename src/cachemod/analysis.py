@@ -23,34 +23,12 @@ from .modem import PSK, QAM, Constellation, min_distance
 
 
 @dataclass(frozen=True)
-class SnrProfile:
-    """Per-user linear SNRs gamma_k."""
-
-    gammas: tuple
-
-    def __post_init__(self):
-        gammas = _floats(self.gammas, "SNRs")
-        object.__setattr__(self, "gammas", gammas)
-        if not all(0 < g < math.inf for g in gammas):
-            raise ConfigurationError("SNRs must be positive and finite")
-
-    def gamma(self, user: int) -> float:
-        return self.gammas[user - 1]
-
-    @property
-    def num_users(self) -> int:
-        return len(self.gammas)
-
-
-@dataclass(frozen=True)
 class SerReport:
-    """Per-user useful-symbol counts, errored-symbol counts and rates."""
+    """Per-user useful-symbol counts and rates (0 for a user with no useful symbols)."""
 
     useful_symbols: dict  # user -> L_k
-    error_symbols: dict  # user -> S_k
     ser: dict  # user -> T_k = S_k / L_k
     average_ser: float
-    undefined_users: frozenset
     stderr: dict  # user -> standard error of T_k (0 for bounds)
     average_stderr: float
 
@@ -147,34 +125,36 @@ def bound_table(c: Constellation) -> CellTable:
     return CellTable(c, bound)
 
 
-def ser_report(plan: DeliveryPlan, snr: SnrProfile, cells: CellTable) -> SerReport:
-    """Per-user rates from the plan's known-bit counts and one cell table.
+def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
+    """Per-user rates from the plan's known-bit counts, one SNR per user and one cell table.
 
+    `gammas` holds the K linear SNRs gamma_1..gamma_K: real, positive and
+    finite (numpy scalars are read as floats; bools and strings are rejected).
     S_k = sum over user k's shapes of count x cell ser, T_k = S_k / L_k;
     cell standard errors add in quadrature, so the standard error of T_k is
     sqrt(sum of (count x std_error)^2) / L_k.  Both sums are exactly rounded
     (`math.fsum`), so they do not depend on the order of the shapes.
     """
+    gammas = _floats(gammas, "SNRs")
+    if not all(0 < g < math.inf for g in gammas):
+        raise ConfigurationError("SNRs must be positive and finite")
     if plan.label_len != cells.c.m:
         raise ConfigurationError("plan and constellation disagree on bits per symbol")
-    if snr.num_users != plan.num_users:
-        raise ConfigurationError(f"{snr.num_users} SNRs for a plan of {plan.num_users} users")
+    if len(gammas) != plan.num_users:
+        raise ConfigurationError(f"{len(gammas)} SNRs for a plan of {plan.num_users} users")
     users = list(range(1, plan.num_users + 1))
     useful = {u: plan.useful_symbols(u) for u in users}
-    errors, ser, stderr = {}, {}, {}
-    for u in users:
-        gamma = snr.gamma(u)
+    ser, stderr = {}, {}
+    for u, gamma in zip(users, gammas):
         terms = [(count, *cells(shape, gamma)) for shape, count in plan.shape_counts(u).items()]
-        errors[u] = math.fsum(count * cell_ser for count, cell_ser, _ in terms)
+        errors = math.fsum(count * cell_ser for count, cell_ser, _ in terms)
         var = math.fsum((count * std_error) ** 2 for count, _, std_error in terms)
-        ser[u] = errors[u] / useful[u] if useful[u] > 0 else 0.0
+        ser[u] = errors / useful[u] if useful[u] > 0 else 0.0
         stderr[u] = math.sqrt(var) / useful[u] if useful[u] > 0 else 0.0
     return SerReport(
         useful_symbols=useful,
-        error_symbols=errors,
         ser=ser,
         average_ser=sum(ser.values()) / len(users),
-        undefined_users=frozenset(u for u in users if useful[u] == 0),
         stderr=stderr,
         average_stderr=sum(stderr.values()) / len(users),
     )

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .analysis import SnrProfile, bound_table, ser_report
+from .analysis import bound_table, ser_report
 from .caching import (
     SCHEMES,
     CacheProfile,
@@ -25,7 +25,7 @@ from .caching import (
     expected_subfile_lengths,
 )
 from .errors import ConfigurationError
-from .mc import CampaignConfig, estimate_table
+from .mc import estimate_table
 from .modem import build_constellation
 
 log = logging.getLogger("cachemod")
@@ -264,23 +264,22 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     c = build_constellation(cfg.family, cfg.m)
     subfiles = expected_subfile_lengths(library, caches)
     plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
-    profiles = [SnrProfile(tuple(_gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db))
+    profiles = [tuple(_gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db)
                 for snr_db in cfg.sweep_db]
     # one table of each kind, shared by every scheme and sweep point
     bounds, estimates = bound_table(c), None
     if cfg.trials_per_cell > 0:
-        estimates = estimate_table(c, CampaignConfig(cfg.trials_per_cell, cfg.master_seed))
+        estimates = estimate_table(c, cfg.trials_per_cell, cfg.master_seed)
         # every cell `ser_report` reads, evaluated up front on every usable CPU
-        estimates.fill(sorted({(shape, snr.gamma(u)) for snr in profiles for plan in plans.values()
-                               for u in range(1, caches.num_users + 1)
-                               for shape in plan.shape_counts(u)}))
+        estimates.fill(sorted({(shape, gamma) for gammas in profiles for plan in plans.values()
+                               for u, gamma in enumerate(gammas, 1) for shape in plan.shape_counts(u)}))
 
     rows = []
-    for snr_db, snr in zip(cfg.sweep_db, profiles):
+    for snr_db, gammas in zip(cfg.sweep_db, profiles):
         for scheme in cfg.schemes:
             plan = plans[scheme]
-            analytic = ser_report(plan, snr, bounds)
-            empirical = None if estimates is None else ser_report(plan, snr, estimates)
+            analytic = ser_report(plan, gammas, bounds)
+            empirical = None if estimates is None else ser_report(plan, gammas, estimates)
             for u in range(1, caches.num_users + 1):
                 rows.append(
                     ResultRow(

@@ -39,21 +39,6 @@ from .errors import ConfigurationError
 from .modem import PSK, _RHO_MAX, _RHO_MIN, Constellation, _known_value, detect, min_distance
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Trial budget and master seed of a Monte Carlo campaign."""
-
-    trials_per_cell: int
-    master_seed: int = 0
-
-    def __post_init__(self):
-        # exact ints only: bools, floats and strings are rejected, not coerced
-        if type(self.trials_per_cell) is not int or self.trials_per_cell < 1:
-            raise ConfigurationError("trials_per_cell must be an integer >= 1")
-        if type(self.master_seed) is not int or not 0 <= self.master_seed < 2**64:
-            raise ConfigurationError("master_seed must be an integer in [0, 2**64)")
-
-
 def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
     digest = hashlib.sha256(cell_id.encode()).digest()
     words = [int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16, 24)]
@@ -107,7 +92,8 @@ def estimate_cell_ser(
     c: Constellation,
     shape: tuple,
     gamma: float,
-    cfg: CampaignConfig,
+    trials: int,
+    master_seed: int,
     cell_id: str,
 ) -> tuple:
     """Monte Carlo (ser, std_error) for symbols whose labels have `shape` known bits.
@@ -117,17 +103,22 @@ def estimate_cell_ser(
     decision over the compatible subconstellation.  Only the trials whose raw
     noise reaches the screen radius (`_SCREEN`) become received points; the
     others are correct decisions.  `_errors` counts the errors among the rest.
-    Returns the pair a `CellTable` stores: ser, the fraction of the
-    `cfg.trials_per_cell` trials in error, and std_error, its binomial
-    standard error sqrt(ser (1 - ser) / trials).
+    Returns the pair a `CellTable` stores: ser, the fraction of the `trials`
+    in error, and std_error, its binomial standard error
+    sqrt(ser (1 - ser) / trials).  The trials come from `master_seed`'s
+    substream named `cell_id`; `trials` must be an int >= 1 and `master_seed`
+    an int in [0, 2**64), not a bool, float or string.
     """
+    if type(trials) is not int or trials < 1:
+        raise ConfigurationError("trials must be an integer >= 1")
+    if type(master_seed) is not int or not 0 <= master_seed < 2**64:
+        raise ConfigurationError("master_seed must be an integer in [0, 2**64)")
     p, s = shape
     if p < 0 or s < 0 or p + s > c.m:
         raise ConfigurationError("invalid mask shape")
     if not 0 < gamma < math.inf:
         raise ConfigurationError("gamma must be positive and finite")
-    trials = cfg.trials_per_cell
-    seed = _cell_seed(cfg.master_seed, cell_id)
+    seed = _cell_seed(master_seed, cell_id)
     label_rng = np.random.default_rng(seed)
     noise_rng = np.random.Generator(np.random.PCG64(seed).advance(-(-trials // 2)))
     sqrt_gamma = math.sqrt(gamma)
@@ -208,14 +199,17 @@ def _errors(
 
 
 def _cell_key(c: Constellation, shape: tuple, gamma: float) -> str:
-    return f"{c.family}:m{c.m}:p{shape[0]}:s{shape[1]}:g{gamma!r}"
+    # float(): a numpy scalar is the same `CellTable` key as the equal Python
+    # float, so it must name the same substream (numpy 2 reprs `np.float64(4.0)`)
+    return f"{c.family}:m{c.m}:p{shape[0]}:s{shape[1]}:g{float(gamma)!r}"
 
 
-def estimate_table(c: Constellation, cfg: CampaignConfig) -> CellTable:
-    """Monte Carlo estimates per cell, each from its own (master seed, cell key) substream."""
+def estimate_table(c: Constellation, trials: int, master_seed: int) -> CellTable:
+    """Monte Carlo estimates of `trials` trials per cell, each from its own
+    (master_seed, cell key) substream."""
 
     def estimate(shape: tuple, gamma: float) -> tuple:
-        return estimate_cell_ser(c, shape, gamma, cfg, _cell_key(c, shape, gamma))
+        return estimate_cell_ser(c, shape, gamma, trials, master_seed, _cell_key(c, shape, gamma))
 
     return CellTable(c, estimate)
 

@@ -158,11 +158,16 @@ def detect(
         raise ConfigurationError("invalid mask shape")
     if not 0 < sqrt_snr < math.inf:
         raise ConfigurationError("sqrt_snr must be positive and finite")
-    y, known = np.asarray(y), np.asarray(known, dtype=np.int64)
+    y, known = np.asarray(y), np.asarray(known)
     if y.ndim != 1 or known.shape != y.shape:
         raise ConfigurationError("y and known must be 1-D with one entry per symbol")
+    # values that are not whole numbers are rejected, not truncated; integer arrays skip the scan
+    whole = known.dtype.kind in "iu" or known.dtype.kind == "f" and (known == np.trunc(known)).all()
+    if not whole:
+        raise ConfigurationError("known values must be integers")
     if known.size and (known.min() < 0 or known.max() >= 1 << (p + s)):
         raise ConfigurationError("known values exceed the mask width")
+    known = known.astype(np.int64, copy=False)
     if not np.isfinite(y).all():
         raise ConfigurationError("received points must be finite")
     structured = _structured(c, shape)

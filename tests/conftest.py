@@ -162,15 +162,15 @@ def screen_bound(c, shape, gamma):
     return (1 - _SCREEN) * 2 * gamma * (min_distance(c, *shape) / 2) ** 2
 
 
-def screened_trials(c, shape, gamma, cfg, cell_id):
+def screened_trials(c, shape, gamma, trials, master_seed, cell_id):
     """Which trials of the cell's one-shot stream (labels, then noise) skip `detect`."""
-    rng = np.random.default_rng(_cell_seed(cfg.master_seed, cell_id))
-    rng.integers(0, c.size, size=cfg.trials_per_cell, dtype=np.int64)
-    raw = rng.standard_normal((cfg.trials_per_cell, 2))
+    rng = np.random.default_rng(_cell_seed(master_seed, cell_id))
+    rng.integers(0, c.size, size=trials, dtype=np.int64)
+    raw = rng.standard_normal((trials, 2))
     return raw[:, 0] ** 2 + raw[:, 1] ** 2 < screen_bound(c, shape, gamma)
 
 
-def wedge_trials(c, shape, gamma, cfg, cell_id):
+def wedge_trials(c, shape, gamma, trials, master_seed, cell_id):
     """Which trials of the cell's one-shot stream the wedge test decides without `detect`.
 
     In PSK prefix shapes (p, 0): the trials the screen passes whose received
@@ -179,17 +179,17 @@ def wedge_trials(c, shape, gamma, cfg, cell_id):
     pi / 2^(m-p).
     """
     if c.family != "psk" or shape[1]:
-        return np.zeros(cfg.trials_per_cell, dtype=bool)
-    rng = np.random.default_rng(_cell_seed(cfg.master_seed, cell_id))
-    labels = rng.integers(0, c.size, size=cfg.trials_per_cell, dtype=np.int64)
-    raw = rng.standard_normal((cfg.trials_per_cell, 2))
+        return np.zeros(trials, dtype=bool)
+    rng = np.random.default_rng(_cell_seed(master_seed, cell_id))
+    labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+    raw = rng.standard_normal((trials, 2))
     x = c.points[c._label_to_index[labels]]
     y = math.sqrt(gamma) * x + math.sqrt(0.5) * (raw[:, 0] + 1j * raw[:, 1])
     phase = np.abs(np.remainder(np.angle(y) - np.angle(x) + np.pi, 2 * np.pi) - np.pi)
     rho = np.abs(y) / math.sqrt(gamma)
     inside = (rho >= _RHO_MIN) & (rho <= _RHO_MAX)
     away = np.abs(phase - np.pi / 2 ** (c.m - shape[0])) > _BAND
-    return ~screened_trials(c, shape, gamma, cfg, cell_id) & inside & away
+    return ~screened_trials(c, shape, gamma, trials, master_seed, cell_id) & inside & away
 
 
 def subfile_map(num_users, num_files, entries):

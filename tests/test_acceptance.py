@@ -41,16 +41,14 @@ def three_user_sweep():
     c = cm.build_psk(3)
     subfiles = cm.expected_subfile_lengths(lib, caches)
     plans = {s: cm.build_delivery_plan(subfiles, demands, s, 3) for s in cm.SCHEMES}
-    cfg = cm.CampaignConfig(trials_per_cell=TRIALS, master_seed=2024)
 
     start = time.perf_counter()
     results = {}
     for snr_db in SWEEP_DB:
         gamma = 10 ** (snr_db / 10)
-        snr = cm.SnrProfile((gamma, gamma, gamma))
         for scheme, plan in plans.items():
-            analytic = cm.ser_report(plan, snr, cm.bound_table(c))
-            empirical = cm.ser_report(plan, snr, cm.estimate_table(c, cfg))
+            analytic = cm.ser_report(plan, (gamma,) * 3, cm.bound_table(c))
+            empirical = cm.ser_report(plan, (gamma,) * 3, cm.estimate_table(c, TRIALS, 2024))
             results[(scheme, snr_db)] = (analytic, empirical)
     return results, time.perf_counter() - start
 
@@ -87,8 +85,8 @@ def test_criterion_2_analytic_dominance():
         for c in constellations:
             plans = {s: cm.build_delivery_plan(subfiles, demands, s, c.m) for s in cm.SCHEMES}
             for gamma in (1.0, 10.0):
-                snr = cm.SnrProfile((gamma,) * k)
-                reports = {s: cm.ser_report(p, snr, cm.bound_table(c)) for s, p in plans.items()}
+                gammas = (gamma,) * k
+                reports = {s: cm.ser_report(p, gammas, cm.bound_table(c)) for s, p in plans.items()}
                 for u in range(1, k + 1):
                     ok &= (
                         reports[cm.PROPOSED].ser[u]
@@ -129,7 +127,6 @@ def test_criterion_3_trend_reproduction(three_user_sweep):
 
 def test_criterion_4_mc_vs_exact_two_point_oracle():
     t0 = time.perf_counter()
-    cfg = cm.CampaignConfig(trials_per_cell=1_000_000, master_seed=88)
     ok = True
     for c in (cm.build_psk(3), cm.build_qam(4)):
         for prefix in range(c.m):
@@ -146,7 +143,7 @@ def test_criterion_4_mc_vs_exact_two_point_oracle():
                     d_sub = abs(complex(a) - complex(b))
                     exact += float(cm.q_function(math.sqrt(gamma / 2) * d_sub)) / count
                 ser, std_error = cm.estimate_cell_ser(
-                    c, shape, gamma, cfg, f"oracle:{c.family}{c.m}:{shape}:{gamma}"
+                    c, shape, gamma, 1_000_000, 88, f"oracle:{c.family}{c.m}:{shape}:{gamma}"
                 )
                 ok &= abs(ser - exact) <= 3 * max(std_error, 1e-9)
     _verdict(4, "Monte Carlo matches exact 2-point error", ok, time.perf_counter() - t0, 60.0)

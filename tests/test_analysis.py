@@ -65,15 +65,21 @@ class TestSymbolErrorBound:
                 cm.symbol_error_bound(*args)
 
 
+def two_user_plan():
+    """A proposed-scheme 8PSK plan of two users."""
+    smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3, (1, ()): 6})
+    return cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
+
+
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g: cm.SnrProfile((1.0, g)),
+        lambda g: cm.ser_report(two_user_plan(), (1.0, g), cm.bound_table(cm.build_psk(3))),
         lambda g: cm.symbol_error_bound("psk", g, 0.7),
-        lambda g: cm.estimate_cell_ser(cm.build_psk(3), (0, 0), g, cm.CampaignConfig(10), "x"),
+        lambda g: cm.estimate_cell_ser(cm.build_psk(3), (0, 0), g, 10, 0, "x"),
     ],
-    ids=["SnrProfile", "symbol_error_bound", "estimate_cell_ser"],
+    ids=["ser_report", "symbol_error_bound", "estimate_cell_ser"],
 )
 def test_non_finite_snr_rejected(call, gamma):
     with pytest.raises(cm.ConfigurationError):
@@ -84,12 +90,19 @@ def test_non_finite_snr_rejected(call, gamma):
 def test_snrs_must_be_real_numbers(gammas):
     # bools and strings were coerced to floats before, so ("1.5", True) read as (1.5, 1.0)
     with pytest.raises(cm.ConfigurationError, match="real numbers"):
-        cm.SnrProfile(gammas)
+        cm.ser_report(two_user_plan(), gammas, cm.bound_table(cm.build_psk(3)))
 
 
 def test_int_and_numpy_snrs_accepted():
-    gammas = cm.SnrProfile((2, np.float64(1.5), np.int64(3))).gammas
-    assert gammas == (2.0, 1.5, 3.0) and all(type(g) is float for g in gammas)
+    # numpy and int SNRs give the Python-float report, and cells see Python floats
+    smap = subfile_map(3, 3, {(1, (2,)): 9, (2, (3,)): 6, (3, ()): 12})
+    plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2, 3)), cm.PROPOSED, 3)
+    c, seen = cm.build_psk(3), []
+    bounds = cm.bound_table(c)
+    recording = cm.CellTable(c, lambda shape, gamma: seen.append(gamma) or bounds(shape, gamma))
+    got = cm.ser_report(plan, (2, np.float64(1.5), np.int64(3)), recording)
+    assert got == cm.ser_report(plan, (2.0, 1.5, 3.0), bounds)
+    assert sorted(set(seen)) == [1.5, 2.0, 3.0] and all(type(g) is float for g in seen)
 
 
 class TestCellTableFill:
@@ -167,7 +180,7 @@ def stub_table(c, values):
     return cm.CellTable(c, lambda shape, gamma: values)
 
 
-def brute_force_metrics(plan, c, snr):
+def brute_force_metrics(plan, c, gammas):
     """Reference: walk every block and add the bound of each useful user's shape."""
     bounds = cm.bound_table(c)
     errors = {u: 0.0 for u in range(1, plan.num_users + 1)}
@@ -177,7 +190,7 @@ def brute_force_metrics(plan, c, snr):
             if n == 0:
                 continue
             shape = oracle_shape(plan.scheme, n, plan.label_len)
-            errors[user] += bounds(shape, snr.gamma(user))[0]
+            errors[user] += bounds(shape, gammas[user - 1])[0]
             useful[user] += 1
     ser = {u: errors[u] / useful[u] if useful[u] else 0.0 for u in errors}
     return useful, ser
@@ -189,19 +202,19 @@ class TestBlockErrorTable:
     def test_constant_over_block_index_when_divisible(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        c, snr = cm.build_psk(3), cm.SnrProfile((1.0, 2.0))
-        report = cm.ser_report(plan, snr, cm.bound_table(c))
+        c, gammas = cm.build_psk(3), (1.0, 2.0)
+        report = cm.ser_report(plan, gammas, cm.bound_table(c))
         for user in (1, 2):
             # all three blocks share one cell
             ((shape, count),) = plan.shape_counts(user).items()
             assert count == 3
-            assert report.ser[user] == cm.bound_table(c)(shape, snr.gamma(user))[0]
+            assert report.ser[user] == cm.bound_table(c)(shape, gammas[user - 1])[0]
 
     def test_zero_known_bits_equal_full_bound(self):
         smap = subfile_map(2, 2, {(1, (2,)): 6, (2, (1,)): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         c = cm.build_psk(3)
-        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(c))
+        report = cm.ser_report(plan, (1.0, 1.0), cm.bound_table(c))
         full = cm.symbol_error_bound("psk", 1.0, cm.min_distance(c, 0))
         assert all(v == pytest.approx(full, rel=1e-12) for v in report.ser.values())
 
@@ -209,7 +222,7 @@ class TestBlockErrorTable:
         # user 2's two blocks (alone, then paired with user 1) both know one bit
         rm = cm.realized_subfile_map(two_user_pair_placement)
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
-        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(3)))
+        report = cm.ser_report(plan, (1.0, 1.0), cm.bound_table(cm.build_psk(3)))
         assert oracle_blocks(plan, {1, 2}) == [{1: 3, 2: 2}]  # user 2 knows one bit
         assert plan.shape_counts(2) == {(1, 0): 2}
         want = 2 * gaussian_tail(math.sqrt(2) * math.sin(math.pi / 4))
@@ -219,17 +232,17 @@ class TestBlockErrorTable:
         # bound(psk, gamma, dmin(n)) must equal 2Q(sqrt(2 gamma sin^2(pi/2^(m-n))))
         smap = subfile_map(2, 2, {(1, (2,)): 12, (2, (1,)): 4})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        gammas = cm.SnrProfile((1.7, 0.4))
+        gammas = (1.7, 0.4)
         report = cm.ser_report(plan, gammas, cm.bound_table(cm.build_psk(3)))
         for user in (1, 2):
-            gamma = gammas.gamma(user)
+            gamma = gammas[user - 1]
             want = 0.0
             for (n, _), count in plan.shape_counts(user).items():
                 direct = 2 * cm.q_function(
                     math.sqrt(2 * gamma * math.sin(math.pi / 2 ** (3 - n)) ** 2)
                 )
                 want += count * min(1.0, direct)
-            assert report.error_symbols[user] == pytest.approx(want, abs=1e-12)
+            assert report.ser[user] == pytest.approx(want / report.useful_symbols[user], abs=1e-12)
 
     def test_useless_blocks_excluded(self):
         # zero padding: user 2's 3 bits fill the first of three labels only
@@ -237,16 +250,16 @@ class TestBlockErrorTable:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         c = cm.build_psk(3)
         cells = stub_table(c, (1.0, 0.0))
-        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cells)
-        assert report.error_symbols == {1: 3.0, 2: 1.0}
+        report = cm.ser_report(plan, (1.0, 1.0), cells)
         assert report.useful_symbols == {1: 3, 2: 1}
+        assert report.ser == {1: 1.0, 2: 1.0}
 
     def test_symbol_width_mismatch(self):
         smap = subfile_map(2, 2, {(1, (2,)): 4, (2, (1,)): 2})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(2), (0.5, 0.0))
         with pytest.raises(cm.ConfigurationError):
-            cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cells)
+            cm.ser_report(plan, (1.0, 1.0), cells)
 
 
 class TestUserMetrics:
@@ -256,7 +269,7 @@ class TestUserMetrics:
         smap = subfile_map(1, 1, {(1, ()): 12})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1,)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(3), (0.25, 0.0))
-        report = cm.ser_report(plan, cm.SnrProfile((1.0,)), cells)
+        report = cm.ser_report(plan, (1.0,), cells)
         assert report.useful_symbols[1] == 4
         assert report.ser[1] == pytest.approx(0.25)
 
@@ -268,7 +281,7 @@ class TestUserMetrics:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         assert plan.shape_counts(1) == {(0, 0): 2, (1, 0): 2}
         cells = stub_table(cm.build_psk(3), {(0, 0): (0.1, 0.01), (1, 0): (0.3, 0.03)})
-        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cells)
+        report = cm.ser_report(plan, (1.0, 1.0), cells)
         assert report.useful_symbols[1] == 4
         assert report.ser[1] == pytest.approx(0.2)
         assert report.stderr[1] == pytest.approx(math.hypot(2 * 0.01, 2 * 0.03) / 4)
@@ -277,7 +290,7 @@ class TestUserMetrics:
         smap = subfile_map(2, 2, {(1, ()): 6, (2, ()): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(3), (0.4, 0.0))
-        report = cm.ser_report(plan, cm.SnrProfile((1.0, 3.0)), cells)
+        report = cm.ser_report(plan, (1.0, 3.0), cells)
         assert report.average_ser == pytest.approx(0.4)
         assert report.average_stderr == 0.0
 
@@ -287,9 +300,9 @@ class TestUserMetrics:
         caches = cm.CacheProfile((0.0, 1.0))
         em = cm.expected_subfile_lengths(lib, caches)
         plan = cm.build_delivery_plan(em, cm.DemandVector((1, 2)), cm.PROPOSED, 2)
-        report = cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(2)))
-        assert report.undefined_users == frozenset({2})
-        assert report.ser[2] == 0.0
+        report = cm.ser_report(plan, (1.0, 1.0), cm.bound_table(cm.build_psk(2)))
+        assert report.useful_symbols[1] > 0 and report.useful_symbols[2] == 0
+        assert report.ser[2] == 0.0 and report.stderr[2] == 0.0
         assert report.average_ser == pytest.approx(report.ser[1] / 2)
 
     @pytest.mark.parametrize("num_snrs", [2, 5])
@@ -298,7 +311,7 @@ class TestUserMetrics:
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2, 3)), cm.PROPOSED, 3)
         cells = stub_table(cm.build_psk(3), (0.4, 0.0))
         with pytest.raises(cm.ConfigurationError, match=f"{num_snrs} SNRs for a plan of 3 users"):
-            cm.ser_report(plan, cm.SnrProfile((1.0,) * num_snrs), cells)
+            cm.ser_report(plan, (1.0,) * num_snrs, cells)
 
     @given(data=st.data())
     @settings(max_examples=40)
@@ -314,15 +327,15 @@ class TestUserMetrics:
             (p, s): (10.0 ** rng.uniform(-12, 0), 10.0 ** rng.uniform(-12, -1))
             for p in range(9) for s in range(9 - p)
         }
-        snr = cm.SnrProfile((1.0, 2.0, 3.0))
-        want = cm.ser_report(plan, snr, stub_table(c, values))
+        gammas = (1.0, 2.0, 3.0)
+        want = cm.ser_report(plan, gammas, stub_table(c, values))
         shuffled = {
             u: dict(data.draw(st.permutations(list(plan.shape_counts(u).items()))))
             for u in (1, 2, 3)
         }
         with mock.patch.object(cm.DeliveryPlan, "shape_counts", lambda self, u: shuffled[u]):
-            got = cm.ser_report(plan, snr, stub_table(c, values))
-        for field in ("ser", "stderr", "error_symbols"):
+            got = cm.ser_report(plan, gammas, stub_table(c, values))
+        for field in ("ser", "stderr", "average_ser", "average_stderr"):
             assert getattr(got, field) == getattr(want, field)  # bit for bit
 
 
@@ -338,13 +351,13 @@ class TestPlanMetrics:
             em = cm.expected_subfile_lengths(lib, caches)
             demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
             c = cm.build_psk(int(rng.integers(1, 6))) if trial % 2 else cm.build_qam(4)
-            snr = cm.SnrProfile(tuple(rng.uniform(0.2, 50.0, size=k)))
+            gammas = tuple(rng.uniform(0.2, 50.0, size=k))
             for scheme in cm.SCHEMES:
                 plan = cm.build_delivery_plan(em, demands, scheme, c.m)
-                useful, ser = brute_force_metrics(plan, c, snr)
-                got = cm.ser_report(plan, snr, cm.bound_table(c))
+                useful, ser = brute_force_metrics(plan, c, gammas)
+                got = cm.ser_report(plan, gammas, cm.bound_table(c))
                 assert got.useful_symbols == useful
-                assert got.undefined_users == {u for u in useful if useful[u] == 0}
+                assert all(got.ser[u] == 0.0 for u in useful if useful[u] == 0)
                 assert got.average_ser == pytest.approx(sum(ser.values()) / k, abs=1e-12)
                 for u in range(1, k + 1):
                     assert got.ser[u] == pytest.approx(ser[u], abs=1e-12)
@@ -369,7 +382,7 @@ class TestPlanMetrics:
         bounds = cm.bound_table(c)
         modem._min_distance.cache_clear()
         for gamma in (1.0, 4.0, 16.0):
-            cm.ser_report(plan, cm.SnrProfile((gamma, gamma)), bounds)
+            cm.ser_report(plan, (gamma, gamma), bounds)
         shapes = {s for u in (1, 2) for s in plan.shape_counts(u)}
         assert sorted(calls) == sorted(list(shapes) * 3)  # one call per (shape, gamma) cell
         assert modem._min_distance.cache_info().misses == len(shapes)
@@ -378,14 +391,14 @@ class TestPlanMetrics:
         smap = subfile_map(2, 2, {(1, (2,)): 4, (2, (1,)): 2})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         with pytest.raises(cm.ConfigurationError):
-            cm.ser_report(plan, cm.SnrProfile((1.0, 1.0)), cm.bound_table(cm.build_psk(2)))
+            cm.ser_report(plan, (1.0, 1.0), cm.bound_table(cm.build_psk(2)))
 
 
-def scheme_reports(subfiles, demands, c, snr):
+def scheme_reports(subfiles, demands, c, gammas):
     """(proposed, zero padding) analytic reports of one instance, sharing one bound table."""
     bounds = cm.bound_table(c)
     return tuple(
-        cm.ser_report(cm.build_delivery_plan(subfiles, demands, scheme, c.m), snr, bounds)
+        cm.ser_report(cm.build_delivery_plan(subfiles, demands, scheme, c.m), gammas, bounds)
         for scheme in (cm.PROPOSED, cm.ZERO_PADDING)
     )
 
@@ -400,7 +413,7 @@ class TestCompareSchemes:
         caches = cm.CacheProfile((0.5, 0.5))
         em = cm.expected_subfile_lengths(lib, caches)
         rp, rz = scheme_reports(
-            em, cm.DemandVector((1, 2)), cm.build_psk(3), cm.SnrProfile((2.0, 2.0))
+            em, cm.DemandVector((1, 2)), cm.build_psk(3), (2.0, 2.0)
         )
         for u in (1, 2):
             assert rz.ser[u] - rp.ser[u] == pytest.approx(0.0, abs=1e-15)
@@ -416,7 +429,7 @@ class TestCompareSchemes:
                 em,
                 cm.DemandVector((1, 2, 3)),
                 cm.build_psk(3),
-                cm.SnrProfile((gamma,) * 3),
+                (gamma,) * 3,
             )
             d1, d2, d3 = (rz.ser[u] - rp.ser[u] for u in (1, 2, 3))
             assert d1 == pytest.approx(0.0, abs=1e-15)
@@ -436,8 +449,8 @@ class TestCompareSchemes:
             em = cm.expected_subfile_lengths(lib, caches)
             demands = cm.DemandVector(tuple(int(x) + 1 for x in rng.permutation(n)[:k]))
             c = cm.build_psk(3) if trial % 2 else cm.build_qam(4)
-            snr = cm.SnrProfile(tuple(rng.uniform(0.5, 20.0, size=k)))
-            rp, rz = scheme_reports(em, demands, c, snr)
+            gammas = tuple(rng.uniform(0.5, 20.0, size=k))
+            rp, rz = scheme_reports(em, demands, c, gammas)
             for u in range(1, k + 1):
                 assert rz.ser[u] - rp.ser[u] >= -1e-12
 
@@ -449,7 +462,7 @@ class TestCompareSchemes:
         bounds = cm.bound_table(cm.build_psk(3))
         prev = None
         for gamma in (0.5, 2.0, 8.0, 32.0):
-            rep = cm.ser_report(plan, cm.SnrProfile((gamma, gamma)), bounds)
+            rep = cm.ser_report(plan, (gamma, gamma), bounds)
             if prev is not None:
                 for u in (1, 2):
                     assert rep.ser[u] <= prev.ser[u] + 1e-15

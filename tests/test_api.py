@@ -13,6 +13,7 @@ REMOVED = {
         "KnownMask", "empty_mask", "subconstellation", "modulate", "demodulate", "awgn_channel",
         "plan_metrics", "analytic_report", "compare_schemes", "SchemeComparison",
         "MulticastBlockSpec", "UselessBlockError", "run_campaign", "CellEstimate",
+        "SnrProfile", "CampaignConfig",
     ],
     "cachemod.modem": [
         "KnownMask", "empty_mask", "_compatible", "subconstellation", "modulate", "demodulate",
@@ -21,9 +22,12 @@ REMOVED = {
         # past this many candidates; one gather serves every count
         "_GATHER_MAX",
     ],
-    # `run_campaign` was `ser_report` over an estimate table, and `CellEstimate`
-    # a second carrier for the (ser, std_error) pair a `CellTable` stores
-    "cachemod.mc": ["awgn_channel", "modulate", "demodulate", "run_campaign", "CellEstimate"],
+    # `run_campaign` was `ser_report` over an estimate table, `CellEstimate`
+    # a second carrier for the (ser, std_error) pair a `CellTable` stores, and
+    # `CampaignConfig` a carrier for `estimate_cell_ser`'s (trials, master_seed)
+    "cachemod.mc": [
+        "awgn_channel", "modulate", "demodulate", "run_campaign", "CellEstimate", "CampaignConfig",
+    ],
     # the bit-row helpers, now the codec's own shifts and masks
     "cachemod.bits": None,
     "cachemod.errors": ["UselessBlockError"],
@@ -37,16 +41,19 @@ REMOVED = {
         "canonical_codes", "MulticastBlockSpec", "UselessBlockError", "SubsetSchedule",
         "_bit_run", "_checked_pieces", "_run_count", "_PLAN_CHUNK",
     ],
-    # thin wrappers around `ser_report`, and `q_function`'s array path
+    # thin wrappers around `ser_report`, `q_function`'s array path, and a
+    # carrier for the per-user SNRs `ser_report` now takes as a plain sequence
     "cachemod.analysis": [
         "plan_metrics", "analytic_report", "compare_schemes", "SchemeComparison", "_erfc_array",
+        "SnrProfile",
     ],
     # per-user shape dicts, replaced by the `known_counts` table; per-subset
     # schedules and merged block runs, which the one-array codec needs no
-    # more; a report tag and fields nothing read (the load is the plan's)
+    # more; a report tag and fields nothing read (the load is the plan's;
+    # S_k is ser x useful_symbols, and a user without useful symbols has 0 of them)
     "cachemod.caching.DeliveryPlan": ["histograms", "per_subset", "block_runs"],
     "cachemod.caching.PlacementRealization": ["seed"],
-    "cachemod.analysis.SerReport": ["kind", "load"],
+    "cachemod.analysis.SerReport": ["kind", "load", "error_symbols", "undefined_users"],
 }
 
 

@@ -213,9 +213,9 @@ class TestRunScenario:
         calls = {"cells": [], "shapes": []}
         real_cell, real_dmin = mc.estimate_cell_ser, an.min_distance
 
-        def cell(c, shape, gamma, cfg, cell_id):
+        def cell(c, shape, gamma, trials, seed, cell_id):
             calls["cells"].append((shape, gamma))
-            return real_cell(c, shape, gamma, cfg, cell_id)
+            return real_cell(c, shape, gamma, trials, seed, cell_id)
 
         def dmin(c, *shape):
             calls["shapes"].append(shape)
@@ -263,11 +263,11 @@ class TestRunScenario:
             count("brute", len(y))
             return real_brute(c, y, *args)
 
-        def cell(c, shape, gamma, cfg, cell_id):
-            count("screened", int(screened_trials(c, shape, gamma, cfg, cell_id).sum()))
-            count("wedge", int(wedge_trials(c, shape, gamma, cfg, cell_id).sum()))
-            count("trials", cfg.trials_per_cell)
-            return real_cell(c, shape, gamma, cfg, cell_id)
+        def cell(c, shape, gamma, trials, seed, cell_id):
+            count("screened", int(screened_trials(c, shape, gamma, trials, seed, cell_id).sum()))
+            count("wedge", int(wedge_trials(c, shape, gamma, trials, seed, cell_id).sum()))
+            count("trials", trials)
+            return real_cell(c, shape, gamma, trials, seed, cell_id)
 
         monkeypatch.setattr(mc, "detect", detect)
         monkeypatch.setattr(modem, "_brute_force", brute)
@@ -277,12 +277,12 @@ class TestRunScenario:
         assert rows["all"] + rows["screened"] + rows["wedge"] == rows["trials"]
         assert rows["brute"] < 1e-3 * (rows["trials"] - rows["screened"])
 
-        c, cfg = cm.build_qam(8), cm.CampaignConfig(trials_per_cell=10_000, master_seed=3)
+        c = cm.build_qam(8)
         for prefixes in ((0, 2, 4, 6), (1, 3, 5, 7)):
             rows.update(all=0, brute=0, screened=0, trials=0)
             for p in prefixes:
                 for gamma in (1.0, 10.0, 100.0):
-                    mc.estimate_cell_ser(c, (p, 0), gamma, cfg, "fallback")
+                    mc.estimate_cell_ser(c, (p, 0), gamma, 10_000, 3, "fallback")
             assert rows["trials"] == 12 * 10_000
             assert rows["all"] + rows["screened"] == rows["trials"]
             assert rows["brute"] < 1e-3 * rows["all"]
@@ -322,11 +322,11 @@ class TestRunScenario:
         raised, calls = threading.Event(), []
         real_cell = mc.estimate_cell_ser
 
-        def cell(c, shape, gamma, cfg, cell_id):
+        def cell(c, shape, gamma, trials, seed, cell_id):
             calls.append(cell_id)
             if threading.current_thread() is threading.main_thread():
                 raised.wait(timeout=30)  # until the helper has failed
-                return real_cell(c, shape, gamma, cfg, cell_id)
+                return real_cell(c, shape, gamma, trials, seed, cell_id)
             raised.set()
             raise error("cell failed")
 

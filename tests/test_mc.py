@@ -33,14 +33,14 @@ def _wedge_prefix_shapes():
     return [(m, p) for m in (1, 2, 3, 8) for p in sorted({0, m // 2, m - 1})]
 
 
-def _replay_errors(c, shape, gamma, cfg, cell_id):
+def _replay_errors(c, shape, gamma, trials, seed, cell_id):
     """Replay the cell's RNG stream and decide every trial one symbol at a
     time with the brute-force oracle; the number of wrong decisions."""
-    rng = _cell_rng(cfg.master_seed, cell_id)
-    labels = rng.integers(0, c.size, size=cfg.trials_per_cell, dtype=np.int64)
-    noise = rng.normal(0.0, math.sqrt(0.5), size=(cfg.trials_per_cell, 2))
+    rng = _cell_rng(seed, cell_id)
+    labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+    noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
     errors = 0
-    for t in range(cfg.trials_per_cell):
+    for t in range(trials):
         label = int(labels[t])
         bits = format(label, f"0{c.m}b")
         p, s = shape
@@ -52,21 +52,23 @@ def _replay_errors(c, shape, gamma, cfg, cell_id):
 
 
 class TestCampaignConfig:
+    """A campaign's trial budget and master seed, as `estimate_cell_ser` checks them."""
+
     @pytest.mark.parametrize("trials", [1.5, 2.0, True, "3", None])
     def test_trials_must_be_an_int(self, trials):
-        with pytest.raises(cm.ConfigurationError, match="trials_per_cell"):
-            cm.CampaignConfig(trials, 0)
+        with pytest.raises(cm.ConfigurationError, match="trials"):
+            cm.estimate_cell_ser(cm.build_psk(2), (0, 0), 1.0, trials, 0, "budget")
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, True, "5", None])
     def test_seed_must_be_an_int_in_64_bits(self, seed):
         # a masked seed aliased -1 to 2**64 - 1 and 2**64 + 5 to 5
         with pytest.raises(cm.ConfigurationError, match="master_seed"):
-            cm.CampaignConfig(10, seed)
+            cm.estimate_cell_ser(cm.build_psk(2), (0, 0), 1.0, 10, seed, "budget")
 
     def test_seed_range_ends_accepted(self):
         c = cm.build_psk(2)
         lo, hi = (
-            cm.estimate_cell_ser(c, (0, 0), 1.0, cm.CampaignConfig(1000, seed), "ends")
+            cm.estimate_cell_ser(c, (0, 0), 1.0, 1000, seed, "ends")
             for seed in (0, 2**64 - 1)
         )
         assert lo != hi
@@ -105,9 +107,9 @@ class TestCellStream:
 class TestEstimateCellSer:
     def test_deterministic(self):
         c = cm.build_psk(3)
-        cfg = cm.CampaignConfig(trials_per_cell=5000, master_seed=77)
-        a = cm.estimate_cell_ser(c, (1, 0), 2.0, cfg, "cell-x")
-        b = cm.estimate_cell_ser(c, (1, 0), 2.0, cfg, "cell-x")
+        trials, seed = 5000, 77
+        a = cm.estimate_cell_ser(c, (1, 0), 2.0, trials, seed, "cell-x")
+        b = cm.estimate_cell_ser(c, (1, 0), 2.0, trials, seed, "cell-x")
         assert a == b
 
     def test_distinct_cells_get_distinct_streams(self):
@@ -123,10 +125,10 @@ class TestEstimateCellSer:
     def test_matches_scalar_demodulator(self):
         # the replayed oracle's error count and the cell's must agree exactly
         c, shape, gamma = cm.build_psk(3), (1, 1), 1.5
-        cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
-        errors = _replay_errors(c, shape, gamma, cfg, "replay")
-        assert ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
+        trials, seed = 400, 13
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, trials, seed, "replay")
+        errors = _replay_errors(c, shape, gamma, trials, seed, "replay")
+        assert ser == pytest.approx(errors / trials, abs=1e-15)
 
     @pytest.mark.parametrize(
         "family, m, shape, gamma",
@@ -135,11 +137,11 @@ class TestEstimateCellSer:
     def test_screened_cells_match_scalar_demodulator(self, family, m, shape, gamma):
         # cells where the screen keeps most trials from `detect`
         c = cm.build_constellation(family, m)
-        cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
-        errors = _replay_errors(c, shape, gamma, cfg, "replay")
-        assert ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
-        assert screened_trials(c, shape, gamma, cfg, "replay").mean() > 0.7
+        trials, seed = 400, 13
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, trials, seed, "replay")
+        errors = _replay_errors(c, shape, gamma, trials, seed, "replay")
+        assert ser == pytest.approx(errors / trials, abs=1e-15)
+        assert screened_trials(c, shape, gamma, trials, seed, "replay").mean() > 0.7
 
     @pytest.mark.parametrize("gamma", [0.5, 30.0, 1e4])
     @pytest.mark.parametrize("m, p", _wedge_prefix_shapes())
@@ -155,12 +157,12 @@ class TestEstimateCellSer:
 
         monkeypatch.setattr(mc_mod, "detect", capture)
         c, shape = cm.build_psk(m), (p, 0)
-        cfg = cm.CampaignConfig(trials_per_cell=400, master_seed=13)
-        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "replay")
-        errors = _replay_errors(c, shape, gamma, cfg, "replay")
-        assert ser == pytest.approx(errors / cfg.trials_per_cell, abs=1e-15)
-        screened = screened_trials(c, shape, gamma, cfg, "replay")
-        wedge = wedge_trials(c, shape, gamma, cfg, "replay")
+        trials, seed = 400, 13
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, trials, seed, "replay")
+        errors = _replay_errors(c, shape, gamma, trials, seed, "replay")
+        assert ser == pytest.approx(errors / trials, abs=1e-15)
+        screened = screened_trials(c, shape, gamma, trials, seed, "replay")
+        wedge = wedge_trials(c, shape, gamma, trials, seed, "replay")
         assert sum(detected) == np.count_nonzero(~screened & ~wedge)
 
     def test_wedge_edges_match_scalar_demodulator(self):
@@ -203,15 +205,15 @@ class TestEstimateCellSer:
         gamma = 2.0
         d_sub = cm.min_distance(c, 2)
         want = float(cm.q_function(math.sqrt(gamma / 2) * d_sub))
-        cfg = cm.CampaignConfig(trials_per_cell=200_000, master_seed=5)
-        ser, std_error = cm.estimate_cell_ser(c, (2, 0), gamma, cfg, "antipodal")
+        trials, seed = 200_000, 5
+        ser, std_error = cm.estimate_cell_ser(c, (2, 0), gamma, trials, seed, "antipodal")
         assert abs(ser - want) <= 3 * std_error
 
     def test_std_error_definition(self):
         c = cm.build_psk(2)
-        cfg = cm.CampaignConfig(trials_per_cell=10_000, master_seed=1)
-        ser, std_error = cm.estimate_cell_ser(c, (0, 0), 1.0, cfg, "se")
-        assert std_error == pytest.approx(math.sqrt(ser * (1 - ser) / cfg.trials_per_cell))
+        trials, seed = 10_000, 1
+        ser, std_error = cm.estimate_cell_ser(c, (0, 0), 1.0, trials, seed, "se")
+        assert std_error == pytest.approx(math.sqrt(ser * (1 - ser) / trials))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_received_points_are_the_normal_pairs(self, seed, monkeypatch):
@@ -228,15 +230,14 @@ class TestEstimateCellSer:
         monkeypatch.setattr(mc_mod, "detect", capture)
         monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", 999)
         c, shape, gamma, trials = cm.build_qam(4), (2, 0), 3.7, 4999
-        cfg = cm.CampaignConfig(trials, seed)
-        cm.estimate_cell_ser(c, shape, gamma, cfg, "draws")
+        cm.estimate_cell_ser(c, shape, gamma, trials, seed, "draws")
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
         want = math.sqrt(gamma) * c.points[c._label_to_index[labels]] + (
             noise[:, 0] + 1j * noise[:, 1]
         )
-        screened = screened_trials(c, shape, gamma, cfg, "draws")
+        screened = screened_trials(c, shape, gamma, trials, seed, "draws")
         # the chunk law: ceil(4999 / 999) = 6 chunks, one of 834 and five of 833
         ends = np.cumsum([len(part) for part in np.array_split(screened, 6)])
         assert np.diff(ends, prepend=0).tolist() == [834] + [833] * 5
@@ -265,8 +266,7 @@ class TestEstimateCellSer:
         monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", 999)
         monkeypatch.setattr(mc_mod, "_BAND", band)
         c, shape, gamma, trials = cm.build_psk(3), (1, 0), 3.7, 4999
-        cfg = cm.CampaignConfig(trials, seed)
-        ser, _ = cm.estimate_cell_ser(c, shape, gamma, cfg, "draws")
+        ser, _ = cm.estimate_cell_ser(c, shape, gamma, trials, seed, "draws")
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
@@ -274,12 +274,12 @@ class TestEstimateCellSer:
         want = math.sqrt(gamma) * x + (noise[:, 0] + 1j * noise[:, 1])
         # the band rows, with the wedge edge at pi / 4 and the phase taken apart
         phase = np.abs(np.remainder(np.angle(want) - np.angle(x) + np.pi, 2 * np.pi) - np.pi)
-        taken = ~screened_trials(c, shape, gamma, cfg, "draws")
+        taken = ~screened_trials(c, shape, gamma, trials, seed, "draws")
         taken &= np.abs(phase - math.pi / 4) <= band
         assert 0 < taken.mean() < 1
         assert np.concatenate([y for y, _ in seen]).tobytes() == want[taken].tobytes()
         assert np.concatenate([k for _, k in seen]).tolist() == (labels[taken] >> 2).tolist()
-        errors = _replay_errors(c, shape, gamma, cfg, "draws")
+        errors = _replay_errors(c, shape, gamma, trials, seed, "draws")
         assert ser == pytest.approx(errors / trials, abs=1e-15)
 
     @pytest.mark.parametrize("family", ["psk", "qam"])
@@ -312,8 +312,8 @@ class TestEstimateCellSer:
         # p + s = m leaves one candidate: no trial can be an error, at any SNR
         calls = []
         monkeypatch.setattr(mc_mod, "detect", lambda *args: calls.append(args))
-        c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 4)
-        assert cm.estimate_cell_ser(c, shape, 0.01, cfg, "single") == (0.0, 0.0)
+        c, trials, seed = cm.build_constellation(family, m), 20_001, 4
+        assert cm.estimate_cell_ser(c, shape, 0.01, trials, seed, "single") == (0.0, 0.0)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -331,11 +331,11 @@ class TestEstimateCellSer:
         # 20,001 trials: two default chunks (10,001 and 10,000), 21 chunks of
         # 952 or 953, one chunk, or 26 chunks of 769 or 770 (a cap of 1,000
         # would split as 999 does)
-        c, cfg = cm.build_constellation(family, m), cm.CampaignConfig(20_001, 6)
+        c, trials, seed = cm.build_constellation(family, m), 20_001, 6
         estimates = []
         for chunk in (mc_mod._TRIALS_PER_CHUNK, 999, 1 << 15, 777):
             monkeypatch.setattr(mc_mod, "_TRIALS_PER_CHUNK", chunk)
-            estimates.append(cm.estimate_cell_ser(c, shape, gamma, cfg, "chunks"))
+            estimates.append(cm.estimate_cell_ser(c, shape, gamma, trials, seed, "chunks"))
         assert estimates[1:] == estimates[:1] * 3
         assert 0 < estimates[0][0] < 1
 
@@ -355,7 +355,7 @@ class TestEstimateCellSer:
 
         monkeypatch.setattr(np.random, "default_rng", Spy)
         # one candidate: every trial is drawn, none detected
-        cm.estimate_cell_ser(cm.build_psk(1), (1, 0), 1.0, cm.CampaignConfig(trials, 1), "law")
+        cm.estimate_cell_ser(cm.build_psk(1), (1, 0), 1.0, trials, 1, "law")
         assert mc_mod._TRIALS_PER_CHUNK == 1 << 14
         assert len(sizes) == -(-trials // (1 << 14))
         assert sum(sizes) == trials
@@ -371,7 +371,7 @@ class TestEstimateCellSer:
         c = cm.build_qam(8)
         tracemalloc.start()
         try:
-            cm.estimate_cell_ser(c, (0, 0), 300.0, cm.CampaignConfig(1_000_000, 2), "memory")
+            cm.estimate_cell_ser(c, (0, 0), 300.0, 1_000_000, 2, "memory")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,7 +386,7 @@ class TestEstimateCellSer:
         c = cm.build_qam(8)
         tracemalloc.start()
         try:
-            cm.estimate_cell_ser(c, (0, 1), 1.0, cm.CampaignConfig(10_000, 2), "memory")
+            cm.estimate_cell_ser(c, (0, 1), 1.0, 10_000, 2, "memory")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,11 +398,11 @@ class TestEstimateCellSer:
         # with 14,286-trial chunks that keep only those rows through the
         # count, and 1.0 MiB when the chunk's labels, row indices and a
         # separate copy of the kept noise live through `_errors`
-        c, cfg = cm.build_psk(3), cm.CampaignConfig(100_000, 2)
-        cm.estimate_cell_ser(c, (0, 0), 1.0, cm.CampaignConfig(1000, 2), "warm")
+        c, trials, seed = cm.build_psk(3), 100_000, 2
+        cm.estimate_cell_ser(c, (0, 0), 1.0, 1000, 2, "warm")
         tracemalloc.start()
         try:
-            cm.estimate_cell_ser(c, (0, 0), 1.0, cfg, "memory")
+            cm.estimate_cell_ser(c, (0, 0), 1.0, trials, seed, "memory")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -434,8 +434,8 @@ class TestEstimateCellSer:
 
     def test_high_snr_error_free(self):
         c = cm.build_psk(3)
-        cfg = cm.CampaignConfig(trials_per_cell=100_000, master_seed=3)
-        ser, _ = cm.estimate_cell_ser(c, (2, 0), 1e4, cfg, "clean")
+        trials, seed = 100_000, 3
+        ser, _ = cm.estimate_cell_ser(c, (2, 0), 1e4, trials, seed, "clean")
         assert ser == 0.0
 
 
@@ -452,17 +452,15 @@ class TestRunCampaign:
         em, demands = small_instance
         plan = cm.build_delivery_plan(em, demands, cm.PROPOSED, 3)
         c = cm.build_psk(3)
-        report = cm.ser_report(
-            plan, cm.SnrProfile((1e4, 1e4)), cm.estimate_table(c, cm.CampaignConfig(20_000, 0))
-        )
+        report = cm.ser_report(plan, (1e4, 1e4), cm.estimate_table(c, 20_000, 0))
         assert all(v == 0.0 for v in report.ser.values())
 
     def test_deterministic_reports(self, small_instance):
         em, demands = small_instance
         plan = cm.build_delivery_plan(em, demands, cm.ZERO_PADDING, 3)
-        c, snr, cfg = cm.build_psk(3), cm.SnrProfile((2.0, 3.0)), cm.CampaignConfig(5000, 21)
-        assert cm.ser_report(plan, snr, cm.estimate_table(c, cfg)) == cm.ser_report(
-            plan, snr, cm.estimate_table(c, cfg)
+        c, gammas = cm.build_psk(3), (2.0, 3.0)
+        assert cm.ser_report(plan, gammas, cm.estimate_table(c, 5000, 21)) == cm.ser_report(
+            plan, gammas, cm.estimate_table(c, 5000, 21)
         )
 
     def test_empirical_within_analytic_bound(self, small_instance):
@@ -470,9 +468,8 @@ class TestRunCampaign:
         c = cm.build_psk(3)
         for scheme in cm.SCHEMES:
             plan = cm.build_delivery_plan(em, demands, scheme, 3)
-            snr = cm.SnrProfile((2.0, 2.0))
-            analytic = cm.ser_report(plan, snr, cm.bound_table(c))
-            empirical = cm.ser_report(plan, snr, cm.estimate_table(c, cm.CampaignConfig(50_000, 9)))
+            analytic = cm.ser_report(plan, (2.0, 2.0), cm.bound_table(c))
+            empirical = cm.ser_report(plan, (2.0, 2.0), cm.estimate_table(c, 50_000, 9))
             for u in (1, 2):
                 assert empirical.ser[u] <= analytic.ser[u] + 3 * empirical.stderr[u]
 
@@ -480,9 +477,7 @@ class TestRunCampaign:
         em, demands = small_instance
         plan = cm.build_delivery_plan(em, demands, cm.PROPOSED, 3)
         c = cm.build_psk(3)
-        report = cm.ser_report(
-            plan, cm.SnrProfile((1.0, 1.0)), cm.estimate_table(c, cm.CampaignConfig(1000, 0))
-        )
+        report = cm.ser_report(plan, (1.0, 1.0), cm.estimate_table(c, 1000, 0))
         for u in (1, 2):
             assert report.useful_symbols[u] == plan.useful_symbols(u)
             assert sum(plan.shape_counts(u).values()) == report.useful_symbols[u]
@@ -491,25 +486,26 @@ class TestRunCampaign:
         # one table across both schemes and two SNR points: every distinct
         # (shape, gamma) cell is simulated once and no number changes
         em, demands = small_instance
-        c, cfg = cm.build_psk(3), cm.CampaignConfig(2000, 4)
+        c, trials, seed = cm.build_psk(3), 2000, 4
         plans = [cm.build_delivery_plan(em, demands, s, 3) for s in cm.SCHEMES]
-        snrs = [cm.SnrProfile((2.0, 5.0)), cm.SnrProfile((2.0, 2.0))]
-        fresh = [cm.ser_report(p, snr, cm.estimate_table(c, cfg)) for snr in snrs for p in plans]
+        sweep = [(2.0, 5.0), (2.0, 2.0)]
+        fresh = [cm.ser_report(p, g, cm.estimate_table(c, trials, seed)) for g in sweep
+                 for p in plans]
 
         calls = []
         real = mc_mod.estimate_cell_ser
 
-        def counting(c, shape, gamma, cfg, cell_id):
+        def counting(c, shape, gamma, trials, seed, cell_id):
             calls.append((shape, gamma))
-            return real(c, shape, gamma, cfg, cell_id)
+            return real(c, shape, gamma, trials, seed, cell_id)
 
         monkeypatch.setattr(mc_mod, "estimate_cell_ser", counting)
-        table = cm.estimate_table(c, cfg)
-        shared = [cm.ser_report(p, snr, table) for snr in snrs for p in plans]
+        table = cm.estimate_table(c, trials, seed)
+        shared = [cm.ser_report(p, g, table) for g in sweep for p in plans]
         assert shared == fresh
         cells = {
-            (shape, snr.gamma(u))
-            for snr in snrs
+            (shape, gammas[u - 1])
+            for gammas in sweep
             for p in plans
             for u in (1, 2)
             for shape in p.shape_counts(u)
@@ -519,6 +515,15 @@ class TestRunCampaign:
     def test_cell_keys_stable(self):
         c = cm.build_psk(3)
         assert _cell_key(c, (1, 0), 2.0) == "psk:m3:p1:s0:g2.0"
+
+    @pytest.mark.parametrize("gamma", [4.0, 0.3])
+    def test_numpy_gamma_is_the_float_cell(self, gamma):
+        # one `CellTable` key, so one substream: numpy 2 reprs np.float64(4.0)
+        # as "np.float64(4.0)", which named a second stream
+        c = cm.build_psk(3)
+        assert _cell_key(c, (0, 0), np.float64(gamma)) == _cell_key(c, (0, 0), gamma)
+        read = [cm.estimate_table(c, 2000, 5)((0, 0), g) for g in (np.float64(gamma), gamma)]
+        assert read[0] == read[1]
 
 
 class TestEndToEnd:

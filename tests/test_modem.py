@@ -263,6 +263,7 @@ class TestDetect:
             ((1, 0), math.nan, known),
             ((1, 0), 1.0, np.array([0, 2])),  # a value wider than the one known bit
             ((1, 0), 1.0, np.array([0, -1])),
+            ((1, 0), 1.0, np.array([0, 0.5])),  # not truncated to 0
             ((1, 0), 1.0, np.array([0])),  # one known value for two symbols
         ]:
             with pytest.raises(cm.ConfigurationError):

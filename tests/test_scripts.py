@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 from cachemod import ConfigurationError, cli
 from cachemod.cli import parse_config, render_csv, run_scenario
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -76,3 +79,21 @@ def test_three_user_sweep_script_config_error_from_the_run(tmp_path, monkeypatch
     assert run_script_into(monkeypatch, out) == 2
     assert capsys.readouterr().err.startswith("config error: no plan")
     assert not out.exists()
+
+
+def test_readme_library_example_runs():
+    # README's one python block, run as a user would paste it, with src on the path
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert all(float(gain) >= 0 for *_, gain in rows)  # the proposed scheme never loses
