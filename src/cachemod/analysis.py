@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caching import DeliveryPlan, _floats
 from .errors import ConfigurationError
 from .modem import PSK, QAM, Constellation, min_distance
 
 
-@dataclass(frozen=True)
-class SerReport:
+class SerReport(NamedTuple):
     """Per-user useful-symbol counts and rates (0 for a user with no useful symbols)."""
 
     useful_symbols: dict  # user -> L_k

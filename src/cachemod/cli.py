@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .analysis import bound_table, ser_report
 from .caching import (
@@ -28,8 +28,6 @@ from .errors import ConfigurationError
 from .mc import estimate_table
 from .modem import build_constellation
 
-log = logging.getLogger("cachemod")
-
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 20.0, "step_db": 2.0}
 DEFAULT_TRIALS = 100_000
 MAX_SWEEP_POINTS = 10_000  # each point plans and evaluates every scheme
@@ -39,6 +37,8 @@ CSV_HEADER = "snr_db,scheme,user,L_k,analytic_T,mc_T,mc_stderr,load_R"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A fully validated scenario, as `parse_config` returns it."""
+
     mus: tuple
     user_snr_db: tuple  # per-user fixed dB, None = follow the sweep
     file_fractions: tuple
@@ -222,11 +222,10 @@ def parse_config(text: str) -> ScenarioConfig:
     grid = _grid(sweep)
 
     trials = _read_trials(raw.get("trials_per_cell", DEFAULT_TRIALS))
-    if "master_seed" in raw:
-        seed = _read_seed(raw["master_seed"])
-    else:
-        seed = 0
-        log.info("no master_seed in config; defaulting to 0")
+    seed = _read_seed(raw.get("master_seed", 0))
+    if "master_seed" not in raw:
+        import logging  # loaded only to log, so `import cachemod.cli` leaves it out
+        logging.getLogger("cachemod").info("no master_seed in config; defaulting to 0")
 
     return ScenarioConfig(
         mus=tuple(mus),
@@ -244,8 +243,9 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One CSV row: a user's (or the average's) rates at one SNR point and scheme."""
+
     snr_db: float
     scheme: str
     user: str  # "1".."K" or "avg"
@@ -386,6 +386,7 @@ def execute_run(cfg: ScenarioConfig, *, out=None, seed=None, trials=None) -> tup
 
 
 def main(argv=None) -> int:
+    import logging
     logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s", level=logging.INFO)
     args = _build_parser().parse_args(argv)
     try:

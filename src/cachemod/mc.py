@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,8 +214,7 @@ def estimate_table(c: Constellation, trials: int, master_seed: int) -> CellTable
     return CellTable(c, estimate)
 
 
-@dataclass(frozen=True)
-class EndToEndResult:
+class EndToEndResult(NamedTuple):
     passed: dict  # user -> bool
     first_mismatch: dict  # user -> (file, bit position) for failures
 

@@ -4,6 +4,7 @@ import importlib
 import pytest
 
 import cachemod as cm
+from cachemod import cli
 
 # the scalar per-symbol and per-block APIs that `detect`, `min_distance`,
 # the one-array codec and the tests' own brute-force oracles replaced; none may
@@ -94,3 +95,71 @@ def test_constellation_has_no_label_lookup_method():
 def test_delivery_plan_builds_blocks_only_as_runs():
     assert not hasattr(cm.DeliveryPlan, "block")
     assert not hasattr(cm.DeliveryPlan, "iter_blocks")
+
+
+# the pure result carriers are NamedTuples: a class takes about 0.1 ms to
+# create against about 1 ms for a frozen dataclass, paid on every import
+CARRIERS = [
+    (
+        cm.SerReport,
+        ("useful_symbols", "ser", "average_ser", "stderr", "average_stderr"),
+        ({1: 4}, {1: 0.25}, 0.25, {1: 0.0}, 0.0),
+    ),
+    (cm.EndToEndResult, ("passed", "first_mismatch"), ({1: True, 2: False}, {2: (1, 7)})),
+    (
+        cli.ResultRow,
+        ("snr_db", "scheme", "user", "useful", "analytic_ser", "mc_ser", "mc_stderr", "load"),
+        (2.0, "proposed", "avg", 12, 0.125, None, None, 0.5),
+    ),
+]
+
+
+@pytest.mark.parametrize("carrier, names, values", CARRIERS, ids=[c.__name__ for c, *_ in CARRIERS])
+def test_result_carriers_are_named_tuples(carrier, names, values):
+    assert issubclass(carrier, tuple) and not dataclasses.is_dataclass(carrier)
+    assert carrier._fields == names
+    result = carrier(*values)
+    assert result == values and tuple(result) == values  # tuple equality and unpacking
+    assert result == carrier(**dict(zip(names, values)))
+    with pytest.raises(AttributeError):
+        setattr(result, names[0], None)
+    changed = result._replace(**{names[-1]: "new"})
+    assert changed[-1] == "new" and changed[:-1] == values[:-1] and result == values
+
+
+def test_end_to_end_result_all_passed():
+    assert not cm.EndToEndResult({1: True, 2: False}, {2: (1, 7)}).all_passed
+    assert cm.EndToEndResult({1: True, 2: True}, {}).all_passed
+
+
+# Creating a dataclass costs about 1 ms of every import of `cachemod.cli`,
+# so each of the package's classes is a dataclass only for a reason:
+# - ScenarioConfig: the CLI, the benchmark and the tests derive configs with
+#   `dataclasses.replace`;
+# - Constellation, PlacementRealization: their `cached_property` needs an
+#   instance `__dict__`, which a tuple does not have;
+# - Library, CacheProfile, DemandVector, SubfileMap: values checked in
+#   `__post_init__` (Library also has a `cached_property`);
+# - DeliveryPlan: keeps its arrays out of the repr with `field(repr=False)`
+#   and compares by identity (`eq=False`).
+# A new dataclass lands here and in `setup_s`; a pure result carrier should be
+# a NamedTuple instead.
+DATACLASSES = {
+    "ScenarioConfig", "Constellation", "PlacementRealization",
+    "Library", "CacheProfile", "DemandVector", "SubfileMap", "DeliveryPlan",
+}
+
+
+def test_dataclasses_are_the_ones_that_need_to_be():
+    # every class the package's modules define, exported or not
+    modules = ("analysis", "caching", "cli", "mc", "modem")
+    defined = {
+        name
+        for module in map(importlib.import_module, (f"cachemod.{m}" for m in modules))
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj)
+    }
+    exported = {name for name in cm.__all__ if dataclasses.is_dataclass(getattr(cm, name))}
+    assert defined == DATACLASSES
+    assert exported | {"ScenarioConfig"} == DATACLASSES

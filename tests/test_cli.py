@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -68,6 +71,19 @@ SIXTEEN_USERS = THREE_USER_SWEEP.parent / "sixteen_user_sweep.json"
 SIXTEEN_USERS_MD5 = "ba7505305a6a52ad8d28c76da070d3a9"
 
 
+def run_python(*args):
+    """`python *args` in a fresh interpreter with the package's source first on its path."""
+    src = str(THREE_USER_SWEEP.parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def config(**overrides):
     doc = dict(BASE)
     doc.update(overrides)
@@ -89,6 +105,21 @@ class TestParseConfig:
             cfg = parse_config(json.dumps(doc))
         assert cfg.master_seed == 0
         assert any("master_seed" in r.message for r in caplog.records)
+
+    def test_import_leaves_logging_unloaded(self):
+        # `logging` is imported only when cachemod logs, so it is no part of set-up
+        run = run_python("-c", "import sys, cachemod.cli; print('logging' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
+    def test_missing_seed_is_logged_by_the_cli(self, tmp_path):
+        doc = dict(BASE)
+        del doc["master_seed"]
+        path = tmp_path / "no_seed.json"
+        path.write_text(json.dumps(doc))
+        run = run_python("-m", "cachemod.cli", "validate", "--config", str(path))
+        assert run.returncode == 0, run.stderr
+        assert "cachemod: no master_seed in config; defaulting to 0" in run.stderr.splitlines()
 
     def test_fraction_sum_diagnostic(self):
         with pytest.raises(cm.ConfigurationError, match="sum to 1.1"):
