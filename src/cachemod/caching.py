@@ -553,11 +553,16 @@ def encode_block(scheme: str, bits, n_blocks: int, label_len: int) -> np.ndarray
 
     Returns (n_blocks,) int64 labels holding each piece at its label
     position and 0 elsewhere, so the XOR of the members' shares is the
-    message.  `bits` is the subfile as a one-dimensional array of 0/1.
+    message.  `bits` is the subfile as a one-dimensional array of 0/1; other
+    values are rejected before the cast to uint8 could wrap or truncate them.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or np.any(bits > 1):
+    bits = np.asarray(bits)
+    kind = bits.dtype.kind  # unsigned and bool arrays are checked by their maximum alone
+    if bits.ndim != 1 or kind not in "biuf" or not (
+        bits.max(initial=0) <= 1 if kind in "bu" else ((bits == 0) | (bits == 1)).all()
+    ):
         raise ValueError("subfile bits must be a one-dimensional array of 0/1")
+    bits = bits.astype(np.uint8, copy=False)
     labels = np.zeros(n_blocks, dtype=np.int64)
     for blocks, span, positions in piece_spans(scheme, bits.size, n_blocks, label_len):
         pieces = bits[span].reshape(-1, positions.size).astype(np.int64)
@@ -569,9 +574,15 @@ def decode_block(scheme: str, labels, subfile_len: int, label_len: int) -> np.nd
     """The (subfile_len,) uint8 subfile whose pieces `labels` hold: `encode_block` inverted.
 
     Reads only the subfile's piece positions, so the other members' shares
-    must have been XORed off those positions first.
+    must have been XORed off those positions first.  Labels that are not whole
+    numbers in [0, 2^label_len) are rejected, not truncated or wrapped.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    kind = labels.dtype.kind  # integer arrays skip the scan for fractions
+    whole = kind in "iu" or kind == "f" and (labels == np.trunc(labels)).all()
+    if not whole or labels.size and (labels.min() < 0 or labels.max() >= 1 << label_len):
+        raise ValueError("labels must be whole numbers in [0, 2^label_len)")
+    labels = labels.astype(np.int64, copy=False)
     bits = np.empty(subfile_len, dtype=np.uint8)
     for blocks, span, positions in piece_spans(scheme, subfile_len, labels.size, label_len):
         bits[span] = (labels[blocks, None] >> positions & 1).ravel()

@@ -1,20 +1,25 @@
 """Seeded Monte Carlo SER estimation and noiseless end-to-end checks.
 
-Estimation runs per *cell*: all useful symbols sharing a known-bit shape and
-an SNR have identical error statistics (labels are i.i.d. uniform once the
-subfile bits are random), so each cell is sampled once per `estimate_table`
-and reused by every user, plan and SNR point that reads it.  Every cell
-draws from its own RNG substream derived from (master seed, cell key), which
-keeps campaigns reproducible regardless of evaluation order or thread, so
-`CellTable.fill` may run a sweep's cells on every usable CPU at once.  A cell
-of N trials runs in ceil(N / `_TRIALS_PER_CHUNK`) chunks whose lengths differ
-by at most one, and holds one chunk at a time.  Trials whose noise cannot
-leave the sent point's decision cell skip detection (`_SCREEN`); only the
-labels and noise of the others are kept for the error count.  In PSK prefix
-cells, whose decision cells are wedges, those are counted by one phase test
-against the sent point (`_BAND`), and only the rows on a wedge edge or
-outside the radius window [`_RHO_MIN`, `_RHO_MAX`] are detected.  Every
-trial is still drawn, so no estimate changes.
+Estimation runs per *cell*: the useful symbols sharing a known-bit shape and
+an SNR are modelled as uniform labels, so each cell is sampled once per
+`estimate_table` and reused by every user, plan and SNR point that reads it.
+Free label bits are uniform, but padding biases known bits (proposed (1, 0)
+symbols of the K = 12 256-QAM scenario knew value 0 in 98.6 % of cases, zero
+padding (0, 1) ones in 74.6 %).  So the model is exact where every known
+value's subconstellation is congruent: every PSK shape and the QAM prefix
+shapes.  It approximates QAM suffix shapes: at 20 dB, 256-QAM (0, 2) had a
+per-value SER of 0.324-0.346, a gap of 1-2 standard errors on that scenario.
+Every cell draws from its own RNG substream derived from (master seed, cell
+key), which keeps campaigns reproducible regardless of evaluation order or
+thread, so `CellTable.fill` may run a sweep's cells on every usable CPU at
+once.  A cell of N trials runs in ceil(N / `_TRIALS_PER_CHUNK`) chunks whose
+lengths differ by at most one, and holds one chunk at a time.  Trials whose
+noise cannot leave the sent point's decision cell skip detection
+(`_SCREEN`); only the labels and noise of the others are kept for the error
+count.  In PSK prefix cells, whose decision cells are wedges, those are
+counted by one phase test against the sent point (`_BAND`), and only the
+rows on a wedge edge or outside the radius window [`_RHO_MIN`, `_RHO_MAX`]
+are detected.  Every trial is still drawn, so no estimate changes.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def estimate_cell_ser(
     # the screen (see `_SCREEN`); a lone candidate (p + s = m) is never wrong
     d = math.inf if p + s == c.m else min_distance(c, p, s)
     safe = (1 - _SCREEN) * 2 * gamma * (d / 2) ** 2
-    sent = sqrt_gamma * c.points[c._label_to_index]
+    sent = sqrt_gamma * c.points
 
     errors = 0
     chunks = -(-trials // _TRIALS_PER_CHUNK)
@@ -272,7 +277,7 @@ def end_to_end_noiseless(
             payload = placement.bit_values[files[u] - 1][positions[u]]
             shares[u] = encode_block(plan.scheme, payload, n_blocks, m)
         labels = np.bitwise_xor.reduce(list(shares.values()))
-        y = c.points[c._label_to_index[labels]]  # modulated; the channel is the identity
+        y = c.points[labels]  # modulated; the channel is the identity
 
         for u, share in shares.items():
             known = labels ^ share  # the others' shares, which u has cached

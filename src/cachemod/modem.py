@@ -10,8 +10,8 @@ more robust point set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,42 +23,22 @@ QAM = "qam"
 _CHUNK = 1 << 16  # entries of the symbols x candidates distance matrix per step
 
 
-@dataclass(frozen=True)
-class Constellation:
+class Constellation(NamedTuple):
     """2^m unit-average-energy points with a set-partitioning bit labeling."""
 
     family: str
     m: int
-    points: np.ndarray  # complex, indexed by point index
-    labels: np.ndarray  # point index -> integer label
+    points: np.ndarray  # complex, read-only, indexed by label: the modulation map
     spacing: float  # native grid spacing d (QAM); unit-circle scale for PSK
-
-    def __post_init__(self):
-        self.points.setflags(write=False)
-        self.labels.setflags(write=False)
 
     @property
     def size(self) -> int:
         return 1 << self.m
 
-    @cached_property
-    def _label_to_index(self) -> np.ndarray:
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.labels] = np.arange(self.size)
-        return inv
-
-
-def _bit_reverse(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
 
 @lru_cache(maxsize=None)
 def build_psk(m: int) -> Constellation:
-    """2^m-PSK on the unit circle; label of point k is the bit-reversal of k.
+    """2^m-PSK on the unit circle; label l sits at angle index bit-reverse(l).
 
     Fixing the first n label bits then keeps every 2^n-th point, which is
     exactly the set-partitioning chain for PSK.
@@ -66,9 +46,10 @@ def build_psk(m: int) -> Constellation:
     if not 1 <= m <= 8:
         raise ConfigurationError("PSK supports 1 <= m <= 8")
     n = 1 << m
-    points = np.exp(2j * np.pi * np.arange(n) / n)
-    labels = np.array([_bit_reverse(k, m) for k in range(n)], dtype=np.int64)
-    return Constellation(family=PSK, m=m, points=points, labels=labels, spacing=1.0)
+    index = np.array([int(format(label, f"0{m}b")[::-1], 2) for label in range(n)])
+    points = np.exp(2j * np.pi * index / n)
+    points.setflags(write=False)
+    return Constellation(family=PSK, m=m, points=points, spacing=1.0)
 
 
 def _qam_label(a: int, b: int, m: int) -> int:
@@ -94,9 +75,10 @@ def build_qam(m: int) -> Constellation:
     coords = [(a, b) for a in range(side) for b in range(side)]
     raw = np.array([(2 * a - (side - 1)) + 1j * (2 * b - (side - 1)) for a, b in coords])
     scale = math.sqrt(float(np.mean(np.abs(raw) ** 2)))
-    points = raw / scale
-    labels = np.array([_qam_label(a, b, m) for a, b in coords], dtype=np.int64)
-    return Constellation(family=QAM, m=m, points=points, labels=labels, spacing=2.0 / scale)
+    points = np.empty(1 << m, dtype=complex)
+    points[[_qam_label(a, b, m) for a, b in coords]] = raw / scale
+    points.setflags(write=False)
+    return Constellation(family=QAM, m=m, points=points, spacing=2.0 / scale)
 
 
 def build_constellation(family: str, m: int) -> Constellation:
@@ -231,7 +213,7 @@ def _candidates(family: str, m: int, p: int, s: int) -> tuple:
     values = np.arange(1 << (p + s), dtype=np.int64)[:, None]
     free = np.arange(1 << (m - p - s), dtype=np.int64)
     labels = ((values >> s) << (m - p)) | (free << s) | (values & ((1 << s) - 1))
-    return _read_only(labels, c.points[c._label_to_index[labels]])
+    return _read_only(labels, c.points[labels])
 
 
 def _split(v: np.ndarray) -> tuple:
@@ -251,19 +233,20 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 def _qam_cells(m: int, p: int) -> tuple:
     """Per known prefix value: its coset's labels as a grid, and the axis offsets.
 
-    An even prefix keeps the square grid of stride 2^(p/2) through the
-    coset's first point (a0, b0).  Point a * side + b sits at
+    An even prefix keeps the square grid of stride 2^(p/2) whose least
+    coordinates are (a0, b0).  The point of integer coordinates (a, b) sits at
     (a - centre, b - centre) times the spacing, so on the axes shifted by the
     offsets and scaled by 1 / (sqrt(gamma) spacing stride) candidate (i, j)
     owns the cell [i, i + 1) x [j, j + 1).
     """
     c = build_qam(m)
     side, stride = 1 << (m // 2), 1 << (p // 2)
-    first = c._label_to_index[_candidates(QAM, m, p, 0)[0]].min(axis=1)
-    a0, b0 = np.divmod(first, side)
-    steps = stride * np.arange(side // stride)
-    grid = c.labels[(a0[:, None, None] + steps[:, None]) * side + b0[:, None, None] + steps]
     centre = (side - 1) / 2
+    labels, points = _candidates(QAM, m, p, 0)
+    a, b = (np.rint(x / c.spacing + centre).astype(np.int64) for x in (points.real, points.imag))
+    order = np.lexsort((b, a))  # each coset's labels, by (a, b), fill its grid row by row
+    grid = np.take_along_axis(labels, order, axis=1).reshape(len(labels), side // stride, -1)
+    a0, b0 = a.min(axis=1), b.min(axis=1)
     return _read_only(grid, (centre - a0) / stride + 0.5, (centre - b0) / stride + 0.5)
 
 
@@ -288,9 +271,8 @@ def _qam_checkerboard(
     finer = (shape[0] + 1, 0)
     even, unsure_even = _qam_slice(c, y, sqrt_snr, finer, 2 * known)
     odd, unsure_odd = _qam_slice(c, y, sqrt_snr, finer, 2 * known + 1)
-    to_index = c._label_to_index
-    gap = np.abs(y - sqrt_snr * c.points[to_index[even]])
-    gap -= np.abs(y - sqrt_snr * c.points[to_index[odd]])
+    gap = np.abs(y - sqrt_snr * c.points[even])
+    gap -= np.abs(y - sqrt_snr * c.points[odd])
     tie = np.abs(gap) <= _TIE * (np.abs(y) + 2 * sqrt_snr)
     # exact ties keep the even grid's decision, the smaller label
     return np.where(gap > 0, odd, even), unsure_even | unsure_odd | tie

@@ -154,7 +154,7 @@ def demodulate(c, y, sqrt_snr, shape, value):
     """
     allowed = set(compatible_labels(c, shape, value))
     dist = np.abs(y - sqrt_snr * c.points)
-    return min((float(d), int(label)) for d, label in zip(dist, c.labels) if label in allowed)[1]
+    return min((float(d), label) for label, d in enumerate(dist) if label in allowed)[1]
 
 
 def screen_bound(c, shape, gamma):
@@ -183,7 +183,7 @@ def wedge_trials(c, shape, gamma, trials, master_seed, cell_id):
     rng = np.random.default_rng(_cell_seed(master_seed, cell_id))
     labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
     raw = rng.standard_normal((trials, 2))
-    x = c.points[c._label_to_index[labels]]
+    x = c.points[labels]
     y = math.sqrt(gamma) * x + math.sqrt(0.5) * (raw[:, 0] + 1j * raw[:, 1])
     phase = np.abs(np.remainder(np.angle(y) - np.angle(x) + np.pi, 2 * np.pi) - np.pi)
     rho = np.abs(y) / math.sqrt(gamma)

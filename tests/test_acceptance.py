@@ -139,7 +139,7 @@ def test_criterion_4_mc_vs_exact_two_point_oracle():
                 for value in range(count):
                     pair = compatible_labels(c, shape, value)
                     assert len(pair) == 2
-                    a, b = c.points[c._label_to_index[pair]]
+                    a, b = c.points[pair]
                     d_sub = abs(complex(a) - complex(b))
                     exact += float(cm.q_function(math.sqrt(gamma / 2) * d_sub)) / count
                 ser, std_error = cm.estimate_cell_ser(

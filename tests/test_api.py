@@ -54,6 +54,8 @@ REMOVED = {
     # S_k is ser x useful_symbols, and a user without useful symbols has 0 of them)
     "cachemod.caching.DeliveryPlan": ["histograms", "per_subset", "block_runs"],
     "cachemod.caching.PlacementRealization": ["seed"],
+    # the index -> label array and its cached inverse: `points` is indexed by label
+    "cachemod.modem.Constellation": ["labels", "_label_to_index"],
     "cachemod.analysis.SerReport": ["kind", "load", "error_symbols", "undefined_users"],
 }
 
@@ -127,6 +129,16 @@ def test_result_carriers_are_named_tuples(carrier, names, values):
     assert changed[-1] == "new" and changed[:-1] == values[:-1] and result == values
 
 
+def test_constellation_is_a_named_tuple_of_its_label_to_point_map():
+    c = cm.build_qam(4)
+    assert issubclass(cm.Constellation, tuple) and not dataclasses.is_dataclass(cm.Constellation)
+    assert cm.Constellation._fields == ("family", "m", "points", "spacing")
+    assert c == ("qam", 4, c.points, c.spacing) and c.size == 16
+    assert c.points.shape == (16,) and not c.points.flags.writeable
+    with pytest.raises(AttributeError):
+        c.points = None
+
+
 def test_end_to_end_result_all_passed():
     assert not cm.EndToEndResult({1: True, 2: False}, {2: (1, 7)}).all_passed
     assert cm.EndToEndResult({1: True, 2: True}, {}).all_passed
@@ -136,16 +148,17 @@ def test_end_to_end_result_all_passed():
 # so each of the package's classes is a dataclass only for a reason:
 # - ScenarioConfig: the CLI, the benchmark and the tests derive configs with
 #   `dataclasses.replace`;
-# - Constellation, PlacementRealization: their `cached_property` needs an
-#   instance `__dict__`, which a tuple does not have;
+# - PlacementRealization: its `cached_property` needs an instance `__dict__`,
+#   which a tuple does not have;
 # - Library, CacheProfile, DemandVector, SubfileMap: values checked in
 #   `__post_init__` (Library also has a `cached_property`);
 # - DeliveryPlan: keeps its arrays out of the repr with `field(repr=False)`
 #   and compares by identity (`eq=False`).
-# A new dataclass lands here and in `setup_s`; a pure result carrier should be
+# A new dataclass lands here and in `setup_s`; a pure result carrier, or a
+# value like `Constellation` that needs neither checks nor a cache, should be
 # a NamedTuple instead.
 DATACLASSES = {
-    "ScenarioConfig", "Constellation", "PlacementRealization",
+    "ScenarioConfig", "PlacementRealization",
     "Library", "CacheProfile", "DemandVector", "SubfileMap", "DeliveryPlan",
 }
 

@@ -540,6 +540,19 @@ class TestBuildDeliveryPlan:
         ]
         assert loads[0] == loads[1]
 
+    @pytest.mark.parametrize("k, mu", [(3, 0.3), (4, 0.25), (5, 0.5), (12, 0.2)])
+    def test_load_is_the_decentralized_rate(self, k, mu):
+        # homogeneous caches of fraction mu, N = K equal files, distinct
+        # demands: the expected delivery sends (1 - mu) / mu (1 - (1 - mu)^K)
+        # files (Maddah-Ali & Niesen 2015), and the load is per B = K files.
+        # B = 1e12 leaves the rounding to whole bits far below the tolerance
+        library, caches = cm.Library((1 / k,) * k, 10**12), cm.CacheProfile((mu,) * k)
+        smap = cm.expected_subfile_lengths(library, caches)
+        rate = (1 - mu) / mu * (1 - (1 - mu) ** k)
+        for scheme in cm.SCHEMES:
+            plan = cm.build_delivery_plan(smap, cm.DemandVector(tuple(range(1, k + 1))), scheme, 3)
+            assert plan.load * k == pytest.approx(rate, rel=1e-8)
+
     def test_float_map_rejected(self):
         # no map of fractional, boolean or untyped lengths can be built, so none reaches a plan
         for lengths in (
@@ -763,6 +776,23 @@ class TestEncodeDecode:
         for bad in ("010", [[0, 1, 0]], [0, 2, 0], np.zeros((1, 3), np.uint8)):
             with pytest.raises(ValueError, match="one-dimensional array of 0/1"):
                 encode_block(cm.PROPOSED, bad, 1, 3)
+
+    def test_bits_are_checked_before_the_cast(self):
+        # a cast to uint8 would truncate 0.5 and 1.7 and wrap -1 and 257
+        bad = ([0.5, 1.7, 1.0], [-1, 1, 0], [1, 257], np.array([0.0, np.nan]), [0j, 1j])
+        for bits in bad:
+            with pytest.raises(ValueError, match="one-dimensional array of 0/1"):
+                encode_block(cm.PROPOSED, bits, 1, 3)
+        for bits in ([1.0, 0.0, 1.0], np.array([True, False, True]), np.array([1, 0, 1], np.int8)):
+            assert encode_block(cm.PROPOSED, bits, 1, 3).tolist() == [0b101]
+
+    def test_labels_must_be_whole_labels(self):
+        # 2.9 is not label 2, and -1 and 8 are not 3-bit labels
+        for labels in (np.array([2.9]), [-1], [8], np.array([np.nan]), np.array([np.inf])):
+            with pytest.raises(ValueError, match="whole numbers"):
+                decode_block(cm.PROPOSED, labels, 3, 3)
+        for labels in (np.array([2.0]), [2], np.array([2], np.uint8)):
+            assert decode_block(cm.PROPOSED, labels, 3, 3).tolist() == [0, 1, 0]
 
     @given(
         w1=st.integers(0, 30),

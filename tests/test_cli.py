@@ -9,6 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cachemod as cm
 from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_TOTAL_BITS, MAX_USERS
@@ -16,6 +18,7 @@ from cachemod.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
     emit_csv,
+    execute_run,
     main,
     parse_config,
     render_csv,
@@ -385,6 +388,56 @@ class TestRunScenario:
         doc = dict(MANY_USERS, trials_per_cell=10_000)
         text = render_csv(run_scenario(parse_config(json.dumps(doc))))
         assert hashlib.md5(text.encode()).hexdigest() == MANY_USERS_MC_MD5
+
+# dB values up to and past the edges of a finite positive linear SNR (about
+# +-3,080 dB, subnormals included)
+EXTREME_DB = st.one_of(st.floats(-40, 40), st.floats(-3300, 3300))
+# from one bit to past the 2**62-bit limit
+TOTAL_BITS = [(1, 100), (10**3, 10**6), (2**50, 2**62 + 8)]
+
+
+@st.composite
+def near_valid_configs(draw):
+    """A scenario document of K <= 4 users at the edges of what `parse_config` takes.
+
+    Cache fractions in [0, 1] (0 and 1 included) in ascending order,
+    file fractions that sum to 1 up to rounding, 1 to 2^62 + 8 total bits,
+    per-user and sweep SNRs up to +-3,300 dB, any width for either family,
+    and 0 to 3 Monte Carlo trials per cell.
+    """
+    k = draw(st.integers(1, 4))
+    mus = sorted(draw(st.lists(st.floats(0, 1), min_size=k, max_size=k)))
+    users = [
+        {"mu": mu, **({"snr_db": draw(EXTREME_DB)} if draw(st.booleans()) else {})} for mu in mus
+    ]
+    weights = draw(st.lists(st.floats(1e-3, 1), min_size=k, max_size=k + 2))
+    start, step = draw(EXTREME_DB), draw(st.floats(1e-3, 2000))
+    return {
+        "users": users,
+        "files": [w / sum(weights) for w in weights],
+        "total_bits": draw(st.one_of(*(st.integers(lo, hi) for lo, hi in TOTAL_BITS))),
+        "modulation": {"family": draw(st.sampled_from(["psk", "qam"])), "m": draw(st.integers(1, 8))},
+        "sweep": {"start_db": start, "stop_db": start + draw(st.integers(0, 2)) * step, "step_db": step},
+        "trials_per_cell": draw(st.integers(0, 3)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+    }
+
+
+@given(doc=near_valid_configs())
+@settings(max_examples=200)
+def test_near_valid_configs_run_or_are_rejected(doc, tmp_path_factory):
+    # a config either fails validation (exit 2) or runs (exit 0) with every
+    # rate a probability; no config reaches a runtime error (exit 3)
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except cm.ConfigurationError:
+        return
+    status, rows = execute_run(cfg, out=str(tmp_path_factory.mktemp("run") / "out.csv"))
+    assert status in (0, 2)  # the error line is on stderr
+    for r in rows:
+        rates = [r.analytic_ser, r.load] + ([] if r.mc_ser is None else [r.mc_ser])
+        assert all(0.0 <= rate <= 1.0 for rate in rates), r
+
 
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):

@@ -45,7 +45,7 @@ def _replay_errors(c, shape, gamma, trials, seed, cell_id):
         bits = format(label, f"0{c.m}b")
         p, s = shape
         known = int("0" + bits[:p] + bits[c.m - s :], 2)
-        x = c.points[c._label_to_index[label]]
+        x = c.points[label]
         y = math.sqrt(gamma) * x + complex(noise[t, 0], noise[t, 1])
         errors += demodulate(c, y, math.sqrt(gamma), shape, known) != label
     return errors
@@ -178,7 +178,7 @@ class TestEstimateCellSer:
         band = mc_mod._BAND
         for (m, p), gamma in itertools.product(_wedge_prefix_shapes(), (0.5, 1e4)):
             c, shape, sqrt_gamma = cm.build_psk(m), (p, 0), math.sqrt(gamma)
-            sent = sqrt_gamma * c.points[c._label_to_index]
+            sent = sqrt_gamma * c.points
             half = math.pi / (1 << (m - p))
             edge = [half + k * math.ulp(half) for k in range(-4, 5)]
             turns = [s * (half + d) for s in (1, -1) for d in (0.5 * band, 2 * band, -0.5 * band)]
@@ -234,7 +234,7 @@ class TestEstimateCellSer:
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
-        want = math.sqrt(gamma) * c.points[c._label_to_index[labels]] + (
+        want = math.sqrt(gamma) * c.points[labels] + (
             noise[:, 0] + 1j * noise[:, 1]
         )
         screened = screened_trials(c, shape, gamma, trials, seed, "draws")
@@ -270,7 +270,7 @@ class TestEstimateCellSer:
         rng = _cell_rng(seed, "draws")
         labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
-        x = c.points[c._label_to_index[labels]]
+        x = c.points[labels]
         want = math.sqrt(gamma) * x + (noise[:, 0] + 1j * noise[:, 1])
         # the band rows, with the wedge edge at pi / 4 and the phase taken apart
         phase = np.abs(np.remainder(np.angle(want) - np.angle(x) + np.pi, 2 * np.pi) - np.pi)
@@ -420,7 +420,7 @@ class TestEstimateCellSer:
         for shape in [(1, 2), (2, 0), (0, 1), (0, 0)]:
             labels = rng.integers(0, c.size, 60)
             noise = rng.normal(0.0, math.sqrt(0.5), (60, 2)) @ [1, 1j]
-            y = sqrt_snr * c.points[c._label_to_index[labels]] + noise
+            y = sqrt_snr * c.points[labels] + noise
             y[:3] = 0.0
             known = modem_mod._known_value(labels, c.m, shape)
             decided = modem_mod._brute_force(c, y, sqrt_snr, shape, known)

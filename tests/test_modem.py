@@ -21,23 +21,28 @@ def brute_force_masked_dmin(c, prefix, suffix):
     best = math.inf
     for fixed in itertools.product((0, 1), repeat=prefix + suffix):
         pts = []
-        for idx in range(c.size):
-            bits = [int(b) for b in format(int(c.labels[idx]), f"0{c.m}b")]
+        for label in range(c.size):
+            bits = [int(b) for b in format(label, f"0{c.m}b")]
             if tuple(bits[:prefix]) != fixed[:prefix]:
                 continue
             if suffix and tuple(bits[c.m - suffix :]) != fixed[prefix:]:
                 continue
-            pts.append(complex(c.points[idx]))
+            pts.append(complex(c.points[label]))
         for a, b in itertools.combinations(pts, 2):
             best = min(best, abs(a - b))
     return best
+
+
+def angle_indices(c, points):
+    """Each PSK point's angle index k, for the point exp(2 pi i k / 2^m)."""
+    return np.rint(np.angle(points) / (2 * np.pi / c.size)).astype(np.int64) % c.size
 
 
 def enumerated_min_distance(c, prefix, suffix):
     """Oracle: pairwise distances within each known value's subconstellation, one value at a time."""
     best = math.inf
     for value in range(1 << (prefix + suffix)):
-        pts = c.points[np.isin(c.labels, compatible_labels(c, (prefix, suffix), value))]
+        pts = c.points[compatible_labels(c, (prefix, suffix), value)]
         diff = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(diff, np.inf)
         best = min(best, float(diff.min()))
@@ -48,8 +53,9 @@ class TestBuildPsk:
     def test_unit_energy_and_bijective_labels(self):
         for m in PSK_WIDTHS:
             c = cm.build_psk(m)
+            assert c.points.shape == (c.size,) and not c.points.flags.writeable
             assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
-            assert sorted(c.labels.tolist()) == list(range(c.size))
+            assert sorted(angle_indices(c, c.points).tolist()) == list(range(c.size))
 
     def test_bpsk_is_antipodal(self):
         c = cm.build_psk(1)
@@ -57,7 +63,7 @@ class TestBuildPsk:
 
     def test_label_100_sits_at_45_degrees(self):
         c = cm.build_psk(3)
-        point = c.points[c._label_to_index[0b100]]
+        point = c.points[0b100]
         assert cmath.phase(point) == pytest.approx(math.pi / 4)
 
     def test_prefix_selects_alternating_points(self):
@@ -77,8 +83,13 @@ class TestBuildQam:
     def test_unit_energy_and_bijective_labels(self):
         for m in QAM_WIDTHS:
             c = cm.build_qam(m)
+            assert c.points.shape == (c.size,) and not c.points.flags.writeable
             assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
-            assert sorted(c.labels.tolist()) == list(range(c.size))
+            # each point of the odd-integer grid of side 2^(m/2) once
+            side, odd = 1 << (m // 2), 2 * c.points / c.spacing
+            assert np.allclose(odd, np.round(odd.real) + 1j * np.round(odd.imag), atol=1e-9)
+            cells = sorted((round(z.real), round(z.imag)) for z in odd)
+            assert cells == list(itertools.product(range(1 - side, side, 2), repeat=2))
 
     def test_16qam_native_spacing(self):
         # +-1,+-3 grid has mean energy 10, so the normalized spacing is 2/sqrt(10)
@@ -149,8 +160,8 @@ class TestSubconstellation:
 
     def test_prefix_zero_selects_even_positions(self):
         c = cm.build_psk(3)
-        idx = np.flatnonzero(np.isin(c.labels, compatible_labels(c, (1, 0), 0)))
-        assert idx.tolist() == [0, 2, 4, 6]
+        idx = angle_indices(c, c.points[compatible_labels(c, (1, 0), 0)])
+        assert sorted(idx.tolist()) == [0, 2, 4, 6]
 
 
 class TestModulateDemodulate:
@@ -158,13 +169,13 @@ class TestModulateDemodulate:
 
     def test_bpsk_zero_label(self):
         c = cm.build_psk(1)
-        assert c.points[c._label_to_index[0]] == pytest.approx(1.0 + 0j)
+        assert c.points[0] == pytest.approx(1.0 + 0j)
 
     @pytest.mark.parametrize("build,m", [(cm.build_psk, 3), (cm.build_qam, 4)])
     def test_noiseless_roundtrip_all_labels(self, build, m):
         c = build(m)
         labels = np.arange(c.size)
-        y = c.points[c._label_to_index[labels]]
+        y = c.points[labels]
         assert cm.detect(c, y, 1.0, (0, 0), np.zeros(c.size, dtype=int)).tolist() == labels.tolist()
 
     def test_mask_overrides_nearest_point(self):
@@ -192,17 +203,16 @@ class TestModulateDemodulate:
     def test_matches_brute_force_ml(self, label, dx, dy, prefix, gamma):
         c = cm.build_psk(3)
         bits = format(label, "03b")
-        y = math.sqrt(gamma) * c.points[c._label_to_index[label]] + complex(dx, dy)
+        y = math.sqrt(gamma) * c.points[label] + complex(dx, dy)
         value = int(bits[:prefix], 2) if prefix else 0
         got = cm.detect(c, np.array([y]), math.sqrt(gamma), (prefix, 0), np.array([value]))
         # the detector's distance expression, scanned point by point
         dist = np.abs(y - math.sqrt(gamma) * c.points)
         best = None
-        for idx in range(8):
-            lab = int(c.labels[idx])
+        for lab in range(8):
             if format(lab, "03b")[:prefix] != bits[:prefix]:
                 continue
-            d = float(dist[idx])
+            d = float(dist[lab])
             if best is None or d < best[0] or (d == best[0] and lab < best[1]):
                 best = (d, lab)
         assert got.tolist() == [best[1]]
@@ -221,7 +231,7 @@ class TestModulateDemodulate:
                 sent.setdefault((p, s), []).append((label, int(known, 2) if known else 0))
             for shape, pairs in sent.items():
                 labels, known = np.array(pairs).T
-                y = c.points[c._label_to_index[labels]]
+                y = c.points[labels]
                 assert cm.detect(c, y, 1.0, shape, known).tolist() == labels.tolist()
 
 
@@ -247,7 +257,7 @@ class TestDetect:
         s = suffix % (c.m - p + 1)
         sqrt_snr = math.sqrt(gamma)
         labels = np.array([lab % c.size for lab, _, _, _ in symbols])
-        y = sqrt_snr * c.points[c._label_to_index[labels]]
+        y = sqrt_snr * c.points[labels]
         y += np.array([complex(dx, dy) for _, _, dx, dy in symbols])
         known = np.array([value % (1 << (p + s)) for _, value, _, _ in symbols])
         got = cm.detect(c, y, sqrt_snr, (p, s), known)
@@ -308,8 +318,8 @@ class TestDetect:
             if p + s > m:
                 continue
             for value in range(1 << (p + s)):
-                # by point index, which is by angle
-                points = c.points[np.isin(c.labels, compatible_labels(c, (p, s), value))]
+                points = c.points[compatible_labels(c, (p, s), value)]
+                points = points[np.argsort(angle_indices(c, points))]  # by angle
                 mid = 3 * (points + np.roll(points, -1)) / 2
                 y = np.concatenate([mid, -mid])
                 got = cm.detect(c, y, 1.0, (p, s), np.full(len(y), value))
@@ -323,7 +333,8 @@ class TestDetect:
         # edges, for every shape
         c = cm.build_qam(m)
         side = 1 << (m // 2)
-        grid = c.points.reshape(side, side)
+        # row a, column b: the point at (a, b) on the integer grid
+        grid = c.points[np.lexsort((c.points.imag, c.points.real))].reshape(side, side)
         between = [
             (grid[1:] + grid[:-1]) / 2,
             (grid[:, 1:] + grid[:, :-1]) / 2,
@@ -337,7 +348,7 @@ class TestDetect:
             for value in range(1 << (p + s)):
                 # oracle: one argmin over the label-sorted compatible points
                 labels = np.array(compatible_labels(c, (p, s), value))
-                points = c.points[c._label_to_index[labels]]
+                points = c.points[labels]
                 want = labels[np.argmin(np.abs(y[:, None] - points), axis=1)]
                 got = cm.detect(c, y, 1.0, (p, s), np.full(len(y), value))
                 assert np.array_equal(got, want)
