@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,6 +192,8 @@ class DemandVector:
             raise ConfigurationError("demand indices must lie in [1, N]")
 
     def file_for(self, user: int) -> int:
+        if not 1 <= user <= len(self.demands):
+            raise ConfigurationError(f"user {user} outside 1..{len(self.demands)}")
         return self.demands[user - 1]
 
 
@@ -298,69 +301,60 @@ def expected_subfile_lengths(library: Library, caches: CacheProfile) -> SubfileM
     return SubfileMap(lengths)
 
 
-@dataclass(frozen=True)
-class PlacementRealization:
-    """Concrete seeded cache contents: which user cached which library bit."""
+class PlacementRealization(NamedTuple):
+    """Concrete seeded cache contents: the caching subset of every library bit.
+
+    Per file i, `bit_values[i - 1]` is its (file_bits,) uint8 bit values and
+    `subset_codes[i - 1]` its (file_bits,) int64 subset codes: bit u - 1 of a
+    bit's code is set when user u cached that bit (`subset_code`), so the
+    subfile W_{i,S} is the bits whose code is subset_code(S).
+    """
 
     library: Library
     caches: CacheProfile
-    # per file: uint8 bit values of shape (file_bits,) and bool cache mask of
-    # shape (num_users, file_bits)
     bit_values: tuple
-    cached_by: tuple
+    subset_codes: tuple
 
     @property
     def num_users(self) -> int:
         return self.caches.num_users
 
-    @cached_property
-    def _subset_codes(self) -> tuple:
-        out = []
-        for mask in self.cached_by:
-            codes = np.zeros(mask.shape[1], dtype=np.int64)
-            for u in range(mask.shape[0]):
-                codes += mask[u].astype(np.int64) << u
-            out.append(codes)
-        return tuple(out)
-
-    def subset_codes(self, file_index: int) -> np.ndarray:
-        """Per-bit caching subset encoded as a bitmask over users."""
-        return self._subset_codes[_file_row(file_index, self.library.num_files)]
-
-    def subfile_positions(self, file_index: int, subset: frozenset) -> np.ndarray:
-        return np.nonzero(self.subset_codes(file_index) == subset_code(subset))[0]
+    @property
+    def cached_by(self) -> tuple:
+        """Per file, the (num_users, file_bits) bool mask of the users that cached each bit."""
+        users = np.arange(self.num_users)[:, None]
+        return tuple((codes >> users & 1).astype(bool) for codes in self.subset_codes)
 
 
 def sample_placement(library: Library, caches: CacheProfile, seed: int) -> PlacementRealization:
-    """Draw a random placement: user k caches each bit independently w.p. mu_k."""
+    """Draw a random placement: user k caches each bit independently w.p. mu_k.
+
+    `seed` must be an int in [0, 2**64), not None, a bool, a float or a string.
+    """
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be an integer in [0, 2**64), not {seed!r}")
     if library.total_bits > MAX_ENUMERATED_BITS:
         raise ConfigurationError(
             f"total_bits {library.total_bits} exceeds the enumeration guard "
             f"({MAX_ENUMERATED_BITS})"
         )
     rng = np.random.default_rng(seed)
-    values, masks = [], []
+    values, codes = [], []
     for nbits in library.file_bits:
         values.append(rng.integers(0, 2, size=nbits, dtype=np.uint8))
-        # row by row: the draws of random((K, nbits)) with one row of floats at a time
-        mask = np.empty((caches.num_users, nbits), dtype=bool)
-        for row, mu in zip(mask, caches.mus):
-            np.less(rng.random(nbits), mu, out=row)
-        masks.append(mask)
-    return PlacementRealization(
-        library=library,
-        caches=caches,
-        bit_values=tuple(values),
-        cached_by=tuple(masks),
-    )
+        # user by user: the draws of random((K, nbits)) with one row of floats at a time
+        code = np.zeros(nbits, dtype=np.int64)
+        for u, mu in enumerate(caches.mus):
+            code += (rng.random(nbits) < mu).astype(np.int64) << u
+        codes.append(code)
+    return PlacementRealization(library, caches, tuple(values), tuple(codes))
 
 
 def realized_subfile_map(placement: PlacementRealization) -> SubfileMap:
     """Exact subfile lengths of a placement realization."""
     check_subfile_map_size(placement.library.num_files, placement.num_users)
     width = 2**placement.num_users
-    files = range(1, placement.library.num_files + 1)
-    counts = [np.bincount(placement.subset_codes(i), minlength=width) for i in files]
+    counts = [np.bincount(codes, minlength=width) for codes in placement.subset_codes]
     return SubfileMap(np.stack(counts))
 
 

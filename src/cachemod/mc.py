@@ -267,8 +267,9 @@ def end_to_end_noiseless(
         # subfile payloads in canonical (ascending bit position) order
         positions, shares = {}, {}
         for u in sorted(subset):
-            positions[u] = placement.subfile_positions(files[u], subset - {u})
-            planned = plan.subfiles.lengths[files[u] - 1, code & ~(1 << (u - 1))]
+            rest = code & ~(1 << (u - 1))  # the code of subset - {u}
+            positions[u] = np.flatnonzero(placement.subset_codes[files[u] - 1] == rest)
+            planned = plan.subfiles.lengths[files[u] - 1, rest]
             if len(positions[u]) != planned:
                 raise ConfigurationError(
                     f"user {u}'s subfile for subset {sorted(subset)} has {len(positions[u])} "
@@ -290,7 +291,7 @@ def end_to_end_noiseless(
 
     passed, mismatch = {}, {}
     for u, d in files.items():
-        uncached = ~placement.cached_by[d - 1][u - 1]
+        uncached = (placement.subset_codes[d - 1] >> (u - 1) & 1) == 0
         wrong = np.flatnonzero(uncached & (recovered[u] != placement.bit_values[d - 1]))
         passed[u] = wrong.size == 0
         if wrong.size:

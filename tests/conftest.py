@@ -212,14 +212,11 @@ def two_user_pair_placement():
     caches = CacheProfile((1 / 3, 1 / 3))
     f1 = np.array([1, 0, 1, 0, 0, 1, 0, 1, 0], dtype=np.uint8)
     f2 = np.array([1, 1, 1, 0, 0, 1], dtype=np.uint8)
-    m1 = np.zeros((2, 9), dtype=bool)
-    m1[0, 3:6] = True
-    m1[1, 6:9] = True
-    m2 = np.zeros((2, 6), dtype=bool)
-    m2[0, 2:4] = True
-    m2[1, 4:6] = True
+    # subset codes: 0 cached by nobody, 0b01 by user 1, 0b10 by user 2
+    c1 = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
+    c2 = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
     return PlacementRealization(
-        library=lib, caches=caches, bit_values=(f1, f2), cached_by=(m1, m2)
+        library=lib, caches=caches, bit_values=(f1, f2), subset_codes=(c1, c2)
     )
 
 

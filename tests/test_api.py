@@ -53,7 +53,9 @@ REMOVED = {
     # more; a report tag and fields nothing read (the load is the plan's;
     # S_k is ser x useful_symbols, and a user without useful symbols has 0 of them)
     "cachemod.caching.DeliveryPlan": ["histograms", "per_subset", "block_runs"],
-    "cachemod.caching.PlacementRealization": ["seed"],
+    # the (K, bits) masks' cached subset codes and the per-subset lookup over
+    # them: the codes are the placement's one field, `subset_codes`
+    "cachemod.caching.PlacementRealization": ["seed", "_subset_codes", "subfile_positions"],
     # the index -> label array and its cached inverse: `points` is indexed by label
     "cachemod.modem.Constellation": ["labels", "_label_to_index"],
     "cachemod.analysis.SerReport": ["kind", "load", "error_symbols", "undefined_users"],
@@ -139,6 +141,22 @@ def test_constellation_is_a_named_tuple_of_its_label_to_point_map():
         c.points = None
 
 
+def test_placement_is_a_named_tuple_of_subset_codes(two_user_pair_placement):
+    placement = two_user_pair_placement
+    assert issubclass(cm.PlacementRealization, tuple)
+    assert not dataclasses.is_dataclass(cm.PlacementRealization)
+    assert cm.PlacementRealization._fields == ("library", "caches", "bit_values", "subset_codes")
+    assert [codes.tolist() for codes in placement.subset_codes] == [
+        [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 0, 1, 1, 2, 2],
+    ]
+    # the masks are derived from the codes: row u - 1 is bit u - 1
+    first = placement.cached_by[0]
+    assert first.dtype == bool and first.shape == (2, 9)
+    assert first.astype(int).tolist() == [[0, 0, 0, 1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 1, 1]]
+    with pytest.raises(AttributeError):
+        placement.cached_by = None
+
+
 def test_end_to_end_result_all_passed():
     assert not cm.EndToEndResult({1: True, 2: False}, {2: (1, 7)}).all_passed
     assert cm.EndToEndResult({1: True, 2: True}, {}).all_passed
@@ -148,18 +166,15 @@ def test_end_to_end_result_all_passed():
 # so each of the package's classes is a dataclass only for a reason:
 # - ScenarioConfig: the CLI, the benchmark and the tests derive configs with
 #   `dataclasses.replace`;
-# - PlacementRealization: its `cached_property` needs an instance `__dict__`,
-#   which a tuple does not have;
 # - Library, CacheProfile, DemandVector, SubfileMap: values checked in
 #   `__post_init__` (Library also has a `cached_property`);
 # - DeliveryPlan: keeps its arrays out of the repr with `field(repr=False)`
 #   and compares by identity (`eq=False`).
 # A new dataclass lands here and in `setup_s`; a pure result carrier, or a
-# value like `Constellation` that needs neither checks nor a cache, should be
-# a NamedTuple instead.
+# value like `Constellation` or `PlacementRealization` that needs neither
+# checks nor a cache, should be a NamedTuple instead.
 DATACLASSES = {
-    "ScenarioConfig", "PlacementRealization",
-    "Library", "CacheProfile", "DemandVector", "SubfileMap", "DeliveryPlan",
+    "ScenarioConfig", "Library", "CacheProfile", "DemandVector", "SubfileMap", "DeliveryPlan",
 }
 
 

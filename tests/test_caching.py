@@ -128,6 +128,14 @@ class TestDemandVector:
         with pytest.raises(cm.ConfigurationError, match="integer file indices"):
             cm.DemandVector(demands)
 
+    @pytest.mark.parametrize("user", [0, -1, 4])
+    def test_file_for_user_outside_range_rejected(self, user):
+        # user 0 used to read the last user's file through a negative index
+        demands = cm.DemandVector((3, 1, 2))
+        assert [demands.file_for(u) for u in (1, 2, 3)] == [3, 1, 2]
+        with pytest.raises(cm.ConfigurationError, match=f"user {user} outside 1..3"):
+            demands.file_for(user)
+
 
 class TestSubfileMapSize:
     """N * 2**K map entries are bounded before a map is allocated."""
@@ -221,10 +229,15 @@ class TestSamplePlacement:
         caches = cm.CacheProfile(tuple(np.linspace(0.05, 0.95, k)))
         placement = cm.sample_placement(cm.Library((0.5, 0.5), 2 * nbits), caches, seed=k)
         rng = np.random.default_rng(k)
-        for values, mask in zip(placement.bit_values, placement.cached_by, strict=True):
+        for values, codes, mask in zip(
+            placement.bit_values, placement.subset_codes, placement.cached_by, strict=True
+        ):
             assert np.array_equal(values, rng.integers(0, 2, size=nbits, dtype=np.uint8))
             want = rng.random(size=(k, nbits)) < np.array(caches.mus)[:, None]
             assert mask.dtype == bool and np.array_equal(mask, want)
+            # one int64 code per bit, bit u - 1 set when user u cached it
+            assert codes.dtype == np.int64 and codes.shape == (nbits,)
+            assert np.array_equal(codes, (want << np.arange(k)[:, None]).sum(axis=0))
 
     def test_float_draws_take_one_row(self):
         # 20 users, 2e5 bits: a (K, nbits) float array would take 32 MB
@@ -235,14 +248,26 @@ class TestSamplePlacement:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # bool masks 4 MB, bit values 0.2 MB, one row of floats 1.6 MB
-        assert peak < 8 * 2**20
+        # int64 subset codes 1.6 MB, bit values 0.2 MB, one row of floats 1.6 MB
+        assert peak < 5 * 2**20
 
     def test_full_cache_user(self):
         lib = cm.Library((0.6, 0.4), 200)
         pl = cm.sample_placement(lib, cm.CacheProfile((0.2, 1.0)), seed=1)
         for mask in pl.cached_by:
             assert mask[1].all()
+
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "1", np.int64(1), -1, 2**64])
+    def test_seed_must_be_a_64_bit_int(self, seed):
+        # None would draw fresh OS entropy, so the placement would not repeat
+        lib = cm.Library((0.6, 0.4), 20)
+        with pytest.raises(cm.ConfigurationError, match="seed must be an integer in"):
+            cm.sample_placement(lib, cm.CacheProfile((0.5,)), seed=seed)
+
+    def test_seed_bounds_accepted(self):
+        lib, caches = cm.Library((0.6, 0.4), 20), cm.CacheProfile((0.5,))
+        for seed in (0, 2**64 - 1):
+            assert cm.sample_placement(lib, caches, seed=seed).subset_codes[0].size == 12
 
     def test_enumeration_guard(self):
         lib = cm.Library((1.0,), 10**7 + 1)
@@ -263,11 +288,11 @@ class TestSamplePlacement:
 class TestRealizedSubfileMap:
     @pytest.mark.parametrize("index", [0, -1, 3])
     def test_file_index_outside_library_rejected(self, two_user_pair_placement, index):
-        placement = two_user_pair_placement
+        rm = cm.realized_subfile_map(two_user_pair_placement)
         with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
-            placement.subset_codes(index)
+            rm.length(index, frozenset({1}))
         with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
-            placement.subfile_positions(index, frozenset({1}))
+            rm.file_total(index)
 
     def test_pair_fixture_lengths(self, two_user_pair_placement):
         rm = cm.realized_subfile_map(two_user_pair_placement)

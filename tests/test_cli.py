@@ -613,14 +613,23 @@ class TestMain:
             ),
             ({"total_bits": 2**56}, 2, f"total_bits {2**56} has no exact split"),
             # the files split exactly, the expected subfile lengths do not
-            ({"total_bits": 3 * 2**55}, 0, "expected subfile lengths do not round"),
+            ({"total_bits": 3 * 2**55}, 2, "expected subfile lengths do not round"),
+            (
+                {"users": [{"mu": 0.0}, {"mu": 0.0}, {"mu": 0.75}], "files": [0.4, 0.25, 0.35],
+                 "total_bits": 75429542837424368},
+                2,
+                "expected subfile lengths do not round to a 30171817134969748-bit file",
+            ),
         ],
     )
     def test_inexact_apportionment_rejected(self, tmp_path, capsys, overrides, validate_rc, message):
+        # `validate` rounds the expected map as `run` does, so both reject with one message
         path = self.write(tmp_path, config(**overrides))
         assert main(["validate", "--config", path]) == validate_rc
+        validate_err = capsys.readouterr().err
         assert main(["run", "--config", path]) == 2
-        assert message in capsys.readouterr().err
+        run_err = capsys.readouterr().err
+        assert message in run_err and validate_err == run_err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("total_bits", [MAX_TOTAL_BITS + 1, 10**20])

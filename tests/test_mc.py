@@ -679,16 +679,20 @@ class TestEndToEnd:
 
         monkeypatch.setattr(mc_mod, "decode_block", decode_and_flip)
         result = cm.end_to_end_noiseless(pl, plan, demands, cm.build_psk(plan.label_len))
+        def member_positions(u, subset):
+            codes = pl.subset_codes[demands.file_for(u) - 1]
+            return np.flatnonzero(codes == subset_code(subset - {u}))
+
         # the first non-empty subfile decoded, subsets in code order and
         # members ascending; its first bit is the subfile's first position
         user, subset = next(
             (u, subset)
             for subset in sorted(message_subsets(plan), key=subset_code)
             for u in sorted(subset)
-            if pl.subfile_positions(demands.file_for(u), subset - {u}).size
+            if member_positions(u, subset).size
         )
         file = demands.file_for(user)
-        positions = pl.subfile_positions(file, subset - {user})
+        positions = member_positions(user, subset)
         assert flipped == [positions.size]
         assert result.first_mismatch == {user: (file, int(positions[0]))}
         assert [u for u, ok in result.passed.items() if not ok] == [user]
