@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +36,16 @@ from .caching import (
     DeliveryPlan,
     DemandVector,
     PlacementRealization,
+    _floats,
     decode_block,
     encode_block,
     known_shape,
     piece_spans,
 )
 from .errors import ConfigurationError
-from .modem import PSK, _RHO_MAX, _RHO_MIN, Constellation, _known_value, detect, min_distance
+from .modem import (
+    PSK, _RHO_MAX, _RHO_MIN, Constellation, _counts, _known_value, detect, min_distance,
+)
 
 
 def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
@@ -61,6 +65,7 @@ def _cell_seed(master_seed: int, cell_id: str) -> np.random.SeedSequence:
 # and retake the GIL, so with cells on two threads fewer chunks mean fewer
 # waits for the other thread.
 _TRIALS_PER_CHUNK = 1 << 14
+_scratch = threading.local()  # each thread's noise buffer, kept from cell to cell
 
 # The screen.  The sent point x is at least d = `min_distance` from every other
 # candidate, so noise w = sqrt(1/2) n with |w| < sqrt(gamma) d / 2 leaves each
@@ -112,15 +117,15 @@ def estimate_cell_ser(
     in error, and std_error, its binomial standard error
     sqrt(ser (1 - ser) / trials).  The trials come from `master_seed`'s
     substream named `cell_id`; `trials` must be an int >= 1 and `master_seed`
-    an int in [0, 2**64), not a bool, float or string.
+    an int in [0, 2**64), not a bool, float or string.  `shape`'s counts must be
+    ints, Python or numpy, and `gamma` a real number other than a bool.
     """
     if type(trials) is not int or trials < 1:
         raise ConfigurationError("trials must be an integer >= 1")
     if type(master_seed) is not int or not 0 <= master_seed < 2**64:
         raise ConfigurationError("master_seed must be an integer in [0, 2**64)")
-    p, s = shape
-    if p < 0 or s < 0 or p + s > c.m:
-        raise ConfigurationError("invalid mask shape")
+    shape = p, s = _counts(c, shape)
+    (gamma,) = _floats((gamma,), "SNRs")
     if not 0 < gamma < math.inf:
         raise ConfigurationError("gamma must be positive and finite")
     seed = _cell_seed(master_seed, cell_id)
@@ -135,9 +140,11 @@ def estimate_cell_ser(
 
     errors = 0
     chunks = -(-trials // _TRIALS_PER_CHUNK)
-    # one buffer for every chunk's noise: a fresh array per chunk went back to
-    # the OS and was faulted in again, some 10,000 page faults per paper sweep
-    pairs = np.empty((-(-trials // chunks), 2))
+    # one noise buffer per thread, grown only for a longer chunk; a fresh one per
+    # chunk or cell was faulted in again (some 10,000 or 2,300 faults per sweep)
+    if len(getattr(_scratch, "pairs", ())) < -(-trials // chunks):
+        _scratch.pairs = np.empty((-(-trials // chunks), 2))
+    pairs = _scratch.pairs
     for i in range(chunks):
         n = trials // chunks + (i < trials % chunks)
         labels = label_rng.integers(0, 1 << c.m, size=n, dtype=np.int64)

@@ -15,12 +15,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .caching import _floats
 from .errors import ConfigurationError
 
 PSK = "psk"
 QAM = "qam"
 
-_CHUNK = 1 << 16  # entries of the symbols x candidates distance matrix per step
+# Entries of the symbols x candidates distance matrix per brute-force step:
+# 256 KiB of complex differences.  Larger steps were faulted in again at every
+# step (some 5,000 page faults per K = 12 256-QAM run at 2^16), and smaller
+# ones gain nothing.
+_CHUNK = 1 << 14
 
 
 class Constellation(NamedTuple):
@@ -36,13 +41,29 @@ class Constellation(NamedTuple):
         return 1 << self.m
 
 
-@lru_cache(maxsize=None)
+def _integer(v) -> bool:
+    """Whether `v` is an int, Python or numpy; bools and floats are not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _bits(m) -> int:
+    """Bits per symbol `m` as a Python int, checked before any cache sees it."""
+    if not _integer(m):
+        raise ConfigurationError(f"bits per symbol must be an integer, not {m!r}")
+    return int(m)
+
+
 def build_psk(m: int) -> Constellation:
     """2^m-PSK on the unit circle; label l sits at angle index bit-reverse(l).
 
     Fixing the first n label bits then keeps every 2^n-th point, which is
     exactly the set-partitioning chain for PSK.
     """
+    return _build_psk(_bits(m))
+
+
+@lru_cache(maxsize=None)
+def _build_psk(m: int) -> Constellation:
     if not 1 <= m <= 8:
         raise ConfigurationError("PSK supports 1 <= m <= 8")
     n = 1 << m
@@ -64,9 +85,13 @@ def _qam_label(a: int, b: int, m: int) -> int:
     return label
 
 
-@lru_cache(maxsize=None)
 def build_qam(m: int) -> Constellation:
     """Square 2^m-QAM carved from the odd-integer grid, unit average energy."""
+    return _build_qam(_bits(m))
+
+
+@lru_cache(maxsize=None)
+def _build_qam(m: int) -> Constellation:
     if m % 2 != 0:
         raise ConfigurationError("QAM requires even m (square constellations only)")
     if not 2 <= m <= 8:
@@ -95,12 +120,23 @@ def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> 
     Reported as the minimum over every assignment of the known bits; for
     set-partitioning labels and prefix masks all assignments agree.
     """
-    p, s = prefix_known, suffix_known
-    if p < 0 or s < 0 or p + s > c.m:
-        raise ConfigurationError("invalid mask counts")
+    p, s = _counts(c, (prefix_known, suffix_known))
     if p + s > c.m - 1:
         raise ConfigurationError("subconstellation has fewer than 2 points")
     return _min_distance(c.family, c.m, p, s)
+
+
+def _counts(c: Constellation, shape: tuple) -> tuple:
+    """Known-bit `shape` = (prefix, suffix) as Python ints; bools and floats are rejected."""
+    try:
+        p, s = shape
+    except (TypeError, ValueError):
+        p = s = None
+    if not (_integer(p) and _integer(s)):
+        raise ConfigurationError(f"mask counts must be two integers, not {shape!r}")
+    if p < 0 or s < 0 or p + s > c.m:
+        raise ConfigurationError(f"invalid mask shape {shape!r} for m = {c.m}")
+    return int(p), int(s)
 
 
 @lru_cache(maxsize=None)
@@ -135,9 +171,8 @@ def detect(
     included, are decided by brute force over the compatible points, so the
     result is the brute-force decision for every symbol.
     """
-    p, s = shape
-    if p < 0 or s < 0 or p + s > c.m:
-        raise ConfigurationError("invalid mask shape")
+    shape = p, s = _counts(c, shape)
+    (sqrt_snr,) = _floats((sqrt_snr,), "sqrt_snr")
     if not 0 < sqrt_snr < math.inf:
         raise ConfigurationError("sqrt_snr must be positive and finite")
     y, known = np.asarray(y), np.asarray(known)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,24 @@ class TestCampaignConfig:
         # a masked seed aliased -1 to 2**64 - 1 and 2**64 + 5 to 5
         with pytest.raises(cm.ConfigurationError, match="master_seed"):
             cm.estimate_cell_ser(cm.build_psk(2), (0, 0), 1.0, 10, seed, "budget")
+
+    @pytest.mark.parametrize("shape", [(1.0, 0), (1.5, 0), (0, 2.0), (True, 0), (0, False), ("1", 0)])
+    def test_shape_counts_must_be_ints(self, shape):
+        with pytest.raises(cm.ConfigurationError, match="mask counts"):
+            cm.estimate_cell_ser(cm.build_psk(3), shape, 1.0, 10, 0, "budget")
+
+    @pytest.mark.parametrize("gamma", ["1", True, None, 1j])
+    def test_gamma_must_be_a_real_number(self, gamma):
+        # read as `ser_report` reads its SNRs: a bool is not a real number here
+        with pytest.raises(cm.ConfigurationError, match="SNRs"):
+            cm.estimate_cell_ser(cm.build_psk(3), (0, 0), gamma, 10, 0, "budget")
+
+    def test_numpy_shape_and_gamma_read_as_python_values(self):
+        c = cm.build_psk(3)
+        want = cm.estimate_cell_ser(c, (1, 0), 2.0, 1000, 5, "numpy")
+        shape = (np.int64(1), np.int32(0))
+        assert cm.estimate_cell_ser(c, shape, np.float64(2.0), 1000, 5, "numpy") == want
+        assert cm.estimate_cell_ser(c, (1, 0), 2, 1000, 5, "numpy") == want
 
     def test_seed_range_ends_accepted(self):
         c = cm.build_psk(2)
@@ -381,8 +400,9 @@ class TestEstimateCellSer:
         # the sweep runs one cell per usable CPU at once, so this peak counts
         # once per thread: 7.2 MiB with 16,384-trial chunks and 2^18-entry
         # distance steps, 2.8 MiB with 8,192-trial chunks (8,192 + 1,808
-        # here) and 2^16, and 2.7 MiB as one 10,000-trial chunk that keeps
-        # only the rows past the screen for `detect`
+        # here) and 2^16, 2.7 MiB as one 10,000-trial chunk that keeps only
+        # the rows past the screen for `detect`, and 1.2 MiB with 2^14-entry
+        # steps, whose complex differences take 256 KiB
         c = cm.build_qam(8)
         tracemalloc.start()
         try:
@@ -390,14 +410,80 @@ class TestEstimateCellSer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 1.5 * 2**20
+
+    def test_repeated_cell_reuses_the_thread_buffer(self):
+        # a cell that almost never reaches `detect` holds little but its noise
+        # buffer: 561 KiB when each cell allocates its own, 338 KiB when the
+        # thread's buffer from the warm-up cell is reused
+        c = cm.build_psk(3)
+        cm.estimate_cell_ser(c, (0, 0), 100.0, 100_000, 2, "warm")
+        tracemalloc.start()
+        try:
+            cm.estimate_cell_ser(c, (0, 0), 100.0, 100_000, 2, "memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 450 * 2**10
+
+    def test_kept_buffer_does_not_change_estimates(self):
+        # a short cell draws into the front of the longer cell's buffer on this
+        # thread, stale noise behind it, and must estimate as on a fresh thread
+        c = cm.build_qam(8)
+        cm.estimate_cell_ser(c, (0, 1), 10.0, 100_000, 3, "long")
+        assert len(mc_mod._scratch.pairs) >= 14_286  # more than the short cell's 10,000
+        after = cm.estimate_cell_ser(c, (0, 1), 10.0, 10_000, 3, "short")
+        fresh = []
+        thread = threading.Thread(
+            target=lambda: fresh.append(cm.estimate_cell_ser(c, (0, 1), 10.0, 10_000, 3, "short"))
+        )
+        thread.start()
+        thread.join()
+        assert after == fresh[0]
+        assert 0 < after[0] < 1
+
+    def test_brute_force_memory(self):
+        # one call over 20,000 rows of 256-QAM (0, 1), 128 candidates each:
+        # 2.16 MiB with 2^16-entry steps, 0.66 MiB with 2^14
+        c, sqrt_snr, shape = cm.build_qam(8), 3.0, (0, 1)
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, c.size, 20_000)
+        y = sqrt_snr * c.points[labels] + rng.normal(0.0, math.sqrt(0.5), (20_000, 2)) @ [1, 1j]
+        known = modem_mod._known_value(labels, c.m, shape)
+        modem_mod._brute_force(c, y[:10], sqrt_snr, shape, known[:10])  # builds the tables
+        tracemalloc.start()
+        try:
+            modem_mod._brute_force(c, y, sqrt_snr, shape, known)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("shape", [(0, 7), (0, 0)])
+    def test_brute_force_step_boundaries(self, shape):
+        # at the real `_CHUNK`, 2 candidates (8,192 rows a step) and 256 (64
+        # rows a step): one row short of a step, exactly one step, one row over
+        c, sqrt_snr = cm.build_qam(8), 2.0
+        count = _candidates(c.family, c.m, *shape)[0].shape[1]
+        step = modem_mod._CHUNK // count
+        assert (count, step) in [(2, 8192), (256, 64)]
+        rng = np.random.default_rng(9)
+        labels = rng.integers(0, c.size, step + 1)
+        y = sqrt_snr * c.points[labels] + rng.normal(0.0, math.sqrt(0.5), (step + 1, 2)) @ [1, 1j]
+        y[0] = 0.0  # an exact tie
+        known = modem_mod._known_value(labels, c.m, shape)
+        want = [demodulate(c, yi, sqrt_snr, shape, int(v)) for yi, v in zip(y, known)]
+        for rows in (step - 1, step, step + 1):
+            decided = modem_mod._brute_force(c, y[:rows], sqrt_snr, shape, known[:rows])
+            assert decided.tolist() == want[:rows], rows
 
     def test_wedge_cell_memory_per_thread(self):
         # the cell with the most rows past the screen in the paper sweep, 86 %
         # of them, sets its peak: 0.57 MiB with 8,192-trial chunks, 0.61 MiB
         # with 14,286-trial chunks that keep only those rows through the
-        # count, and 1.0 MiB when the chunk's labels, row indices and a
-        # separate copy of the kept noise live through `_errors`
+        # count (0.39 MiB with 2^14-entry distance steps), and 1.0 MiB when
+        # the chunk's labels, row indices and a separate copy of the kept
+        # noise live through `_errors`
         c, trials, seed = cm.build_psk(3), 100_000, 2
         cm.estimate_cell_ser(c, (0, 0), 1.0, 1000, 2, "warm")
         tracemalloc.start()
@@ -568,7 +654,7 @@ class TestEndToEnd:
 
     def test_psk256_brute_force_takes_several_steps(self, monkeypatch):
         # every PSK symbol is decided by brute force, and at 256 candidates a
-        # `_CHUNK` step holds 256 symbols; the full-constellation runs of this
+        # `_CHUNK` step holds 64 symbols; the full-constellation runs of this
         # library are longer, so a call walks several steps
         pl, rm, demands = self.three_users(50_000, seed=5)
         c, brute_force, steps = cm.build_psk(8), modem_mod._brute_force, []

@@ -1,6 +1,9 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +81,33 @@ class TestBuildPsk:
         with pytest.raises(cm.ConfigurationError):
             cm.build_psk(9)
 
+    @pytest.mark.parametrize("build", [cm.build_psk, cm.build_qam])
+    @pytest.mark.parametrize("m", [4.0, 3.0, True, "4", None, np.float64(4)])
+    def test_width_must_be_an_int(self, build, m):
+        # rejected even when the equal int width is built and cached
+        build(4)
+        with pytest.raises(cm.ConfigurationError, match="bits per symbol"):
+            build(m)
+
+    def test_numpy_width_is_stored_as_a_python_int(self):
+        # in a fresh process, so the numpy width is the first to build 16-QAM
+        code = (
+            "import numpy as np, cachemod as cm\n"
+            "c = cm.build_qam(np.int64(4))\n"
+            "assert type(c.m) is int and c is cm.build_qam(4), type(c.m)\n"
+            "assert type(cm.build_psk(np.uint8(3)).m) is int\n"
+        )
+        src = os.path.dirname(os.path.dirname(cm.__file__))  # the package under test first
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+
 
 class TestBuildQam:
     def test_unit_energy_and_bijective_labels(self):
@@ -147,6 +177,18 @@ class TestDistanceLaw:
         c = cm.build_psk(3)
         with pytest.raises(cm.ConfigurationError):
             cm.min_distance(c, 3)
+
+    @pytest.mark.parametrize("counts", [(1.0, 0), (1, 0.0), (True, 0), (0, False), ("1", 0)])
+    def test_counts_must_be_ints(self, counts):
+        # rejected even when the equal int counts' distance is cached
+        c = cm.build_psk(3)
+        cm.min_distance(c, 1, 0)
+        with pytest.raises(cm.ConfigurationError, match="mask counts"):
+            cm.min_distance(c, *counts)
+
+    def test_numpy_counts_accepted(self):
+        c = cm.build_qam(4)
+        assert cm.min_distance(c, np.int64(1), np.int8(1)) == cm.min_distance(c, 1, 1)
 
 
 class TestSubconstellation:
@@ -275,6 +317,12 @@ class TestDetect:
             ((1, 0), 1.0, np.array([0, -1])),
             ((1, 0), 1.0, np.array([0, 0.5])),  # not truncated to 0
             ((1, 0), 1.0, np.array([0])),  # one known value for two symbols
+            ((1.5, 0), 1.0, known),  # counts are ints, not floats or bools
+            ((1.0, 0), 1.0, known),
+            ((True, 0), 1.0, known),
+            ((1,), 1.0, known),
+            ((1, 0), "1", known),  # sqrt_snr is a real number, not a string or bool
+            ((1, 0), True, known),
         ]:
             with pytest.raises(cm.ConfigurationError):
                 cm.detect(c, y, sqrt_snr, shape, values)
