@@ -17,8 +17,8 @@ import os
 import threading
 from typing import NamedTuple
 
-from .caching import DeliveryPlan, _floats
-from .errors import ConfigurationError
+from .caching import DeliveryPlan
+from .errors import ConfigurationError, positive
 from .modem import PSK, QAM, Constellation, min_distance
 
 
@@ -44,8 +44,7 @@ def symbol_error_bound(family: str, gamma: float, dmin: float) -> float:
     """
     if family not in (PSK, QAM):
         raise ConfigurationError(f"unknown constellation family {family!r}")
-    if not 0 < gamma < math.inf or not dmin > 0:  # `not >` also rejects NaN
-        raise ConfigurationError("gamma must be positive and finite and dmin positive")
+    gamma, dmin = positive((gamma, dmin), "gamma and dmin")
     neighbors = 2.0 if family == PSK else 4.0
     return min(1.0, neighbors * q_function(math.sqrt(gamma / 2.0) * dmin))
 
@@ -127,16 +126,13 @@ def bound_table(c: Constellation) -> CellTable:
 def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
     """Per-user rates from the plan's known-bit counts, one SNR per user and one cell table.
 
-    `gammas` holds the K linear SNRs gamma_1..gamma_K: real, positive and
-    finite (numpy scalars are read as floats; bools and strings are rejected).
+    `gammas` holds the K linear SNRs gamma_1..gamma_K, read by `errors.positive`.
     S_k = sum over user k's shapes of count x cell ser, T_k = S_k / L_k;
     cell standard errors add in quadrature, so the standard error of T_k is
     sqrt(sum of (count x std_error)^2) / L_k.  Both sums are exactly rounded
     (`math.fsum`), so they do not depend on the order of the shapes.
     """
-    gammas = _floats(gammas, "SNRs")
-    if not all(0 < g < math.inf for g in gammas):
-        raise ConfigurationError("SNRs must be positive and finite")
+    gammas = positive(gammas, "SNRs")
     if plan.label_len != cells.c.m:
         raise ConfigurationError("plan and constellation disagree on bits per symbol")
     if len(gammas) != plan.num_users:
@@ -148,7 +144,8 @@ def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
         terms = [(count, *cells(shape, gamma)) for shape, count in plan.shape_counts(u).items()]
         errors = math.fsum(count * cell_ser for count, cell_ser, _ in terms)
         var = math.fsum((count * std_error) ** 2 for count, _, std_error in terms)
-        ser[u] = errors / useful[u] if useful[u] > 0 else 0.0
+        # a mean of values in [0, 1], clamped: past 2**53 symbols rounding can pass 1
+        ser[u] = min(1.0, errors / useful[u]) if useful[u] > 0 else 0.0
         stderr[u] = math.sqrt(var) / useful[u] if useful[u] > 0 else 0.0
     return SerReport(
         useful_symbols=useful,

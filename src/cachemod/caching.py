@@ -18,14 +18,14 @@ placement or from the expected lengths, each file rounded to its bit count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from . import errors
+from .errors import ConfigurationError, integer, reals, whole
 
 PROPOSED = "proposed"
 ZERO_PADDING = "zero_padding"
@@ -101,14 +101,6 @@ def largest_remainder(targets, total: int, tie_key=None) -> np.ndarray:
     return shares
 
 
-def _floats(values, what: str) -> tuple:
-    """`values` as a tuple of floats; bools and non-real entries are rejected, not coerced."""
-    values = tuple(values)
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
-        raise ConfigurationError(f"{what} must be real numbers, not {values!r}")
-    return tuple(float(v) for v in values)
-
-
 @dataclass(frozen=True)
 class Library:
     """File-size fractions plus the total library size in bits."""
@@ -117,15 +109,13 @@ class Library:
     total_bits: int
 
     def __post_init__(self):
-        fractions = _floats(self.file_fractions, "file fractions")
+        fractions = reals(self.file_fractions, "file fractions")
         object.__setattr__(self, "file_fractions", fractions)
         if not fractions or any(f <= 0 for f in fractions):
             raise ConfigurationError("file fractions must be positive")
         if abs(sum(fractions) - 1.0) > 1e-12:
             raise ConfigurationError(f"file fractions sum to {sum(fractions):g}")
-        # exact ints only: bools, floats and strings are rejected, not coerced
-        if type(self.total_bits) is not int or self.total_bits < 1:
-            raise ConfigurationError(f"total_bits must be an integer >= 1, not {self.total_bits!r}")
+        object.__setattr__(self, "total_bits", integer(self.total_bits, "total_bits", 1))
         if self.total_bits > MAX_TOTAL_BITS:
             raise ConfigurationError(
                 f"total_bits {self.total_bits} exceeds the limit of 2**62 ({MAX_TOTAL_BITS})"
@@ -155,7 +145,7 @@ class CacheProfile:
     mus: tuple
 
     def __post_init__(self):
-        mus = _floats(self.mus, "cache fractions")
+        mus = reals(self.mus, "cache fractions")
         object.__setattr__(self, "mus", mus)
         if not mus:
             raise ConfigurationError("at least one user required")
@@ -178,10 +168,8 @@ class DemandVector:
     demands: tuple
 
     def __post_init__(self):
-        demands = tuple(self.demands)
+        demands = tuple(integer(d, "demands (integer file indices)") for d in self.demands)
         object.__setattr__(self, "demands", demands)
-        if any(type(d) is not int for d in demands):
-            raise ConfigurationError(f"demands must be integer file indices, not {demands!r}")
         if len(set(demands)) != len(demands):
             raise ConfigurationError("duplicate demands are not supported")
 
@@ -192,9 +180,7 @@ class DemandVector:
             raise ConfigurationError("demand indices must lie in [1, N]")
 
     def file_for(self, user: int) -> int:
-        if not 1 <= user <= len(self.demands):
-            raise ConfigurationError(f"user {user} outside 1..{len(self.demands)}")
-        return self.demands[user - 1]
+        return self.demands[integer(user, "user", 1, len(self.demands)) - 1]
 
 
 def subset_code(subset) -> int:
@@ -215,13 +201,6 @@ def _canonical_key(codes, num_users: int):
         size = size + bit
         reversed_code = reversed_code | bit << (num_users - 1 - u)
     return size << num_users | reversed_code ^ ((1 << num_users) - 1)
-
-
-def _file_row(file_index: int, num_files: int) -> int:
-    """The 0-based row of a 1-based file index, which must lie in 1..N."""
-    if not 1 <= file_index <= num_files:
-        raise ConfigurationError(f"file index {file_index} outside 1..{num_files}")
-    return file_index - 1
 
 
 @dataclass(frozen=True)
@@ -259,11 +238,14 @@ class SubfileMap:
     def num_users(self) -> int:
         return self.lengths.shape[1].bit_length() - 1
 
+    def _row(self, file_index: int) -> np.ndarray:
+        return self.lengths[integer(file_index, "file index", 1, self.num_files) - 1]
+
     def length(self, file_index: int, subset: frozenset):
-        return self.lengths[_file_row(file_index, self.num_files), subset_code(subset)].item()
+        return self._row(file_index)[subset_code(subset)].item()
 
     def file_total(self, file_index: int):
-        return self.lengths[_file_row(file_index, self.num_files)].sum().item()
+        return self._row(file_index).sum().item()
 
 
 def check_subfile_map_size(num_files: int, num_users: int):
@@ -327,12 +309,8 @@ class PlacementRealization(NamedTuple):
 
 
 def sample_placement(library: Library, caches: CacheProfile, seed: int) -> PlacementRealization:
-    """Draw a random placement: user k caches each bit independently w.p. mu_k.
-
-    `seed` must be an int in [0, 2**64), not None, a bool, a float or a string.
-    """
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ConfigurationError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    """Draw a random placement: user k caches each bit independently w.p. mu_k."""
+    seed = errors.seed(seed, "seed")
     if library.total_bits > MAX_ENUMERATED_BITS:
         raise ConfigurationError(
             f"total_bits {library.total_bits} exceeds the enumeration guard "
@@ -361,6 +339,12 @@ def realized_subfile_map(placement: PlacementRealization) -> SubfileMap:
 # ---------------------------------------------------------------------------
 # Delivery plans
 # ---------------------------------------------------------------------------
+
+
+def check_scheme(scheme: str):
+    """Raise ConfigurationError unless `scheme` is one of `SCHEMES`."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
 def piece_runs(scheme: str, subfile_len, n_blocks, label_len: int) -> tuple:
@@ -414,9 +398,7 @@ class DeliveryPlan:
     ell: np.ndarray = field(repr=False)  # message bits per subset code
 
     def _counts(self, user: int) -> list:
-        if not 1 <= user <= self.num_users:
-            raise ConfigurationError(f"user {user} outside 1..{self.num_users}")
-        return self.known_counts[user - 1].tolist()
+        return self.known_counts[integer(user, "user", 1, self.num_users) - 1].tolist()
 
     def useful_symbols(self, user: int) -> int:
         return sum(self._counts(user))
@@ -448,10 +430,8 @@ def build_delivery_plan(
     visits them one by one; beyond, `_plan_arrays` handles them as arrays of
     codes.
     """
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if label_len < 1:
-        raise ConfigurationError("bits per symbol must be >= 1")
+    check_scheme(scheme)
+    label_len = integer(label_len, "bits per symbol", 1)
     demands.validate(subfiles.num_files, subfiles.num_users)
 
     plan_subsets = _plan_loop if subfiles.lengths.shape[1] <= _LOOP_MAX else _plan_arrays
@@ -527,6 +507,9 @@ def piece_spans(scheme: str, subfile_len: int, n_blocks: int, label_len: int) ->
     the run's pieces fills label bits `positions`, most significant first,
     bit 0 being the label's least significant.  At most two runs.
     """
+    check_scheme(scheme)
+    subfile_len, n_blocks = integer(subfile_len, "subfile_len"), integer(n_blocks, "n_blocks")
+    label_len = integer(label_len, "bits per symbol", 1)
     if n_blocks < 1 or not 0 <= subfile_len <= n_blocks * label_len:
         raise ConfigurationError(
             f"a {subfile_len}-bit subfile does not fit {n_blocks} labels of {label_len} bits"
@@ -555,10 +538,11 @@ def encode_block(scheme: str, bits, n_blocks: int, label_len: int) -> np.ndarray
     if bits.ndim != 1 or kind not in "biuf" or not (
         bits.max(initial=0) <= 1 if kind in "bu" else ((bits == 0) | (bits == 1)).all()
     ):
-        raise ValueError("subfile bits must be a one-dimensional array of 0/1")
+        raise ConfigurationError("subfile bits must be a one-dimensional array of 0/1")
+    spans = piece_spans(scheme, bits.size, n_blocks, label_len)
     bits = bits.astype(np.uint8, copy=False)
     labels = np.zeros(n_blocks, dtype=np.int64)
-    for blocks, span, positions in piece_spans(scheme, bits.size, n_blocks, label_len):
+    for blocks, span, positions in spans:
         pieces = bits[span].reshape(-1, positions.size).astype(np.int64)
         labels[blocks] = (pieces << positions).sum(axis=1)
     return labels
@@ -568,16 +552,13 @@ def decode_block(scheme: str, labels, subfile_len: int, label_len: int) -> np.nd
     """The (subfile_len,) uint8 subfile whose pieces `labels` hold: `encode_block` inverted.
 
     Reads only the subfile's piece positions, so the other members' shares
-    must have been XORed off those positions first.  Labels that are not whole
-    numbers in [0, 2^label_len) are rejected, not truncated or wrapped.
+    must have been XORed off those positions first.  Labels must be whole
+    numbers in [0, 2^label_len) (`errors.whole`).
     """
     labels = np.asarray(labels)
-    kind = labels.dtype.kind  # integer arrays skip the scan for fractions
-    whole = kind in "iu" or kind == "f" and (labels == np.trunc(labels)).all()
-    if not whole or labels.size and (labels.min() < 0 or labels.max() >= 1 << label_len):
-        raise ValueError("labels must be whole numbers in [0, 2^label_len)")
-    labels = labels.astype(np.int64, copy=False)
+    spans = piece_spans(scheme, subfile_len, labels.size, label_len)
+    labels = whole(labels, "labels", 1 << int(label_len))
     bits = np.empty(subfile_len, dtype=np.uint8)
-    for blocks, span, positions in piece_spans(scheme, subfile_len, labels.size, label_len):
+    for blocks, span, positions in spans:
         bits[span] = (labels[blocks, None] >> positions & 1).ravel()
     return bits

@@ -21,10 +21,11 @@ from .caching import (
     DemandVector,
     Library,
     build_delivery_plan,
+    check_scheme,
     check_subfile_map_size,
     expected_subfile_lengths,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer, seed
 from .mc import estimate_table
 from .modem import build_constellation
 
@@ -97,17 +98,11 @@ def _read_db(value, field: str) -> float:
 
 
 def _read_trials(value) -> int:
-    trials = _read(int, value, "trials_per_cell")
-    if trials < 0:
-        raise ConfigurationError("trials_per_cell must be >= 0")
-    return trials
+    return integer(_read(int, value, "trials_per_cell"), "trials_per_cell", 0)
 
 
 def _read_seed(value) -> int:
-    seed = _read(int, value, "master_seed")
-    if seed < 0 or seed >= 2**64:
-        raise ConfigurationError("master_seed must fit in 64 bits")
-    return seed
+    return seed(_read(int, value, "master_seed"), "master_seed")
 
 
 def _require_list(value, field: str) -> list:
@@ -196,15 +191,12 @@ def parse_config(text: str) -> ScenarioConfig:
     mod = raw["modulation"]
     _require_keys(mod, {"family", "m"}, "modulation")
     family = str(mod.get("family", "")).lower()
-    if family not in ("psk", "qam"):
-        raise ConfigurationError("modulation family must be 'psk' or 'qam'")
     m = _read(int, mod.get("m", 0), "modulation m")
-    build_constellation(family, m)  # validates m for the family
+    build_constellation(family, m)  # validates the family, and m for it
 
     schemes = tuple(_require_list(raw.get("schemes", list(SCHEMES)), "schemes"))
     for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {s!r}")
+        check_scheme(s)
     if not schemes:
         raise ConfigurationError("at least one scheme required")
     if len(set(schemes)) != len(schemes):

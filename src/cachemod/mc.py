@@ -36,13 +36,12 @@ from .caching import (
     DeliveryPlan,
     DemandVector,
     PlacementRealization,
-    _floats,
     decode_block,
     encode_block,
     known_shape,
     piece_spans,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer, positive, seed
 from .modem import (
     PSK, _RHO_MAX, _RHO_MIN, Constellation, _counts, _known_value, detect, min_distance,
 )
@@ -116,21 +115,15 @@ def estimate_cell_ser(
     Returns the pair a `CellTable` stores: ser, the fraction of the `trials`
     in error, and std_error, its binomial standard error
     sqrt(ser (1 - ser) / trials).  The trials come from `master_seed`'s
-    substream named `cell_id`; `trials` must be an int >= 1 and `master_seed`
-    an int in [0, 2**64), not a bool, float or string.  `shape`'s counts must be
-    ints, Python or numpy, and `gamma` a real number other than a bool.
+    substream named `cell_id`; `trials` must be an integer >= 1, `master_seed`
+    a seed and `gamma` a positive SNR (the rules in `errors`).
     """
-    if type(trials) is not int or trials < 1:
-        raise ConfigurationError("trials must be an integer >= 1")
-    if type(master_seed) is not int or not 0 <= master_seed < 2**64:
-        raise ConfigurationError("master_seed must be an integer in [0, 2**64)")
+    trials = integer(trials, "trials", 1)
     shape = p, s = _counts(c, shape)
-    (gamma,) = _floats((gamma,), "SNRs")
-    if not 0 < gamma < math.inf:
-        raise ConfigurationError("gamma must be positive and finite")
-    seed = _cell_seed(master_seed, cell_id)
-    label_rng = np.random.default_rng(seed)
-    noise_rng = np.random.Generator(np.random.PCG64(seed).advance(-(-trials // 2)))
+    (gamma,) = positive((gamma,), "SNRs")
+    stream = _cell_seed(seed(master_seed, "master_seed"), cell_id)
+    label_rng = np.random.default_rng(stream)
+    noise_rng = np.random.Generator(np.random.PCG64(stream).advance(-(-trials // 2)))
     sqrt_gamma = math.sqrt(gamma)
 
     # the screen (see `_SCREEN`); a lone candidate (p + s = m) is never wrong

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caching import _floats
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer, positive, whole
 
 PSK = "psk"
 QAM = "qam"
@@ -41,31 +40,17 @@ class Constellation(NamedTuple):
         return 1 << self.m
 
 
-def _integer(v) -> bool:
-    """Whether `v` is an int, Python or numpy; bools and floats are not."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _bits(m) -> int:
-    """Bits per symbol `m` as a Python int, checked before any cache sees it."""
-    if not _integer(m):
-        raise ConfigurationError(f"bits per symbol must be an integer, not {m!r}")
-    return int(m)
-
-
 def build_psk(m: int) -> Constellation:
     """2^m-PSK on the unit circle; label l sits at angle index bit-reverse(l).
 
     Fixing the first n label bits then keeps every 2^n-th point, which is
     exactly the set-partitioning chain for PSK.
     """
-    return _build_psk(_bits(m))
+    return _build_psk(integer(m, "bits per symbol", 1, 8))
 
 
 @lru_cache(maxsize=None)
 def _build_psk(m: int) -> Constellation:
-    if not 1 <= m <= 8:
-        raise ConfigurationError("PSK supports 1 <= m <= 8")
     n = 1 << m
     index = np.array([int(format(label, f"0{m}b")[::-1], 2) for label in range(n)])
     points = np.exp(2j * np.pi * index / n)
@@ -87,15 +72,13 @@ def _qam_label(a: int, b: int, m: int) -> int:
 
 def build_qam(m: int) -> Constellation:
     """Square 2^m-QAM carved from the odd-integer grid, unit average energy."""
-    return _build_qam(_bits(m))
+    return _build_qam(integer(m, "bits per symbol", 2, 8))
 
 
 @lru_cache(maxsize=None)
 def _build_qam(m: int) -> Constellation:
     if m % 2 != 0:
         raise ConfigurationError("QAM requires even m (square constellations only)")
-    if not 2 <= m <= 8:
-        raise ConfigurationError("QAM supports 2 <= m <= 8")
     side = 1 << (m // 2)
     coords = [(a, b) for a in range(side) for b in range(side)]
     raw = np.array([(2 * a - (side - 1)) + 1j * (2 * b - (side - 1)) for a, b in coords])
@@ -127,16 +110,13 @@ def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> 
 
 
 def _counts(c: Constellation, shape: tuple) -> tuple:
-    """Known-bit `shape` = (prefix, suffix) as Python ints; bools and floats are rejected."""
+    """Known-bit `shape` = (prefix, suffix) as two integers with p + s <= m."""
     try:
         p, s = shape
     except (TypeError, ValueError):
-        p = s = None
-    if not (_integer(p) and _integer(s)):
-        raise ConfigurationError(f"mask counts must be two integers, not {shape!r}")
-    if p < 0 or s < 0 or p + s > c.m:
-        raise ConfigurationError(f"invalid mask shape {shape!r} for m = {c.m}")
-    return int(p), int(s)
+        raise ConfigurationError(f"mask counts must be two integers, not {shape!r}") from None
+    p = integer(p, "mask counts", 0, c.m)
+    return p, integer(s, "mask counts", 0, c.m - p)
 
 
 @lru_cache(maxsize=None)
@@ -172,19 +152,11 @@ def detect(
     result is the brute-force decision for every symbol.
     """
     shape = p, s = _counts(c, shape)
-    (sqrt_snr,) = _floats((sqrt_snr,), "sqrt_snr")
-    if not 0 < sqrt_snr < math.inf:
-        raise ConfigurationError("sqrt_snr must be positive and finite")
+    (sqrt_snr,) = positive((sqrt_snr,), "sqrt_snr")
     y, known = np.asarray(y), np.asarray(known)
     if y.ndim != 1 or known.shape != y.shape:
         raise ConfigurationError("y and known must be 1-D with one entry per symbol")
-    # values that are not whole numbers are rejected, not truncated; integer arrays skip the scan
-    whole = known.dtype.kind in "iu" or known.dtype.kind == "f" and (known == np.trunc(known)).all()
-    if not whole:
-        raise ConfigurationError("known values must be integers")
-    if known.size and (known.min() < 0 or known.max() >= 1 << (p + s)):
-        raise ConfigurationError("known values exceed the mask width")
-    known = known.astype(np.int64, copy=False)
+    known = whole(known, "known values", 1 << (p + s))
     if not np.isfinite(y).all():
         raise ConfigurationError("received points must be finite")
     structured = _structured(c, shape)

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
 import importlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cachemod as cm
 from cachemod import cli
+from conftest import subfile_map
 
 # the scalar per-symbol and per-block APIs that `detect`, `min_distance`,
 # the one-array codec and the tests' own brute-force oracles replaced; none may
@@ -22,6 +26,8 @@ REMOVED = {
         # the second brute-force kernel, which grouped symbols by known value
         # past this many candidates; one gather serves every count
         "_GATHER_MAX",
+        # the integer rule and the bits-per-symbol check, now `errors.integer`
+        "_integer", "_bits",
     ],
     # `run_campaign` was `ser_report` over an estimate table, `CellEstimate`
     # a second carrier for the (ser, std_error) pair a `CellTable` stores, and
@@ -41,6 +47,8 @@ REMOVED = {
         "proposed_piece_len", "zero_padding_piece_len", "subset_shapes", "_bit_array",
         "canonical_codes", "MulticastBlockSpec", "UselessBlockError", "SubsetSchedule",
         "_bit_run", "_checked_pieces", "_run_count", "_PLAN_CHUNK",
+        # the real-number rule and the file-index check, now `errors.reals` and `errors.integer`
+        "_floats", "_file_row",
     ],
     # thin wrappers around `ser_report`, `q_function`'s array path, and a
     # carrier for the per-user SNRs `ser_report` now takes as a plain sequence
@@ -191,3 +199,126 @@ def test_dataclasses_are_the_ones_that_need_to_be():
     exported = {name for name in cm.__all__ if dataclasses.is_dataclass(getattr(cm, name))}
     assert defined == DATACLASSES
     assert exported | {"ScenarioConfig"} == DATACLASSES
+
+
+def _module_trees():
+    """(file name, AST) of each of the package's modules."""
+    for path in sorted(Path(cm.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _imported(tree) -> set:
+    """The modules and names a module's import statements write, without leading dots."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names} | {getattr(node, "module", None) or ""}
+    return names
+
+
+def test_input_rules_are_stated_only_in_errors():
+    # each rule is one function of `errors`; a copy of one in another module fails here
+    for name, tree in _module_trees():
+        if name == "modem.py":  # `modem` once imported `caching` only to borrow its real-number rule
+            assert not {n for n in _imported(tree) if "caching" in n}, _imported(tree)
+        if name == "errors.py":
+            continue
+        assert "numbers" not in _imported(tree), name
+        assert all(n.id != "numbers" for n in ast.walk(tree) if isinstance(n, ast.Name)), name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+                called = getattr(node.left.func, "id", None)
+                is_ops = any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                assert not (called == "type" and is_ops), f"{name}:{node.lineno}"
+
+
+# every public integer or real argument, with a value it accepts and a call
+# that puts a value in its place; the calls return what the value leads to
+PSK8, QAM16 = cm.build_psk(3), cm.build_qam(4)
+SMAP = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 7, (1, ()): 4})
+DEMANDS = cm.DemandVector((1, 2))
+PLAN = cm.build_delivery_plan(SMAP, DEMANDS, cm.PROPOSED, 3)
+Y = np.array([0.3 + 0.1j, -0.9 + 0.2j, 0.1 - 0.8j])
+LABELS = cm.encode_block(cm.PROPOSED, [1, 0, 1], 2, 3)
+
+
+def _detect(sqrt_snr=2.0, p=1, s=0):
+    return cm.detect(PSK8, Y, sqrt_snr, (p, s), np.array([0, 1, 1]))
+
+
+def _cell(trials=50, gamma=2.0, p=1, s=0, master_seed=5):
+    return cm.estimate_cell_ser(PSK8, (p, s), gamma, trials, master_seed, "table")
+
+
+def _plan(label_len):
+    plan = cm.build_delivery_plan(SMAP, DEMANDS, cm.ZERO_PADDING, label_len)
+    return plan, plan.known_counts
+
+
+def _library(total_bits):
+    library = cm.Library((0.5, 0.5), total_bits)
+    return library.total_bits, library.file_bits
+
+
+ARGUMENTS = {
+    # argument: (kind, accepted value, call)
+    "build_psk m": ("int", 3, cm.build_psk),
+    "build_qam m": ("int", 4, cm.build_qam),
+    "min_distance prefix_known": ("int", 1, lambda v: cm.min_distance(QAM16, v, 1)),
+    "min_distance suffix_known": ("int", 1, lambda v: cm.min_distance(QAM16, 1, v)),
+    "detect sqrt_snr": ("real", 2.0, lambda v: _detect(sqrt_snr=v)),
+    "detect shape prefix": ("int", 1, lambda v: _detect(p=v)),
+    "detect shape suffix": ("int", 1, lambda v: _detect(p=0, s=v)),
+    "estimate_cell_ser trials": ("int", 50, lambda v: _cell(trials=v)),
+    "estimate_cell_ser gamma": ("real", 2.0, lambda v: _cell(gamma=v)),
+    "estimate_cell_ser shape prefix": ("int", 1, lambda v: _cell(p=v)),
+    "estimate_cell_ser shape suffix": ("int", 1, lambda v: _cell(p=0, s=v)),
+    "estimate_cell_ser master_seed": ("seed", 5, lambda v: _cell(master_seed=v)),
+    "sample_placement seed": (
+        "seed", 3, lambda v: cm.sample_placement(cm.Library((1.0,), 8), cm.CacheProfile((0.5,)), v),
+    ),
+    "build_delivery_plan label_len": ("int", 3, _plan),
+    "DemandVector demands": ("int", 2, lambda v: cm.DemandVector((1, v)).demands),
+    "DemandVector.file_for user": ("int", 2, DEMANDS.file_for),
+    "DeliveryPlan.shape_counts user": ("int", 2, PLAN.shape_counts),
+    "DeliveryPlan.useful_symbols user": ("int", 2, PLAN.useful_symbols),
+    "SubfileMap.length file_index": ("int", 1, lambda v: SMAP.length(v, frozenset({2}))),
+    "SubfileMap.file_total file_index": ("int", 2, SMAP.file_total),
+    "symbol_error_bound gamma": ("real", 2.0, lambda v: cm.symbol_error_bound("psk", v, 0.7)),
+    "symbol_error_bound dmin": ("real", 0.7, lambda v: cm.symbol_error_bound("psk", 2.0, v)),
+    "ser_report gammas": ("real", 2.0, lambda v: cm.ser_report(PLAN, (1.0, v), cm.bound_table(PSK8))),
+    "Library total_bits": ("int", 10, _library),
+    "encode_block n_blocks": ("int", 2, lambda v: cm.encode_block(cm.PROPOSED, [1, 0, 1], v, 3)),
+    "encode_block label_len": ("int", 3, lambda v: cm.encode_block(cm.PROPOSED, [1, 0, 1], 2, v)),
+    "decode_block subfile_len": ("int", 3, lambda v: cm.decode_block(cm.PROPOSED, LABELS, v, 3)),
+    "decode_block label_len": ("int", 3, lambda v: cm.decode_block(cm.PROPOSED, LABELS, 3, v)),
+}
+
+
+def _rejected(kind, value) -> list:
+    """What the argument must reject: a bool, None, a string, and a float where an int is due."""
+    bad = [True, None, str(value)]
+    if kind != "real":
+        bad += [float(value), np.float64(value)]
+    if kind == "seed":  # seeds are Python ints only
+        bad.append(np.int64(value))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "argument, bad",
+    [(name, bad) for name, (kind, value, _) in ARGUMENTS.items() for bad in _rejected(kind, value)],
+    ids=lambda x: x if isinstance(x, str) and x in ARGUMENTS else repr(x),
+)
+def test_argument_rejects_what_is_not_its_kind(argument, bad):
+    call = ARGUMENTS[argument][2]
+    with pytest.raises(cm.ConfigurationError):
+        call(bad)
+
+
+@pytest.mark.parametrize("argument", [n for n, (kind, *_) in ARGUMENTS.items() if kind != "seed"])
+def test_argument_reads_a_numpy_value_as_the_python_one(argument):
+    # repr tells a numpy scalar from a Python one, so the result holds no numpy value
+    kind, value, call = ARGUMENTS[argument]
+    numpy_value = np.int64(value) if kind == "int" else np.float64(value)
+    assert repr(call(numpy_value)) == repr(call(value))

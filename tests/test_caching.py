@@ -788,6 +788,14 @@ class TestEncodeDecode:
                 with pytest.raises(cm.ConfigurationError, match="does not fit"):
                     encode_block(scheme, bits, n_blocks, 3)
 
+    @pytest.mark.parametrize("scheme", ["bogus", "PROPOSED", "", None])
+    def test_unknown_scheme_rejected(self, scheme):
+        # any other value ran as zero padding: ("bogus", [1, 0, 1], 2, 3) encoded as [5, 0]
+        with pytest.raises(cm.ConfigurationError, match="unknown scheme"):
+            encode_block(scheme, [1, 0, 1], 2, 3)
+        with pytest.raises(cm.ConfigurationError, match="unknown scheme"):
+            decode_block(scheme, [5, 0], 3, 3)
+
     def test_decode_recovers_piece(self):
         # user 2 XORs off its cached copy of user 1's share of the pair label
         labels = np.array([0b000])

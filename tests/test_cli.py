@@ -439,6 +439,23 @@ def test_near_valid_configs_run_or_are_rejected(doc, tmp_path_factory):
         assert all(0.0 <= rate <= 1.0 for rate in rates), r
 
 
+def test_rates_stay_probabilities_past_2_53_symbols():
+    # user 1 has 2e16 useful symbols in cells of one trial, so the counts
+    # round as floats; an all-error user's rate came out 1.0000000000000002
+    doc = {
+        "users": [{"mu": 0.09375}, {"mu": 0.5}, {"mu": 0.9375}],
+        "files": [0.5832028526458373, 0.3305399186198574, 0.04384508628609686, 0.04241214244820852],
+        "total_bits": 115_206_678_180_022_895,
+        "modulation": {"family": "psk", "m": 3},
+        "sweep": {"start_db": 0.0, "stop_db": 0.0, "step_db": 1.0},
+        "trials_per_cell": 1,
+        "master_seed": 0,
+    }
+    rows = run_scenario(parse_config(json.dumps(doc)))
+    assert max(r.useful for r in rows if r.user != "avg") > 2**53
+    assert max(r.mc_ser for r in rows) == 1.0
+
+
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):
         rows = run_scenario(parse_config(config()))
