@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .caching import DeliveryPlan
 from .errors import ConfigurationError, positive
-from .modem import PSK, QAM, Constellation, min_distance
+from .modem import PSK, Constellation, check_family, min_distance
 
 
 class SerReport(NamedTuple):
@@ -42,10 +42,8 @@ def symbol_error_bound(family: str, gamma: float, dmin: float) -> float:
 
     PSK has two nearest neighbors, QAM up to four; both clamp at 1.
     """
-    if family not in (PSK, QAM):
-        raise ConfigurationError(f"unknown constellation family {family!r}")
+    neighbors = 2.0 if check_family(family) == PSK else 4.0
     gamma, dmin = positive((gamma, dmin), "gamma and dmin")
-    neighbors = 2.0 if family == PSK else 4.0
     return min(1.0, neighbors * q_function(math.sqrt(gamma / 2.0) * dmin))
 
 
@@ -133,8 +131,7 @@ def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
     (`math.fsum`), so they do not depend on the order of the shapes.
     """
     gammas = positive(gammas, "SNRs")
-    if plan.label_len != cells.c.m:
-        raise ConfigurationError("plan and constellation disagree on bits per symbol")
+    plan.check_constellation(cells.c)
     if len(gammas) != plan.num_users:
         raise ConfigurationError(f"{len(gammas)} SNRs for a plan of {plan.num_users} users")
     users = list(range(1, plan.num_users + 1))

@@ -403,6 +403,10 @@ class DeliveryPlan:
     def useful_symbols(self, user: int) -> int:
         return sum(self._counts(user))
 
+    def check_constellation(self, c) -> None:
+        if c.m != self.label_len:
+            raise ConfigurationError("plan and constellation disagree on bits per symbol")
+
     def shape_counts(self, user: int) -> dict:
         """{(prefix_known, suffix_known): count} over the user's useful blocks.
 

@@ -27,7 +27,7 @@ from .caching import (
 )
 from .errors import ConfigurationError, integer, seed
 from .mc import estimate_table
-from .modem import build_constellation
+from .modem import Constellation, build_constellation
 
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 20.0, "step_db": 2.0}
 DEFAULT_TRIALS = 100_000
@@ -248,31 +248,45 @@ class ResultRow(NamedTuple):
     load: float
 
 
+class Scenario(NamedTuple):
+    """What a run evaluates, as `prepare` builds it from a parsed config."""
+
+    constellation: Constellation
+    plans: dict  # scheme -> DeliveryPlan
+    profiles: list  # per sweep point, each user's linear SNR
+    cells: list  # the sorted (shape, gamma) Monte Carlo cells `ser_report` reads
+
+
+def _subfile_map(cfg: ScenarioConfig):
+    """The map stage: the expected subfile map, which `validate` also rounds."""
+    return expected_subfile_lengths(Library(cfg.file_fractions, cfg.total_bits), CacheProfile(cfg.mus))
+
+
+def prepare(cfg: ScenarioConfig) -> Scenario:
+    """The constellation, one plan per scheme, the SNR profiles and the cells of a run."""
+    subfiles, demands = _subfile_map(cfg), DemandVector(cfg.demands)
+    plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
+    profiles = [tuple(_gamma(db if f is None else f) for f in cfg.user_snr_db) for db in cfg.sweep_db]
+    cells = sorted({(shape, gammas[u - 1]) for plan in plans.values() for u in range(1, len(cfg.mus) + 1)
+                    for shape in plan.shape_counts(u) for gammas in profiles})
+    return Scenario(build_constellation(cfg.family, cfg.m), plans, profiles, cells)
+
+
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute the sweep and return the CSV rows, sorted."""
-    library = Library(cfg.file_fractions, cfg.total_bits)
-    caches = CacheProfile(cfg.mus)
-    demands = DemandVector(cfg.demands)
-    c = build_constellation(cfg.family, cfg.m)
-    subfiles = expected_subfile_lengths(library, caches)
-    plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
-    profiles = [tuple(_gamma(snr_db if fixed is None else fixed) for fixed in cfg.user_snr_db)
-                for snr_db in cfg.sweep_db]
+    s = prepare(cfg)
     # one table of each kind, shared by every scheme and sweep point
-    bounds, estimates = bound_table(c), None
+    bounds, estimates = bound_table(s.constellation), None
     if cfg.trials_per_cell > 0:
-        estimates = estimate_table(c, cfg.trials_per_cell, cfg.master_seed)
-        # every cell `ser_report` reads, evaluated up front on every usable CPU
-        estimates.fill(sorted({(shape, gamma) for gammas in profiles for plan in plans.values()
-                               for u, gamma in enumerate(gammas, 1) for shape in plan.shape_counts(u)}))
+        estimates = estimate_table(s.constellation, cfg.trials_per_cell, cfg.master_seed)
+        estimates.fill(s.cells)  # up front, on every usable CPU
 
     rows = []
-    for snr_db, gammas in zip(cfg.sweep_db, profiles):
-        for scheme in cfg.schemes:
-            plan = plans[scheme]
+    for snr_db, gammas in zip(cfg.sweep_db, s.profiles):
+        for scheme, plan in s.plans.items():
             analytic = ser_report(plan, gammas, bounds)
             empirical = None if estimates is None else ser_report(plan, gammas, estimates)
-            for u in range(1, caches.num_users + 1):
+            for u in range(1, plan.num_users + 1):
                 rows.append(
                     ResultRow(
                         snr_db=snr_db,
@@ -384,9 +398,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.command == "validate":
-            # `run` also rounds the expected map, which can fail where the library's split did not
-            library = Library(cfg.file_fractions, cfg.total_bits)
-            expected_subfile_lengths(library, CacheProfile(cfg.mus))
+            _subfile_map(cfg)  # `run`'s map stage, which can fail where the files' split did not
             return 0
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

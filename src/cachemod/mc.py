@@ -245,9 +245,8 @@ def end_to_end_noiseless(
     Raises ConfigurationError when the demands are not the plan's, or when
     the placement's subfiles are not the lengths the plan was built for.
     """
+    plan.check_constellation(c)
     m = c.m
-    if m != plan.label_len:
-        raise ConfigurationError("plan and constellation disagree on bits per symbol")
     if demands != plan.demands:
         raise ConfigurationError(
             f"demands {demands.demands} differ from the plan's {plan.demands.demands}"

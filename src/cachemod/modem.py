@@ -89,12 +89,15 @@ def _build_qam(m: int) -> Constellation:
     return Constellation(family=QAM, m=m, points=points, spacing=2.0 / scale)
 
 
+def check_family(family: str) -> str:
+    """`family`, if it is PSK or QAM; raise ConfigurationError otherwise."""
+    if family not in (PSK, QAM):
+        raise ConfigurationError(f"unknown constellation family {family!r}")
+    return family
+
+
 def build_constellation(family: str, m: int) -> Constellation:
-    if family == PSK:
-        return build_psk(m)
-    if family == QAM:
-        return build_qam(m)
-    raise ConfigurationError(f"unknown constellation family {family!r}")
+    return (build_psk if check_family(family) == PSK else build_qam)(m)
 
 
 def min_distance(c: Constellation, prefix_known: int, suffix_known: int = 0) -> float:

@@ -123,6 +123,11 @@ CARRIERS = [
         ("snr_db", "scheme", "user", "useful", "analytic_ser", "mc_ser", "mc_stderr", "load"),
         (2.0, "proposed", "avg", 12, 0.125, None, None, 0.5),
     ),
+    (
+        cli.Scenario,
+        ("constellation", "plans", "profiles", "cells"),
+        ("psk8", {"proposed": None}, [(1.0, 2.0)], [((0, 0), 1.0), ((1, 0), 2.0)]),
+    ),
 ]
 
 
@@ -322,3 +327,26 @@ def test_argument_reads_a_numpy_value_as_the_python_one(argument):
     kind, value, call = ARGUMENTS[argument]
     numpy_value = np.int64(value) if kind == "int" else np.float64(value)
     assert repr(call(numpy_value)) == repr(call(value))
+
+
+# a rule that two public calls read outside `errors` is one check all the
+# same (`modem.check_family`, `DeliveryPlan.check_constellation`): each call
+# of a pair raises its message, word for word
+SHARED_RULES = {
+    "unknown constellation family 'bogus'": (
+        lambda placement: cm.build_constellation("bogus", 3),
+        lambda placement: cm.symbol_error_bound("bogus", 2.0, 0.7),
+    ),
+    "plan and constellation disagree on bits per symbol": (
+        lambda placement: cm.ser_report(PLAN, (1.0, 2.0), cm.bound_table(QAM16)),
+        lambda placement: cm.end_to_end_noiseless(placement, PLAN, DEMANDS, QAM16),
+    ),
+}
+
+
+@pytest.mark.parametrize("message", SHARED_RULES)
+def test_shared_rule_gives_one_message(message, two_user_pair_placement):
+    for call in SHARED_RULES[message]:
+        with pytest.raises(cm.ConfigurationError) as raised:
+            call(two_user_pair_placement)
+        assert str(raised.value) == message

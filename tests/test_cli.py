@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from cachemod.cli import (
     execute_run,
     main,
     parse_config,
+    prepare,
     render_csv,
     run_scenario,
 )
@@ -72,6 +74,9 @@ THREE_USER_SWEEP_1E4_MD5 = "bf76a1de831c3726c20abb1dc8165538"
 # step runs it under a timeout, and these bytes are the per-subset loop's
 SIXTEEN_USERS = THREE_USER_SWEEP.parent / "sixteen_user_sweep.json"
 SIXTEEN_USERS_MD5 = "ba7505305a6a52ad8d28c76da070d3a9"
+
+# the benchmark's workload configs
+WORKLOADS = THREE_USER_SWEEP.parent.parent / "perfbench" / "workloads"
 
 
 def run_python(*args):
@@ -176,6 +181,52 @@ class TestParseConfig:
             parse_config(config(users=users, files=[1 / len(users)] * len(users)))
 
 
+def forbidden(name):
+    """A stand-in for `name` that fails the test if it is called."""
+
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return call
+
+
+class WorkCounts(Counter):
+    """Counts summed over every thread: `count` wraps a call to add its counts."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self._lock, self._monkeypatch = threading.Lock(), monkeypatch
+
+    def count(self, module, name, counts):
+        real = getattr(module, name)
+
+        def counted(*args):
+            # computed first and then added under the lock, so no count is
+            # lost between one thread's read and another's write
+            values = counts(*args)
+            with self._lock:
+                self.update(values)
+            return real(*args)
+
+        self._monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Monte Carlo detector work: rows past the noise screen (`past`), rows
+    sent to `detect` and to brute force, and brute force's candidate distances."""
+    import cachemod.mc as mc
+    import cachemod.modem as modem
+
+    counts = WorkCounts(monkeypatch)
+    counts.count(mc, "_errors", lambda c, shape, sqrt_gamma, sent, noise, labels: {"past": len(labels)})
+    counts.count(mc, "detect", lambda c, y, *rest: {"detect": len(y)})
+    counts.count(modem, "_brute_force", lambda c, y, sqrt_snr, shape, known: {
+        "brute": len(y), "distances": len(y) << (c.m - shape[0] - shape[1]),
+    })
+    return counts
+
+
 class TestRunScenario:
     def test_row_grid(self):
         rows = run_scenario(parse_config(config()))
@@ -220,12 +271,9 @@ class TestRunScenario:
 
     def test_analytic_cost_independent_of_library_size(self, monkeypatch):
         # no label may be encoded or decoded on the sweep path, even for B = 1e9
-        def no_blocks(*args, **kwargs):
-            raise AssertionError("sweep ran the codec")
-
         for module in (cm.caching, cm.mc):
-            monkeypatch.setattr(module, "encode_block", no_blocks)
-            monkeypatch.setattr(module, "decode_block", no_blocks)
+            for name in ("encode_block", "decode_block"):
+                monkeypatch.setattr(module, name, forbidden(name))
         rows = run_scenario(parse_config(config(total_bits=10**9)))
         assert len(rows) == 3 * 2 * 4
         assert all(r.useful > 0 for r in rows)
@@ -260,14 +308,18 @@ class TestRunScenario:
         cfg = replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10)
         run_scenario(cfg)
         assert len(calls["cells"]) == len(set(calls["cells"])) == 33
+        # the prepared scenario states the cells, and the run evaluates exactly those
+        assert sorted(calls["cells"]) == prepare(cfg).cells
         assert len(calls["shapes"]) == 33 and len(set(calls["shapes"])) == 3
         # analytic only: MC cells call `min_distance` on helper threads, and
-        # two threads missing one key together may both enumerate it
+        # two threads missing one key together may both enumerate it.  No
+        # estimate table is built
+        monkeypatch.setattr(cm.cli, "estimate_table", forbidden("estimate_table"))
         modem._min_distance.cache_clear()
         run_scenario(replace(cfg, trials_per_cell=0))
         assert modem._min_distance.cache_info().misses == 3
 
-    def test_detector_rarely_falls_back_to_brute_force(self, monkeypatch):
+    def test_detector_rarely_falls_back_to_brute_force(self, work):
         # the paper sweep's 8PSK cells and the 256-QAM prefix cells have
         # structured detectors; brute force is only for the rows next to a
         # decision boundary or a checkerboard tie, or outside the radius
@@ -277,59 +329,57 @@ class TestRunScenario:
         # rows past the screen: the wedge leaves `detect` so few rows that one
         # row near the origin would break a bound over those
         import cachemod.mc as mc
-        import cachemod.modem as modem
 
-        rows = {"all": 0, "brute": 0, "screened": 0, "wedge": 0, "trials": 0}
-        real_detect, real_brute, real_cell = mc.detect, modem._brute_force, mc.estimate_cell_ser
-        # cells run on several threads: each value is computed first and then
-        # added under the lock, so no count is lost between a read and a write
-        lock = threading.Lock()
-
-        def count(name, value):
-            with lock:
-                rows[name] += value
-
-        def detect(c, y, *args):
-            count("all", len(y))
-            return real_detect(c, y, *args)
-
-        def brute(c, y, *args):
-            count("brute", len(y))
-            return real_brute(c, y, *args)
-
-        def cell(c, shape, gamma, trials, seed, cell_id):
-            count("screened", int(screened_trials(c, shape, gamma, trials, seed, cell_id).sum()))
-            count("wedge", int(wedge_trials(c, shape, gamma, trials, seed, cell_id).sum()))
-            count("trials", trials)
-            return real_cell(c, shape, gamma, trials, seed, cell_id)
-
-        monkeypatch.setattr(mc, "detect", detect)
-        monkeypatch.setattr(modem, "_brute_force", brute)
-        monkeypatch.setattr(mc, "estimate_cell_ser", cell)
+        work.count(mc, "estimate_cell_ser", lambda c, shape, gamma, trials, seed, cell_id: {
+            "screened": int(screened_trials(c, shape, gamma, trials, seed, cell_id).sum()),
+            "wedge": int(wedge_trials(c, shape, gamma, trials, seed, cell_id).sum()),
+            "trials": trials,
+        })
         run_scenario(replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=10_000))
-        assert rows["trials"] == 33 * 10_000
-        assert rows["all"] + rows["screened"] + rows["wedge"] == rows["trials"]
-        assert rows["brute"] < 1e-3 * (rows["trials"] - rows["screened"])
+        assert work["trials"] == 33 * 10_000
+        assert work["past"] + work["screened"] == work["trials"]
+        assert work["detect"] + work["screened"] + work["wedge"] == work["trials"]
+        assert work["brute"] < 1e-3 * (work["trials"] - work["screened"])
 
         c = cm.build_qam(8)
         for prefixes in ((0, 2, 4, 6), (1, 3, 5, 7)):
-            rows.update(all=0, brute=0, screened=0, trials=0)
+            work.clear()
             for p in prefixes:
                 for gamma in (1.0, 10.0, 100.0):
                     mc.estimate_cell_ser(c, (p, 0), gamma, 10_000, 3, "fallback")
-            assert rows["trials"] == 12 * 10_000
-            assert rows["all"] + rows["screened"] == rows["trials"]
-            assert rows["brute"] < 1e-3 * rows["all"]
+            assert work["trials"] == 12 * 10_000
+            assert work["detect"] + work["screened"] == work["trials"]
+            assert work["brute"] < 1e-3 * work["detect"]
 
         # the pinned K=12 scenario: suffix-shape rows reach brute force when
         # their full-grid decision misses the suffix, and shapes of at most 16
         # candidates entirely, so the bound is on the trials (154,280 brute
         # rows of 450,000 without the screen, 133,798 with it)
-        rows.update(all=0, brute=0, screened=0, trials=0)
+        work.clear()
         run_scenario(parse_config(json.dumps(dict(MANY_USERS, trials_per_cell=10_000))))
-        assert rows["trials"] == 45 * 10_000
-        assert rows["all"] + rows["screened"] == rows["trials"]
-        assert rows["brute"] < 0.4 * rows["trials"]
+        assert work["trials"] == 45 * 10_000
+        assert work["detect"] + work["screened"] == work["trials"]
+        assert work["brute"] < 0.4 * work["trials"]
+
+    @pytest.mark.parametrize(
+        "workload, counts",
+        [
+            ("paper_sweep", {"past": 586_144, "detect": 14, "brute": 14, "distances": 86}),
+            (
+                "many_users",
+                {"past": 289_843, "detect": 289_843, "brute": 133_798, "distances": 3_033_070},
+            ),
+        ],
+    )
+    def test_work_counts_are_pinned(self, work, workload, counts):
+        # exact for a config and seed, whatever the thread count, since each
+        # cell's work depends only on its key.  A rise fails; a change that
+        # lowers a count re-pins it here
+        cfg = parse_config((WORKLOADS / f"{workload}.json").read_text())
+        assert cfg.master_seed == 2024
+        s = prepare(cfg)
+        cm.estimate_table(s.constellation, cfg.trials_per_cell, cfg.master_seed).fill(s.cells)
+        assert dict(work) == counts
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_csv_independent_of_thread_count(self, monkeypatch, cpus):
@@ -482,7 +532,9 @@ class TestMain:
         p.write_text(text)
         return str(p)
 
-    def test_validate_ok(self, tmp_path, capsys):
+    def test_validate_ok(self, tmp_path, capsys, monkeypatch):
+        # `validate` runs the map stage of `prepare` and stops there: it plans nothing
+        monkeypatch.setattr(cm.cli, "build_delivery_plan", forbidden("build_delivery_plan"))
         assert main(["validate", "--config", self.write(tmp_path, config())]) == 0
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -543,9 +595,11 @@ class TestMain:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("num_files, rc", [(32, 0), (33, 2), (1024, 2)])
-    def test_subfile_map_size_bounded(self, tmp_path, capsys, num_files, rc):
-        # 20 users: 32 files make exactly MAX_SUBFILE_ENTRIES map entries
+    def test_subfile_map_size_bounded(self, tmp_path, capsys, monkeypatch, num_files, rc):
+        # 20 users: 32 files make exactly MAX_SUBFILE_ENTRIES map entries, which
+        # `validate` rounds without planning
         assert 32 << MAX_USERS == MAX_SUBFILE_ENTRIES
+        monkeypatch.setattr(cm.cli, "build_delivery_plan", forbidden("build_delivery_plan"))
         users = [{"mu": i / 40} for i in range(MAX_USERS)]
         doc = config(users=users, files=[1 / num_files] * num_files)
         assert main(["validate", "--config", self.write(tmp_path, doc)]) == rc
