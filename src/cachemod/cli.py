@@ -38,7 +38,11 @@ CSV_HEADER = "snr_db,scheme,user,L_k,analytic_T,mc_T,mc_stderr,load_R"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated scenario, as `parse_config` returns it."""
+    """A valid scenario: construction, `dataclasses.replace` included, checks every field.
+
+    It also keeps what the checks built, outside the dataclass fields:
+    `caches`, `library`, `constellation` and `demand_vector`.
+    """
 
     mus: tuple
     user_snr_db: tuple  # per-user fixed dB, None = follow the sweep
@@ -52,6 +56,39 @@ class ScenarioConfig:
     trials_per_cell: int
     master_seed: int
     output: str | None = None
+
+    def __post_init__(self):
+        caches = CacheProfile(self.mus)  # validates range and ordering
+        if len(self.user_snr_db) != caches.num_users:
+            raise ConfigurationError("user_snr_db must have one entry per user")
+        for idx, db in enumerate(self.user_snr_db, start=1):
+            if db is not None:
+                _check_db(db, f"user {idx} snr_db")
+        library = Library(self.file_fractions, self.total_bits)
+        check_subfile_map_size(library.num_files, caches.num_users)
+        constellation = build_constellation(self.family, self.m)  # validates the family, and m for it
+        for s in self.schemes:
+            check_scheme(s)
+        if not self.schemes:
+            raise ConfigurationError("at least one scheme required")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigurationError("duplicate schemes are not supported")
+        demands = DemandVector(self.demands)
+        demands.validate(library.num_files, caches.num_users)
+        for db in self.sweep_db:
+            _check_db(db, "sweep_db point")
+        if len({_fmt(db) for db in self.sweep_db}) < len(self.sweep_db):  # the printed SNR keys a row
+            raise ConfigurationError(
+                "sweep step_db is finer than the CSV prints: SNR points would print alike"
+            )
+        integer(self.trials_per_cell, "trials_per_cell", 0)
+        seed(self.master_seed, "master_seed")
+        if self.output is not None:
+            _check_output(self.output)
+        # kept as `cached_property` keeps a value, past the frozen `__setattr__`
+        vars(self).update(
+            caches=caches, library=library, constellation=constellation, demand_vector=demands
+        )
 
 
 def _require_keys(obj: dict, allowed: set, context: str):
@@ -86,23 +123,19 @@ def _gamma(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _read_db(value, field: str) -> float:
-    """A dB value whose linear SNR is a finite positive float."""
-    db = _read(float, value, field)
+def _check_db(db, field: str):
+    """Raise unless `db` is a dB value (not a bool) whose linear SNR is a finite positive float."""
     try:
-        if _gamma(db) > 0.0:
-            return db
-    except OverflowError:
+        if not isinstance(db, bool) and 0.0 < _gamma(db) < math.inf:
+            return
+    except (TypeError, OverflowError):
         pass
     raise ConfigurationError(f"{field} of {db!r} dB has no finite positive linear SNR")
 
 
-def _read_trials(value) -> int:
-    return integer(_read(int, value, "trials_per_cell"), "trials_per_cell", 0)
-
-
-def _read_seed(value) -> int:
-    return seed(_read(int, value, "master_seed"), "master_seed")
+def _check_output(output):
+    if not (isinstance(output, str) and output):
+        raise ConfigurationError(f"output must be a non-empty file path, not {output!r}")
 
 
 def _require_list(value, field: str) -> list:
@@ -122,104 +155,60 @@ def _grid(sweep: dict) -> tuple:
         raise ConfigurationError(
             f"sweep step_db {step!r} gives more than {MAX_SWEEP_POINTS} SNR points"
         )
-    grid = tuple(start + i * step for i in range(int(span) + 1))
-    if len({_fmt(db) for db in grid}) < len(grid):  # the printed SNR keys each CSV row
-        raise ConfigurationError(
-            f"sweep step_db {step!r} is finer than the CSV prints: SNR points would print alike"
-        )
-    return grid
+    return tuple(start + i * step for i in range(int(span) + 1))
 
 
 def _resolve_demands(requested, fractions, num_users) -> tuple:
-    if requested == "worst_case":
-        if len(fractions) < num_users:
-            raise ConfigurationError("worst_case demands need at least K files")
+    if requested == "worst_case":  # with fewer files than users, the config rejects the count
         order = sorted(range(len(fractions)), key=lambda i: (-fractions[i], i))
-        return tuple(order[u] + 1 for u in range(num_users))
-    demands = tuple(_read(int, d, "demands") for d in _require_list(requested, "demands"))
-    if len(demands) != num_users:
-        raise ConfigurationError("demands must list one file per user")
-    return demands
+        return tuple(i + 1 for i in order[:num_users])
+    return tuple(_read(int, d, "demands") for d in _require_list(requested, "demands"))
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a JSON scenario document."""
+    """Read a JSON scenario document into a `ScenarioConfig`, which checks the values."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    _require_keys(
-        raw,
-        {
-            "users",
-            "files",
-            "total_bits",
-            "modulation",
-            "schemes",
-            "demands",
-            "sweep",
-            "trials_per_cell",
-            "master_seed",
-            "output",
-        },
-        "config",
-    )
+    keys = {"users", "files", "total_bits", "modulation", "schemes", "demands", "sweep",
+            "trials_per_cell", "master_seed", "output"}
+    _require_keys(raw, keys, "config")
     for key in ("users", "files", "total_bits", "modulation"):
         if key not in raw:
             raise ConfigurationError(f"missing required field {key!r}")
-    output = raw.get("output")
-    if "output" in raw and not (isinstance(output, str) and output):
-        raise ConfigurationError(f"output must be a non-empty file path, not {output!r}")
+    if "output" in raw:  # JSON null too, though the field's None means stdout
+        _check_output(raw["output"])
 
-    users = raw["users"]
-    if not isinstance(users, list) or not users:
-        raise ConfigurationError("users must be a non-empty list")
     mus, user_snr = [], []
-    for idx, u in enumerate(users, start=1):
+    for idx, u in enumerate(_require_list(raw["users"], "users"), start=1):
         _require_keys(u, {"mu", "snr_db"}, f"user {idx}")
         if "mu" not in u:
             raise ConfigurationError(f"user {idx} is missing 'mu'")
         mus.append(_read(float, u["mu"], f"user {idx} mu"))
-        user_snr.append(_read_db(u["snr_db"], f"user {idx} snr_db") if "snr_db" in u else None)
-    caches = CacheProfile(tuple(mus))  # validates range and ordering
-
+        user_snr.append(_read(float, u["snr_db"], f"user {idx} snr_db") if "snr_db" in u else None)
     fractions = tuple(_read(float, f, "files") for f in _require_list(raw["files"], "files"))
     total_bits = _read(int, raw["total_bits"], "total_bits")
-    library = Library(fractions, total_bits)
-    check_subfile_map_size(library.num_files, caches.num_users)
 
     mod = raw["modulation"]
     _require_keys(mod, {"family", "m"}, "modulation")
     family = str(mod.get("family", "")).lower()
     m = _read(int, mod.get("m", 0), "modulation m")
-    build_constellation(family, m)  # validates the family, and m for it
 
     schemes = tuple(_require_list(raw.get("schemes", list(SCHEMES)), "schemes"))
-    for s in schemes:
-        check_scheme(s)
-    if not schemes:
-        raise ConfigurationError("at least one scheme required")
-    if len(set(schemes)) != len(schemes):
-        raise ConfigurationError("duplicate schemes are not supported")
-
     demands = _resolve_demands(raw.get("demands", "worst_case"), fractions, len(mus))
-    DemandVector(demands).validate(library.num_files, caches.num_users)
 
     sweep = dict(DEFAULT_SWEEP)
     if "sweep" in raw:
         _require_keys(raw["sweep"], set(DEFAULT_SWEEP), "sweep")
         sweep.update({k: _read(float, v, f"sweep {k}") for k, v in raw["sweep"].items()})
-    for key in ("start_db", "stop_db"):
-        _read_db(sweep[key], f"sweep {key}")
+    for key in ("start_db", "stop_db"):  # the ends by name; the config checks every point
+        _check_db(sweep[key], f"sweep {key}")
     grid = _grid(sweep)
 
-    trials = _read_trials(raw.get("trials_per_cell", DEFAULT_TRIALS))
-    seed = _read_seed(raw.get("master_seed", 0))
-    if "master_seed" not in raw:
-        import logging  # loaded only to log, so `import cachemod.cli` leaves it out
-        logging.getLogger("cachemod").info("no master_seed in config; defaulting to 0")
-
-    return ScenarioConfig(
+    trials = _read(int, raw.get("trials_per_cell", DEFAULT_TRIALS), "trials_per_cell")
+    master_seed = _read(int, raw.get("master_seed", 0), "master_seed")
+    cfg = ScenarioConfig(
         mus=tuple(mus),
         user_snr_db=tuple(user_snr),
         file_fractions=fractions,
@@ -230,9 +219,13 @@ def parse_config(text: str) -> ScenarioConfig:
         demands=demands,
         sweep_db=grid,
         trials_per_cell=trials,
-        master_seed=seed,
-        output=output,
+        master_seed=master_seed,
+        output=raw.get("output"),
     )
+    if "master_seed" not in raw:
+        import logging  # loaded only to log, so `import cachemod.cli` leaves it out
+        logging.getLogger("cachemod").info("no master_seed in config; defaulting to 0")
+    return cfg
 
 
 class ResultRow(NamedTuple):
@@ -259,17 +252,17 @@ class Scenario(NamedTuple):
 
 def _subfile_map(cfg: ScenarioConfig):
     """The map stage: the expected subfile map, which `validate` also rounds."""
-    return expected_subfile_lengths(Library(cfg.file_fractions, cfg.total_bits), CacheProfile(cfg.mus))
+    return expected_subfile_lengths(cfg.library, cfg.caches)
 
 
 def prepare(cfg: ScenarioConfig) -> Scenario:
     """The constellation, one plan per scheme, the SNR profiles and the cells of a run."""
-    subfiles, demands = _subfile_map(cfg), DemandVector(cfg.demands)
-    plans = {s: build_delivery_plan(subfiles, demands, s, cfg.m) for s in cfg.schemes}
+    subfiles = _subfile_map(cfg)
+    plans = {s: build_delivery_plan(subfiles, cfg.demand_vector, s, cfg.m) for s in cfg.schemes}
     profiles = [tuple(_gamma(db if f is None else f) for f in cfg.user_snr_db) for db in cfg.sweep_db]
     cells = sorted({(shape, gammas[u - 1]) for plan in plans.values() for u in range(1, len(cfg.mus) + 1)
                     for shape in plan.shape_counts(u) for gammas in profiles})
-    return Scenario(build_constellation(cfg.family, cfg.m), plans, profiles, cells)
+    return Scenario(cfg.constellation, plans, profiles, cells)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
@@ -371,12 +364,8 @@ def execute_run(cfg: ScenarioConfig, *, out=None, seed=None, trials=None) -> tup
     """
     try:
         # flag values pass the checks their config fields do
-        if trials is not None:
-            cfg = replace(cfg, trials_per_cell=_read_trials(trials))
-        if seed is not None:
-            cfg = replace(cfg, master_seed=_read_seed(seed))
-        if out is not None:
-            cfg = replace(cfg, output=out)
+        flags = {"trials_per_cell": trials, "master_seed": seed, "output": out}
+        cfg = replace(cfg, **{field: v for field, v in flags.items() if v is not None})
         rows = run_scenario(cfg)
         if cfg.output is None:
             sys.stdout.write(render_csv(rows))

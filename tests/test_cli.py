@@ -181,6 +181,53 @@ class TestParseConfig:
             parse_config(config(users=users, files=[1 / len(users)] * len(users)))
 
 
+# (field, bad value, the document overrides that state it or None, message fragment)
+CONFIG_RULES = [
+    ("trials_per_cell", -5, {"trials_per_cell": -5}, "trials_per_cell -5 outside 0.."),
+    ("master_seed", -1, {"master_seed": -1}, "master_seed must be an integer in [0, 2**64)"),
+    ("master_seed", 2**64, {"master_seed": 2**64}, "master_seed must be an integer in [0, 2**64)"),
+    ("user_snr_db", (None, None), None, "user_snr_db must have one entry per user"),
+    (
+        "sweep_db",
+        (2.0, 2.000000001),
+        {"sweep": {"start_db": 2, "stop_db": 2.000000001, "step_db": 1e-9}},
+        "SNR points would print alike",
+    ),
+    ("schemes", (), {"schemes": []}, "at least one scheme required"),
+    (
+        "schemes",
+        ("proposed", "proposed"),
+        {"schemes": ["proposed", "proposed"]},
+        "duplicate schemes are not supported",
+    ),
+    ("output", "", {"output": ""}, "output must be a non-empty file path"),
+    (
+        "mus",
+        (0.5, 1 / 3, 0.2),
+        {"users": [{"mu": 0.5}, {"mu": 1 / 3}, {"mu": 0.2}]},
+        "cache fractions must be sorted non-decreasing",
+    ),
+    ("demands", (1, 1, 2), {"demands": [1, 1, 2]}, "duplicate demands are not supported"),
+    ("family", "qam", {"modulation": {"family": "qam", "m": 3}}, "QAM requires even m"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, doc, message", CONFIG_RULES, ids=[f"{f}={v!r}" for f, v, *_ in CONFIG_RULES]
+)
+def test_every_way_of_making_a_config_checks_the_same_rules(field, value, doc, message):
+    # the config states the rules, so a config derived with `replace` (as the
+    # CLI flags and the benchmark derive theirs) is rejected as a document is
+    cfg = parse_config(config())
+    with pytest.raises(cm.ConfigurationError) as info:
+        replace(cfg, **{field: value})
+    assert message in str(info.value)
+    if doc is not None:
+        with pytest.raises(cm.ConfigurationError) as info:
+            parse_config(config(**doc))
+        assert message in str(info.value)
+
+
 def forbidden(name):
     """A stand-in for `name` that fails the test if it is called."""
 
@@ -280,6 +327,15 @@ class TestRunScenario:
 
     def test_three_user_sweep_csv_is_pinned(self):
         cfg = parse_config(THREE_USER_SWEEP.read_text())
+        text = render_csv(run_scenario(cfg))
+        assert hashlib.md5(text.encode()).hexdigest() == THREE_USER_SWEEP_MD5
+
+    def test_run_builds_nothing_the_config_built(self, monkeypatch):
+        # the config keeps the library, caches, demands and constellation its
+        # checks built, and the run reads those
+        cfg = parse_config(THREE_USER_SWEEP.read_text())
+        for name in ("Library", "CacheProfile", "DemandVector", "build_constellation"):
+            monkeypatch.setattr(cm.cli, name, forbidden(name))
         text = render_csv(run_scenario(cfg))
         assert hashlib.md5(text.encode()).hexdigest() == THREE_USER_SWEEP_MD5
 
@@ -775,6 +831,7 @@ class TestMain:
             ("--seed", "-1", "master_seed"),
             ("--seed", str(2**64), "master_seed"),
             ("--seed", "99999999999999999999999", "master_seed"),
+            ("--out", "", "output"),
         ],
     )
     def test_flag_overrides_are_checked(self, tmp_path, capsys, flag, value, field):
