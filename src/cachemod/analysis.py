@@ -124,21 +124,20 @@ def bound_table(c: Constellation) -> CellTable:
 def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
     """Per-user rates from the plan's known-bit counts, one SNR per user and one cell table.
 
-    `gammas` holds the K linear SNRs gamma_1..gamma_K, read by `errors.positive`.
-    S_k = sum over user k's shapes of count x cell ser, T_k = S_k / L_k;
-    cell standard errors add in quadrature, so the standard error of T_k is
-    sqrt(sum of (count x std_error)^2) / L_k.  Both sums are exactly rounded
-    (`math.fsum`), so they do not depend on the order of the shapes.
+    `gammas` holds the K linear SNRs gamma_1..gamma_K, read by `errors.positive`.  User k's
+    counts are row k - 1 of `plan.known_counts` over `plan.shapes`, summing to L_k;
+    S_k = sum of count x cell ser over them, T_k = S_k / L_k.  Cell standard errors add in
+    quadrature, so the standard error of T_k is sqrt(sum of (count x std_error)^2) / L_k.
+    Both sums are exactly rounded (`math.fsum`), so they do not depend on the order of the shapes.
     """
     gammas = positive(gammas, "SNRs")
     plan.check_constellation(cells.c)
     if len(gammas) != plan.num_users:
         raise ConfigurationError(f"{len(gammas)} SNRs for a plan of {plan.num_users} users")
-    users = list(range(1, plan.num_users + 1))
-    useful = {u: plan.useful_symbols(u) for u in users}
-    ser, stderr = {}, {}
-    for u, gamma in zip(users, gammas):
-        terms = [(count, *cells(shape, gamma)) for shape, count in plan.shape_counts(u).items()]
+    useful, ser, stderr = {}, {}, {}
+    for u, (row, gamma) in enumerate(zip(plan.known_counts.tolist(), gammas), start=1):
+        useful[u] = sum(row)
+        terms = [(count, *cells(shape, gamma)) for shape, count in zip(plan.shapes, row) if count]
         errors = math.fsum(count * cell_ser for count, cell_ser, _ in terms)
         var = math.fsum((count * std_error) ** 2 for count, _, std_error in terms)
         # a mean of values in [0, 1], clamped: past 2**53 symbols rounding can pass 1
@@ -147,7 +146,7 @@ def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
     return SerReport(
         useful_symbols=useful,
         ser=ser,
-        average_ser=sum(ser.values()) / len(users),
+        average_ser=sum(ser.values()) / plan.num_users,
         stderr=stderr,
-        average_stderr=sum(stderr.values()) / len(users),
+        average_stderr=sum(stderr.values()) / plan.num_users,
     )

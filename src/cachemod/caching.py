@@ -379,13 +379,13 @@ def known_shape(scheme: str, piece_len: int, label_len: int) -> tuple:
 class DeliveryPlan:
     """Per-subset message lengths for one demand vector under one padding scheme.
 
-    What the error analysis needs is `known_counts`, a read-only (K, m)
-    table computed in closed form when the plan is built: row u - 1, column
-    j counts user u's useful blocks with j known label bits, whose shape is
-    `known_shape(scheme, m - j, m)`.  The plan keeps each subset's message
-    length `ell`, read-only and indexed by subset code, and the map it was
-    built from; a message's ceil(ell / m) labels hold each member's subfile
-    as laid out by `piece_runs` and `piece_start` (`encode_block`).
+    What the error analysis needs is `known_counts`, a read-only (K, m) table
+    computed in closed form when the plan is built: row u - 1, column j counts
+    user u's useful blocks with j known label bits, whose shape is `shapes[j]`,
+    so a row over `shapes` is that user's shape histogram.  The plan keeps each
+    subset's message length `ell`, read-only and indexed by subset code, and the
+    map it was built from; a message's ceil(ell / m) labels hold each member's
+    subfile as laid out by `piece_runs` and `piece_start` (`encode_block`).
     """
 
     scheme: str
@@ -397,25 +397,15 @@ class DeliveryPlan:
     demands: DemandVector = field(repr=False)
     ell: np.ndarray = field(repr=False)  # message bits per subset code
 
-    def _counts(self, user: int) -> list:
-        return self.known_counts[integer(user, "user", 1, self.num_users) - 1].tolist()
-
-    def useful_symbols(self, user: int) -> int:
-        return sum(self._counts(user))
+    @cached_property
+    def shapes(self) -> tuple:
+        """Each `known_counts` column's shape: column j's is `known_shape(scheme, m - j, m)`."""
+        m = self.label_len
+        return tuple(known_shape(self.scheme, m - j, m) for j in range(m))
 
     def check_constellation(self, c) -> None:
         if c.m != self.label_len:
             raise ConfigurationError("plan and constellation disagree on bits per symbol")
-
-    def shape_counts(self, user: int) -> dict:
-        """{(prefix_known, suffix_known): count} over the user's useful blocks.
-
-        Shapes are listed by ascending known bits, and only those with blocks.
-        """
-        m = self.label_len
-        return {
-            known_shape(self.scheme, m - j, m): n for j, n in enumerate(self._counts(user)) if n
-        }
 
 
 def build_delivery_plan(

@@ -31,7 +31,7 @@ from .modem import Constellation, build_constellation
 
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 20.0, "step_db": 2.0}
 DEFAULT_TRIALS = 100_000
-MAX_SWEEP_POINTS = 10_000  # each point plans and evaluates every scheme
+MAX_SWEEP_POINTS = 10_000  # each point reports on every scheme's plan; `prepare` plans once
 
 CSV_HEADER = "snr_db,scheme,user,L_k,analytic_T,mc_T,mc_stderr,load_R"
 
@@ -40,8 +40,9 @@ CSV_HEADER = "snr_db,scheme,user,L_k,analytic_T,mc_T,mc_stderr,load_R"
 class ScenarioConfig:
     """A valid scenario: construction, `dataclasses.replace` included, checks every field.
 
-    It also keeps what the checks built, outside the dataclass fields:
-    `caches`, `library`, `constellation` and `demand_vector`.
+    Sequence fields are stored as tuples, so equal scenarios compare and hash equal.  It
+    also keeps what the checks built, outside the dataclass fields: `caches`, `library`,
+    `constellation` and `demand_vector`.
     """
 
     mus: tuple
@@ -58,6 +59,8 @@ class ScenarioConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for name in ("user_snr_db", "schemes", "sweep_db"):  # the others as checked, below
+            vars(self)[name] = tuple(getattr(self, name))
         caches = CacheProfile(self.mus)  # validates range and ordering
         if len(self.user_snr_db) != caches.num_users:
             raise ConfigurationError("user_snr_db must have one entry per user")
@@ -75,6 +78,10 @@ class ScenarioConfig:
             raise ConfigurationError("duplicate schemes are not supported")
         demands = DemandVector(self.demands)
         demands.validate(library.num_files, caches.num_users)
+        if not 0 < len(self.sweep_db) <= MAX_SWEEP_POINTS:
+            raise ConfigurationError(
+                f"sweep has {len(self.sweep_db)} SNR points, not 1 to {MAX_SWEEP_POINTS}"
+            )
         for db in self.sweep_db:
             _check_db(db, "sweep_db point")
         if len({_fmt(db) for db in self.sweep_db}) < len(self.sweep_db):  # the printed SNR keys a row
@@ -87,7 +94,8 @@ class ScenarioConfig:
             _check_output(self.output)
         # kept as `cached_property` keeps a value, past the frozen `__setattr__`
         vars(self).update(
-            caches=caches, library=library, constellation=constellation, demand_vector=demands
+            mus=caches.mus, file_fractions=library.file_fractions, demands=demands.demands,
+            caches=caches, library=library, constellation=constellation, demand_vector=demands,
         )
 
 
@@ -260,8 +268,9 @@ def prepare(cfg: ScenarioConfig) -> Scenario:
     subfiles = _subfile_map(cfg)
     plans = {s: build_delivery_plan(subfiles, cfg.demand_vector, s, cfg.m) for s in cfg.schemes}
     profiles = [tuple(_gamma(db if f is None else f) for f in cfg.user_snr_db) for db in cfg.sweep_db]
-    cells = sorted({(shape, gammas[u - 1]) for plan in plans.values() for u in range(1, len(cfg.mus) + 1)
-                    for shape in plan.shape_counts(u) for gammas in profiles})
+    cells = sorted({(shape, gammas[u]) for plan in plans.values()
+                    for u, row in enumerate(plan.known_counts.tolist())
+                    for shape, count in zip(plan.shapes, row) if count for gammas in profiles})
     return Scenario(cfg.constellation, plans, profiles, cells)
 
 

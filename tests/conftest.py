@@ -77,6 +77,14 @@ def oracle_shape(scheme, piece_len, label_len):
     return (known, 0) if scheme == PROPOSED else (0, known)
 
 
+def shape_histogram(plan, user):
+    """{shape: count} of user `user`'s useful blocks: its `known_counts` row over `plan.shapes`.
+
+    Shapes are listed by ascending known bits, and only those with blocks.
+    """
+    return {shape: n for shape, n in zip(plan.shapes, plan.known_counts[user - 1].tolist()) if n}
+
+
 def oracle_subfile_lens(plan, subset):
     """{user: |W_{d_u, S minus u}|} of a subset's members, read from the plan's map."""
     code = subset_code(subset)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy import integrate
 
 import cachemod as cm
 import cachemod.analysis as analysis
-from conftest import message_subsets, oracle_blocks, oracle_shape, subfile_map
+from conftest import message_subsets, oracle_blocks, oracle_shape, shape_histogram, subfile_map
 
 
 def gaussian_tail(x):
@@ -206,7 +207,7 @@ class TestBlockErrorTable:
         report = cm.ser_report(plan, gammas, cm.bound_table(c))
         for user in (1, 2):
             # all three blocks share one cell
-            ((shape, count),) = plan.shape_counts(user).items()
+            ((shape, count),) = shape_histogram(plan, user).items()
             assert count == 3
             assert report.ser[user] == cm.bound_table(c)(shape, gammas[user - 1])[0]
 
@@ -224,7 +225,7 @@ class TestBlockErrorTable:
         plan = cm.build_delivery_plan(rm, pair_demands, cm.PROPOSED, 3)
         report = cm.ser_report(plan, (1.0, 1.0), cm.bound_table(cm.build_psk(3)))
         assert oracle_blocks(plan, {1, 2}) == [{1: 3, 2: 2}]  # user 2 knows one bit
-        assert plan.shape_counts(2) == {(1, 0): 2}
+        assert shape_histogram(plan, 2) == {(1, 0): 2}
         want = 2 * gaussian_tail(math.sqrt(2) * math.sin(math.pi / 4))
         assert report.ser[2] == pytest.approx(want, rel=1e-12)
 
@@ -237,7 +238,7 @@ class TestBlockErrorTable:
         for user in (1, 2):
             gamma = gammas[user - 1]
             want = 0.0
-            for (n, _), count in plan.shape_counts(user).items():
+            for (n, _), count in shape_histogram(plan, user).items():
                 direct = 2 * cm.q_function(
                     math.sqrt(2 * gamma * math.sin(math.pi / 2 ** (3 - n)) ** 2)
                 )
@@ -279,7 +280,7 @@ class TestUserMetrics:
         # standard errors add in quadrature
         smap = subfile_map(2, 2, {(1, ()): 6, (1, (2,)): 4, (2, (1,)): 6})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        assert plan.shape_counts(1) == {(0, 0): 2, (1, 0): 2}
+        assert shape_histogram(plan, 1) == {(0, 0): 2, (1, 0): 2}
         cells = stub_table(cm.build_psk(3), {(0, 0): (0.1, 0.01), (1, 0): (0.3, 0.03)})
         report = cm.ser_report(plan, (1.0, 1.0), cells)
         assert report.useful_symbols[1] == 4
@@ -329,12 +330,11 @@ class TestUserMetrics:
         }
         gammas = (1.0, 2.0, 3.0)
         want = cm.ser_report(plan, gammas, stub_table(c, values))
-        shuffled = {
-            u: dict(data.draw(st.permutations(list(plan.shape_counts(u).items()))))
-            for u in (1, 2, 3)
-        }
-        with mock.patch.object(cm.DeliveryPlan, "shape_counts", lambda self, u: shuffled[u]):
-            got = cm.ser_report(plan, gammas, stub_table(c, values))
+        # the same (shape, column) pairs in another order
+        order = data.draw(st.permutations(range(8)))
+        shuffled = replace(plan, known_counts=plan.known_counts[:, order])
+        with mock.patch.object(cm.DeliveryPlan, "shapes", tuple(plan.shapes[j] for j in order)):
+            got = cm.ser_report(shuffled, gammas, stub_table(c, values))
         for field in ("ser", "stderr", "average_ser", "average_stderr"):
             assert getattr(got, field) == getattr(want, field)  # bit for bit
 
@@ -383,7 +383,7 @@ class TestPlanMetrics:
         modem._min_distance.cache_clear()
         for gamma in (1.0, 4.0, 16.0):
             cm.ser_report(plan, (gamma, gamma), bounds)
-        shapes = {s for u in (1, 2) for s in plan.shape_counts(u)}
+        shapes = {s for u in (1, 2) for s in shape_histogram(plan, u)}
         assert sorted(calls) == sorted(list(shapes) * 3)  # one call per (shape, gamma) cell
         assert modem._min_distance.cache_info().misses == len(shapes)
 

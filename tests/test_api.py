@@ -56,11 +56,15 @@ REMOVED = {
         "plan_metrics", "analytic_report", "compare_schemes", "SchemeComparison", "_erfc_array",
         "SnrProfile",
     ],
-    # per-user shape dicts, replaced by the `known_counts` table; per-subset
-    # schedules and merged block runs, which the one-array codec needs no
-    # more; a report tag and fields nothing read (the load is the plan's;
-    # S_k is ser x useful_symbols, and a user without useful symbols has 0 of them)
-    "cachemod.caching.DeliveryPlan": ["histograms", "per_subset", "block_runs"],
+    # per-user shape dicts, replaced by the `known_counts` table, and the
+    # per-user readers that rebuilt them from it, replaced by its rows read
+    # over `shapes`; per-subset schedules and merged block runs, which the
+    # one-array codec needs no more; a report tag and fields nothing read (the
+    # load is the plan's; S_k is ser x useful_symbols, and a user without
+    # useful symbols has 0 of them)
+    "cachemod.caching.DeliveryPlan": [
+        "histograms", "per_subset", "block_runs", "shape_counts", "useful_symbols", "_counts",
+    ],
     # the (K, bits) masks' cached subset codes and the per-subset lookup over
     # them: the codes are the placement's one field, `subset_codes`
     "cachemod.caching.PlacementRealization": ["seed", "_subset_codes", "subfile_positions"],
@@ -287,8 +291,6 @@ ARGUMENTS = {
     "build_delivery_plan label_len": ("int", 3, _plan),
     "DemandVector demands": ("int", 2, lambda v: cm.DemandVector((1, v)).demands),
     "DemandVector.file_for user": ("int", 2, DEMANDS.file_for),
-    "DeliveryPlan.shape_counts user": ("int", 2, PLAN.shape_counts),
-    "DeliveryPlan.useful_symbols user": ("int", 2, PLAN.useful_symbols),
     "SubfileMap.length file_index": ("int", 1, lambda v: SMAP.length(v, frozenset({2}))),
     "SubfileMap.file_total file_index": ("int", 2, SMAP.file_total),
     "symbol_error_bound gamma": ("real", 2.0, lambda v: cm.symbol_error_bound("psk", v, 0.7)),

@@ -30,6 +30,7 @@ from conftest import (
     oracle_pieces,
     oracle_shape,
     oracle_subfile_lens,
+    shape_histogram,
     subfile_map,
     subset_tuples,
 )
@@ -485,7 +486,7 @@ class TestPlannerMatchesLoop:
             plan = cm.build_delivery_plan(smap, demands, scheme, m)
             ell, histograms, load = loop_delivery_plan(smap, demands, scheme, m)
             for u in range(1, smap.num_users + 1):
-                assert plan.shape_counts(u) == histograms[u]
+                assert shape_histogram(plan, u) == histograms[u]
             assert plan.load == load
             assert plan.ell.tolist() == ell  # by subset code
 
@@ -519,14 +520,14 @@ class TestBuildDeliveryPlan:
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         assert plan.ell[subset_code({1, 2})] == 9  # three blocks
-        assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 3]
+        assert plan.known_counts.sum(axis=1).tolist() == [3, 3]  # useful symbols per user
         assert message_runs(plan, {1, 2}) == {1: ((4, 0), (3, 3)), 2: ((2, 0), (1, 3))}
 
     def test_three_to_one_split_zero_padding(self):
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 3})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
         assert plan.ell[subset_code({1, 2})] == 9  # three blocks
-        assert [plan.useful_symbols(u) for u in (1, 2)] == [3, 1]
+        assert plan.known_counts.sum(axis=1).tolist() == [3, 1]
         # user 2's third label is partial with no bits; its last two blocks are empty
         assert message_runs(plan, {1, 2}) == {1: ((3, 3), (0, 0)), 2: ((3, 1), (0, 0))}
 
@@ -549,7 +550,7 @@ class TestBuildDeliveryPlan:
         smap = subfile_map(2, 2, {})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
         assert not plan.ell.any()
-        assert [plan.useful_symbols(u) for u in (1, 2)] == [0, 0]
+        assert plan.known_counts.sum(axis=1).tolist() == [0, 0]
 
     def test_load_matches_message_bits(self, two_user_pair_placement, pair_demands):
         rm = cm.realized_subfile_map(two_user_pair_placement)
@@ -724,18 +725,18 @@ class TestShapeHistograms:
             plan = cm.build_delivery_plan(smap, demands, scheme, m)
             for u in range(1, k + 1):
                 want = enumerated_histogram(plan, u)
-                got = plan.shape_counts(u)
+                got = shape_histogram(plan, u)
                 assert got == want
-                assert sum(got.values()) == plan.useful_symbols(u)
+                assert sum(got.values()) == plan.known_counts[u - 1].sum()
 
     def test_hand_evaluated_runs(self):
         # 7 bits over 3 blocks of width 3: pieces 3, 2, 2 -> shapes (0,0) and 2 x (1,0)
         smap = subfile_map(2, 2, {(1, (2,)): 9, (2, (1,)): 7})
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        assert plan.shape_counts(2) == {(0, 0): 1, (1, 0): 2}
+        assert shape_histogram(plan, 2) == {(0, 0): 1, (1, 0): 2}
         # sequential fill: two full labels, then one with 2 padded bits
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.ZERO_PADDING, 3)
-        assert plan.shape_counts(2) == {(0, 0): 2, (0, 2): 1}
+        assert shape_histogram(plan, 2) == {(0, 0): 2, (0, 2): 1}
 
     def test_known_counts_table(self):
         # one read-only row per user, one column per number of known label bits
@@ -751,10 +752,9 @@ class TestShapeHistograms:
             assert plan.known_counts.dtype == np.int64
             assert plan.known_counts.tolist() == table
             assert not plan.known_counts.flags.writeable
-            assert list(plan.shape_counts(1)) == user_1_shapes  # by ascending known bits
-            for user in (0, 3):
-                with pytest.raises(cm.ConfigurationError, match="outside 1..2"):
-                    plan.useful_symbols(user)
+            assert list(shape_histogram(plan, 1)) == user_1_shapes  # by ascending known bits
+            # one row per user 1..K, which `ser_report` zips with the K SNRs
+            assert plan.known_counts.shape == (plan.num_users, plan.label_len)
 
     @pytest.mark.parametrize("k", [2, 5])  # the subset loop, then the code arrays
     def test_ell_is_read_only(self, k):
@@ -924,7 +924,7 @@ class TestKnownBitMask:
         n_blocks = message_blocks(pz, subset)
         for u in (1, 2):
             prop_pieces, zp_pieces = expand(prop_runs[u], n_blocks), expand(zp_runs[u], n_blocks)
-            for i in range(pz.useful_symbols(u)):
+            for i in range(pz.known_counts[u - 1].sum()):
                 prop = known_shape(cm.PROPOSED, prop_pieces[i], 3)[0]
                 zp = known_shape(cm.ZERO_PADDING, zp_pieces[i], 3)[0]
                 assert prop >= zp

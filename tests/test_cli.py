@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import threading
@@ -9,6 +10,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,11 +211,21 @@ CONFIG_RULES = [
     ),
     ("demands", (1, 1, 2), {"demands": [1, 1, 2]}, "duplicate demands are not supported"),
     ("family", "qam", {"modulation": {"family": "qam", "m": 3}}, "QAM requires even m"),
+    # a document's sweep is bounded as its grid is built (`test_sweep_point_count_bounded`)
+    ("sweep_db", (), None, f"sweep has 0 SNR points, not 1 to {MAX_SWEEP_POINTS}"),
+    (
+        "sweep_db",
+        tuple(i / 1000 for i in range(2 * MAX_SWEEP_POINTS)),
+        None,
+        f"sweep has {2 * MAX_SWEEP_POINTS} SNR points, not 1 to {MAX_SWEEP_POINTS}",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "field, value, doc, message", CONFIG_RULES, ids=[f"{f}={v!r}" for f, v, *_ in CONFIG_RULES]
+    "field, value, doc, message",
+    CONFIG_RULES,
+    ids=[f"{f}={reprlib.repr(v)}" for f, v, *_ in CONFIG_RULES],  # a long sweep's id abbreviated
 )
 def test_every_way_of_making_a_config_checks_the_same_rules(field, value, doc, message):
     # the config states the rules, so a config derived with `replace` (as the
@@ -226,6 +238,17 @@ def test_every_way_of_making_a_config_checks_the_same_rules(field, value, doc, m
         with pytest.raises(cm.ConfigurationError) as info:
             parse_config(config(**doc))
         assert message in str(info.value)
+
+
+@pytest.mark.parametrize("form", [list, np.array])
+@pytest.mark.parametrize(
+    "field", ["mus", "user_snr_db", "file_fractions", "schemes", "demands", "sweep_db"]
+)
+def test_equal_scenarios_compare_and_hash_equal(field, form):
+    cfg = parse_config(config(users=[{"mu": 0.2, "snr_db": 3.0}, {"mu": 1 / 3}, {"mu": 0.5}]))
+    other = replace(cfg, **{field: form(getattr(cfg, field))})
+    assert other == cfg and hash(other) == hash(cfg)
+    assert type(getattr(other, field)) is tuple
 
 
 def forbidden(name):
@@ -374,6 +397,25 @@ class TestRunScenario:
         modem._min_distance.cache_clear()
         run_scenario(replace(cfg, trials_per_cell=0))
         assert modem._min_distance.cache_info().misses == 3
+
+    def test_shapes_are_read_once_per_plan(self, monkeypatch):
+        # a plan's shape histograms are fixed once it is built, so a longer
+        # sweep asks `known_shape` for no more shapes
+        calls = []
+        real = cm.caching.known_shape
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cm.caching, "known_shape", counting)
+        cfg = replace(parse_config((WORKLOADS / "many_users.json").read_text()), trials_per_cell=0)
+        counts = []
+        for points in (3, 30):
+            calls.clear()
+            run_scenario(replace(cfg, sweep_db=tuple(float(db) for db in range(points))))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_detector_rarely_falls_back_to_brute_force(self, work):
         # the paper sweep's 8PSK cells and the 256-QAM prefix cells have

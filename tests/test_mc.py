@@ -19,6 +19,7 @@ from conftest import (
     message_subsets,
     screen_bound,
     screened_trials,
+    shape_histogram,
     subfile_map,
     wedge_trials,
 )
@@ -565,8 +566,8 @@ class TestRunCampaign:
         c = cm.build_psk(3)
         report = cm.ser_report(plan, (1.0, 1.0), cm.estimate_table(c, 1000, 0))
         for u in (1, 2):
-            assert report.useful_symbols[u] == plan.useful_symbols(u)
-            assert sum(plan.shape_counts(u).values()) == report.useful_symbols[u]
+            assert report.useful_symbols[u] == plan.known_counts[u - 1].sum()
+            assert sum(shape_histogram(plan, u).values()) == report.useful_symbols[u]
 
     def test_shared_estimates_match_fresh_campaigns(self, small_instance, monkeypatch):
         # one table across both schemes and two SNR points: every distinct
@@ -594,7 +595,7 @@ class TestRunCampaign:
             for gammas in sweep
             for p in plans
             for u in (1, 2)
-            for shape in p.shape_counts(u)
+            for shape in shape_histogram(p, u)
         }
         assert sorted(calls) == sorted(cells)
 
