@@ -129,15 +129,24 @@ def ser_report(plan: DeliveryPlan, gammas, cells: CellTable) -> SerReport:
     S_k = sum of count x cell ser over them, T_k = S_k / L_k.  Cell standard errors add in
     quadrature, so the standard error of T_k is sqrt(sum of (count x std_error)^2) / L_k.
     Both sums are exactly rounded (`math.fsum`), so they do not depend on the order of the shapes.
+    The users at one SNR share their cells: each column some user there counts is read once.
     """
     gammas = positive(gammas, "SNRs")
     plan.check_constellation(cells.c)
     if len(gammas) != plan.num_users:
         raise ConfigurationError(f"{len(gammas)} SNRs for a plan of {plan.num_users} users")
+    rows = plan.known_counts.tolist()
+    values = {}  # gamma -> {column a user at gamma counts: its cell's (ser, std_error)}
+    for row, gamma in zip(rows, gammas):
+        at = values.setdefault(gamma, {})
+        for j, count in enumerate(row):
+            if count and j not in at:
+                at[j] = cells(plan.shapes[j], gamma)
     useful, ser, stderr = {}, {}, {}
-    for u, (row, gamma) in enumerate(zip(plan.known_counts.tolist(), gammas), start=1):
+    for u, (row, gamma) in enumerate(zip(rows, gammas), start=1):
         useful[u] = sum(row)
-        terms = [(count, *cells(shape, gamma)) for shape, count in zip(plan.shapes, row) if count]
+        at = values[gamma]
+        terms = [(count, *at[j]) for j, count in enumerate(row) if count]
         errors = math.fsum(count * cell_ser for count, cell_ser, _ in terms)
         var = math.fsum((count * std_error) ** 2 for count, _, std_error in terms)
         # a mean of values in [0, 1], clamped: past 2**53 symbols rounding can pass 1

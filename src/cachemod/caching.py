@@ -17,7 +17,6 @@ placement or from the expected lengths, each file rounded to its bit count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -48,13 +47,6 @@ MAX_TOTAL_BITS = 2**62
 # (user, subset) entries per step of the array planner: each step takes
 # _PLAN_ENTRIES // K subsets, so its (K, subsets, 2) arrays do not grow with K
 _PLAN_ENTRIES = 2**13
-# Up to this many entries (targets of `largest_remainder`, subsets of a plan)
-# Python loops beat array code.  The array code calls some thirty numpy
-# kernels, and in a fresh process each one's first call costs 2-40 us: about
-# 0.4 ms in all, a third of a K = 3 analytic sweep.  Timed in fresh processes
-# on a 2-vCPU VM, quantising and planning both schemes took the loops 0.4 ms
-# at K = 3 and the arrays 0.9 ms; at K = 5 the arrays win, 1.0 against 1.1 ms.
-_LOOP_MAX = 2**4
 
 
 def largest_remainder(targets, total: int, tie_key=None) -> np.ndarray:
@@ -64,23 +56,12 @@ def largest_remainder(targets, total: int, tie_key=None) -> np.ndarray:
     remainders, equal ones going to the smallest `tie_key(position)` (by
     default the position itself).  Preserves the exact total, or raises
     ValueError when that takes more than one unit per share or fewer than
-    none.  Up to `_LOOP_MAX` targets a sort ranks the remainders.  Beyond,
-    one partition finds the cut, the deficit-th largest remainder: every
-    remainder above it gets a unit, and the ties at it share the units left,
-    ranked by `tie_key` (called on an int64 array of positions) only when
-    they outnumber them.  That is the sort's choice in linear time.
+    none.  One partition finds the cut, the deficit-th largest remainder:
+    every remainder above it gets a unit, and the ties at it share the units
+    left, ranked by `tie_key` (called on an int64 array of positions) only
+    when they outnumber them.  That is a sort's choice in linear time.
     """
     tie_key = tie_key or (lambda i: i)
-    if len(targets) <= _LOOP_MAX:
-        targets = [float(t) for t in targets]
-        floors = [math.floor(t) for t in targets]
-        deficit = total - sum(floors)
-        if not 0 <= deficit <= len(targets):
-            raise ValueError(f"total less floored shares is {deficit}, not in 0..{len(targets)}")
-        order = sorted(range(len(targets)), key=lambda i: (-(targets[i] - floors[i]), tie_key(i)))
-        for i in order[:deficit]:
-            floors[i] += 1
-        return np.array(floors, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.float64)
     floors = np.floor(targets)
     shares = floors.astype(np.int64)
@@ -420,16 +401,14 @@ def build_delivery_plan(
     the message has ell = max n_u bits in ceil(ell / m) blocks, and each
     (user, subset) pair adds the blocks of its two `piece_runs`, skipping
     empty pieces, to the user's `known_counts`, in the column of the
-    m - piece_len label bits it knows.  Up to `_LOOP_MAX` subsets a loop
-    visits them one by one; beyond, `_plan_arrays` handles them as arrays of
-    codes.
+    m - piece_len label bits it knows.  `_plan_arrays` handles the subsets
+    as arrays of codes.
     """
     check_scheme(scheme)
     label_len = integer(label_len, "bits per symbol", 1)
     demands.validate(subfiles.num_files, subfiles.num_users)
 
-    plan_subsets = _plan_loop if subfiles.lengths.shape[1] <= _LOOP_MAX else _plan_arrays
-    ell, known_counts = plan_subsets(subfiles, demands, scheme, label_len)
+    ell, known_counts = _plan_arrays(subfiles, demands, scheme, label_len)
     ell.flags.writeable = known_counts.flags.writeable = False
     total_bits = int(subfiles.lengths.sum())
     return DeliveryPlan(
@@ -442,25 +421,6 @@ def build_delivery_plan(
         demands=demands,
         ell=ell,
     )
-
-
-def _plan_loop(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:
-    """(ell by code, known_counts), one subset at a time."""
-    k = subfiles.num_users
-    rows = [subfiles.lengths[d - 1].tolist() for d in demands.demands]
-    ell = [0] * (1 << k)
-    counts = [[0] * m for _ in range(k)]
-    for code in range(1, 1 << k):
-        sub_lens = {u: rows[u][code & ~(1 << u)] for u in range(k) if code >> u & 1}
-        ell[code] = max(sub_lens.values())
-        if ell[code] == 0:
-            continue
-        n_blocks = -(-ell[code] // m)
-        for u, n in sub_lens.items():
-            for piece, count in piece_runs(scheme, n, n_blocks, m):
-                if piece and count:
-                    counts[u][m - piece] += count
-    return np.array(ell, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def _plan_arrays(subfiles: SubfileMap, demands: DemandVector, scheme: str, m: int) -> tuple:

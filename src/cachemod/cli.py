@@ -255,7 +255,7 @@ class Scenario(NamedTuple):
     constellation: Constellation
     plans: dict  # scheme -> DeliveryPlan
     profiles: list  # per sweep point, each user's linear SNR
-    cells: list  # the sorted (shape, gamma) Monte Carlo cells `ser_report` reads
+    cells: list  # the sorted (shape, gamma) Monte Carlo cells `ser_report` reads; [] if analytic only
 
 
 def _subfile_map(cfg: ScenarioConfig):
@@ -268,9 +268,11 @@ def prepare(cfg: ScenarioConfig) -> Scenario:
     subfiles = _subfile_map(cfg)
     plans = {s: build_delivery_plan(subfiles, cfg.demand_vector, s, cfg.m) for s in cfg.schemes}
     profiles = [tuple(_gamma(db if f is None else f) for f in cfg.user_snr_db) for db in cfg.sweep_db]
-    cells = sorted({(shape, gammas[u]) for plan in plans.values()
-                    for u, row in enumerate(plan.known_counts.tolist())
-                    for shape, count in zip(plan.shapes, row) if count for gammas in profiles})
+    cells = []
+    if cfg.trials_per_cell > 0:  # only an estimate table is filled ahead of the reports
+        cells = sorted({(shape, gammas[u]) for plan in plans.values()
+                        for u, row in enumerate(plan.known_counts.tolist())
+                        for shape, count in zip(plan.shapes, row) if count for gammas in profiles})
     return Scenario(cfg.constellation, plans, profiles, cells)
 
 

@@ -314,6 +314,29 @@ class TestUserMetrics:
         with pytest.raises(cm.ConfigurationError, match=f"{num_snrs} SNRs for a plan of 3 users"):
             cm.ser_report(plan, (1.0,) * num_snrs, cells)
 
+    @pytest.mark.parametrize("gammas", [(2.0,) * 4, (1.0, 2.0, 2.0, 3.0)])
+    def test_each_counted_column_read_once_per_snr(self, gammas):
+        # users at one SNR share the cells they count: a column is read once
+        # per SNR, and only where a user at that SNR counts it
+        smap = cm.SubfileMap(np.random.default_rng(0).integers(0, 60, (4, 16)))
+        plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2, 3, 4)), cm.ZERO_PADDING, 4)
+        counted = plan.known_counts > 0
+        assert not counted[0, 3] and not counted[1:3, 2].any()  # columns some users lack
+        reads = []
+
+        class CountingTable(cm.CellTable):
+            def __call__(self, shape, gamma):
+                reads.append((shape, gamma))
+                return super().__call__(shape, gamma)
+
+        report = cm.ser_report(plan, gammas, CountingTable(cm.build_psk(4), lambda *key: (0.4, 0.1)))
+        assert report.average_ser == pytest.approx(0.4)
+        assert len(reads) == len(set(reads))
+        assert set(reads) == {
+            (plan.shapes[j], gamma)
+            for gamma, row in zip(gammas, counted) for j in np.flatnonzero(row)
+        }
+
     @given(data=st.data())
     @settings(max_examples=40)
     def test_sums_do_not_depend_on_shape_order(self, data):

@@ -49,6 +49,9 @@ REMOVED = {
         "_bit_run", "_checked_pieces", "_run_count", "_PLAN_CHUNK",
         # the real-number rule and the file-index check, now `errors.reals` and `errors.integer`
         "_floats", "_file_row",
+        # the small-input loops of `largest_remainder` and the planner, and their size
+        # threshold; every size now runs the array code
+        "_LOOP_MAX", "_plan_loop",
     ],
     # thin wrappers around `ser_report`, `q_function`'s array path, and a
     # carrier for the per-user SNRs `ser_report` now takes as a plain sequence

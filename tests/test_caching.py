@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -337,8 +338,7 @@ class TestQuantization:
         extra=st.integers(0, 45),
     )
     def test_largest_remainder_matches_loop(self, targets, extra):
-        # repeated remainders exercise the ties at the cut; _LOOP_MAX = 0
-        # sends short lists through the partition too
+        # repeated remainders exercise the ties at the cut
         total = sum(math.floor(t) for t in targets) + extra
 
         def outcome(apportion):
@@ -350,9 +350,7 @@ class TestQuantization:
 
         want = outcome(loop_largest_remainder)
         assert (want is ValueError) == (extra > len(targets))
-        for loop_max in (caching._LOOP_MAX, 0):
-            with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-                assert outcome(largest_remainder) == want
+        assert outcome(largest_remainder) == want
 
     @given(
         # magnitudes past 2**53, where the float shares round; the sum stays
@@ -362,29 +360,30 @@ class TestQuantization:
     )
     def test_returned_shares_sum_to_total(self, targets, offset):
         total = int(sum(targets)) + offset
-        for loop_max in (caching._LOOP_MAX, 0):
-            with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-                try:
-                    shares = largest_remainder(targets, total).tolist()
-                except ValueError:
-                    continue
-            assert sum(shares) == total
-            assert all(0 <= n - math.floor(t) <= 1 for n, t in zip(shares, targets))
+        try:
+            shares = largest_remainder(targets, total).tolist()
+        except ValueError:
+            return
+        assert sum(shares) == total
+        assert all(0 <= n - math.floor(t) <= 1 for n, t in zip(shares, targets))
 
     @pytest.mark.parametrize("k", range(1, 13))
-    @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
-    def test_canonical_codes(self, k, loop_max):
+    @pytest.mark.parametrize("whole", [16, 0])
+    def test_canonical_codes(self, k, whole):
         # the tie key sorts the codes canonically, on ints and on arrays ...
         canonical = [0, *(subset_code(s) for s in subset_tuples(k))]
         assert sorted(range(1 << k), key=lambda c: _canonical_key(c, k)) == canonical
         keys = _canonical_key(np.arange(1 << k, dtype=np.int64), k)
         assert keys.dtype == np.int64
         assert np.argsort(keys).tolist() == canonical
-        # ... and equal remainders take their units in that order on either path
-        with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-            for units in {1, (1 << k) // 3, (1 << k) - 1}:
-                shares = largest_remainder([0.5] * (1 << k), units, lambda c: _canonical_key(c, k))
-                assert sorted(np.flatnonzero(shares).tolist()) == sorted(canonical[:units])
+        # ... and equal remainders take their units in that order, whatever
+        # whole number of units each share holds below them
+        n = 1 << k
+        for units in {1, n // 3, n - 1}:
+            tie_key = partial(_canonical_key, num_users=k)
+            shares = largest_remainder([whole + 0.5] * n, whole * n + units, tie_key)
+            assert set(shares.tolist()) <= {whole, whole + 1}
+            assert sorted(np.flatnonzero(shares - whole).tolist()) == sorted(canonical[:units])
 
     def test_conserves_file_totals(self):
         lib = cm.Library((1 / 3, 2 / 3), 100)
@@ -394,24 +393,23 @@ class TestQuantization:
         for i, nbits in enumerate(lib.file_bits, start=1):
             assert em.file_total(i) == nbits
 
-    @pytest.mark.parametrize("loop_max", [caching._LOOP_MAX, 0])
-    def test_inexact_rounding_rejected(self, loop_max):
+    @pytest.mark.parametrize("idle_users", [16, 0])
+    def test_inexact_rounding_rejected(self, idle_users):
         # each file of thirds of 3 * 2**55 is exactly 2**55 bits, but the
-        # float subset lengths of each floor 4 bits above it
+        # float subset lengths of each floor 4 bits above it; users who cache
+        # nothing add empty subsets, which cannot take up the excess
         lib = cm.Library((1 / 3, 1 / 3, 1 / 3), 3 * 2**55)
-        with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-            with pytest.raises(cm.ConfigurationError, match="do not round"):
-                cm.expected_subfile_lengths(lib, cm.CacheProfile((0.2, 1 / 3, 0.5)))
+        caches = cm.CacheProfile((0.0,) * idle_users + (0.2, 1 / 3, 0.5))
+        with pytest.raises(cm.ConfigurationError, match="do not round"):
+            cm.expected_subfile_lengths(lib, caches)
 
     def test_ties_follow_canonical_subset_order(self):
         # 250 bits over 16 equally likely subsets: every remainder is 0.625, so
         # the ten leftover bits go to the first ten subsets in canonical order
         lib = cm.Library((0.25,) * 4, 1000)
         canonical = [frozenset(), *all_subsets(4)]
-        for loop_max in (caching._LOOP_MAX, 0):  # 0: the array path ranks the ties
-            with mock.patch.object(caching, "_LOOP_MAX", loop_max):
-                em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
-            assert [em.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
+        em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
+        assert [em.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
 
 
 def message_blocks(plan, subset):
@@ -466,19 +464,16 @@ class TestPlannerMatchesLoop:
     @given(
         instance=planning_instances(),
         m=st.integers(1, 8),
-        loop_max=st.sampled_from([caching._LOOP_MAX, 0]),  # 0: arrays at every K
         # entries per array step: one subset a step below K, a few, all of them
         plan_entries=st.sampled_from([caching._PLAN_ENTRIES, 1, 13]),
     )
     @settings(max_examples=120)
-    def test_quantise_and_plan_equal_the_loop(self, instance, m, loop_max, plan_entries):
-        with mock.patch.object(caching, "_LOOP_MAX", loop_max), mock.patch.object(
-            caching, "_PLAN_ENTRIES", plan_entries
-        ):
+    def test_quantise_and_plan_equal_the_loop(self, instance, m, plan_entries):
+        with mock.patch.object(caching, "_PLAN_ENTRIES", plan_entries):
             self.check(*instance, m)
 
     def check(self, smap, demands, m):
-        if not isinstance(smap, SubfileMap):  # built here, under the test's _LOOP_MAX
+        if not isinstance(smap, SubfileMap):  # an expected map, quantised here
             expected = cm.expected_subfile_lengths(*smap)
             assert np.array_equal(expected.lengths, loop_quantized_lengths(*smap))
             smap = expected

@@ -307,7 +307,9 @@ class TestRunScenario:
         assert [r.user for r in one_point[:4]] == ["1", "2", "3", "avg"]
 
     def test_analytic_only_leaves_mc_empty(self):
-        rows = run_scenario(parse_config(config()))
+        cfg = parse_config(config())
+        assert prepare(cfg).cells == []  # no Monte Carlo cell is stated, so none is estimated
+        rows = run_scenario(cfg)
         assert all(r.mc_ser is None and r.mc_stderr is None for r in rows)
         text = render_csv(rows)
         assert ",,," in text.splitlines()[1] or text.splitlines()[1].count(",") == 7
@@ -390,6 +392,12 @@ class TestRunScenario:
         # the prepared scenario states the cells, and the run evaluates exactly those
         assert sorted(calls["cells"]) == prepare(cfg).cells
         assert len(calls["shapes"]) == 33 and len(set(calls["shapes"])) == 3
+        # likewise with user 1 at a fixed SNR: no cell of another user's shape at its SNR
+        fixed = replace(cfg, user_snr_db=(5.0, None, None))
+        calls["cells"].clear()
+        run_scenario(fixed)
+        assert len(calls["cells"]) == len(set(calls["cells"]))
+        assert sorted(calls["cells"]) == prepare(fixed).cells
         # analytic only: MC cells call `min_distance` on helper threads, and
         # two threads missing one key together may both enumerate it.  No
         # estimate table is built
