@@ -164,11 +164,6 @@ class DemandVector:
         return self.demands[integer(user, "user", 1, len(self.demands)) - 1]
 
 
-def subset_code(subset) -> int:
-    """Bitmask of a user subset: bit u - 1 is set when user u is a member."""
-    return sum(1 << (u - 1) for u in subset)
-
-
 def _canonical_key(codes, num_users: int):
     """Sort key of subset codes (an int or an int64 array) for canonical order.
 
@@ -189,9 +184,10 @@ class SubfileMap:
     """Whole-bit lengths |W_{i,S}| for every (file, caching-subset) pair.
 
     `lengths` is a read-only int64 array of shape (num_files, 2**num_users):
-    lengths[i - 1, subset_code(S)] is |W_{i,S}|.  Construction takes any
-    integer array (not bool) with non-negative entries summing to at most
-    MAX_TOTAL_BITS, and keeps it without a copy when it is already int64.
+    lengths[i - 1, code] is |W_{i,S}|, where bit u - 1 of the subset code is
+    set when user u is in S.  Construction takes any integer array (not
+    bool) with non-negative entries summing to at most MAX_TOTAL_BITS, and
+    keeps it without a copy when it is already int64.
     """
 
     lengths: np.ndarray
@@ -218,15 +214,6 @@ class SubfileMap:
     @property
     def num_users(self) -> int:
         return self.lengths.shape[1].bit_length() - 1
-
-    def _row(self, file_index: int) -> np.ndarray:
-        return self.lengths[integer(file_index, "file index", 1, self.num_files) - 1]
-
-    def length(self, file_index: int, subset: frozenset):
-        return self._row(file_index)[subset_code(subset)].item()
-
-    def file_total(self, file_index: int):
-        return self._row(file_index).sum().item()
 
 
 def check_subfile_map_size(num_files: int, num_users: int):
@@ -268,9 +255,9 @@ class PlacementRealization(NamedTuple):
     """Concrete seeded cache contents: the caching subset of every library bit.
 
     Per file i, `bit_values[i - 1]` is its (file_bits,) uint8 bit values and
-    `subset_codes[i - 1]` its (file_bits,) int64 subset codes: bit u - 1 of a
-    bit's code is set when user u cached that bit (`subset_code`), so the
-    subfile W_{i,S} is the bits whose code is subset_code(S).
+    `subset_codes[i - 1]` its (file_bits,) int64 subset codes, coded as in
+    `SubfileMap`: bit u - 1 of a bit's code is set when user u cached that
+    bit, so the subfile W_{i,S} is the bits whose code is that of S.
     """
 
     library: Library

@@ -84,9 +84,11 @@ class ScenarioConfig:
             )
         for db in self.sweep_db:
             _check_db(db, "sweep_db point")
-        if len({_fmt(db) for db in self.sweep_db}) < len(self.sweep_db):  # the printed SNR keys a row
+        # the printed SNR keys a row, and -0.0 and 0.0 print apart but are one point
+        if min(len(set(self.sweep_db)), len({_fmt(db) for db in self.sweep_db})) < len(self.sweep_db):
             raise ConfigurationError(
-                "sweep step_db is finer than the CSV prints: SNR points would print alike"
+                "sweep step_db is finer than the CSV prints, or a point repeats as -0 and 0: "
+                "SNR points would print alike"
             )
         integer(self.trials_per_cell, "trials_per_cell", 0)
         seed(self.master_seed, "master_seed")
@@ -258,14 +260,9 @@ class Scenario(NamedTuple):
     cells: list  # the sorted (shape, gamma) Monte Carlo cells `ser_report` reads; [] if analytic only
 
 
-def _subfile_map(cfg: ScenarioConfig):
-    """The map stage: the expected subfile map, which `validate` also rounds."""
-    return expected_subfile_lengths(cfg.library, cfg.caches)
-
-
 def prepare(cfg: ScenarioConfig) -> Scenario:
     """The constellation, one plan per scheme, the SNR profiles and the cells of a run."""
-    subfiles = _subfile_map(cfg)
+    subfiles = expected_subfile_lengths(cfg.library, cfg.caches)
     plans = {s: build_delivery_plan(subfiles, cfg.demand_vector, s, cfg.m) for s in cfg.schemes}
     profiles = [tuple(_gamma(db if f is None else f) for f in cfg.user_snr_db) for db in cfg.sweep_db]
     cells = []
@@ -335,12 +332,6 @@ def render_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(rows: list, path: str):
-    text = render_csv(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cachemod")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,10 +369,12 @@ def execute_run(cfg: ScenarioConfig, *, out=None, seed=None, trials=None) -> tup
         flags = {"trials_per_cell": trials, "master_seed": seed, "output": out}
         cfg = replace(cfg, **{field: v for field, v in flags.items() if v is not None})
         rows = run_scenario(cfg)
+        text = render_csv(rows)  # before the file opens: a failed render leaves none
         if cfg.output is None:
-            sys.stdout.write(render_csv(rows))
+            sys.stdout.write(text)
         else:
-            emit_csv(rows, cfg.output)
+            with open(cfg.output, "w", newline="") as fh:
+                fh.write(text)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []
@@ -398,7 +391,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.command == "validate":
-            _subfile_map(cfg)  # `run`'s map stage, which can fail where the files' split did not
+            # `run`'s map stage, which can fail where the files' split did not
+            expected_subfile_lengths(cfg.library, cfg.caches)
             return 0
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,10 +35,6 @@ class Constellation(NamedTuple):
     points: np.ndarray  # complex, read-only, indexed by label: the modulation map
     spacing: float  # native grid spacing d (QAM); unit-circle scale for PSK
 
-    @property
-    def size(self) -> int:
-        return 1 << self.m
-
 
 def build_psk(m: int) -> Constellation:
     """2^m-PSK on the unit circle; label l sits at angle index bit-reverse(l).

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from cachemod import PROPOSED, CacheProfile, DemandVector, Library, min_distance
-from cachemod.caching import PlacementRealization, SubfileMap, subset_code
+from cachemod.caching import PlacementRealization, SubfileMap
 from cachemod.mc import _BAND, _SCREEN, _cell_seed
 from cachemod.modem import _RHO_MAX, _RHO_MIN
 
@@ -14,6 +14,11 @@ from cachemod.modem import _RHO_MAX, _RHO_MIN
 # hypothesis' 200 ms default on a slow machine; max_examples stays per test
 settings.register_profile("cachemod", deadline=None)
 settings.load_profile("cachemod")
+
+
+def subset_code(subset) -> int:
+    """A user subset's code, as `SubfileMap` indexes it: bit u - 1 is set when user u is a member."""
+    return sum(1 << (u - 1) for u in subset)
 
 
 def subset_tuples(num_users):
@@ -149,7 +154,7 @@ def compatible_labels(c, shape, value):
     low = (1 << s) - 1
     return [
         label
-        for label in range(c.size)
+        for label in range(len(c.points))
         if label >> (c.m - p) == value >> s and label & low == value & low
     ]
 
@@ -173,7 +178,7 @@ def screen_bound(c, shape, gamma):
 def screened_trials(c, shape, gamma, trials, master_seed, cell_id):
     """Which trials of the cell's one-shot stream (labels, then noise) skip `detect`."""
     rng = np.random.default_rng(_cell_seed(master_seed, cell_id))
-    rng.integers(0, c.size, size=trials, dtype=np.int64)
+    rng.integers(0, len(c.points), size=trials, dtype=np.int64)
     raw = rng.standard_normal((trials, 2))
     return raw[:, 0] ** 2 + raw[:, 1] ** 2 < screen_bound(c, shape, gamma)
 
@@ -189,7 +194,7 @@ def wedge_trials(c, shape, gamma, trials, master_seed, cell_id):
     if c.family != "psk" or shape[1]:
         return np.zeros(trials, dtype=bool)
     rng = np.random.default_rng(_cell_seed(master_seed, cell_id))
-    labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+    labels = rng.integers(0, len(c.points), size=trials, dtype=np.int64)
     raw = rng.standard_normal((trials, 2))
     x = c.points[labels]
     y = math.sqrt(gamma) * x + math.sqrt(0.5) * (raw[:, 0] + 1j * raw[:, 1])

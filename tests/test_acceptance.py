@@ -10,7 +10,7 @@ import pytest
 
 import cachemod as cm
 from cachemod.cli import main, parse_config
-from conftest import compatible_labels
+from conftest import compatible_labels, subset_code
 
 
 def _verdict(num, name, ok, elapsed, limit):
@@ -200,7 +200,7 @@ def test_criterion_7_placement_concentration():
                 p = mean / nbits
                 sigma = math.sqrt(nbits * p * (1 - p))
                 checks += 1
-                hits += abs(realized.length(i, subset) - mean) <= 3 * sigma
+                hits += abs(realized.lengths[i - 1, subset_code(subset)] - mean) <= 3 * sigma
     ok = hits / checks >= 0.99
     _verdict(7, f"placement within 3 sigma ({hits}/{checks})", ok, time.perf_counter() - t0, 60.0)
 

@@ -19,7 +19,6 @@ from cachemod.caching import (
     known_shape,
     largest_remainder,
     piece_runs,
-    subset_code,
 )
 from conftest import (
     all_subsets,
@@ -33,6 +32,7 @@ from conftest import (
     oracle_subfile_lens,
     shape_histogram,
     subfile_map,
+    subset_code,
     subset_tuples,
 )
 
@@ -166,7 +166,7 @@ class TestExpectedSubfileLengths:
         lib = cm.Library((0.6, 0.4), 15)
         caches = cm.CacheProfile((1 / 3, 1 / 3))
         em = cm.expected_subfile_lengths(lib, caches)
-        assert [em.length(1, frozenset(s)) for s in ((), (1,), (2,), (1, 2))] == [4, 2, 2, 1]
+        assert [em.lengths[0, subset_code(s)] for s in ((), (1,), (2,), (1, 2))] == [4, 2, 2, 1]
         assert em.lengths.dtype == np.int64
         assert (em.num_files, em.num_users) == (2, 2)
         assert not em.lengths.flags.writeable
@@ -175,30 +175,20 @@ class TestExpectedSubfileLengths:
         with pytest.raises(cm.ConfigurationError):
             SubfileMap(np.zeros((2, 3), dtype=np.int64))
 
-
-    @pytest.mark.parametrize("index", [0, -1, 3, 10])
-    def test_file_index_outside_library_rejected(self, index):
-        # a 2-file map: index 0 used to read the last file's row
-        em = cm.expected_subfile_lengths(cm.Library((0.6, 0.4), 15), cm.CacheProfile((0.5,)))
-        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
-            em.length(index, frozenset({1}))
-        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
-            em.file_total(index)
-
     def test_no_caching(self):
         lib = cm.Library((0.6, 0.4), 15)
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.0, 0.0)))
         for i, frac in ((1, 0.6), (2, 0.4)):
-            assert em.length(i, frozenset()) == round(frac * 15)
+            assert em.lengths[i - 1, subset_code(())] == round(frac * 15)
             for subset in all_subsets(2):
-                assert em.length(i, subset) == 0
+                assert em.lengths[i - 1, subset_code(subset)] == 0
 
     def test_full_caching(self):
         lib = cm.Library((0.6, 0.4), 15)
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((1.0, 1.0)))
-        assert em.length(1, frozenset({1, 2})) == 9
-        assert em.length(1, frozenset({1})) == 0
-        assert em.length(1, frozenset()) == 0
+        assert em.lengths[0, subset_code({1, 2})] == 9
+        assert em.lengths[0, subset_code({1})] == 0
+        assert em.lengths[0, subset_code(())] == 0
 
     @given(
         mus=st.lists(st.floats(0, 1), min_size=1, max_size=4),
@@ -211,7 +201,7 @@ class TestExpectedSubfileLengths:
         caches = cm.CacheProfile(tuple(sorted(mus)))
         em = cm.expected_subfile_lengths(lib, caches)
         for i, nbits in enumerate(lib.file_bits, start=1):
-            assert em.file_total(i) == nbits
+            assert em.lengths[i - 1].sum() == nbits
 
 
 class TestSamplePlacement:
@@ -284,31 +274,23 @@ class TestSamplePlacement:
         rm = cm.realized_subfile_map(pl)
         n, p = 60000, (1 / 3) * (2 / 3)
         sigma = math.sqrt(n * p * (1 - p))
-        assert abs(rm.length(1, frozenset({2})) - n * p) <= 3 * sigma
+        assert abs(rm.lengths[0, subset_code({2})] - n * p) <= 3 * sigma
 
 
 class TestRealizedSubfileMap:
-    @pytest.mark.parametrize("index", [0, -1, 3])
-    def test_file_index_outside_library_rejected(self, two_user_pair_placement, index):
-        rm = cm.realized_subfile_map(two_user_pair_placement)
-        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
-            rm.length(index, frozenset({1}))
-        with pytest.raises(cm.ConfigurationError, match=f"file index {index} outside 1..2"):
-            rm.file_total(index)
-
     def test_pair_fixture_lengths(self, two_user_pair_placement):
         rm = cm.realized_subfile_map(two_user_pair_placement)
-        assert rm.length(1, frozenset({2})) == 3
-        assert rm.length(2, frozenset({1})) == 2
-        assert rm.length(1, frozenset()) == 3
-        assert rm.length(1, frozenset({1, 2})) == 0
+        assert rm.lengths[0, subset_code({2})] == 3
+        assert rm.lengths[1, subset_code({1})] == 2
+        assert rm.lengths[0, subset_code(())] == 3
+        assert rm.lengths[0, subset_code({1, 2})] == 0
 
     def test_empty_caches(self):
         lib = cm.Library((0.6, 0.4), 50)
         pl = cm.sample_placement(lib, cm.CacheProfile((0.0, 0.0)), seed=0)
         rm = cm.realized_subfile_map(pl)
-        assert rm.length(1, frozenset()) == 30
-        assert rm.length(2, frozenset()) == 20
+        assert rm.lengths[0, subset_code(())] == 30
+        assert rm.lengths[1, subset_code(())] == 20
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
@@ -317,7 +299,7 @@ class TestRealizedSubfileMap:
         caches = cm.CacheProfile((0.25, 0.5))
         rm = cm.realized_subfile_map(cm.sample_placement(lib, caches, seed))
         for i, nbits in enumerate(lib.file_bits, start=1):
-            assert rm.file_total(i) == nbits
+            assert rm.lengths[i - 1].sum() == nbits
 
 
 class TestQuantization:
@@ -391,7 +373,7 @@ class TestQuantization:
         em = cm.expected_subfile_lengths(lib, caches)
         assert em.lengths.dtype == np.int64
         for i, nbits in enumerate(lib.file_bits, start=1):
-            assert em.file_total(i) == nbits
+            assert em.lengths[i - 1].sum() == nbits
 
     @pytest.mark.parametrize("idle_users", [16, 0])
     def test_inexact_rounding_rejected(self, idle_users):
@@ -409,7 +391,7 @@ class TestQuantization:
         lib = cm.Library((0.25,) * 4, 1000)
         canonical = [frozenset(), *all_subsets(4)]
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.5,) * 4))
-        assert [em.length(1, s) for s in canonical] == [16] * 10 + [15] * 6
+        assert [em.lengths[0, subset_code(s)] for s in canonical] == [16] * 10 + [15] * 6
 
 
 def message_blocks(plan, subset):
@@ -611,7 +593,7 @@ class TestBuildDeliveryPlan:
     def test_total_at_the_bit_limit_plans_exactly(self):
         smap = SubfileMap(np.array([[2**59] * 4] * 2))  # 8 * 2**59 = 2**62 bits
         plan = cm.build_delivery_plan(smap, cm.DemandVector((1, 2)), cm.PROPOSED, 3)
-        assert smap.file_total(1) + smap.file_total(2) == MAX_TOTAL_BITS
+        assert smap.lengths[0].sum() + smap.lengths[1].sum() == MAX_TOTAL_BITS
         assert plan.ell.tolist() == [0, 2**59, 2**59, 2**59]
         assert plan.load == 3 / 8
 

@@ -20,7 +20,6 @@ from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_TOTAL_BITS, MAX_USERS
 from cachemod.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
-    emit_csv,
     execute_run,
     main,
     parse_config,
@@ -195,6 +194,8 @@ CONFIG_RULES = [
         {"sweep": {"start_db": 2, "stop_db": 2.000000001, "step_db": 1e-9}},
         "SNR points would print alike",
     ),
+    # equal as numbers, printed apart: one gamma evaluated twice, its rows interleaved
+    ("sweep_db", (-0.0, 0.0), None, "SNR points would print alike"),
     ("schemes", (), {"schemes": []}, "at least one scheme required"),
     (
         "schemes",
@@ -614,9 +615,9 @@ def test_rates_stay_probabilities_past_2_53_symbols():
 
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):
-        rows = run_scenario(parse_config(config()))
         path = tmp_path / "out.csv"
-        emit_csv(rows, str(path))
+        status, rows = execute_run(parse_config(config()), out=str(path))
+        assert status == 0
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         for line, row in zip(lines[1:], rows):

@@ -13,7 +13,6 @@ import cachemod.mc as mc_mod
 import cachemod.modem as modem_mod
 from cachemod.mc import _cell_key, _cell_seed
 from cachemod.modem import _RHO_MAX, _RHO_MIN, _candidates
-from cachemod.caching import subset_code
 from conftest import (
     demodulate,
     message_subsets,
@@ -21,6 +20,7 @@ from conftest import (
     screened_trials,
     shape_histogram,
     subfile_map,
+    subset_code,
     wedge_trials,
 )
 
@@ -39,7 +39,7 @@ def _replay_errors(c, shape, gamma, trials, seed, cell_id):
     """Replay the cell's RNG stream and decide every trial one symbol at a
     time with the brute-force oracle; the number of wrong decisions."""
     rng = _cell_rng(seed, cell_id)
-    labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+    labels = rng.integers(0, len(c.points), size=trials, dtype=np.int64)
     noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
     errors = 0
     for t in range(trials):
@@ -207,7 +207,7 @@ class TestEstimateCellSer:
             near += [(r, t) for r in (0.0, 1e-300, 1e-12, 0.5 * _RHO_MIN) for t in (0.0, 1.0, half)]
             near += [(2 * _RHO_MAX, t) for t in (0.0, half, half + band, math.pi)]
             labels, targets = [], []
-            for label in range(0, c.size, max(1, c.size // 8)):
+            for label in range(0, len(c.points), max(1, len(c.points) // 8)):
                 for r, t in near:
                     labels.append(label)
                     targets.append(r * sent[label] * complex(math.cos(t), math.sin(t)))
@@ -252,7 +252,7 @@ class TestEstimateCellSer:
         c, shape, gamma, trials = cm.build_qam(4), (2, 0), 3.7, 4999
         cm.estimate_cell_ser(c, shape, gamma, trials, seed, "draws")
         rng = _cell_rng(seed, "draws")
-        labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+        labels = rng.integers(0, len(c.points), size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
         want = math.sqrt(gamma) * c.points[labels] + (
             noise[:, 0] + 1j * noise[:, 1]
@@ -288,7 +288,7 @@ class TestEstimateCellSer:
         c, shape, gamma, trials = cm.build_psk(3), (1, 0), 3.7, 4999
         ser, _ = cm.estimate_cell_ser(c, shape, gamma, trials, seed, "draws")
         rng = _cell_rng(seed, "draws")
-        labels = rng.integers(0, c.size, size=trials, dtype=np.int64)
+        labels = rng.integers(0, len(c.points), size=trials, dtype=np.int64)
         noise = rng.normal(0.0, math.sqrt(0.5), size=(trials, 2))
         x = c.points[labels]
         want = math.sqrt(gamma) * x + (noise[:, 0] + 1j * noise[:, 1])
@@ -448,7 +448,7 @@ class TestEstimateCellSer:
         # 2.16 MiB with 2^16-entry steps, 0.66 MiB with 2^14
         c, sqrt_snr, shape = cm.build_qam(8), 3.0, (0, 1)
         rng = np.random.default_rng(4)
-        labels = rng.integers(0, c.size, 20_000)
+        labels = rng.integers(0, len(c.points), 20_000)
         y = sqrt_snr * c.points[labels] + rng.normal(0.0, math.sqrt(0.5), (20_000, 2)) @ [1, 1j]
         known = modem_mod._known_value(labels, c.m, shape)
         modem_mod._brute_force(c, y[:10], sqrt_snr, shape, known[:10])  # builds the tables
@@ -469,7 +469,7 @@ class TestEstimateCellSer:
         step = modem_mod._CHUNK // count
         assert (count, step) in [(2, 8192), (256, 64)]
         rng = np.random.default_rng(9)
-        labels = rng.integers(0, c.size, step + 1)
+        labels = rng.integers(0, len(c.points), step + 1)
         y = sqrt_snr * c.points[labels] + rng.normal(0.0, math.sqrt(0.5), (step + 1, 2)) @ [1, 1j]
         y[0] = 0.0  # an exact tie
         known = modem_mod._known_value(labels, c.m, shape)
@@ -505,7 +505,7 @@ class TestEstimateCellSer:
         rng = np.random.default_rng(8)
         monkeypatch.setattr(modem_mod, "_CHUNK", 1 << 9)  # 2 to 16 rows per step
         for shape in [(1, 2), (2, 0), (0, 1), (0, 0)]:
-            labels = rng.integers(0, c.size, 60)
+            labels = rng.integers(0, len(c.points), 60)
             noise = rng.normal(0.0, math.sqrt(0.5), (60, 2)) @ [1, 1j]
             y = sqrt_snr * c.points[labels] + noise
             y[:3] = 0.0
@@ -630,7 +630,7 @@ class TestEndToEnd:
         rm = cm.realized_subfile_map(pl)
         demands = cm.DemandVector((1,))
         plan = cm.build_delivery_plan(rm, demands, cm.PROPOSED, 3)
-        assert plan.subfiles.length(1, frozenset()) == plan.ell[0b1] == 28
+        assert plan.subfiles.lengths[0, subset_code(())] == plan.ell[0b1] == 28
         assert cm.end_to_end_noiseless(pl, plan, demands, cm.build_psk(plan.label_len)).all_passed
 
     def test_random_instances(self):

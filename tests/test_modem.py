@@ -24,7 +24,7 @@ def brute_force_masked_dmin(c, prefix, suffix):
     best = math.inf
     for fixed in itertools.product((0, 1), repeat=prefix + suffix):
         pts = []
-        for label in range(c.size):
+        for label in range(len(c.points)):
             bits = [int(b) for b in format(label, f"0{c.m}b")]
             if tuple(bits[:prefix]) != fixed[:prefix]:
                 continue
@@ -38,7 +38,7 @@ def brute_force_masked_dmin(c, prefix, suffix):
 
 def angle_indices(c, points):
     """Each PSK point's angle index k, for the point exp(2 pi i k / 2^m)."""
-    return np.rint(np.angle(points) / (2 * np.pi / c.size)).astype(np.int64) % c.size
+    return np.rint(np.angle(points) / (2 * np.pi / len(c.points))).astype(np.int64) % len(c.points)
 
 
 def enumerated_min_distance(c, prefix, suffix):
@@ -56,9 +56,9 @@ class TestBuildPsk:
     def test_unit_energy_and_bijective_labels(self):
         for m in PSK_WIDTHS:
             c = cm.build_psk(m)
-            assert c.points.shape == (c.size,) and not c.points.flags.writeable
+            assert c.points.shape == (1 << c.m,) and not c.points.flags.writeable
             assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
-            assert sorted(angle_indices(c, c.points).tolist()) == list(range(c.size))
+            assert sorted(angle_indices(c, c.points).tolist()) == list(range(len(c.points)))
 
     def test_bpsk_is_antipodal(self):
         c = cm.build_psk(1)
@@ -113,7 +113,7 @@ class TestBuildQam:
     def test_unit_energy_and_bijective_labels(self):
         for m in QAM_WIDTHS:
             c = cm.build_qam(m)
-            assert c.points.shape == (c.size,) and not c.points.flags.writeable
+            assert c.points.shape == (1 << c.m,) and not c.points.flags.writeable
             assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
             # each point of the odd-integer grid of side 2^(m/2) once
             side, odd = 1 << (m // 2), 2 * c.points / c.spacing
@@ -216,9 +216,9 @@ class TestModulateDemodulate:
     @pytest.mark.parametrize("build,m", [(cm.build_psk, 3), (cm.build_qam, 4)])
     def test_noiseless_roundtrip_all_labels(self, build, m):
         c = build(m)
-        labels = np.arange(c.size)
+        labels = np.arange(len(c.points))
         y = c.points[labels]
-        assert cm.detect(c, y, 1.0, (0, 0), np.zeros(c.size, dtype=int)).tolist() == labels.tolist()
+        assert cm.detect(c, y, 1.0, (0, 0), np.zeros_like(labels)).tolist() == labels.tolist()
 
     def test_mask_overrides_nearest_point(self):
         # receive exactly on an excluded point; decision must stay compatible
@@ -265,7 +265,7 @@ class TestModulateDemodulate:
         for c in (cm.build_psk(3), cm.build_qam(4)):
             sent = {}
             for _ in range(5000):
-                label = int(rng.integers(0, c.size))
+                label = int(rng.integers(0, len(c.points)))
                 p = int(rng.integers(0, c.m + 1))
                 s = int(rng.integers(0, c.m - p + 1))
                 bits = format(label, f"0{c.m}b")
@@ -298,7 +298,7 @@ class TestDetect:
         p = prefix % (c.m + 1)
         s = suffix % (c.m - p + 1)
         sqrt_snr = math.sqrt(gamma)
-        labels = np.array([lab % c.size for lab, _, _, _ in symbols])
+        labels = np.array([lab % len(c.points) for lab, _, _, _ in symbols])
         y = sqrt_snr * c.points[labels]
         y += np.array([complex(dx, dy) for _, _, dx, dy in symbols])
         known = np.array([value % (1 << (p + s)) for _, value, _, _ in symbols])
