@@ -25,9 +25,9 @@ from .caching import (
     check_subfile_map_size,
     expected_subfile_lengths,
 )
-from .errors import ConfigurationError, integer, seed
+from .errors import ConfigurationError, integer, positive, reals, seed
 from .mc import estimate_table
-from .modem import Constellation, build_constellation
+from .modem import build_constellation
 
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 20.0, "step_db": 2.0}
 DEFAULT_TRIALS = 100_000
@@ -42,7 +42,8 @@ class ScenarioConfig:
 
     Sequence fields are stored as tuples, so equal scenarios compare and hash equal.  It
     also keeps what the checks built, outside the dataclass fields: `caches`, `library`,
-    `constellation` and `demand_vector`.
+    `constellation`, `demand_vector` and `profiles`, one tuple per sweep point of each
+    user's linear SNR (a user's fixed one, otherwise the point's).
     """
 
     mus: tuple
@@ -64,9 +65,8 @@ class ScenarioConfig:
         caches = CacheProfile(self.mus)  # validates range and ordering
         if len(self.user_snr_db) != caches.num_users:
             raise ConfigurationError("user_snr_db must have one entry per user")
-        for idx, db in enumerate(self.user_snr_db, start=1):
-            if db is not None:
-                _check_db(db, f"user {idx} snr_db")
+        fixed = [db if db is None else _check_db(db, f"user {idx} snr_db")
+                 for idx, db in enumerate(self.user_snr_db, start=1)]
         library = Library(self.file_fractions, self.total_bits)
         check_subfile_map_size(library.num_files, caches.num_users)
         constellation = build_constellation(self.family, self.m)  # validates the family, and m for it
@@ -82,8 +82,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"sweep has {len(self.sweep_db)} SNR points, not 1 to {MAX_SWEEP_POINTS}"
             )
-        for db in self.sweep_db:
-            _check_db(db, "sweep_db point")
+        points = [_check_db(db, "sweep_db point") for db in self.sweep_db]
         # the printed SNR keys a row, and -0.0 and 0.0 print apart but are one point
         if min(len(set(self.sweep_db)), len({_fmt(db) for db in self.sweep_db})) < len(self.sweep_db):
             raise ConfigurationError(
@@ -98,6 +97,7 @@ class ScenarioConfig:
         vars(self).update(
             mus=caches.mus, file_fractions=library.file_fractions, demands=demands.demands,
             caches=caches, library=library, constellation=constellation, demand_vector=demands,
+            profiles=tuple(tuple(gamma if f is None else f for f in fixed) for gamma in points),
         )
 
 
@@ -128,19 +128,12 @@ def _read(convert, value, field: str):
     return result
 
 
-def _gamma(snr_db: float) -> float:
-    """Linear SNR of a dB value, as the sweep computes it."""
-    return 10.0 ** (snr_db / 10.0)
-
-
-def _check_db(db, field: str):
-    """Raise unless `db` is a dB value (not a bool) whose linear SNR is a finite positive float."""
+def _check_db(db, field: str) -> float:
+    """The linear SNR of `db` dB: `db` a real number, and its SNR a finite positive float."""
     try:
-        if not isinstance(db, bool) and 0.0 < _gamma(db) < math.inf:
-            return
-    except (TypeError, OverflowError):
-        pass
-    raise ConfigurationError(f"{field} of {db!r} dB has no finite positive linear SNR")
+        return positive((10.0 ** (reals((db,), field)[0] / 10.0),), field)[0]
+    except (ConfigurationError, OverflowError):
+        raise ConfigurationError(f"{field} of {db!r} dB has no finite positive linear SNR") from None
 
 
 def _check_output(output):
@@ -254,37 +247,34 @@ class ResultRow(NamedTuple):
 class Scenario(NamedTuple):
     """What a run evaluates, as `prepare` builds it from a parsed config."""
 
-    constellation: Constellation
     plans: dict  # scheme -> DeliveryPlan
-    profiles: list  # per sweep point, each user's linear SNR
     cells: list  # the sorted (shape, gamma) Monte Carlo cells `ser_report` reads; [] if analytic only
 
 
 def prepare(cfg: ScenarioConfig) -> Scenario:
-    """The constellation, one plan per scheme, the SNR profiles and the cells of a run."""
+    """One plan per scheme, and the cells of a run over the config's SNR profiles."""
     subfiles = expected_subfile_lengths(cfg.library, cfg.caches)
     plans = {s: build_delivery_plan(subfiles, cfg.demand_vector, s, cfg.m) for s in cfg.schemes}
-    profiles = [tuple(_gamma(db if f is None else f) for f in cfg.user_snr_db) for db in cfg.sweep_db]
     cells = []
     if cfg.trials_per_cell > 0:  # only an estimate table is filled ahead of the reports
         cells = sorted({(shape, gammas[u]) for plan in plans.values()
                         for u, row in enumerate(plan.known_counts.tolist())
-                        for shape, count in zip(plan.shapes, row) if count for gammas in profiles})
-    return Scenario(cfg.constellation, plans, profiles, cells)
+                        for shape, count in zip(plan.shapes, row) if count for gammas in cfg.profiles})
+    return Scenario(plans, cells)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
-    """Execute the sweep and return the CSV rows, sorted."""
+    """Execute the sweep and return the CSV rows in order: points, schemes by name, users, avg."""
     s = prepare(cfg)
     # one table of each kind, shared by every scheme and sweep point
-    bounds, estimates = bound_table(s.constellation), None
+    bounds, estimates = bound_table(cfg.constellation), None
     if cfg.trials_per_cell > 0:
-        estimates = estimate_table(s.constellation, cfg.trials_per_cell, cfg.master_seed)
+        estimates = estimate_table(cfg.constellation, cfg.trials_per_cell, cfg.master_seed)
         estimates.fill(s.cells)  # up front, on every usable CPU
 
     rows = []
-    for snr_db, gammas in zip(cfg.sweep_db, s.profiles):
-        for scheme, plan in s.plans.items():
+    for snr_db, gammas in sorted(zip(cfg.sweep_db, cfg.profiles)):
+        for scheme, plan in sorted(s.plans.items()):
             analytic = ser_report(plan, gammas, bounds)
             empirical = None if estimates is None else ser_report(plan, gammas, estimates)
             for u in range(1, plan.num_users + 1):
@@ -312,7 +302,6 @@ def run_scenario(cfg: ScenarioConfig) -> list:
                     load=plan.load,
                 )
             )
-    rows.sort(key=lambda r: (r.snr_db, r.scheme, r.user == "avg", int(r.user) if r.user != "avg" else 0))
     return rows
 
 
@@ -340,8 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", help="CSV output path (overrides the config)")
     run.add_argument("--seed", type=int, help="master seed override")
-    run.add_argument("--trials", type=int, help="trials per Monte Carlo cell override")
-    run.add_argument("--analytic-only", action="store_true", help="skip Monte Carlo")
+    mc = run.add_mutually_exclusive_group()
+    mc.add_argument("--trials", type=int, help="trials per Monte Carlo cell override")
+    mc.add_argument("--analytic-only", action="store_true", help="skip Monte Carlo")
 
     val = sub.add_parser("validate", help="parse and validate a config, then exit")
     val.add_argument("--config", required=True)

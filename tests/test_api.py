@@ -82,10 +82,14 @@ REMOVED = {
     # the flag checks, now `ScenarioConfig`'s own checks of its fields
     "cachemod.cli": [
         "_read_trials", "_read_seed",
+        # the dB -> linear SNR conversion, now what `_check_db` returns
+        "_gamma",
         # one-caller wrappers: `execute_run` writes the rendered CSV itself, and
         # `prepare` and `validate` call `expected_subfile_lengths` themselves
         "emit_csv", "_subfile_map",
     ],
+    # copies of what the config keeps: its constellation and its SNR profiles
+    "cachemod.cli.Scenario": ["constellation", "profiles"],
 }
 
 
@@ -144,8 +148,8 @@ CARRIERS = [
     ),
     (
         cli.Scenario,
-        ("constellation", "plans", "profiles", "cells"),
-        ("psk8", {"proposed": None}, [(1.0, 2.0)], [((0, 0), 1.0), ((1, 0), 2.0)]),
+        ("plans", "cells"),
+        ({"proposed": None}, [((0, 0), 1.0), ((1, 0), 2.0)]),
     ),
 ]
 

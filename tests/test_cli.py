@@ -188,6 +188,9 @@ CONFIG_RULES = [
     ("master_seed", -1, {"master_seed": -1}, "master_seed must be an integer in [0, 2**64)"),
     ("master_seed", 2**64, {"master_seed": 2**64}, "master_seed must be an integer in [0, 2**64)"),
     ("user_snr_db", (None, None), None, "user_snr_db must have one entry per user"),
+    # a numpy bool is no more a dB value than a Python bool
+    ("user_snr_db", (np.True_, None, None), None, "has no finite positive linear SNR"),
+    ("sweep_db", (np.True_,), None, "has no finite positive linear SNR"),
     (
         "sweep_db",
         (2.0, 2.000000001),
@@ -356,6 +359,13 @@ class TestRunScenario:
         text = render_csv(run_scenario(cfg))
         assert hashlib.md5(text.encode()).hexdigest() == THREE_USER_SWEEP_MD5
 
+    def test_csv_independent_of_scheme_and_point_order(self):
+        # rows come in CSV order whatever order the config lists its schemes and points in
+        cfg = replace(parse_config(THREE_USER_SWEEP.read_text()), trials_per_cell=1000)
+        assert cfg.schemes == ("proposed", "zero_padding")
+        shuffled = replace(cfg, schemes=cfg.schemes[::-1], sweep_db=cfg.sweep_db[::-1])
+        assert render_csv(run_scenario(shuffled)) == render_csv(run_scenario(cfg))
+
     def test_run_builds_nothing_the_config_built(self, monkeypatch):
         # the config keeps the library, caches, demands and constellation its
         # checks built, and the run reads those
@@ -395,6 +405,8 @@ class TestRunScenario:
         assert len(calls["shapes"]) == 33 and len(set(calls["shapes"])) == 3
         # likewise with user 1 at a fixed SNR: no cell of another user's shape at its SNR
         fixed = replace(cfg, user_snr_db=(5.0, None, None))
+        assert [p[0] for p in fixed.profiles] == [10.0 ** 0.5] * len(cfg.sweep_db)
+        assert [p[1:] for p in fixed.profiles] == [p[1:] for p in cfg.profiles]
         calls["cells"].clear()
         run_scenario(fixed)
         assert len(calls["cells"]) == len(set(calls["cells"]))
@@ -484,8 +496,8 @@ class TestRunScenario:
         # lowers a count re-pins it here
         cfg = parse_config((WORKLOADS / f"{workload}.json").read_text())
         assert cfg.master_seed == 2024
-        s = prepare(cfg)
-        cm.estimate_table(s.constellation, cfg.trials_per_cell, cfg.master_seed).fill(s.cells)
+        table = cm.estimate_table(cfg.constellation, cfg.trials_per_cell, cfg.master_seed)
+        table.fill(prepare(cfg).cells)
         assert dict(work) == counts
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -874,6 +886,18 @@ class TestMain:
         assert main(["run", "--config", cfg, "--out", str(out), "--analytic-only"]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert row[5] == "" and row[6] == ""
+
+    @pytest.mark.parametrize("trials", ["-5", "500"])
+    def test_trials_and_analytic_only_exclude_each_other(self, tmp_path, capsys, trials):
+        # neither flag silently overrides the other, even a value the config would reject
+        cfg = self.write(tmp_path, config(trials_per_cell=2000))
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", cfg, "--out", str(out), "--analytic-only", "--trials", trials])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "not allowed with argument" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, field",
