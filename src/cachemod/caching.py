@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
-from .errors import ConfigurationError, integer, reals, whole
+from .errors import ConfigurationError, integer, positive, reals, whole
 
 PROPOSED = "proposed"
 ZERO_PADDING = "zero_padding"
@@ -90,9 +90,9 @@ class Library:
     total_bits: int
 
     def __post_init__(self):
-        fractions = reals(self.file_fractions, "file fractions")
+        fractions = positive(self.file_fractions, "file fractions")
         object.__setattr__(self, "file_fractions", fractions)
-        if not fractions or any(f <= 0 for f in fractions):
+        if not fractions:
             raise ConfigurationError("file fractions must be positive")
         if abs(sum(fractions) - 1.0) > 1e-12:
             raise ConfigurationError(f"file fractions sum to {sum(fractions):g}")
@@ -493,10 +493,12 @@ def decode_block(scheme: str, labels, subfile_len: int, label_len: int) -> np.nd
     """The (subfile_len,) uint8 subfile whose pieces `labels` hold: `encode_block` inverted.
 
     Reads only the subfile's piece positions, so the other members' shares
-    must have been XORed off those positions first.  Labels must be whole
-    numbers in [0, 2^label_len) (`errors.whole`).
+    must have been XORed off those positions first.  Labels must be a
+    one-dimensional array of whole numbers in [0, 2^label_len) (`errors.whole`).
     """
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ConfigurationError("labels must be a one-dimensional array")
     spans = piece_spans(scheme, subfile_len, labels.size, label_len)
     labels = whole(labels, "labels", 1 << int(label_len))
     bits = np.empty(subfile_len, dtype=np.uint8)

@@ -355,9 +355,11 @@ def execute_run(cfg: ScenarioConfig, *, out=None, seed=None, trials=None) -> tup
     line and status 3, both with no rows.
     """
     try:
-        # flag values pass the checks their config fields do
+        # flag values pass the checks their config fields do; no flag, no rebuild
         flags = {"trials_per_cell": trials, "master_seed": seed, "output": out}
-        cfg = replace(cfg, **{field: v for field, v in flags.items() if v is not None})
+        given = {field: v for field, v in flags.items() if v is not None}
+        if given:
+            cfg = replace(cfg, **given)
         rows = run_scenario(cfg)
         text = render_csv(rows)  # before the file opens: a failed render leaves none
         if cfg.output is None:

@@ -156,8 +156,9 @@ def detect(
     if y.ndim != 1 or known.shape != y.shape:
         raise ConfigurationError("y and known must be 1-D with one entry per symbol")
     known = whole(known, "known values", 1 << (p + s))
-    if not np.isfinite(y).all():
-        raise ConfigurationError("received points must be finite")
+    # integer, real or complex: bools are never numbers, and `isfinite` takes no strings
+    if y.dtype.kind not in "iufc" or not np.isfinite(y).all():
+        raise ConfigurationError("received points must be finite numbers")
     structured = _structured(c, shape)
     if structured is None:
         return _brute_force(c, y, sqrt_snr, shape, known)

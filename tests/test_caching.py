@@ -804,6 +804,13 @@ class TestEncodeDecode:
         for labels in (np.array([2.0]), [2], np.array([2], np.uint8)):
             assert decode_block(cm.PROPOSED, labels, 3, 3).tolist() == [0, 1, 0]
 
+    def test_labels_must_be_one_dimensional(self):
+        # as a subfile's bits are: a scalar label indexed out of range, and a
+        # (2, 1) column decoded as if it were flat
+        for labels in (np.int64(5), 5, [[5, 0]], np.array([[5], [0]])):
+            with pytest.raises(cm.ConfigurationError, match="one-dimensional"):
+                decode_block(cm.PROPOSED, labels, 3, 3)
+
     @given(
         w1=st.integers(0, 30),
         w2=st.integers(0, 30),

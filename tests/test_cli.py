@@ -20,6 +20,7 @@ from cachemod.caching import MAX_SUBFILE_ENTRIES, MAX_TOTAL_BITS, MAX_USERS
 from cachemod.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
+    ScenarioConfig,
     execute_run,
     main,
     parse_config,
@@ -207,6 +208,8 @@ CONFIG_RULES = [
         "duplicate schemes are not supported",
     ),
     ("output", "", {"output": ""}, "output must be a non-empty file path"),
+    # NaN fails no `<= 0` test; a document's NaN is rejected as it is read
+    ("file_fractions", (math.nan, 0.5, 0.5), None, "file fractions must be positive"),
     (
         "mus",
         (0.5, 1 / 3, 0.2),
@@ -643,6 +646,22 @@ class TestCsv:
     def test_empty_results_rejected(self):
         with pytest.raises(cm.ConfigurationError):
             render_csv([])
+
+    @pytest.mark.parametrize("flags, builds", [({}, 0), ({"seed": 3}, 1)])
+    def test_run_derives_a_config_only_from_given_flags(self, monkeypatch, capsys, flags, builds):
+        # the parsed config already passed its checks, so a run with no flag
+        # neither checks nor builds it again
+        cfg, built = parse_config(config()), []
+        real = ScenarioConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+        status, rows = execute_run(cfg, **flags)
+        assert status == 0 and len(built) == builds
+        assert capsys.readouterr().out == render_csv(rows)
 
 
 class TestMain:

@@ -329,6 +329,10 @@ class TestDetect:
         for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)):
             with pytest.raises(cm.ConfigurationError):
                 cm.detect(c, np.array([0.5, bad]), 1.0, (1, 0), known)
+        # received points are integer, real or complex numbers: not strings, bools or objects
+        for y in (np.array(["a", "b"]), np.array([True, False]), np.array([0.5, None])):
+            with pytest.raises(cm.ConfigurationError):
+                cm.detect(c, y, 1.0, (1, 0), known)
 
     @given(
         c=st.sampled_from(CONSTELLATIONS),

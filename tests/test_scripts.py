@@ -97,3 +97,38 @@ def test_readme_library_example_runs():
     rows = [line.split() for line in run.stdout.splitlines()]
     assert [row[0] for row in rows] == ["1", "2", "3"]
     assert all(float(gain) >= 0 for *_, gain in rows)  # the proposed scheme never loses
+
+
+CI_CHECKS = {
+    "test_traced_benchmark_smoke[paper_sweep]",
+    "test_traced_benchmark_smoke[large_library]",
+    "test_traced_benchmark_smoke[many_users]",
+    "test_traced_benchmark_smoke[e2e_check]",
+    "test_cli_smoke",
+    "test_experiment_script",
+    "test_pinned_run[mc_memory_every_cpu]",
+    "test_pinned_run[mc_memory_one_cpu]",
+    "test_pinned_run[sixteen_users]",
+    "test_pinned_run[size_limit]",
+    "test_pinned_run[long_sweep]",
+    "test_page_fault_gate",
+    "test_end_to_end_256_psk_and_qam",
+}
+
+
+def test_ci_checks_collect_and_the_workflow_runs_them():
+    # an import or syntax error in the CI checks fails here, not first in CI, and the
+    # workflow runs them without an inline check body of its own
+    collected = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "scripts/ci_checks.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert collected.returncode == 0, collected.stdout + collected.stderr
+    ids = {line.split("::", 1)[1] for line in collected.stdout.splitlines() if "::" in line}
+    assert ids == CI_CHECKS
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert "<<" not in workflow and "python -m pytest -q scripts/ci_checks.py" in workflow
