@@ -1,6 +1,6 @@
 """The checks CI runs at scale: pinned CSVs, memory and page-fault gates, smoke tests.
 
-Run them all from the repository root (about 25 s on a 2-vCPU VM; needs `taskset`)
+Run them all from the repository root (about 25-30 s on a 2-vCPU VM; needs `taskset`)
 with `python -m pytest -q scripts/ci_checks.py`; pytest's `-k` selects checks and `-s`
 shows their RSS, md5 and fault lines.  Tier-1 does not collect this module.
 
@@ -118,6 +118,12 @@ PINNED_RUNS = [
     # the CSV; the md5 pins the 260,001 lines of a sweep at the point limit
     ("long_sweep", ["timeout", "60"], "long_sweep.json", ["--analytic-only"], 256,
      "6c6af6482dbb835dc61bc1fc06a15b5f", 260_001),
+    # the paper's setting at scale: 18 users with unequal caches, 24 Zipf(0.8) files, users
+    # 1, 6, 11 and 16 at fixed SNRs, 256-QAM, B=1e7, analytic only: about 1 s and 95 MiB of
+    # peak RSS on a 2-vCPU VM, mostly the map and the two plans over 2^18 subsets.  The md5
+    # pins the 418 rows of a sweep with unequal files and users at fixed SNRs
+    ("heterogeneous", ["timeout", "60"], "heterogeneous_sweep.json", [], 128,
+     "d30ad8791f3725887af8ec125093d042", 419),
 ]
 
 

@@ -111,12 +111,16 @@ class CellTable:
 def bound_table(c: Constellation) -> CellTable:
     """Union bounds per cell, std_error 0.
 
-    Each cell asks `min_distance` for its shape; `modem`'s cache enumerates
-    each (family, m, shape) once, however many cells and tables read it.
+    A table asks `min_distance` once per shape, however many γ read it;
+    `modem`'s cache enumerates each (family, m, shape) once, however many
+    tables ask.
     """
+    dmins: dict = {}  # shape -> its min distance
 
     def bound(shape: tuple, gamma: float) -> tuple:
-        return symbol_error_bound(c.family, gamma, min_distance(c, *shape)), 0.0
+        if shape not in dmins:
+            dmins[shape] = min_distance(c, *shape)
+        return symbol_error_bound(c.family, gamma, dmins[shape]), 0.0
 
     return CellTable(c, bound)
 

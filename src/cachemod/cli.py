@@ -276,32 +276,16 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     for snr_db, gammas in sorted(zip(cfg.sweep_db, cfg.profiles)):
         for scheme, plan in sorted(s.plans.items()):
             analytic = ser_report(plan, gammas, bounds)
-            empirical = None if estimates is None else ser_report(plan, gammas, estimates)
-            for u in range(1, plan.num_users + 1):
-                rows.append(
-                    ResultRow(
-                        snr_db=snr_db,
-                        scheme=scheme,
-                        user=str(u),
-                        useful=analytic.useful_symbols[u],
-                        analytic_ser=analytic.ser[u],
-                        mc_ser=empirical.ser[u] if empirical else None,
-                        mc_stderr=empirical.stderr[u] if empirical else None,
-                        load=plan.load,
-                    )
-                )
-            rows.append(
-                ResultRow(
-                    snr_db=snr_db,
-                    scheme=scheme,
-                    user="avg",
-                    useful=sum(analytic.useful_symbols.values()),
-                    analytic_ser=analytic.average_ser,
-                    mc_ser=empirical.average_ser if empirical else None,
-                    mc_stderr=empirical.average_stderr if empirical else None,
-                    load=plan.load,
-                )
-            )
+            useful = analytic.useful_symbols
+            # (user, L_k, analytic T) of users 1..K, then of their average
+            entries = [*((str(u), useful[u], analytic.ser[u]) for u in useful),
+                       ("avg", sum(useful.values()), analytic.average_ser)]
+            mc = [(None, None)] * len(entries)  # (MC T, MC stderr) of each entry
+            if estimates is not None:
+                e = ser_report(plan, gammas, estimates)
+                mc = [*zip(e.ser.values(), e.stderr.values()), (e.average_ser, e.average_stderr)]
+            for (user, l_k, ser), (mc_ser, mc_stderr) in zip(entries, mc):
+                rows.append(ResultRow(snr_db, scheme, user, l_k, ser, mc_ser, mc_stderr, plan.load))
     return rows
 
 

@@ -386,7 +386,7 @@ class TestPlanMetrics:
                     assert got.ser[u] == pytest.approx(ser[u], abs=1e-12)
 
     def test_shared_bounds_enumerate_each_shape_once(self, monkeypatch):
-        # each bound cell asks `min_distance` for its shape, and `modem`'s
+        # a bound table asks `min_distance` once per shape, and `modem`'s
         # cache enumerates each shape once
         import cachemod.analysis as an
         import cachemod.modem as modem
@@ -407,7 +407,7 @@ class TestPlanMetrics:
         for gamma in (1.0, 4.0, 16.0):
             cm.ser_report(plan, (gamma, gamma), bounds)
         shapes = {s for u in (1, 2) for s in shape_histogram(plan, u)}
-        assert sorted(calls) == sorted(list(shapes) * 3)  # one call per (shape, gamma) cell
+        assert sorted(calls) == sorted(shapes)  # one call per shape, not per (shape, gamma) cell
         assert modem._min_distance.cache_info().misses == len(shapes)
 
     def test_symbol_width_mismatch(self):

@@ -77,6 +77,10 @@ THREE_USER_SWEEP_1E4_MD5 = "bf76a1de831c3726c20abb1dc8165538"
 SIXTEEN_USERS = THREE_USER_SWEEP.parent / "sixteen_user_sweep.json"
 SIXTEEN_USERS_MD5 = "ba7505305a6a52ad8d28c76da070d3a9"
 
+# the paper's setting at scale: 18 users with unequal caches, 24 Zipf(0.8) files,
+# four users at fixed SNRs, 256-QAM, B=1e7, analytic only
+HETEROGENEOUS = THREE_USER_SWEEP.parent / "heterogeneous_sweep.json"
+
 # the benchmark's workload configs
 WORKLOADS = THREE_USER_SWEEP.parent.parent / "perfbench" / "workloads"
 
@@ -288,6 +292,13 @@ class WorkCounts(Counter):
         self._monkeypatch.setattr(module, name, counted)
 
 
+@pytest.fixture(scope="module")
+def heterogeneous():
+    """The heterogeneous config and its prepared scenario, planned once for the module."""
+    cfg = parse_config(HETEROGENEOUS.read_text())
+    return cfg, prepare(cfg)
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Monte Carlo detector work: rows past the noise screen (`past`), rows
@@ -381,7 +392,7 @@ class TestRunScenario:
     def test_each_cell_evaluated_once_per_run(self, monkeypatch):
         # both schemes and all eleven SNR points share one bound table and one
         # estimate table: 33 distinct (shape, gamma) cells, 3 distinct shapes.
-        # Each bound cell asks `min_distance` for its shape, and `modem`'s
+        # The bound table asks `min_distance` once per shape, and `modem`'s
         # cache enumerates each shape once
         import cachemod.analysis as an
         import cachemod.mc as mc
@@ -405,7 +416,7 @@ class TestRunScenario:
         assert len(calls["cells"]) == len(set(calls["cells"])) == 33
         # the prepared scenario states the cells, and the run evaluates exactly those
         assert sorted(calls["cells"]) == prepare(cfg).cells
-        assert len(calls["shapes"]) == 33 and len(set(calls["shapes"])) == 3
+        assert len(calls["shapes"]) == len(set(calls["shapes"])) == 3
         # likewise with user 1 at a fixed SNR: no cell of another user's shape at its SNR
         fixed = replace(cfg, user_snr_db=(5.0, None, None))
         assert [p[0] for p in fixed.profiles] == [10.0 ** 0.5] * len(cfg.sweep_db)
@@ -502,6 +513,29 @@ class TestRunScenario:
         table = cm.estimate_table(cfg.constellation, cfg.trials_per_cell, cfg.master_seed)
         table.fill(prepare(cfg).cells)
         assert dict(work) == counts
+
+    @pytest.mark.parametrize(
+        "scheme, subsets, blocks",
+        [("proposed", 156_202, 1_815_195), ("zero_padding", 156_202, 1_094_131)],
+    )
+    def test_planner_counts_are_pinned(self, heterogeneous, scheme, subsets, blocks):
+        # subsets with a message, and useful blocks over all users; exact for the
+        # config, so a planner change that alters either re-pins it here
+        plan = heterogeneous[1].plans[scheme]
+        assert (plan.ell > 0).sum() == subsets
+        assert plan.known_counts.sum() == blocks
+
+    def test_proposed_never_worse_on_the_heterogeneous_sweep(self, heterogeneous):
+        # the paper's per-user claim: symbol-level padding never raises a user's
+        # bound on T_k above subfile-level padding's, nor the average's, at any
+        # point of a sweep with unequal caches, files and SNRs
+        cfg, s = heterogeneous
+        bounds = cm.bound_table(cfg.constellation)
+        for gammas in cfg.profiles:
+            proposed, zero = (cm.ser_report(s.plans[name], gammas, bounds)
+                              for name in (cm.PROPOSED, cm.ZERO_PADDING))
+            assert all(proposed.ser[u] <= zero.ser[u] for u in proposed.ser)
+            assert proposed.average_ser <= zero.average_ser
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_csv_independent_of_thread_count(self, monkeypatch, cpus):

@@ -111,6 +111,7 @@ CI_CHECKS = {
     "test_pinned_run[sixteen_users]",
     "test_pinned_run[size_limit]",
     "test_pinned_run[long_sweep]",
+    "test_pinned_run[heterogeneous]",
     "test_page_fault_gate",
     "test_end_to_end_256_psk_and_qam",
 }
