@@ -52,14 +52,16 @@ def test_traced_benchmark_smoke(w):
 
 
 def test_cli_smoke(tmp_path):
-    # the committed config validates and runs; a fractional width and a bool cache
-    # fraction exit 2 and write no CSV, and an empty --out exits 2 without falling
-    # back to the config's output file (run in an empty directory, which stays empty)
+    # the committed config validates and runs; a fractional width, a bool cache
+    # fraction and a demand of file 0 (which would run on the last file) exit 2 and
+    # write no CSV, and an empty --out exits 2 without falling back to the config's
+    # output file (run in an empty directory, which stays empty)
     config = SCRIPTS / "three_user_sweep.json"
     doc = json.loads(config.read_text())
     bad_docs = {
         "bad_m": dict(doc, modulation=dict(doc["modulation"], m=3.5)),
         "bad_mu": dict(doc, users=[dict(doc["users"][0], mu=True)] + doc["users"][1:]),
+        "bad_demand": dict(doc, demands=[0, 1, 2]),
     }
     out = tmp_path / "three_user_sweep.csv"
     assert run([*CLI, "validate", "--config", str(config)])[0] == 0

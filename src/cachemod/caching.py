@@ -101,22 +101,17 @@ class Library:
             raise ConfigurationError(
                 f"total_bits {self.total_bits} exceeds the limit of 2**62 ({MAX_TOTAL_BITS})"
             )
-        try:
-            self.file_bits  # apportioned here, so an inexact split fails at construction
+        try:  # per-file integer bit counts summing exactly to total_bits
+            bits = largest_remainder([f * self.total_bits for f in fractions], self.total_bits)
         except ValueError as exc:
             raise ConfigurationError(
                 f"total_bits {self.total_bits} has no exact split over the file fractions: {exc}"
             ) from exc
+        object.__setattr__(self, "file_bits", tuple(bits.tolist()))
 
     @property
     def num_files(self) -> int:
         return len(self.file_fractions)
-
-    @cached_property
-    def file_bits(self) -> tuple:
-        """Per-file integer bit counts summing exactly to total_bits."""
-        targets = [f * self.total_bits for f in self.file_fractions]
-        return tuple(largest_remainder(targets, self.total_bits).tolist())
 
 
 @dataclass(frozen=True)

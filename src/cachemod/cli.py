@@ -315,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master seed override")
     mc = run.add_mutually_exclusive_group()
     mc.add_argument("--trials", type=int, help="trials per Monte Carlo cell override")
-    mc.add_argument("--analytic-only", action="store_true", help="skip Monte Carlo")
+    mc.add_argument("--analytic-only", action="store_const", dest="trials", const=0,
+                    help="skip Monte Carlo (same as --trials 0)")
 
     val = sub.add_parser("validate", help="parse and validate a config, then exit")
     val.add_argument("--config", required=True)
@@ -373,8 +374,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    trials = 0 if args.analytic_only else args.trials
-    return execute_run(cfg, out=args.out, seed=args.seed, trials=trials)[0]
+    return execute_run(cfg, out=args.out, seed=args.seed, trials=args.trials)[0]
 
 
 if __name__ == "__main__":

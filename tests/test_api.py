@@ -203,7 +203,7 @@ def test_end_to_end_result_all_passed():
 # - ScenarioConfig: the CLI, the benchmark and the tests derive configs with
 #   `dataclasses.replace`, and `__post_init__` checks the values of each one;
 # - Library, CacheProfile, DemandVector, SubfileMap: values checked in
-#   `__post_init__` (Library also has a `cached_property`);
+#   `__post_init__`;
 # - DeliveryPlan: keeps its arrays out of the repr with `field(repr=False)`
 #   and compares by identity (`eq=False`).
 # A new dataclass lands here and in `setup_s`; a pure result carrier, or a

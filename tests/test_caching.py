@@ -39,11 +39,11 @@ from conftest import (
 
 class TestLibrary:
     def test_rejects_bad_fractions(self):
-        with pytest.raises(cm.ConfigurationError):
+        with pytest.raises(cm.ConfigurationError, match="file fractions sum to 1.1"):
             cm.Library((0.5, 0.6), 10)
-        with pytest.raises(cm.ConfigurationError):
+        with pytest.raises(cm.ConfigurationError, match="total_bits 0 outside 1.."):
             cm.Library((1.0,), 0)
-        with pytest.raises(cm.ConfigurationError):
+        with pytest.raises(cm.ConfigurationError, match="must be positive and finite, not"):
             cm.Library((0.0, 1.0), 10)
 
     def test_file_bits_partition_total(self):
@@ -55,7 +55,7 @@ class TestLibrary:
     def test_total_bits_bounded(self):
         assert cm.Library((0.5, 0.5), MAX_TOTAL_BITS).file_bits == (2**61, 2**61)
         for too_many in (MAX_TOTAL_BITS + 1, 10**20):
-            with pytest.raises(cm.ConfigurationError, match="total_bits"):
+            with pytest.raises(cm.ConfigurationError, match=r"exceeds the limit of 2\*\*62"):
                 cm.Library((0.5, 0.5), too_many)
 
     @pytest.mark.parametrize(
@@ -71,19 +71,20 @@ class TestLibrary:
         ],
     )
     def test_inexact_split_rejected_at_construction(self, fractions, total_bits):
-        with pytest.raises(cm.ConfigurationError, match=f"total_bits {total_bits} has no exact split"):
+        inexact = f"total_bits {total_bits} has no exact split over the file fractions"
+        with pytest.raises(cm.ConfigurationError, match=inexact):
             cm.Library(fractions, total_bits)
 
     @pytest.mark.parametrize("total_bits", [100.5, 100.0, True, "100", None])
     def test_total_bits_must_be_an_exact_int(self, total_bits):
         # no float is truncated or reaches a slice, and True is not a 1-bit library
-        with pytest.raises(cm.ConfigurationError, match="total_bits must be an integer"):
+        with pytest.raises(cm.ConfigurationError, match="total_bits must be an integer, not"):
             cm.Library((1.0,), total_bits)
 
     @pytest.mark.parametrize("fractions", [("1",), (True,), (0.5, None), (0.5, 0.5j)])
     def test_fractions_must_be_real_numbers(self, fractions):
         # "1" is not parsed into a one-file library, nor True taken for 1.0
-        with pytest.raises(cm.ConfigurationError, match="file fractions must be real numbers"):
+        with pytest.raises(cm.ConfigurationError, match="file fractions must be real numbers, not"):
             cm.Library(fractions, 10)
 
     def test_int_and_float_fractions_accepted(self):
@@ -102,10 +103,9 @@ class TestCacheProfile:
             cm.CacheProfile((0.5, 0.2))
 
     def test_requires_unit_interval(self):
-        with pytest.raises(cm.ConfigurationError):
-            cm.CacheProfile((-0.1, 0.5))
-        with pytest.raises(cm.ConfigurationError):
-            cm.CacheProfile((0.5, 1.1))
+        for mus in ((-0.1, 0.5), (0.5, 1.1)):
+            with pytest.raises(cm.ConfigurationError, match=r"cache fractions must lie in \[0, 1\]"):
+                cm.CacheProfile(mus)
 
     def test_rejects_nan(self):
         # NaN fails every comparison: only a check written as `not 0 <= mu <= 1` rejects it
@@ -155,7 +155,8 @@ class TestSubfileMapSize:
             cm.Library((0.2,) * 5, 100), cm.CacheProfile((0.5,) * 3), seed=0
         )
         with mock.patch.object(caching, "MAX_SUBFILE_ENTRIES", (5 << 3) - 1):
-            with pytest.raises(cm.ConfigurationError, match="subfile map limit of 39 entries"):
+            limit = "subsets exceed the subfile map limit of 39 entries"
+            with pytest.raises(cm.ConfigurationError, match=limit):
                 cm.realized_subfile_map(placement)
 
 
@@ -172,7 +173,8 @@ class TestExpectedSubfileLengths:
         assert not em.lengths.flags.writeable
 
     def test_map_width_must_be_a_power_of_two(self):
-        with pytest.raises(cm.ConfigurationError):
+        shape = r"subfile lengths must have shape \(num_files, 2\*\*num_users\)"
+        with pytest.raises(cm.ConfigurationError, match=shape):
             SubfileMap(np.zeros((2, 3), dtype=np.int64))
 
     def test_no_caching(self):
@@ -263,7 +265,8 @@ class TestSamplePlacement:
 
     def test_enumeration_guard(self):
         lib = cm.Library((1.0,), 10**7 + 1)
-        with pytest.raises(cm.ConfigurationError):
+        guard = r"total_bits 10000001 exceeds the enumeration guard \(10000000\)"
+        with pytest.raises(cm.ConfigurationError, match=guard):
             cm.sample_placement(lib, cm.CacheProfile((0.5,)), seed=0)
 
     def test_binomial_concentration(self):
@@ -515,7 +518,7 @@ class TestBuildDeliveryPlan:
     @pytest.mark.parametrize("k", [2, 5])  # map sizes of the loop and the array planner
     def test_negative_lengths_rejected(self, k):
         # caught when the map is built, so no planner sees it
-        with pytest.raises(cm.ConfigurationError, match="non-negative"):
+        with pytest.raises(cm.ConfigurationError, match="subfile lengths must be non-negative"):
             subfile_map(k, k, {(1, (2,)): 4, (2, (1,)): -1})
 
     def test_bad_symbol_width(self):
@@ -565,7 +568,7 @@ class TestBuildDeliveryPlan:
             np.full((2, 4), 2 + 0j),
             np.full((2, 4), 2, dtype=object),
         ):
-            with pytest.raises(cm.ConfigurationError, match="must be integers"):
+            with pytest.raises(cm.ConfigurationError, match="subfile lengths must be integers, not"):
                 SubfileMap(lengths)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.int64])
@@ -587,7 +590,7 @@ class TestBuildDeliveryPlan:
 
     def test_total_past_the_bit_limit_rejected(self):
         # its int64 sum wraps to 0, which used to plan with load 0.0
-        with pytest.raises(cm.ConfigurationError, match="sum past the limit"):
+        with pytest.raises(cm.ConfigurationError, match="subfile lengths sum past the limit of"):
             SubfileMap(np.array([[2**62] * 4] * 2))
 
     def test_total_at_the_bit_limit_plans_exactly(self):
@@ -762,7 +765,7 @@ class TestEncodeDecode:
         # the subfile must fit its message's labels, and a message has a label
         for scheme in cm.SCHEMES:
             for bits, n_blocks in (([0, 1, 0, 0], 1), ([1] * 7, 2), ([], 0)):
-                with pytest.raises(cm.ConfigurationError, match="does not fit"):
+                with pytest.raises(cm.ConfigurationError, match="-bit subfile does not fit"):
                     encode_block(scheme, bits, n_blocks, 3)
 
     @pytest.mark.parametrize("scheme", ["bogus", "PROPOSED", "", None])
@@ -784,14 +787,14 @@ class TestEncodeDecode:
     def test_bits_must_be_runs_of_0_1(self):
         # a subfile is one flat run of 0/1 bits
         for bad in ("010", [[0, 1, 0]], [0, 2, 0], np.zeros((1, 3), np.uint8)):
-            with pytest.raises(ValueError, match="one-dimensional array of 0/1"):
+            with pytest.raises(ValueError, match="subfile bits must be a one-dimensional array of 0/1"):
                 encode_block(cm.PROPOSED, bad, 1, 3)
 
     def test_bits_are_checked_before_the_cast(self):
         # a cast to uint8 would truncate 0.5 and 1.7 and wrap -1 and 257
         bad = ([0.5, 1.7, 1.0], [-1, 1, 0], [1, 257], np.array([0.0, np.nan]), [0j, 1j])
         for bits in bad:
-            with pytest.raises(ValueError, match="one-dimensional array of 0/1"):
+            with pytest.raises(ValueError, match="subfile bits must be a one-dimensional array of 0/1"):
                 encode_block(cm.PROPOSED, bits, 1, 3)
         for bits in ([1.0, 0.0, 1.0], np.array([True, False, True]), np.array([1, 0, 1], np.int8)):
             assert encode_block(cm.PROPOSED, bits, 1, 3).tolist() == [0b101]
@@ -799,7 +802,7 @@ class TestEncodeDecode:
     def test_labels_must_be_whole_labels(self):
         # 2.9 is not label 2, and -1 and 8 are not 3-bit labels
         for labels in (np.array([2.9]), [-1], [8], np.array([np.nan]), np.array([np.inf])):
-            with pytest.raises(ValueError, match="whole numbers"):
+            with pytest.raises(ValueError, match=r"labels must be whole numbers in \[0, 8\)"):
                 decode_block(cm.PROPOSED, labels, 3, 3)
         for labels in (np.array([2.0]), [2], np.array([2], np.uint8)):
             assert decode_block(cm.PROPOSED, labels, 3, 3).tolist() == [0, 1, 0]
@@ -808,7 +811,7 @@ class TestEncodeDecode:
         # as a subfile's bits are: a scalar label indexed out of range, and a
         # (2, 1) column decoded as if it were flat
         for labels in (np.int64(5), 5, [[5, 0]], np.array([[5], [0]])):
-            with pytest.raises(cm.ConfigurationError, match="one-dimensional"):
+            with pytest.raises(cm.ConfigurationError, match="labels must be a one-dimensional array"):
                 decode_block(cm.PROPOSED, labels, 3, 3)
 
     @given(
@@ -861,7 +864,7 @@ class TestEncodeDecode:
         for scheme in cm.SCHEMES:
             labels = encode_block(scheme, [1] * 7, 3, 3)
             assert decode_block(scheme, labels, 7, 3).tolist() == [1] * 7
-            with pytest.raises(cm.ConfigurationError, match="does not fit"):
+            with pytest.raises(cm.ConfigurationError, match="-bit subfile does not fit"):
                 decode_block(scheme, labels[:2], 7, 3)
 
 

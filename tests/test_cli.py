@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -140,7 +141,7 @@ class TestParseConfig:
             parse_config(config(files=[0.5, 0.6]))
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(cm.ConfigurationError, match="snr_floor"):
+        with pytest.raises(cm.ConfigurationError, match=r"unknown field\(s\) in config: snr_floor"):
             parse_config(config(snr_floor=3))
 
     def test_unknown_user_field_rejected(self):
@@ -164,7 +165,7 @@ class TestParseConfig:
             parse_config(config(modulation={"family": "qam", "m": 3}))
 
     def test_not_json(self):
-        with pytest.raises(cm.ConfigurationError):
+        with pytest.raises(cm.ConfigurationError, match="config is not valid JSON"):
             parse_config("users: nope")
 
     def test_worst_case_assigns_largest_file_first(self):
@@ -183,19 +184,20 @@ class TestParseConfig:
 
     def test_user_count_bounded_before_allocation(self):
         users = [{"mu": 0.5}] * (MAX_USERS + 1)
-        with pytest.raises(cm.ConfigurationError, match=f"limit of {MAX_USERS}"):
+        limit = f"{MAX_USERS + 1} users exceed the limit of {MAX_USERS}"
+        with pytest.raises(cm.ConfigurationError, match=limit):
             parse_config(config(users=users, files=[1 / len(users)] * len(users)))
 
 
 # (field, bad value, the document overrides that state it or None, message fragment)
 CONFIG_RULES = [
     ("trials_per_cell", -5, {"trials_per_cell": -5}, "trials_per_cell -5 outside 0.."),
-    ("master_seed", -1, {"master_seed": -1}, "master_seed must be an integer in [0, 2**64)"),
+    ("master_seed", -1, {"master_seed": -1}, "master_seed must be an integer in [0, 2**64), not -1"),
     ("master_seed", 2**64, {"master_seed": 2**64}, "master_seed must be an integer in [0, 2**64)"),
     ("user_snr_db", (None, None), None, "user_snr_db must have one entry per user"),
     # a numpy bool is no more a dB value than a Python bool
-    ("user_snr_db", (np.True_, None, None), None, "has no finite positive linear SNR"),
-    ("sweep_db", (np.True_,), None, "has no finite positive linear SNR"),
+    ("user_snr_db", (np.True_, None, None), None, "dB has no finite positive linear SNR"),
+    ("sweep_db", (np.True_,), None, "dB has no finite positive linear SNR"),
     (
         "sweep_db",
         (2.0, 2.000000001),
@@ -203,7 +205,13 @@ CONFIG_RULES = [
         "SNR points would print alike",
     ),
     # equal as numbers, printed apart: one gamma evaluated twice, its rows interleaved
-    ("sweep_db", (-0.0, 0.0), None, "SNR points would print alike"),
+    (
+        "sweep_db",
+        (-0.0, 0.0),
+        None,
+        "sweep step_db is finer than the CSV prints, or a point repeats as -0 and 0: "
+        "SNR points would print alike",
+    ),
     ("schemes", (), {"schemes": []}, "at least one scheme required"),
     (
         "schemes",
@@ -211,7 +219,7 @@ CONFIG_RULES = [
         {"schemes": ["proposed", "proposed"]},
         "duplicate schemes are not supported",
     ),
-    ("output", "", {"output": ""}, "output must be a non-empty file path"),
+    ("output", "", {"output": ""}, "output must be a non-empty file path, not ''"),
     # NaN fails no `<= 0` test; a document's NaN is rejected as it is read
     ("file_fractions", (math.nan, 0.5, 0.5), None, "file fractions must be positive"),
     (
@@ -221,7 +229,17 @@ CONFIG_RULES = [
         "cache fractions must be sorted non-decreasing",
     ),
     ("demands", (1, 1, 2), {"demands": [1, 1, 2]}, "duplicate demands are not supported"),
-    ("family", "qam", {"modulation": {"family": "qam", "m": 3}}, "QAM requires even m"),
+    # documents that break these four are in REJECTED_DOCUMENTS
+    ("demands", (0, 1, 2), None, "demand indices must lie in [1, N]"),
+    ("demands", (1, 2), None, "one demand per user required"),
+    ("mus", (), None, "at least one user required"),
+    ("file_fractions", (), None, "file fractions must be positive"),
+    (
+        "family",
+        "qam",
+        {"modulation": {"family": "qam", "m": 3}},
+        "QAM requires even m (square constellations only)",
+    ),
     # a document's sweep is bounded as its grid is built (`test_sweep_point_count_bounded`)
     ("sweep_db", (), None, f"sweep has 0 SNR points, not 1 to {MAX_SWEEP_POINTS}"),
     (
@@ -249,6 +267,54 @@ def test_every_way_of_making_a_config_checks_the_same_rules(field, value, doc, m
         with pytest.raises(cm.ConfigurationError) as info:
             parse_config(config(**doc))
         assert message in str(info.value)
+
+
+# (document, the whole message of the rule that rejects it); with any of these
+# rules gone its document still runs, or fails later with another message
+REJECTED_DOCUMENTS = [
+    # index 0 would read the subfile map's row -1: a run on the last file
+    ({**BASE, "demands": [0, 1, 2]}, "demand indices must lie in [1, N]"),
+    ({**BASE, "demands": [1, 2]}, "one demand per user required"),
+    ({**BASE, "users": []}, "at least one user required"),
+    ({k: v for k, v in BASE.items() if k != "total_bits"}, "missing required field 'total_bits'"),
+    ({**BASE, "users": [{}, *BASE["users"][1:]]}, "user 1 is missing 'mu'"),
+    # not `errors.positive`'s longer "file fractions must be positive and finite"
+    ({**BASE, "files": []}, "file fractions must be positive"),
+    ({**BASE, "sweep": {"start_db": 0, "stop_db": 4, "step_db": 0}}, "sweep step_db must be positive"),
+    ({**BASE, "sweep": {"start_db": 0, "stop_db": 4, "step_db": -1}}, "sweep step_db must be positive"),
+    ({**BASE, "sweep": {"start_db": 4, "stop_db": 0, "step_db": 2}}, "sweep stop_db must be >= start_db"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REJECTED_DOCUMENTS, ids=[m for _, m in REJECTED_DOCUMENTS])
+def test_each_rule_rejects_with_its_own_message(tmp_path, capsys, doc, message):
+    path, out = tmp_path / "scenario.json", tmp_path / "r.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(out), "--analytic-only"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def _strings(tree) -> list:
+    """Every string constant of a module, f-strings' constant runs included."""
+    return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_every_rule_message_is_quoted_by_a_test():
+    # each `ConfigurationError` message, or the longest constant run of an
+    # f-string's, appears whole in some test's string; `match=` patterns count unescaped
+    tests = "\n".join(s.replace("\\", "") for p in Path(__file__).parent.glob("*.py")
+                      for s in _strings(ast.parse(p.read_text())))
+    unquoted = []
+    for path in sorted(Path(cm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigurationError":
+                (arg,) = node.args
+                parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+                message = max((p.value for p in parts if isinstance(p, ast.Constant)), key=len)
+                if message.strip(" ,:(") not in tests:
+                    unquoted.append(f"{path.name}:{node.lineno}: {message!r}")
+    assert not unquoted, "\n".join(unquoted)
 
 
 @pytest.mark.parametrize("form", [list, np.array])
@@ -678,7 +744,7 @@ class TestCsv:
             assert float(cols[4]) == pytest.approx(row.analytic_ser, rel=1e-7)
 
     def test_empty_results_rejected(self):
-        with pytest.raises(cm.ConfigurationError):
+        with pytest.raises(cm.ConfigurationError, match="no results to emit"):
             render_csv([])
 
     @pytest.mark.parametrize("flags, builds", [({}, 0), ({"seed": 3}, 1)])
@@ -792,7 +858,8 @@ class TestMain:
         doc = config(sweep={"start_db": 0, "stop_db": 20, "step_db": step_db})
         assert main([command, "--config", self.write(tmp_path, doc)]) == rc
         if rc:
-            assert "sweep step_db" in capsys.readouterr().err
+            message = f"sweep step_db {step_db!r} gives more than {MAX_SWEEP_POINTS} SNR points"
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, step_db, rc",
@@ -910,6 +977,7 @@ class TestMain:
 
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     def test_run_writes_csv(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -175,7 +175,7 @@ class TestDistanceLaw:
 
     def test_single_point_mask_rejected(self):
         c = cm.build_psk(3)
-        with pytest.raises(cm.ConfigurationError):
+        with pytest.raises(cm.ConfigurationError, match="subconstellation has fewer than 2 points"):
             cm.min_distance(c, 3)
 
     @pytest.mark.parametrize("counts", [(1.0, 0), (1, 0.0), (True, 0), (0, False), ("1", 0)])
@@ -309,29 +309,34 @@ class TestDetect:
     def test_rejects_bad_arguments(self):
         c = cm.build_psk(3)
         y, known = np.zeros(2, dtype=complex), np.array([0, 1])
-        for shape, sqrt_snr, values in [
-            ((2, 2), 1.0, known),  # four known bits of three
-            ((1, 0), 0.0, known),
-            ((1, 0), math.nan, known),
-            ((1, 0), 1.0, np.array([0, 2])),  # a value wider than the one known bit
-            ((1, 0), 1.0, np.array([0, -1])),
-            ((1, 0), 1.0, np.array([0, 0.5])),  # not truncated to 0
-            ((1, 0), 1.0, np.array([0])),  # one known value for two symbols
-            ((1.5, 0), 1.0, known),  # counts are ints, not floats or bools
-            ((1.0, 0), 1.0, known),
-            ((True, 0), 1.0, known),
-            ((1,), 1.0, known),
-            ((1, 0), "1", known),  # sqrt_snr is a real number, not a string or bool
-            ((1, 0), True, known),
+        wide = "known values must be whole numbers in [0, 2)"
+        for shape, sqrt_snr, values, message in [
+            ((2, 2), 1.0, known, "mask counts 2 outside 0..1"),  # four known bits of three
+            ((1, 0), 0.0, known, "sqrt_snr must be positive and finite"),
+            ((1, 0), math.nan, known, "sqrt_snr must be positive and finite"),
+            ((1, 0), 1.0, np.array([0, 2]), wide),  # a value wider than the one known bit
+            ((1, 0), 1.0, np.array([0, -1]), wide),
+            ((1, 0), 1.0, np.array([0, 0.5]), wide),  # not truncated to 0
+            # one known value for two symbols
+            ((1, 0), 1.0, np.array([0]), "y and known must be 1-D with one entry per symbol"),
+            # counts are ints, not floats or bools
+            ((1.5, 0), 1.0, known, "mask counts must be an integer, not 1.5"),
+            ((1.0, 0), 1.0, known, "mask counts must be an integer, not 1.0"),
+            ((True, 0), 1.0, known, "mask counts must be an integer, not True"),
+            ((1,), 1.0, known, "mask counts must be two integers, not (1,)"),
+            # sqrt_snr is a real number, not a string or bool
+            ((1, 0), "1", known, "sqrt_snr must be real numbers"),
+            ((1, 0), True, known, "sqrt_snr must be real numbers"),
         ]:
-            with pytest.raises(cm.ConfigurationError):
+            with pytest.raises(cm.ConfigurationError) as info:
                 cm.detect(c, y, sqrt_snr, shape, values)
+            assert message in str(info.value)
         for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)):
-            with pytest.raises(cm.ConfigurationError):
+            with pytest.raises(cm.ConfigurationError, match="received points must be finite numbers"):
                 cm.detect(c, np.array([0.5, bad]), 1.0, (1, 0), known)
         # received points are integer, real or complex numbers: not strings, bools or objects
         for y in (np.array(["a", "b"]), np.array([True, False]), np.array([0.5, None])):
-            with pytest.raises(cm.ConfigurationError):
+            with pytest.raises(cm.ConfigurationError, match="received points must be finite numbers"):
                 cm.detect(c, y, 1.0, (1, 0), known)
 
     @given(
