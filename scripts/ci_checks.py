@@ -51,6 +51,11 @@ def test_traced_benchmark_smoke(w):
     assert status == 0 and r["correct"] is True and bits > 0
 
 
+# the committed three-user sweep, analytic only: 89 lines, from `cachemod run` and from the
+# experiment script, whose run is `cachemod run`
+THREE_USER_ANALYTIC_MD5 = "86731f43166cf7ab85b71bd23b5cde07"
+
+
 def test_cli_smoke(tmp_path):
     # the committed config validates and runs; a fractional width, a bool cache
     # fraction and a demand of file 0 (which would run on the last file) exit 2 and
@@ -66,7 +71,7 @@ def test_cli_smoke(tmp_path):
     out = tmp_path / "three_user_sweep.csv"
     assert run([*CLI, "validate", "--config", str(config)])[0] == 0
     assert run([*CLI, "run", "--config", str(config), "--analytic-only", "--out", str(out)])[0] == 0
-    assert out.stat().st_size > 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == THREE_USER_ANALYTIC_MD5
     for name, bad_doc in bad_docs.items():
         bad, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
         bad.write_text(json.dumps(bad_doc))
@@ -83,7 +88,7 @@ def test_experiment_script(tmp_path):
     script = [sys.executable, str(SCRIPTS / "run_three_user_sweep.py")]
     out = tmp_path / "script.csv"
     assert run([*script, "--trials", "0", "--out", str(out)])[0] == 0
-    assert out.stat().st_size > 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == THREE_USER_ANALYTIC_MD5
     assert run([*script, "--trials", "-5", "--out", str(tmp_path / "bad.csv")])[0] == 2
     assert run([*script, "--trials", "0", "--out", str(tmp_path / "missing" / "x.csv")])[0] == 3
 

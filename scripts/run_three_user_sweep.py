@@ -8,10 +8,12 @@ blocks are padded per symbol instead of per subfile.
 """
 
 import argparse
+import csv
+import json
 import sys
 from pathlib import Path
 
-from cachemod.cli import execute_run, parse_config
+from cachemod import cli
 
 CONFIG = Path(__file__).parent / "three_user_sweep.json"
 
@@ -23,26 +25,31 @@ def main():
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 
-    cfg = parse_config(CONFIG.read_text())
-    out = args.out or Path(__file__).parent / cfg.output
-    # the flags and every failure take `cachemod run`'s checks and exit statuses
-    status, rows = execute_run(cfg, out=str(out), seed=args.seed, trials=args.trials)
+    out = args.out or CONFIG.parent / json.loads(CONFIG.read_text())["output"]
+    # the run is `cachemod run` itself: its checks, exit statuses and CSV
+    argv = ["run", "--config", str(CONFIG), "--out", str(out)]
+    for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+        if value is not None:
+            argv += [flag, str(value)]
+    status = cli.main(argv)
     if status:
         return status
 
-    by_key = {(r.snr_db, r.scheme, r.user): r for r in rows}
-    users = sorted({r.user for r in rows if r.user != "avg"}, key=int)
-    print(f"load R = {rows[0].load:.4f} (identical across schemes)")
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    by_key = {(float(r["snr_db"]), r["scheme"], r["user"]): float(r["analytic_T"]) for r in rows}
+    users = sorted({r["user"] for r in rows if r["user"] != "avg"}, key=int)
+    print(f"load R = {float(rows[0]['load_R']):.4f} (identical across schemes)")
     header = f"{'snr_db':>6} | " + " | ".join(
         f"user {u}: T_zp      T_prop    gain" for u in users
     )
     print(header)
     print("-" * len(header))
-    for snr_db in sorted({r.snr_db for r in rows}):
+    for snr_db in sorted({snr for snr, _, _ in by_key}):
         cells = []
         for u in users:
-            zp = by_key[(snr_db, "zero_padding", u)].analytic_ser
-            prop = by_key[(snr_db, "proposed", u)].analytic_ser
+            zp = by_key[(snr_db, "zero_padding", u)]
+            prop = by_key[(snr_db, "proposed", u)]
             cells.append(f"{zp:.3e} {prop:.3e} {zp - prop:.2e}")
         print(f"{snr_db:>6.0f} | " + " | ".join(cells))
     print(f"\nwrote {out}")

@@ -174,7 +174,7 @@ def _canonical_key(codes, num_users: int):
     return size << num_users | reversed_code ^ ((1 << num_users) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubfileMap:
     """Whole-bit lengths |W_{i,S}| for every (file, caching-subset) pair.
 
@@ -182,7 +182,8 @@ class SubfileMap:
     lengths[i - 1, code] is |W_{i,S}|, where bit u - 1 of the subset code is
     set when user u is in S.  Construction takes any integer array (not
     bool) with non-negative entries summing to at most MAX_TOTAL_BITS, and
-    keeps it without a copy when it is already int64.
+    keeps it without a copy when it is already int64.  A map compares and
+    hashes by identity, as an array field allows no generated `==` or `hash`.
     """
 
     lengths: np.ndarray

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import bound_table, ser_report
@@ -168,12 +168,19 @@ def _resolve_demands(requested, fractions, num_users) -> tuple:
     return tuple(_read(int, d, "demands") for d in _require_list(requested, "demands"))
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Read a JSON scenario document into a `ScenarioConfig`, which checks the values."""
+def parse_config(text: str, **fields) -> ScenarioConfig:
+    """Read a JSON scenario document into a `ScenarioConfig`, which checks the values.
+
+    Each keyword that is not None replaces the document's field of its name before any
+    field is read (as `cachemod run`'s `--out`, `--seed` and `--trials` give `output`,
+    `master_seed` and `trials_per_cell`), so it passes that field's rules and no others.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    if isinstance(raw, dict):
+        raw.update((key, value) for key, value in fields.items() if value is not None)
     keys = {"users", "files", "total_bits", "modulation", "schemes", "demands", "sweep",
             "trials_per_cell", "master_seed", "output"}
     _require_keys(raw, keys, "config")
@@ -309,13 +316,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cachemod")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each `run` flag is stored under the name of the document field it replaces
     run = sub.add_parser("run", help="execute a scenario sweep")
     run.add_argument("--config", required=True)
-    run.add_argument("--out", help="CSV output path (overrides the config)")
-    run.add_argument("--seed", type=int, help="master seed override")
+    run.add_argument("--out", dest="output", help="CSV output path (overrides the config)")
+    run.add_argument("--seed", dest="master_seed", type=int, help="master seed override")
     mc = run.add_mutually_exclusive_group()
-    mc.add_argument("--trials", type=int, help="trials per Monte Carlo cell override")
-    mc.add_argument("--analytic-only", action="store_const", dest="trials", const=0,
+    mc.add_argument("--trials", dest="trials_per_cell", type=int,
+                    help="trials per Monte Carlo cell override")
+    mc.add_argument("--analytic-only", action="store_const", dest="trials_per_cell", const=0,
                     help="skip Monte Carlo (same as --trials 0)")
 
     val = sub.add_parser("validate", help="parse and validate a config, then exit")
@@ -323,58 +332,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config: {exc}") from exc
-    return parse_config(text)
-
-
-def execute_run(cfg: ScenarioConfig, *, out=None, seed=None, trials=None) -> tuple:
-    """`cachemod run` on a parsed config: apply the flag overrides, sweep, write the CSV.
-
-    Returns (exit status, rows).  A `ConfigurationError` prints a `config
-    error:` line and gives status 2, any other failure a `runtime error:`
-    line and status 3, both with no rows.
-    """
-    try:
-        # flag values pass the checks their config fields do; no flag, no rebuild
-        flags = {"trials_per_cell": trials, "master_seed": seed, "output": out}
-        given = {field: v for field, v in flags.items() if v is not None}
-        if given:
-            cfg = replace(cfg, **given)
-        rows = run_scenario(cfg)
-        text = render_csv(rows)  # before the file opens: a failed render leaves none
-        if cfg.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(cfg.output, "w", newline="") as fh:
-                fh.write(text)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2, []
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3, []
-    return 0, rows
-
-
 def main(argv=None) -> int:
+    """`cachemod`: 0 on success, 2 after a `config error:` line, 3 after a `runtime error:` line."""
     import logging
     logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s", level=logging.INFO)
-    args = _build_parser().parse_args(argv)
+    fields = vars(_build_parser().parse_args(argv))
+    command, path = fields.pop("command"), fields.pop("config")
     try:
-        cfg = _load_config(args.config)
-        if args.command == "validate":
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config: {exc}") from exc
+        cfg = parse_config(text, **fields)
+        if command == "validate":
             # `run`'s map stage, which can fail where the files' split did not
             expected_subfile_lengths(cfg.library, cfg.caches)
             return 0
+        csv = render_csv(run_scenario(cfg))  # before the file opens: a failed render leaves none
+        if cfg.output is None:
+            sys.stdout.write(csv)
+        else:
+            with open(cfg.output, "w", newline="") as fh:
+                fh.write(csv)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return execute_run(cfg, out=args.out, seed=args.seed, trials=args.trials)[0]
+    except Exception as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

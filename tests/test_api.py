@@ -84,9 +84,13 @@ REMOVED = {
         "_read_trials", "_read_seed",
         # the dB -> linear SNR conversion, now what `_check_db` returns
         "_gamma",
-        # one-caller wrappers: `execute_run` writes the rendered CSV itself, and
+        # one-caller wrappers: `main` writes the rendered CSV itself, and
         # `prepare` and `validate` call `expected_subfile_lengths` themselves
         "emit_csv", "_subfile_map",
+        # the run after the config was parsed, and the config file's reader: `main`
+        # runs, renders and writes, and its flags are `parse_config` keywords, so a
+        # run builds one config
+        "execute_run", "_load_config",
     ],
     # copies of what the config keeps: its constellation and its SNR profiles
     "cachemod.cli.Scenario": ["constellation", "profiles"],
@@ -200,10 +204,11 @@ def test_end_to_end_result_all_passed():
 
 # Creating a dataclass costs about 1 ms of every import of `cachemod.cli`,
 # so each of the package's classes is a dataclass only for a reason:
-# - ScenarioConfig: the CLI, the benchmark and the tests derive configs with
+# - ScenarioConfig: the benchmark and the tests derive configs with
 #   `dataclasses.replace`, and `__post_init__` checks the values of each one;
-# - Library, CacheProfile, DemandVector, SubfileMap: values checked in
-#   `__post_init__`;
+# - Library, CacheProfile, DemandVector: values checked in `__post_init__`;
+# - SubfileMap: values checked in `__post_init__`, and compares by identity
+#   (`eq=False`), since generated `==` and `hash` cannot work on its array;
 # - DeliveryPlan: keeps its arrays out of the repr with `field(repr=False)`
 #   and compares by identity (`eq=False`).
 # A new dataclass lands here and in `setup_s`; a pure result carrier, or a

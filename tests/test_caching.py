@@ -177,6 +177,14 @@ class TestExpectedSubfileLengths:
         with pytest.raises(cm.ConfigurationError, match=shape):
             SubfileMap(np.zeros((2, 3), dtype=np.int64))
 
+    def test_maps_compare_and_hash_by_identity(self):
+        # a generated `==` compared the arrays as one truth value, and raised for
+        # any two distinct maps of more than one entry; a generated `hash` raised too
+        lengths = np.arange(8).reshape(2, 4)
+        a, b = SubfileMap(lengths), SubfileMap(lengths)
+        assert a == a and a != b and not (a == b)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+
     def test_no_caching(self):
         lib = cm.Library((0.6, 0.4), 15)
         em = cm.expected_subfile_lengths(lib, cm.CacheProfile((0.0, 0.0)))

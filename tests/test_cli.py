@@ -22,7 +22,6 @@ from cachemod.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
     ScenarioConfig,
-    execute_run,
     main,
     parse_config,
     prepare,
@@ -135,6 +134,15 @@ class TestParseConfig:
         run = run_python("-m", "cachemod.cli", "validate", "--config", str(path))
         assert run.returncode == 0, run.stderr
         assert "cachemod: no master_seed in config; defaulting to 0" in run.stderr.splitlines()
+
+    def test_keywords_replace_document_fields(self):
+        # a keyword is written into the document before any field is read, so the
+        # value it replaces is never checked; None leaves the document's value
+        cfg = parse_config(config(master_seed=-1, output=""), master_seed=5, output="r.csv",
+                           trials_per_cell=None)
+        assert (cfg.master_seed, cfg.output, cfg.trials_per_cell) == (5, "r.csv", 0)
+        with pytest.raises(cm.ConfigurationError, match=r"unknown field\(s\) in config: snr_floor"):
+            parse_config(config(), snr_floor=3)
 
     def test_fraction_sum_diagnostic(self):
         with pytest.raises(cm.ConfigurationError, match="sum to 1.1"):
@@ -258,15 +266,17 @@ CONFIG_RULES = [
 )
 def test_every_way_of_making_a_config_checks_the_same_rules(field, value, doc, message):
     # the config states the rules, so a config derived with `replace` (as the
-    # CLI flags and the benchmark derive theirs) is rejected as a document is
+    # benchmark derives its own) is rejected as a document is, and so is a
+    # `parse_config` keyword (as the CLI flags give theirs) that replaces a field
     cfg = parse_config(config())
     with pytest.raises(cm.ConfigurationError) as info:
         replace(cfg, **{field: value})
     assert message in str(info.value)
     if doc is not None:
-        with pytest.raises(cm.ConfigurationError) as info:
-            parse_config(config(**doc))
-        assert message in str(info.value)
+        for text, fields in ((config(**doc), {}), (config(), doc)):
+            with pytest.raises(cm.ConfigurationError) as info:
+                parse_config(text, **fields)
+            assert message in str(info.value)
 
 
 # (document, the whole message of the rule that rejects it); with any of these
@@ -622,7 +632,6 @@ class TestRunScenario:
         # calling thread takes no cell after it, and no thread outlives the run
         import cachemod.analysis as an
         import cachemod.mc as mc
-        from cachemod.cli import execute_run
 
         monkeypatch.setattr(an, "_usable_cpus", lambda: 2)
         raised, calls = threading.Event(), []
@@ -647,10 +656,23 @@ class TestRunScenario:
 
         raised.clear()
         out = tmp_path / "out.csv"
-        assert execute_run(cfg, out=str(out)) == (status, [])
+        args = ["run", "--config", str(THREE_USER_SWEEP), "--trials", "10", "--out", str(out)]
+        assert main(args) == status
         assert "cell failed" in capsys.readouterr().err
         assert not out.exists()
         assert threading.active_count() == before
+
+    def test_analytic_run_leaves_numpy_random_unloaded(self):
+        # only Monte Carlo cells draw noise, so an analytic run's time carries
+        # neither numpy.random's import nor the garbage collection that follows it
+        code = ("import sys\n"
+                "from cachemod.cli import parse_config, render_csv, run_scenario\n"
+                "for text in sys.argv[1:]:\n"
+                "    render_csv(run_scenario(parse_config(text)))\n"
+                "print('numpy.random' in sys.modules)\n")
+        run = run_python("-c", code, config(), HETEROGENEOUS.read_text())
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
     def test_many_users_analytic_csv_is_pinned(self):
         text = render_csv(run_scenario(parse_config(json.dumps(MANY_USERS))))
@@ -697,15 +719,14 @@ def near_valid_configs(draw):
 
 @given(doc=near_valid_configs())
 @settings(max_examples=200)
-def test_near_valid_configs_run_or_are_rejected(doc, tmp_path_factory):
-    # a config either fails validation (exit 2) or runs (exit 0) with every
-    # rate a probability; no config reaches a runtime error (exit 3)
+def test_near_valid_configs_run_or_are_rejected(doc):
+    # a config is either rejected with a `ConfigurationError` (exit 2) or runs
+    # with every rate a probability; no config raises anything else (exit 3)
     try:
-        cfg = parse_config(json.dumps(doc))
+        rows = run_scenario(parse_config(json.dumps(doc)))
+        render_csv(rows)
     except cm.ConfigurationError:
         return
-    status, rows = execute_run(cfg, out=str(tmp_path_factory.mktemp("run") / "out.csv"))
-    assert status in (0, 2)  # the error line is on stderr
     for r in rows:
         rates = [r.analytic_ser, r.load] + ([] if r.mc_ser is None else [r.mc_ser])
         assert all(0.0 <= rate <= 1.0 for rate in rates), r
@@ -730,9 +751,10 @@ def test_rates_stay_probabilities_past_2_53_symbols():
 
 class TestCsv:
     def test_header_and_roundtrip(self, tmp_path):
-        path = tmp_path / "out.csv"
-        status, rows = execute_run(parse_config(config()), out=str(path))
-        assert status == 0
+        doc, path = tmp_path / "scenario.json", tmp_path / "out.csv"
+        doc.write_text(config())
+        assert main(["run", "--config", str(doc), "--out", str(path)]) == 0
+        rows = run_scenario(parse_config(config()))
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         for line, row in zip(lines[1:], rows):
@@ -747,21 +769,6 @@ class TestCsv:
         with pytest.raises(cm.ConfigurationError, match="no results to emit"):
             render_csv([])
 
-    @pytest.mark.parametrize("flags, builds", [({}, 0), ({"seed": 3}, 1)])
-    def test_run_derives_a_config_only_from_given_flags(self, monkeypatch, capsys, flags, builds):
-        # the parsed config already passed its checks, so a run with no flag
-        # neither checks nor builds it again
-        cfg, built = parse_config(config()), []
-        real = ScenarioConfig.__post_init__
-
-        def counted(self):
-            built.append(self)
-            real(self)
-
-        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
-        status, rows = execute_run(cfg, **flags)
-        assert status == 0 and len(built) == builds
-        assert capsys.readouterr().out == render_csv(rows)
 
 
 class TestMain:
@@ -1055,3 +1062,74 @@ class TestMain:
         rc = main(["run", "--config", self.write(tmp_path, config())])
         assert rc == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--out"], ["--seed", "3", "--out"], ["--analytic-only", "--out"]],
+        ids=["no-flag", "out", "seed-out", "analytic-only-out"],
+    )
+    def test_run_builds_one_config(self, tmp_path, monkeypatch, capsys, flags):
+        # the flags are written into the document before it is read, so no run
+        # builds, or checks, its config twice
+        built, real = [], ScenarioConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+        out = tmp_path / "r.csv"
+        args = ["run", "--config", self.write(tmp_path, config(trials_per_cell=100)), *flags]
+        assert main(args + [str(out)] * bool(flags)) == 0
+        assert len(built) == 1
+        text = out.read_text() if flags else capsys.readouterr().out
+        assert text == render_csv(run_scenario(built[0]))
+
+    @pytest.mark.parametrize(
+        "flag, field, value, replaced, message",
+        [
+            ("--seed", "master_seed", 5, -1, "master_seed must be an integer in [0, 2**64), not -1"),
+            ("--trials", "trials_per_cell", 10, -5, "trials_per_cell -5 outside 0.."),
+            ("--out", "output", "r.csv", "", "output must be a non-empty file path, not ''"),
+        ],
+        ids=["seed", "trials", "out"],
+    )
+    def test_flag_is_its_document_field(self, tmp_path, monkeypatch, capsys, flag, field, value,
+                                        replaced, message):
+        # `run --seed 5` runs as if the document held "master_seed": 5, so the value the
+        # flag replaces is never checked; `validate`, which takes no flags, rejects it
+        monkeypatch.chdir(tmp_path)
+        doc = {**BASE, "trials_per_cell": 100, field: replaced}
+        flagged = self.write(tmp_path, json.dumps(doc))
+        assert main(["validate", "--config", flagged]) == 2
+        assert message in capsys.readouterr().err
+        csv = tmp_path / "r.csv"  # where the output field sends the CSV; stdout otherwise
+
+        def run(*args):
+            csv.unlink(missing_ok=True)
+            assert main(["run", "--config", *args]) == 0
+            return capsys.readouterr().out or csv.read_text()
+
+        given = run(flagged, flag, str(value))
+        assert given == run(self.write(tmp_path, json.dumps({**doc, field: value})))
+
+    @pytest.mark.parametrize("flags, logged", [([], True), (["--seed", "0"], False)])
+    def test_missing_seed_is_logged_unless_the_flag_gives_it(self, tmp_path, caplog, flags, logged):
+        doc = {k: v for k, v in BASE.items() if k != "master_seed"}
+        path = self.write(tmp_path, json.dumps(doc))
+        with caplog.at_level("INFO", logger="cachemod"):
+            assert main(["run", "--config", path, "--out", str(tmp_path / "r.csv"), *flags]) == 0
+        assert any("no master_seed" in r.message for r in caplog.records) is logged
+
+    @pytest.mark.parametrize("stage", ["parse_config", "expected_subfile_lengths"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_other_failures_are_runtime_errors(self, tmp_path, monkeypatch, capsys, command, stage):
+        # a failure that is no `ConfigurationError` exits 3 with one line, not a
+        # traceback, while the config is loaded and checked as after
+        def fail(*args, **kwargs):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(cm.cli, stage, fail)
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", self.write(tmp_path, config(output=str(out)))]) == 3
+        assert capsys.readouterr().err == "runtime error: stage failed\n"
+        assert not out.exists()
